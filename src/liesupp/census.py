@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import Analyzer, c_supplement
 from .formats import algebra_to_doc, jsonable
-from .gfp import PrimeField
+from .gfp import PrimeField, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra
 from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
 
@@ -45,6 +45,11 @@ class CensusSpec:
     seed: int = 0
     table_cap: int = DEFAULT_TABLE_CAP
     dim4_opt_in: bool = False
+
+    def __post_init__(self):
+        # refuse a bad modulus before any cap is consulted
+        PrimeField(self.p)
+        require_int64_safe(self.p, self.max_dim)
 
     def dims(self) -> range:
         return range(1, self.max_dim + 1)
@@ -400,6 +405,7 @@ def _verify_pairs(
     """Pair campaigns: filter the universe by the hypothesis predicate,
     optionally deduplicate by isomorphism class (canonical form, dims <= 3),
     then test every ordered direct sum."""
+    require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
     az = analyzer or Analyzer(cap=subspace_cap)
     if theorem_id == "ldsum":
         hypothesis = lambda a: az.completely_factorisable(a)[0]

@@ -134,14 +134,14 @@ def is_elementary(
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) = 0 for every subalgebra B (phi computed inside B's own
     algebra).  Returns the first offending subalgebra otherwise."""
+    az = analyzer if analyzer is not None else Analyzer()
     if lattice is None:
-        lattice = build_lattice(L)
+        lattice = az.lattice(L)
     for b in lattice.subalgebras:
         if b.dim == 0:
             continue
         sub, _ = L.as_algebra(b)
-        phi = analyzer.frattini(sub)[1] if analyzer else frattini(sub)[1]
-        if phi.dim:
+        if az.frattini(sub)[1].dim:
             return False, b
     return True, None
 
@@ -153,14 +153,15 @@ def is_E_algebra(
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) <= phi(L) for every subalgebra B, with each phi(B) mapped back
     into the ambient coordinates through the embedding."""
+    az = analyzer if analyzer is not None else Analyzer()
     if lattice is None:
-        lattice = build_lattice(L)
-    phi_l = (analyzer.frattini(L) if analyzer else frattini(L, lattice))[1]
+        lattice = az.lattice(L)
+    phi_l = az.frattini(L, lattice)[1]
     for b in lattice.subalgebras:
         if b.dim == 0:
             continue
         sub, emb = L.as_algebra(b)
-        phi_b = analyzer.frattini(sub)[1] if analyzer else frattini(sub)[1]
+        phi_b = az.frattini(sub)[1]
         if phi_b.dim and not phi_l.contains(emb.lift_space(phi_b)):
             return False, b
     return True, None
@@ -344,18 +345,22 @@ def check_semisimple_shape(
 def check_main_decomposition(
     L: LieAlgebra,
     lattice: Optional[LatticeCache] = None,
-    cap: int = DEFAULT_SUBSPACE_CAP,
+    analyzer: Optional["Analyzer"] = None,
 ) -> Tuple[bool, Dict]:
     """The full structural criterion: every bracket-closed subspace of phi(L)
     is an ideal of L, and L/phi(L) splits as R + S with R the (supersolvable,
-    phi-free) radical and S zero or an sl2 direct sum."""
+    phi-free) radical and S zero or an sl2 direct sum.
+
+    Every lattice comes from `analyzer` (a fresh Analyzer() when None), so a
+    caller that wants another cap passes Analyzer(cap)."""
+    az = analyzer if analyzer is not None else Analyzer()
     if lattice is None:
-        lattice = build_lattice(L, cap)
-    _, phi = frattini(L, lattice)
+        lattice = az.lattice(L)
+    phi = az.frattini(L, lattice)[1]
     out: Dict = {"phi": phi}
     if phi.dim:
         phi_alg, emb = L.as_algebra(phi)
-        for s in build_lattice(phi_alg, cap).subalgebras:
+        for s in az.lattice(phi_alg).subalgebras:
             lifted = emb.lift_space(s)
             if not L.is_ideal(lifted):
                 out["reason"] = "phi_subalgebra_not_ideal"
@@ -363,15 +368,15 @@ def check_main_decomposition(
                 return False, out
     q, qmap = L.quotient(phi)
     out["quotient_dim"] = q.dim
-    lat_q = build_lattice(q, cap)
+    lat_q = az.lattice(q)
     r = radical(q, lat_q)
     out["R"] = r
     if r.dim:
         r_alg, _ = q.as_algebra(r)
-        if not is_supersolvable(r_alg):
+        if not az.supersolvable(r_alg):
             out["reason"] = "radical_not_supersolvable"
             return False, out
-        if frattini(r_alg)[1].dim:
+        if az.frattini(r_alg)[1].dim:
             out["reason"] = "radical_not_phi_free"
             return False, out
     for s in lat_q.ideals:
@@ -383,7 +388,7 @@ def check_main_decomposition(
             out["S"] = s
             return True, out
         s_alg, _ = q.as_algebra(s)
-        ok, _info = check_semisimple_shape(s_alg)
+        ok, _info = az.semisimple_shape(s_alg)
         if ok:
             out["S"] = s
             return True, out
@@ -423,18 +428,33 @@ class ClassificationReport:
 def classify_algebra(
     L: LieAlgebra,
     predicates: Optional[Tuple[str, ...]] = None,
-    cap: int = DEFAULT_SUBSPACE_CAP,
+    cap: Optional[int] = None,
     analyzer: Optional["Analyzer"] = None,
 ) -> ClassificationReport:
+    """Evaluate the wanted predicates of L through one Analyzer, so the
+    lattice and Frattini ideal of each distinct subalgebra, quotient and
+    summand table are computed once.  Without an analyzer a fresh
+    Analyzer(cap) is used (default cap when cap is None); a given one brings
+    its own cap, which a different explicit `cap` may not contradict, and
+    may be shared across calls."""
     wanted = tuple(predicates) if predicates else ALL_PREDICATES
     unknown = set(wanted) - set(ALL_PREDICATES)
     if unknown:
         raise ValueError(f"unknown predicates: {sorted(unknown)}")
+    if analyzer is not None and cap is not None and cap != analyzer.cap:
+        raise ValueError(
+            f"cap {cap} contradicts the given analyzer's cap {analyzer.cap}"
+        )
     start = time.monotonic()
-    lattice = build_lattice(L, cap)
+    if analyzer is not None:
+        az = analyzer
+    else:
+        az = Analyzer(DEFAULT_SUBSPACE_CAP if cap is None else cap)
+    # held here and passed down, so the analyzer's LRU cannot force a rebuild
+    lattice = az.lattice(L)
     rep = ClassificationReport(p=L.p, dim=L.dim, degenerate=L.dim <= 1)
     rep.lattice_stats = lattice.stats()
-    _, phi = frattini(L, lattice)
+    phi = az.frattini(L, lattice)[1]
     rep.witnesses["phi"] = phi
     for name in wanted:
         if name == "solvable":
@@ -442,7 +462,7 @@ def classify_algebra(
         elif name == "nilpotent":
             rep.predicates[name] = L.is_nilpotent()
         elif name == "supersolvable":
-            rep.predicates[name] = is_supersolvable(L)
+            rep.predicates[name] = az.supersolvable(L)
         elif name == "simple":
             rep.predicates[name] = is_simple(L, lattice)
         elif name == "semisimple":
@@ -460,12 +480,12 @@ def classify_algebra(
             if failing is not None:
                 rep.witnesses["completely_factorisable_failing"] = failing
         elif name == "elementary":
-            ok, failing = is_elementary(L, lattice, analyzer)
+            ok, failing = is_elementary(L, lattice, az)
             rep.predicates[name] = ok
             if failing is not None:
                 rep.witnesses["elementary_failing"] = failing
         elif name == "E_algebra":
-            ok, failing = is_E_algebra(L, lattice, analyzer)
+            ok, failing = is_E_algebra(L, lattice, az)
             rep.predicates[name] = ok
             if failing is not None:
                 rep.witnesses["E_algebra_failing"] = failing
@@ -474,7 +494,7 @@ def classify_algebra(
             rep.predicates[name] = ok
             rep.witnesses["semisimple_shape"] = info
         elif name == "main_decomposition":
-            ok, info = check_main_decomposition(L, lattice, cap)
+            ok, info = check_main_decomposition(L, lattice, analyzer=az)
             rep.predicates[name] = ok
             rep.witnesses["main_decomposition"] = info
     rep.elapsed_s = time.monotonic() - start
@@ -513,8 +533,13 @@ class Analyzer:
             self._memo[key] = fn()
         return self._memo[key]
 
-    def frattini(self, L):
-        return self._cached("frattini", L, lambda: frattini(L, self.lattice(L)))
+    def frattini(self, L, lattice: Optional[LatticeCache] = None):
+        """(F, phi) of L; `lattice`, when given, must be L's own lattice."""
+        return self._cached(
+            "frattini",
+            L,
+            lambda: frattini(L, lattice if lattice is not None else self.lattice(L)),
+        )
 
     def c_supplemented(self, L):
         return self._cached(
@@ -552,7 +577,9 @@ class Analyzer:
 
     def main_decomposition(self, L):
         return self._cached(
-            "main", L, lambda: check_main_decomposition(L, self.lattice(L), self.cap)
+            "main",
+            L,
+            lambda: check_main_decomposition(L, self.lattice(L), analyzer=self),
         )
 
     def canonical(self, L):

@@ -239,8 +239,12 @@ def cmd_verify(args) -> int:
 def _add_census_flags(sp):
     sp.add_argument("--field", "-p", type=int, required=True, help="prime modulus")
     sp.add_argument("--dim", "-n", type=int, required=True, help="maximum dimension")
-    sp.add_argument("--exhaustive", action="store_true", help="exhaustive universe (default)")
-    sp.add_argument("--samples", type=int, default=None, help="random mode: sample count")
+    sp.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="random mode: sample count (the universe is exhaustive without it)",
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--table-cap", type=int, default=census_mod.DEFAULT_TABLE_CAP)
     sp.add_argument("--dim4-opt-in", action="store_true")

@@ -2,12 +2,36 @@
 
 Scalars are plain Python ints in [0, p); the modulus lives on the
 containing PrimeField so that coefficient tables stay compact.
+
+Structure-constant tables are int64 numpy arrays, so moduli are bounded:
+PrimeField refuses p >= MODULUS_LIMIT, and LieAlgebra further refuses any
+(p, n) whose bracket sums could overflow (see int64_safe).
 """
 from __future__ import annotations
+
+MODULUS_LIMIT = 2**21
 
 
 class NotPrimeError(ValueError):
     """Raised when a PrimeField is requested for a composite modulus."""
+
+
+class ModulusTooLargeError(ValueError):
+    """The modulus is too large for exact int64 table arithmetic."""
+
+
+def int64_safe(p: int, n: int) -> bool:
+    """True iff a sum of n*n products of three residues mod p, the worst
+    case of the bracket einsum in dimension n, stays below 2**63."""
+    return n * n * (p - 1) ** 3 < 2**63
+
+
+def require_int64_safe(p: int, n: int) -> None:
+    """Raise ModulusTooLargeError unless int64_safe(p, n)."""
+    if not int64_safe(p, n):
+        raise ModulusTooLargeError(
+            f"GF({p}) in dimension {n}: bracket sums would overflow int64"
+        )
 
 
 def is_prime(p: int) -> bool:
@@ -27,13 +51,16 @@ class PrimeField:
     All operations take and return ints reduced mod p.
     """
 
-    __slots__ = ("p", "_squares")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= MODULUS_LIMIT:
+            raise ModulusTooLargeError(
+                f"modulus {p} is not below the limit {MODULUS_LIMIT}"
+            )
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-        self._squares = frozenset((x * x) % p for x in range(p))
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -54,7 +81,9 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def is_square(self, a: int) -> bool:
-        return a % self.p in self._squares
+        """Euler's criterion; every element of GF(2) is a square."""
+        a %= self.p
+        return a == 0 or self.p == 2 or pow(a, (self.p - 1) // 2, self.p) == 1
 
     def elements(self) -> range:
         return range(self.p)

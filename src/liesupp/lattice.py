@@ -105,17 +105,15 @@ def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCach
 
 
 def _maximal_subalgebras(subalgebras: List[Subspace], n: int) -> List[Subspace]:
+    """Top-down scan: every proper subalgebra lies in a maximal one, so going
+    from the highest dimension down, s is maximal exactly when no maximal
+    subalgebra kept so far contains it."""
     proper = [s for s in subalgebras if s.dim < n]
-    by_dim: Dict[int, List[Subspace]] = {}
-    for s in proper:
-        by_dim.setdefault(s.dim, []).append(s)
-    maximals = []
-    for s in proper:
-        if any(
-            t.contains(s) for d in range(s.dim + 1, n) for t in by_dim.get(d, [])
-        ):
-            continue
-        maximals.append(s)
+    maximals: List[Subspace] = []
+    for s in sorted(proper, key=lambda s: -s.dim):
+        if not any(m.contains(s) for m in maximals):
+            maximals.append(s)
+    maximals.sort(key=Subspace.sort_key)
     return maximals
 
 
@@ -171,17 +169,6 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
             v[c] = (-row[f]) % p
         basis.append(tuple(v))
     return basis
-
-
-def core_by_enumeration(
-    L: LieAlgebra, b: Subspace, lattice: LatticeCache
-) -> Subspace:
-    """Independent route to the core: sum of all enumerated ideals inside b."""
-    out = Subspace.zero(L.dim, L.p)
-    for ideal in lattice.ideals:
-        if b.contains(ideal):
-            out = out.sum(ideal)
-    return out
 
 
 # -- Frattini, socle, radical ----------------------------------------------

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, require_int64_safe
 from .subspace import Subspace
 
 Vector = Tuple[int, ...]
@@ -57,6 +57,7 @@ class LieAlgebra:
     ):
         p = field.p
         n = dim
+        require_int64_safe(p, n)
         if table is None:
             table = np.zeros((n, n, n), dtype=np.int64)
             for (i, j), coeffs in (brackets or {}).items():

@@ -17,7 +17,6 @@ from liesupp.formats import algebra_from_doc, algebra_to_doc
 from liesupp.lattice import (
     build_lattice,
     core,
-    core_by_enumeration,
     frattini,
     is_supersolvable,
     radical,
@@ -30,6 +29,7 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.subspace import Subspace, enumerate_subspaces, gaussian_binomial
+from oracles import core_by_enumeration
 
 AZ = Analyzer()
 

@@ -13,7 +13,7 @@ from liesupp.census import (
 )
 from liesupp.classify import Analyzer, canonical_form_small
 from liesupp.formats import algebra_to_doc
-from liesupp.gfp import PrimeField
+from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.liealg import counterexample_L1
 from liesupp.subspace import CapExceededError
 
@@ -102,6 +102,16 @@ def test_random_mode_deterministic():
         CensusSpec(3, 3, mode="random", count=25, seed=12)
     )]
     assert a != c
+
+
+def test_modulus_refused_before_any_work():
+    CensusSpec(1008199, 3)  # the largest prime exact in dimension 3
+    with pytest.raises(ModulusTooLargeError):
+        CensusSpec(1008209, 3)
+    # 2000003 is exact in dimension 1, but its pair sums have dimension 2
+    spec = CensusSpec(2000003, 1)
+    with pytest.raises(ModulusTooLargeError):
+        verify("ldsum", spec)
 
 
 def test_unknown_mode_and_theorem():

@@ -1,5 +1,7 @@
 import pytest
 
+import liesupp.classify as classify_mod
+import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, generate
 from liesupp.classify import (
     Analyzer,
@@ -16,6 +18,7 @@ from liesupp.classify import (
     is_isomorphic_small,
     is_phi_free,
 )
+from liesupp.formats import jsonable
 from liesupp.gfp import PrimeField
 from liesupp.lattice import build_lattice
 from liesupp.liealg import (
@@ -27,7 +30,7 @@ from liesupp.liealg import (
     L1_gamma,
     sl2,
 )
-from liesupp.subspace import Subspace
+from liesupp.subspace import CapExceededError, Subspace
 
 
 def test_ideal_always_supplemented():
@@ -203,3 +206,47 @@ def test_classification_report():
 def test_classification_report_unknown_predicate():
     with pytest.raises(ValueError):
         classify_algebra(heisenberg(2), predicates=("bogus",))
+
+
+def test_classify_cap_and_analyzer():
+    L = heisenberg(2)  # 16 subspaces
+    with pytest.raises(ValueError):
+        classify_algebra(L, cap=100, analyzer=Analyzer())
+    with pytest.raises(CapExceededError):
+        classify_algebra(L, analyzer=Analyzer(cap=10))
+    with pytest.raises(CapExceededError):
+        classify_algebra(L, cap=10)
+    assert classify_algebra(L, cap=100, analyzer=Analyzer(cap=100)).predicates
+
+
+def _report_doc(rep):
+    return (rep.predicates, jsonable(rep.witnesses), rep.lattice_stats, rep.degenerate)
+
+
+def test_classify_builds_each_subalgebra_lattice_once(monkeypatch):
+    real = lattice_mod.build_lattice
+    built = []
+
+    def counting(L, *args, **kwargs):
+        built.append(L.key)
+        return real(L, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "build_lattice", counting)
+    monkeypatch.setattr(classify_mod, "build_lattice", counting)
+    L = counterexample_double(3)
+    classify_algebra(L)
+    tables = {L.as_algebra(b)[0].key for b in real(L).subalgebras}
+    # phi(L), L/phi(L) and its summands may add a few tables of their own
+    assert len(built) <= len(tables) + 5
+
+
+def test_classify_report_independent_of_analyzer():
+    L = counterexample_double(3)
+    shared = Analyzer()
+    classify_algebra(sl2(3).direct_sum(abelian(3, 1)), analyzer=shared)
+    docs = [
+        _report_doc(classify_algebra(L)),
+        _report_doc(classify_algebra(L, analyzer=Analyzer())),
+        _report_doc(classify_algebra(L, analyzer=shared)),
+    ]
+    assert docs[0] == docs[1] == docs[2]

@@ -151,3 +151,25 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_modulus_beyond_int64_exit_2(tmp_path, capsys):
+    # 1008209 is the least prime whose dim-3 brackets could overflow int64
+    code, _, err = run(capsys, ["catalog", "sl2", "-p", "1008209"])
+    assert code == 2 and "overflow" in err
+    doc = {"field": {"prime": 1008209}, "dim": 3, "brackets": []}
+    code, _, err = run(capsys, ["validate", write_doc(tmp_path, doc)])
+    assert code == 2 and "overflow" in err
+    for argv in (
+        ["census", "-p", "1008209", "-n", "3"],
+        ["census", "-p", "1008209", "-n", "3", "--samples", "3"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "overflow" in err
+    # 2097169 is the least prime at or above the PrimeField limit
+    for argv in (
+        ["census", "-p", "2097169", "-n", "1"],
+        ["verify", "pfrat", "-p", "2097169", "-n", "3"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "limit" in err

@@ -1,6 +1,6 @@
 import pytest
 
-from liesupp.gfp import NotPrimeError, PrimeField
+from liesupp.gfp import MODULUS_LIMIT, ModulusTooLargeError, NotPrimeError, PrimeField
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -51,3 +51,18 @@ def test_char2_everything_is_a_square():
 def test_composite_modulus_rejected(p):
     with pytest.raises(NotPrimeError):
         PrimeField(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_is_square_matches_table_of_squares(p):
+    squares = {(x * x) % p for x in range(p)}
+    F = PrimeField(p)
+    assert all(F.is_square(a) == (a % p in squares) for a in range(-p, 2 * p))
+
+
+def test_modulus_limit():
+    assert PrimeField(2097143).p == 2097143  # largest prime below the limit
+    for p in (MODULUS_LIMIT, 2097169, 2**61 - 1):
+        # refused before the primality test, which never ends near 2^61
+        with pytest.raises(ModulusTooLargeError):
+            PrimeField(p)

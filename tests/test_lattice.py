@@ -1,4 +1,5 @@
 """Lattice-level computations checked against independent brute-force oracles."""
+import numpy as np
 import pytest
 
 from liesupp.census import CensusSpec, generate
@@ -6,7 +7,6 @@ from liesupp.lattice import (
     abelian_socle,
     build_lattice,
     core,
-    core_by_enumeration,
     frattini,
     is_semisimple,
     is_simple,
@@ -16,12 +16,31 @@ from liesupp.lattice import (
 )
 from liesupp.liealg import (
     abelian,
+    catalog,
     counterexample_L1,
     counterexample_double,
     heisenberg,
     sl2,
 )
 from liesupp.subspace import Subspace, enumerate_subspaces
+from oracles import (
+    core_by_enumeration,
+    maximal_subalgebras_all_pairs,
+    random_conjugate,
+)
+
+# (prime, left summand, right summand or None): the dim-5/6 algebras of the
+# benchmark's classify workload
+DIM56_SUMS = (
+    (3, "counterexample_double", None),
+    (2, "counterexample_double", None),
+    (3, "sl2", "sl2"),
+    (3, "sl2", "counterexample_L1"),
+    (5, "sl2", "nonabelian2"),
+    (3, "heisenberg", "nonabelian2"),
+    (2, "heisenberg", "heisenberg"),
+    (2, "L1_gamma", "L1_gamma"),
+)
 
 
 def naive_subalgebras(L):
@@ -41,6 +60,29 @@ def test_heisenberg_lattice_counts_vs_oracle():
     assert len(lat.subalgebras) == 12
     assert len(lat.ideals) == 6
     assert len(lat.maximals) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_maximals_match_all_pairs_oracle_on_census(p):
+    for entry in generate(CensusSpec(p, 3)):
+        lat = build_lattice(entry.algebra)
+        assert lat.maximals == maximal_subalgebras_all_pairs(
+            lat.subalgebras, entry.algebra.dim
+        )
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_maximals_match_all_pairs_oracle_dim56(p, left, right):
+    L = catalog(left, p)
+    if right is not None:
+        L = L.direct_sum(catalog(right, p))
+    rng = np.random.default_rng(20071217)
+    stats = []
+    for M in (L, random_conjugate(L, rng)):
+        lat = build_lattice(M)
+        assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, M.dim)
+        stats.append(lat.stats())
+    assert stats[0] == stats[1]  # the lattice is an isomorphism invariant
 
 
 def test_abelian_everything_closed():

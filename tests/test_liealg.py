@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesupp.gfp import PrimeField
+from liesupp.gfp import ModulusTooLargeError, PrimeField, int64_safe, is_prime
 from liesupp.liealg import (
     InvalidAlgebraError,
     JacobiError,
@@ -18,6 +19,11 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.subspace import Subspace
+from oracles import random_conjugate
+
+# the largest prime p with 3^2 (p - 1)^3 < 2^63, and the next prime
+LARGEST_DIM3_PRIME = 1_008_199
+NEXT_PRIME = 1_008_209
 
 
 def test_bracket_examples():
@@ -183,3 +189,34 @@ def test_catalog():
     counterexample_L1(2)  # Jacobi validation passes
     with pytest.raises(KeyError):
         catalog("nope", 2)
+
+
+def test_dim3_modulus_bound():
+    p, q = LARGEST_DIM3_PRIME, NEXT_PRIME
+    assert is_prime(p) and is_prime(q)
+    assert not any(is_prime(x) for x in range(p + 1, q))
+    assert int64_safe(p, 3) and not int64_safe(q, 3)
+
+
+def test_bracket_exact_at_largest_admitted_prime():
+    p = LARGEST_DIM3_PRIME
+    rng = np.random.default_rng(3)
+    L = random_conjugate(sl2(p), rng)  # dense table of large residues
+    c = L.table.tolist()
+    for _ in range(200):
+        u = rng.integers(0, p, size=3).tolist()
+        v = rng.integers(0, p, size=3).tolist()
+        exact = tuple(
+            sum(u[i] * v[j] * c[i][j][k] for i in range(3) for j in range(3)) % p
+            for k in range(3)
+        )
+        assert L.bracket(u, v) == exact
+
+
+def test_modulus_beyond_int64_refused():
+    with pytest.raises(ModulusTooLargeError):
+        sl2(NEXT_PRIME)
+    assert abelian(NEXT_PRIME, 2).dim == 2  # dimension 2 is still exact
+    s = sl2(LARGEST_DIM3_PRIME)
+    with pytest.raises(ModulusTooLargeError):
+        s.direct_sum(s)

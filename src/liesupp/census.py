@@ -23,13 +23,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import Analyzer, c_supplement
+from .classify import ISO_DIM_LIMIT, Analyzer, c_supplement
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, require_int64_safe
-from .liealg import InvalidAlgebraError, LieAlgebra
+from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
 from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
 
 DEFAULT_TABLE_CAP = 2**25
+# tables decoded and Jacobi-filtered together: the int64 residuals of one
+# batch take 2 MB in dimension 3 and 8 MB in dimension 4
+JACOBI_BATCH = 1024
 
 PAIR_THEOREMS = ("ldsum", "csupp_dsum")
 
@@ -72,28 +75,6 @@ def table_digit_count(n: int) -> int:
     return n * (n * (n - 1) // 2)
 
 
-def _algebra_from_digits(digits, n: int, p: int) -> LieAlgebra:
-    """digits: sequence of length n*(n(n-1)/2), pair-major (lex pairs i<j),
-    coefficient index ascending within a pair."""
-    brackets = {}
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = tuple(int(d) % p for d in digits[pos : pos + n])
-            if any(coeffs):
-                brackets[(i, j)] = coeffs
-            pos += n
-    return LieAlgebra(PrimeField(p), n, brackets)
-
-
-def _decode_index(t: int, n: int, p: int) -> List[int]:
-    e = table_digit_count(n)
-    digits = [0] * e
-    for pos in range(e - 1, -1, -1):
-        t, digits[pos] = divmod(t, p)
-    return digits
-
-
 def _check_exhaustive_caps(spec: CensusSpec, n: int) -> int:
     total = spec.p ** table_digit_count(n)
     if total > spec.table_cap:
@@ -105,30 +86,68 @@ def _check_exhaustive_caps(spec: CensusSpec, n: int) -> int:
     return total
 
 
+def _tables_from_digits(digits: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Antisymmetric tables of shape (b, n, n, n) from rows of digits in
+    [0, p), each of length n*(n(n-1)/2): pair-major (lex pairs i<j),
+    coefficient index ascending within a pair."""
+    tables = np.zeros((len(digits), n, n, n), dtype=np.int64)
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = digits[:, pos : pos + n]
+            tables[:, i, j] = coeffs
+            tables[:, j, i] = (-coeffs) % p
+            pos += n
+    return tables
+
+
+def _exhaustive_algebras(
+    p: int, n: int, start: int, stop: int
+) -> Iterator[Tuple[int, LieAlgebra]]:
+    """(t, algebra) for every Jacobi-passing table index t in [start, stop),
+    in order.  Indices are decoded and Jacobi-filtered JACOBI_BATCH at a time,
+    and only the passing tables are built (and validated again) as algebras."""
+    field_ = PrimeField(p)
+    e = table_digit_count(n)
+    for lo in range(start, stop, JACOBI_BATCH):
+        idx = np.arange(lo, min(lo + JACOBI_BATCH, stop), dtype=np.int64)
+        digits = np.empty((len(idx), e), dtype=np.int64)
+        rem = idx.copy()
+        for pos in range(e - 1, -1, -1):
+            digits[:, pos] = rem % p
+            rem //= p
+        tables = _tables_from_digits(digits, n, p)
+        ok = ~jacobi_residuals(tables, p).reshape(len(idx), -1).any(axis=1)
+        for b in np.flatnonzero(ok):
+            yield int(idx[b]), LieAlgebra(field_, n, table=tables[b])
+
+
 def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
     """Stream the universe: every Jacobi-passing table exactly once in
-    exhaustive mode, or a seeded counter-based random sample."""
+    exhaustive mode, or a seeded counter-based random sample with
+    count // max_dim algebras of each dimension (the remainder going to the
+    lowest dimensions); at most spec.table_cap tables are drawn."""
     if spec.mode == "exhaustive":
         for n in spec.dims():
             total = _check_exhaustive_caps(spec, n)
-            for t in range(total):
-                try:
-                    alg = _algebra_from_digits(_decode_index(t, n, spec.p), n, spec.p)
-                except InvalidAlgebraError:
-                    continue
+            for t, alg in _exhaustive_algebras(spec.p, n, 0, total):
                 yield CensusEntry(("e", n, t), alg)
     elif spec.mode == "random":
+        field_ = PrimeField(spec.p)
         accepted = 0
         counter = 0
         dims = list(spec.dims())
         while accepted < spec.count:
+            if counter >= spec.table_cap:
+                raise CapExceededError(counter + 1, spec.table_cap, "random tables")
             # counter-based generator: workers can partition counter ranges
             gen = np.random.Generator(np.random.Philox(key=[spec.seed, counter]))
-            n = dims[counter % len(dims)]
+            n = dims[accepted % len(dims)]
             digits = gen.integers(0, spec.p, size=table_digit_count(n))
+            table = _tables_from_digits(digits[None], n, spec.p)[0]
             counter += 1
             try:
-                alg = _algebra_from_digits(digits, n, spec.p)
+                alg = LieAlgebra(field_, n, table=table)
             except InvalidAlgebraError:
                 continue
             yield CensusEntry(("r", n, counter - 1), alg)
@@ -301,30 +320,13 @@ class VerdictLog:
         }
 
 
-def _spec_to_tuple(spec: CensusSpec):
-    return (
-        spec.p,
-        spec.max_dim,
-        spec.mode,
-        spec.count,
-        spec.seed,
-        spec.table_cap,
-        spec.dim4_opt_in,
-    )
-
-
 def _verify_chunk(args) -> Tuple[int, List[Tuple]]:
-    theorem_id, spec_tuple, n, start, stop, sub_cap = args
-    p = spec_tuple[0]
+    theorem_id, p, n, start, stop, sub_cap = args
     az = Analyzer(cap=sub_cap)
     checker = CHECKERS[theorem_id]
     examined = 0
     violations = []
-    for t in range(start, stop):
-        try:
-            alg = _algebra_from_digits(_decode_index(t, n, p), n, p)
-        except InvalidAlgebraError:
-            continue
+    for t, alg in _exhaustive_algebras(p, n, start, stop):
         examined += 1
         v = checker(alg, az)
         if v is not None:
@@ -361,7 +363,7 @@ def verify(
             step = max(1, total // (workers * 4))
             for s in range(0, total, step):
                 jobs.append(
-                    (theorem_id, _spec_to_tuple(spec), n, s, min(s + step, total), subspace_cap)
+                    (theorem_id, spec.p, n, s, min(s + step, total), subspace_cap)
                 )
         with Pool(workers) as pool:
             results = pool.map(_verify_chunk, jobs)
@@ -406,6 +408,13 @@ def _verify_pairs(
     optionally deduplicate by isomorphism class (canonical form, dims <= 3),
     then test every ordered direct sum."""
     require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
+    if dedup and spec.max_dim > ISO_DIM_LIMIT:
+        # canonical forms are brute force; refuse before generating anything
+        raise CapExceededError(
+            spec.max_dim,
+            ISO_DIM_LIMIT,
+            "dimensions for isomorphism dedup (--no-dedup skips it)",
+        )
     az = analyzer or Analyzer(cap=subspace_cap)
     if theorem_id == "ldsum":
         hypothesis = lambda a: az.completely_factorisable(a)[0]

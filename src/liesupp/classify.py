@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,19 +35,22 @@ _ISO_CHUNK = 200_000
 @dataclass
 class SupplementWitness:
     """A pair (B, C) certifying that B is c-supplemented: B + C is the whole
-    algebra and B intersect C lies in the core of B."""
+    algebra and B intersect C lies in the core of B.  The core is computed
+    on first access, since a C meeting B trivially needs no core to certify
+    it."""
 
+    algebra: LieAlgebra
     subalgebra: Subspace
     supplement: Subspace
     meets_in: Subspace
-    core_of_subalgebra: Subspace
+
+    @cached_property
+    def core_of_subalgebra(self) -> Subspace:
+        return core(self.algebra, self.subalgebra)
 
 
 def c_supplement(
-    L: LieAlgebra,
-    lattice: LatticeCache,
-    b: Subspace,
-    core_b: Optional[Subspace] = None,
+    L: LieAlgebra, lattice: LatticeCache, b: Subspace
 ) -> Optional[SupplementWitness]:
     """First supplement of b in canonical search order, or None.
 
@@ -58,19 +62,17 @@ def c_supplement(
     d0 = n - b.dim
     for c_ in lattice.by_dim.get(d0, []):
         if b.sum(c_).dim == n:
-            zero = Subspace.zero(n, L.p)
-            if core_b is None:
-                core_b = core(L, b)
-            return SupplementWitness(b, c_, zero, core_b)
-    if core_b is None:
-        core_b = core(L, b)
+            return SupplementWitness(L, b, c_, Subspace.zero(n, L.p))
+    core_b = core(L, b)
     for d in range(d0 + 1, n + 1):
         for c_ in lattice.by_dim.get(d, []):
             if b.sum(c_).dim != n:
                 continue
             meet = b.intersect(c_)
             if core_b.contains(meet):
-                return SupplementWitness(b, c_, meet, core_b)
+                witness = SupplementWitness(L, b, c_, meet)
+                witness.core_of_subalgebra = core_b
+                return witness
     return None
 
 
@@ -93,21 +95,8 @@ def is_c_supplemented_algebra(
     first subalgebra without a supplement."""
     if lattice is None:
         lattice = build_lattice(L)
-    n = L.dim
     for b in lattice.subalgebras:
-        d0 = n - b.dim
-        if any(b.sum(c_).dim == n for c_ in lattice.by_dim.get(d0, [])):
-            continue
-        core_b = core(L, b)
-        found = False
-        for d in range(d0 + 1, n + 1):
-            for c_ in lattice.by_dim.get(d, []):
-                if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        if c_supplement(L, lattice, b) is None:
             return False, b
     return True, None
 
@@ -310,9 +299,14 @@ def check_semisimple_shape(
     L: LieAlgebra, lattice: Optional[LatticeCache] = None
 ) -> Tuple[bool, Dict]:
     """True iff p != 2, the radical is zero, and L is the direct sum of its
-    minimal ideals, each 3-dimensional and isomorphic to sl2."""
-    from .liealg import sl2
+    minimal ideals, each 3-dimensional and isomorphic to sl2.
 
+    A 3-dimensional summand m is tested as perfect, [m, m] = m: a perfect
+    3-dimensional Lie algebra is simple (a proper ideal would leave it
+    solvable), in characteristic != 2 every 3-dimensional simple Lie algebra
+    is a form of sl2 (Jacobson, Lie Algebras, 1962, ch. I), and over a
+    finite field every such form is split.  The tests check this against
+    the brute-force is_isomorphic_small over GF(3), GF(5) and GF(7)."""
     n, p = L.dim, L.p
     if n == 0:
         return False, {"reason": "zero algebra"}
@@ -332,12 +326,10 @@ def check_semisimple_shape(
         s = s.sum(m)
     if s.dim != n:
         return False, {"reason": "minimal ideals do not span"}
-    reference = sl2(p)
     for m in mins:
         if m.dim != 3:
             return False, {"reason": f"summand of dimension {m.dim}"}
-        sub, _ = L.as_algebra(m)
-        if is_isomorphic_small(sub, reference) is None:
+        if L.product_space(m, m).dim != 3:
             return False, {"reason": "summand not isomorphic to sl2"}
     return True, {"summands": mins}
 

@@ -38,6 +38,21 @@ class NotSubalgebraError(ValueError):
     pass
 
 
+def jacobi_residuals(tables: np.ndarray, p: int) -> np.ndarray:
+    """Jacobi residuals of a batch of antisymmetric tables over GF(p).
+
+    tables has shape (b, n, n, n) with entries in [0, p); the result has
+    shape (b, n, n, n, n) and out[b, i, j, k] is the coefficient vector of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] mod p, so
+    table b satisfies the Jacobi identity iff out[b] is all zero.
+    """
+    b, n = tables.shape[0], tables.shape[1]
+    # t[b, i, j, k] = [[e_i, e_j], e_k]
+    t = np.matmul(tables.reshape(b, n * n, n), tables.reshape(b, n, n * n))
+    t = t.reshape(b, n, n, n, n)
+    return (t + np.transpose(t, (0, 3, 1, 2, 4)) + np.transpose(t, (0, 2, 3, 1, 4))) % p
+
+
 class LieAlgebra:
     """Immutable Lie algebra value.
 
@@ -97,12 +112,9 @@ class LieAlgebra:
         return self._key
 
     def _validate_jacobi(self):
-        n, p = self.dim, self.p
-        if n < 3:
+        if self.dim < 3:
             return
-        c = self.table
-        t = np.einsum("ijm,mkl->ijkl", c, c)
-        jac = (t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))) % p
+        jac = jacobi_residuals(self.table[None], self.p)[0]
         if jac.any():
             idx = np.argwhere(jac.any(axis=3))
             for i, j, k in idx:

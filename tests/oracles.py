@@ -7,7 +7,10 @@ can be checked without trusting the code under test.
 """
 import numpy as np
 
-from liesupp.liealg import LieAlgebra
+from liesupp.classify import is_isomorphic_small
+from liesupp.gfp import PrimeField
+from liesupp.lattice import minimal_ideals
+from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
 from liesupp.subspace import Subspace, rref
 
 
@@ -54,3 +57,53 @@ def random_conjugate(L, rng):
                 sum(e_coords[m] * t_inv[m][k] for m in range(n)) % p for k in range(n)
             ]
     return LieAlgebra(L.field, n, table=table)
+
+
+def census_by_index(spec):
+    """The exhaustive census one table index at a time: decode each index
+    into its digits (pair-major, lex pairs i<j, coefficients ascending within
+    a pair, most significant first) and keep the tables that LieAlgebra
+    accepts.  Yields (("e", n, t), algebra)."""
+    p = spec.p
+    for n in spec.dims():
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        e = n * len(pairs)
+        for t in range(p**e):
+            digits, rest = [0] * e, t
+            for pos in range(e - 1, -1, -1):
+                rest, digits[pos] = divmod(rest, p)
+            brackets = {
+                ij: tuple(digits[q * n : (q + 1) * n])
+                for q, ij in enumerate(pairs)
+                if any(digits[q * n : (q + 1) * n])
+            }
+            try:
+                alg = LieAlgebra(PrimeField(p), n, brackets)
+            except InvalidAlgebraError:
+                continue
+            yield ("e", n, t), alg
+
+
+def sl2_summands_by_isomorphism(L, lattice):
+    """True iff every minimal ideal of L is isomorphic to sl2 over GF(p),
+    by the brute-force basis-change search."""
+    reference = sl2(L.p)
+    for m in minimal_ideals(L, lattice):
+        if m.dim != 3 or is_isomorphic_small(reference, L.as_algebra(m)[0]) is None:
+            return False
+    return True
+
+
+def first_unsupplemented(L, lattice):
+    """The first subalgebra B, in lattice order, with no subalgebra C such
+    that B + C = L and B meet C lies in the core of B; None if every B has
+    one.  Every C is tried, with the core taken by enumeration."""
+    n = L.dim
+    for b in lattice.subalgebras:
+        core_b = core_by_enumeration(L, b, lattice)
+        if not any(
+            b.sum(c_).dim == n and core_b.contains(b.intersect(c_))
+            for c_ in lattice.subalgebras
+        ):
+            return b
+    return None

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+import liesupp.census as census_mod
 from liesupp.census import (
     CHECKERS,
     CensusSpec,
@@ -16,6 +18,7 @@ from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.liealg import counterexample_L1
 from liesupp.subspace import CapExceededError
+from oracles import census_by_index
 
 
 def brute_force_jacobi_count(n, p):
@@ -90,6 +93,46 @@ def test_caps_refused():
         list(generate(CensusSpec(2, 4)))  # dim 4 needs opt-in
     with pytest.raises(CapExceededError):
         list(generate(CensusSpec(3, 3, table_cap=100)))
+
+
+@pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 3), (5, 2)])
+def test_generate_matches_per_index_oracle(p, max_dim):
+    spec = CensusSpec(p, max_dim)
+    got = [(e.index, e.algebra.key) for e in generate(spec)]
+    assert got == [(idx, alg.key) for idx, alg in census_by_index(spec)]
+
+
+def test_chunked_workers_cover_the_census():
+    # GF(3) dim 3 splits into chunks that straddle the Jacobi batches
+    log = verify("csimple_neg_char2", CensusSpec(3, 3), workers=2)
+    assert log.examined == 1441 and log.confirmed
+
+
+def test_random_mode_balances_dimensions():
+    spec = CensusSpec(2, 4, mode="random", count=40, seed=0)
+    entries = list(generate(spec))
+    assert Counter(e.algebra.dim for e in entries) == {1: 10, 2: 10, 3: 10, 4: 10}
+    odd = CensusSpec(3, 3, mode="random", count=7, seed=1)
+    assert Counter(e.algebra.dim for e in generate(odd)) == {1: 3, 2: 2, 3: 2}
+
+
+def test_random_mode_attempts_bounded_by_table_cap():
+    # dim-4 tables over GF(2) pass Jacobi about once in 200 draws
+    spec = CensusSpec(2, 4, mode="random", count=40, seed=0, table_cap=100)
+    with pytest.raises(CapExceededError):
+        list(generate(spec))
+    with pytest.raises(CapExceededError):
+        list(generate(CensusSpec(3, 1, mode="random", count=5, table_cap=4)))
+
+
+def test_pair_dedup_refused_before_any_generation(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("census generated before the dedup limit check")
+
+    monkeypatch.setattr(census_mod, "generate", refuse)
+    spec = CensusSpec(2, 4, mode="random", count=8, seed=0)
+    with pytest.raises(CapExceededError, match="--no-dedup"):
+        verify("ldsum", spec)
 
 
 def test_random_mode_deterministic():

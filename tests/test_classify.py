@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import liesupp.classify as classify_mod
@@ -31,6 +32,12 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.subspace import CapExceededError, Subspace
+from oracles import (
+    core_by_enumeration,
+    first_unsupplemented,
+    random_conjugate,
+    sl2_summands_by_isomorphism,
+)
 
 
 def test_ideal_always_supplemented():
@@ -250,3 +257,143 @@ def test_classify_report_independent_of_analyzer():
         _report_doc(classify_algebra(L, analyzer=shared)),
     ]
     assert docs[0] == docs[1] == docs[2]
+
+
+# -- the structural sl2 test ------------------------------------------------
+
+
+def _sl2_orbit_equals_perfect_tables(p):
+    """Plain numpy: the Jacobi-valid 3-dim tables over GF(p) whose bracket
+    matrix (rows [e0,e1], [e0,e2], [e1,e2]) is invertible are exactly the
+    tables of sl2(p) in every basis of GF(p)^3.  Tables are coded as census
+    indices (9 digits, pair-major, most significant first)."""
+    pairs = np.array([(0, 1), (0, 2), (1, 2)])
+    weights = p ** np.arange(8, -1, -1, dtype=np.int64)
+    batch = 1 << 16
+
+    def det3(m):
+        return (
+            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
+        ) % p
+
+    def digits_of(idx, width):
+        return (idx[:, None] // p ** np.arange(width - 1, -1, -1)) % p
+
+    perfect = []
+    for lo in range(0, p**9, batch):
+        idx = np.arange(lo, min(lo + batch, p**9), dtype=np.int64)
+        brk = digits_of(idx, 9).reshape(-1, 3, 3)
+        # in dimension 3 the Jacobiator is alternating, so the identity is
+        # J(e0, e1, e2) = [[e0,e1],e2] + [[e1,e2],e0] + [[e2,e0],e1] = 0
+        c = np.zeros((len(idx), 3, 3, 3), dtype=np.int64)
+        c[:, pairs[:, 0], pairs[:, 1]] = brk
+        c[:, pairs[:, 1], pairs[:, 0]] = -brk
+        jac = sum(
+            np.einsum("ba,bam->bm", c[:, i, j], c[:, :, k])
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        )
+        ok = ~(jac % p).any(axis=1) & (det3(brk) != 0)
+        perfect.append(idx[ok])
+    perfect = np.concatenate(perfect)
+
+    c = sl2(p).table
+    orbit = []
+    for lo in range(0, p**9, batch):
+        T = digits_of(np.arange(lo, min(lo + batch, p**9), dtype=np.int64), 9)
+        T = T.reshape(-1, 3, 3)
+        det = det3(T)
+        T, det = T[det != 0], det[det != 0]
+        r0, r1, r2 = T[:, 0], T[:, 1], T[:, 2]
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
+        inv_det = np.array([pow(int(d), p - 2, p) for d in range(p)])[det]
+        t_inv = adj * inv_det[:, None, None] % p
+        # f_i = sum_a T[i, a] e_a; [f_i, f_j] in e-coordinates, then in f
+        rows = [
+            np.einsum("bv,bvm->bm", T[:, j], np.einsum("bu,uvm->bvm", T[:, i], c))
+            for i, j in pairs
+        ]
+        new = np.stack([np.einsum("bm,bmk->bk", r, t_inv) % p for r in rows], 1)
+        orbit.append(new.reshape(len(T), 9) @ weights)
+    orbit = np.unique(np.concatenate(orbit))
+    return len(perfect), len(orbit), np.array_equal(np.sort(perfect), orbit)
+
+
+@pytest.mark.parametrize("p,count", [(3, 468), (5, 12_400)])
+def test_perfect_dim3_tables_are_the_sl2_orbit(p, count):
+    assert _sl2_orbit_equals_perfect_tables(p) == (count, count, True)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [sl2(3), sl2(5), sl2(7), sl2(3).direct_sum(sl2(3))],
+    ids=["sl2/GF(3)", "sl2/GF(5)", "sl2/GF(7)", "sl2+sl2/GF(3)"],
+)
+def test_semisimple_shape_agrees_with_brute_force(base):
+    rng = np.random.default_rng(base.p * 100 + base.dim)
+    for L in [base] + [random_conjugate(base, rng) for _ in range(3)]:
+        lat = build_lattice(L)
+        ok, info = check_semisimple_shape(L, lat)
+        assert ok and len(info["summands"]) == L.dim // 3
+        assert sl2_summands_by_isomorphism(L, lat)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        L1_gamma(2, gamma0=0),
+        L1_gamma(2, gamma0=1),
+        heisenberg(3),
+        heisenberg(5),
+        sl2(2),
+        sl2(2).direct_sum(sl2(2)),
+        counterexample_L1(3),
+    ],
+)
+def test_semisimple_shape_refusals_unchanged(L):
+    ok, info = check_semisimple_shape(L)
+    assert not ok
+    if L.p == 2:
+        assert info["reason"] == "characteristic two"
+    else:
+        assert not sl2_summands_by_isomorphism(L, build_lattice(L))
+
+
+def test_semisimple_shape_makes_no_isomorphism_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("brute-force isomorphism search called")
+
+    monkeypatch.setattr(classify_mod, "is_isomorphic_small", refuse)
+    assert check_semisimple_shape(sl2(7))[0]
+    assert classify_algebra(sl2(3).direct_sum(sl2(3))).predicates["semisimple_shape"]
+
+
+# -- one supplement search --------------------------------------------------
+
+
+@pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 2)])
+def test_c_supplemented_matches_oracle_on_census(p, max_dim):
+    for entry in generate(CensusSpec(p, max_dim)):
+        L = entry.algebra
+        lat = build_lattice(L)
+        ok, failing = is_c_supplemented_algebra(L, lat)
+        expected = first_unsupplemented(L, lat)
+        assert ok == (expected is None)
+        assert failing == expected
+
+
+def test_c_supplemented_matches_oracle_on_examples():
+    for L in (counterexample_double(2), L1_gamma(2, gamma0=0), sl2(3)):
+        lat = build_lattice(L)
+        assert is_c_supplemented_algebra(L, lat)[1] == first_unsupplemented(L, lat)
+
+
+def test_supplement_witness_core_is_the_core():
+    L = counterexample_double(3)
+    lat = build_lattice(L)
+    for b in lat.subalgebras:
+        w = c_supplement(L, lat, b)
+        if w is not None:
+            assert w.core_of_subalgebra == core_by_enumeration(L, b, lat)
+            assert w.core_of_subalgebra.contains(w.meets_in)

@@ -173,3 +173,10 @@ def test_modulus_beyond_int64_exit_2(tmp_path, capsys):
     ):
         code, _, err = run(capsys, argv)
         assert code == 2 and "limit" in err
+
+
+def test_pair_dedup_dimension_limit_exit_3(capsys):
+    code, _, err = run(
+        capsys, ["verify", "ldsum", "-p", "2", "-n", "4", "--samples", "40"]
+    )
+    assert code == 3 and "--no-dedup" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from liesupp.liealg import (
     counterexample_L1,
     counterexample_double,
     heisenberg,
+    jacobi_residuals,
     L1_gamma,
     sl2,
 )
@@ -220,3 +222,69 @@ def test_modulus_beyond_int64_refused():
     s = sl2(LARGEST_DIM3_PRIME)
     with pytest.raises(ModulusTooLargeError):
         s.direct_sum(s)
+
+
+def _antisymmetric(upper, n, p):
+    """Tables of shape (b, n, n, n) from the rows of `upper`, one coefficient
+    vector per pair i < j in lex order."""
+    tables = np.zeros((len(upper), n, n, n), dtype=np.int64)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for q, (i, j) in enumerate(pairs):
+        tables[:, i, j] = upper[:, q * n : (q + 1) * n]
+        tables[:, j, i] = (-upper[:, q * n : (q + 1) * n]) % p
+    return tables
+
+
+def _accepted_one_by_one(tables, n, p):
+    accepted = []
+    for t in tables:
+        try:
+            LieAlgebra(PrimeField(p), n, table=t)
+        except JacobiError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    return np.array(accepted)
+
+
+def _batch_mask(tables, p):
+    return ~jacobi_residuals(tables, p).reshape(len(tables), -1).any(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_batch_mask_every_gf3_table(n):
+    e = n * (n * (n - 1) // 2)
+    upper = np.array(list(itertools.product(range(3), repeat=e)), dtype=np.int64)
+    tables = _antisymmetric(upper.reshape(len(upper), e), n, 3)
+    mask = _batch_mask(tables, 3)
+    assert np.array_equal(mask, _accepted_one_by_one(tables, n, 3))
+    assert mask.sum() == {1: 1, 2: 9, 3: 1431}[n]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_jacobi_batch_mask_dim4_sample(p):
+    rng = np.random.default_rng(20_000 + p)
+    sample = _antisymmetric(rng.integers(0, p, size=(20_000, 24)), 4, p)
+    # random tables are almost never Lie algebras, so add known ones in
+    # random bases
+    known = [
+        abelian(p, 4),
+        sl2(p).direct_sum(abelian(p, 1)),
+        heisenberg(p).direct_sum(abelian(p, 1)),
+        counterexample_L1(p).direct_sum(abelian(p, 1)),
+        L1_gamma(p, gamma0=1).direct_sum(abelian(p, 1)),
+    ]
+    lie = np.stack([random_conjugate(L, rng).table for L in known for _ in range(8)])
+    tables = np.concatenate([sample, lie])
+    mask = _batch_mask(tables, p)
+    assert np.array_equal(mask, _accepted_one_by_one(tables, 4, p))
+    assert mask[len(sample) :].all()
+
+
+def test_jacobi_error_names_first_triple():
+    # [e0, e1] = e2, [e2, e3] = e0: J(e0, e1, e3) = [e2, e3] = e0 and
+    # J(e1, e2, e3) = [e0, e1] = e2; the least failing triple is reported
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebra(PrimeField(3), 4, {(0, 1): (0, 0, 1, 0), (2, 3): (1, 0, 0, 0)})
+    assert exc.value.triple == (0, 1, 3)
+    assert exc.value.residual == (1, 0, 0, 0)

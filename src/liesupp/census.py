@@ -342,8 +342,19 @@ def verify(
     dedup: bool = True,
     analyzer: Optional[Analyzer] = None,
 ) -> VerdictLog:
-    """Evaluate one statement over the whole universe; log every violation."""
+    """Evaluate one statement over the whole universe; log every violation.
+
+    Only exhaustive per-algebra campaigns have a parallel path, so
+    workers > 1 is refused (ValueError) for pair campaigns and random
+    universes, as is workers < 1."""
     start_time = time.monotonic()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and (theorem_id in PAIR_THEOREMS or spec.mode != "exhaustive"):
+        raise ValueError(
+            "workers > 1 needs an exhaustive per-algebra campaign; "
+            "pair campaigns and random universes run serially"
+        )
     if theorem_id in PAIR_THEOREMS:
         log = _verify_pairs(theorem_id, spec, subspace_cap, dedup, analyzer)
         log.elapsed_s = time.monotonic() - start_time
@@ -356,7 +367,7 @@ def verify(
     universe = spec.describe()
     examined = 0
     counterexamples = []
-    if spec.mode == "exhaustive" and workers > 1:
+    if workers > 1:
         jobs = []
         for n in spec.dims():
             total = _check_exhaustive_caps(spec, n)

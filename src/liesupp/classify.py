@@ -55,16 +55,18 @@ def c_supplement(
     """First supplement of b in canonical search order, or None.
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
-    sum is everything, so the core is only computed when larger supplements
-    have to be considered.
+    sum is everything; they are tested all at once by lattice.complements.
+    Only when none fits is the core computed and larger candidates scanned:
+    a C with b + C = L meets b in dim C - codim(b) dimensions, so no C of
+    dimension above codim(b) + dim core(b) can meet b inside the core.
     """
     n = L.dim
     d0 = n - b.dim
-    for c_ in lattice.by_dim.get(d0, []):
-        if b.sum(c_).dim == n:
-            return SupplementWitness(L, b, c_, Subspace.zero(n, L.p))
+    c_ = complement_subalgebra(L, lattice, b)
+    if c_ is not None:
+        return SupplementWitness(L, b, c_, Subspace.zero(n, L.p))
     core_b = core(L, b)
-    for d in range(d0 + 1, n + 1):
+    for d in range(d0 + 1, d0 + core_b.dim + 1):
         for c_ in lattice.by_dim.get(d, []):
             if b.sum(c_).dim != n:
                 continue
@@ -80,12 +82,10 @@ def complement_subalgebra(
     L: LieAlgebra, lattice: LatticeCache, b: Subspace
 ) -> Optional[Subspace]:
     """A subalgebra C with b + C everything and b meet C = 0, or None.
-    Such a C necessarily has dimension exactly codim(b)."""
-    n = L.dim
-    for c_ in lattice.by_dim.get(n - b.dim, []):
-        if b.sum(c_).dim == n:
-            return c_
-    return None
+    Such a C necessarily has dimension exactly codim(b); the first one in
+    lattice order is returned."""
+    hits = np.flatnonzero(lattice.complements(b))
+    return lattice.by_dim[L.dim - b.dim][hits[0]] if len(hits) else None
 
 
 def is_c_supplemented_algebra(

@@ -10,12 +10,19 @@ Gaussian binomials by construction rather than by filtering.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
+# echelon_arrays keeps the arrays of the last ECHELON_CACHE_SLOTS (n, p, k)
+# (every 1 <= k <= n <= 6 over three fields fits) that have at most
+# ECHELON_CACHE_ROWS subspaces (all of GF(3)^6 fits), so one large lattice
+# cannot pin its arrays
+ECHELON_CACHE_SLOTS = 64
+ECHELON_CACHE_ROWS = 2**16
 
 Vector = tuple
 
@@ -219,10 +226,19 @@ def echelon_arrays(n: int, p: int, k: int):
     """All dim-k subspaces of GF(p)^n as numpy arrays, for batch computations.
 
     Returns (bases, pivots): bases has shape (m, k, n) with each slice a RREF
-    basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p).
+    basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p).  The
+    arrays may be shared between calls, so they are read-only.
     """
+    if gaussian_binomial(n, k, p) > ECHELON_CACHE_ROWS:
+        return _build_echelon_arrays(n, p, k)
+    return _cached_echelon_arrays(n, p, k)
+
+
+def _build_echelon_arrays(n: int, p: int, k: int):
     if k == 0:
-        return np.zeros((1, 0, n), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+        return _read_only(
+            np.zeros((1, 0, n), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+        )
     blocks = []
     pivs = []
     for pivots in combinations(range(n), k):
@@ -239,4 +255,14 @@ def echelon_arrays(n: int, p: int, k: int):
             rows[:, i, j] = fill[:, t]
         blocks.append(rows)
         pivs.append(np.tile(np.array(pivots, dtype=np.int64), (m, 1)))
-    return np.concatenate(blocks), np.concatenate(pivs)
+    return _read_only(np.concatenate(blocks), np.concatenate(pivs))
+
+
+_cached_echelon_arrays = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_echelon_arrays)
+
+
+def _read_only(*arrays):
+    """Mark arrays that a cache hands to every caller read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

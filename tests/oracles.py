@@ -13,6 +13,19 @@ from liesupp.lattice import minimal_ideals
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
 from liesupp.subspace import Subspace, rref
 
+# (prime, left summand, right summand or None): the dim-5/6 algebras of the
+# benchmark's classify workload, inputs of several oracle tests
+DIM56_SUMS = (
+    (3, "counterexample_double", None),
+    (2, "counterexample_double", None),
+    (3, "sl2", "sl2"),
+    (3, "sl2", "counterexample_L1"),
+    (5, "sl2", "nonabelian2"),
+    (3, "heisenberg", "nonabelian2"),
+    (2, "heisenberg", "heisenberg"),
+    (2, "L1_gamma", "L1_gamma"),
+)
+
 
 def maximal_subalgebras_all_pairs(subalgebras, n):
     """Proper subalgebras contained in no strictly larger proper subalgebra,
@@ -106,4 +119,32 @@ def first_unsupplemented(L, lattice):
             for c_ in lattice.subalgebras
         ):
             return b
+    return None
+
+
+def complement_by_sums(L, lattice, b):
+    """The first subalgebra C of dimension codim(B), in lattice order, with
+    B + C = L (so B meet C = 0), or None.  Each candidate costs one row
+    reduction of B + C."""
+    n = L.dim
+    for c_ in lattice.by_dim.get(n - b.dim, []):
+        if b.sum(c_).dim == n:
+            return c_
+    return None
+
+
+def c_supplement_by_sums(L, lattice, b):
+    """(C, B meet C) for the first subalgebra C, by dimension from codim(B)
+    up and then in lattice order, with B + C = L and B meet C inside the core
+    of B (taken by enumeration), or None.  Every candidate of every
+    dimension is tried with one row reduction of B + C."""
+    n = L.dim
+    c_ = complement_by_sums(L, lattice, b)
+    if c_ is not None:
+        return c_, Subspace.zero(n, L.p)
+    core_b = core_by_enumeration(L, b, lattice)
+    for d in range(n - b.dim + 1, n + 1):
+        for c_ in lattice.by_dim.get(d, []):
+            if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
+                return c_, b.intersect(c_)
     return None

@@ -108,6 +108,35 @@ def test_chunked_workers_cover_the_census():
     assert log.examined == 1441 and log.confirmed
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_verify_refuses_workers_below_one(workers):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify("pequ", CensusSpec(2, 2), workers=workers)
+
+
+SERIAL_ONLY = (
+    ("ldsum", CensusSpec(2, 2)),
+    ("csupp_dsum", CensusSpec(2, 2)),
+    ("pequ", CensusSpec(2, 3, mode="random", count=6, seed=0)),
+)
+
+
+@pytest.mark.parametrize("theorem,spec", SERIAL_ONLY)
+def test_verify_refuses_workers_without_parallel_path(theorem, spec, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("census generated before the workers check")
+
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "generate", refuse)
+        with pytest.raises(ValueError, match="workers > 1"):
+            verify(theorem, spec, workers=2)
+    serial = verify(theorem, spec, workers=1).to_doc()
+    default = verify(theorem, spec).to_doc()
+    serial.pop("timing")
+    default.pop("timing")
+    assert serial == default
+
+
 def test_random_mode_balances_dimensions():
     spec = CensusSpec(2, 4, mode="random", count=40, seed=0)
     entries = list(generate(spec))

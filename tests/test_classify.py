@@ -25,6 +25,7 @@ from liesupp.lattice import build_lattice
 from liesupp.liealg import (
     LieAlgebra,
     abelian,
+    catalog,
     counterexample_L1,
     counterexample_double,
     heisenberg,
@@ -33,6 +34,8 @@ from liesupp.liealg import (
 )
 from liesupp.subspace import CapExceededError, Subspace
 from oracles import (
+    DIM56_SUMS,
+    c_supplement_by_sums,
     core_by_enumeration,
     first_unsupplemented,
     random_conjugate,
@@ -397,3 +400,63 @@ def test_supplement_witness_core_is_the_core():
         if w is not None:
             assert w.core_of_subalgebra == core_by_enumeration(L, b, lat)
             assert w.core_of_subalgebra.contains(w.meets_in)
+
+
+# -- supplement search by Plücker pairing -----------------------------------
+
+
+def assert_supplements_match_oracles(L):
+    lat = build_lattice(L)
+    for b in lat.subalgebras:
+        w = c_supplement(L, lat, b)
+        expected = c_supplement_by_sums(L, lat, b)
+        assert (None if w is None else (w.supplement, w.meets_in)) == expected
+        # c_supplement_by_sums returns complement_by_sums when it finds one,
+        # so its answer gives the complement without a second scan
+        if expected is not None and expected[0].dim == L.dim - b.dim:
+            complement = expected[0]
+        else:
+            complement = None
+        assert complement_subalgebra(L, lat, b) == complement
+
+
+@pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 2)])
+def test_supplements_match_oracles_on_census(p, max_dim):
+    for entry in generate(CensusSpec(p, max_dim)):
+        assert_supplements_match_oracles(entry.algebra)
+
+
+def gf2_pair_sums():
+    """Every ordered direct sum that the GF(2) dims <= 3 pair campaigns
+    (ldsum and csupp_dsum, deduplicated by isomorphism) examine."""
+    az = Analyzer()
+    sums = {}
+    for hypothesis in (az.completely_factorisable, az.c_supplemented):
+        members = {}
+        for entry in generate(CensusSpec(2, 3)):
+            if hypothesis(entry.algebra)[0]:
+                canon = az.canonical(entry.algebra)
+                members.setdefault(canon.key, canon)
+        for a in members.values():
+            for b in members.values():
+                d = a.direct_sum(b)
+                sums.setdefault(d.key, d)
+    return list(sums.values())
+
+
+def test_supplements_match_oracles_on_gf2_pair_sums():
+    sums = gf2_pair_sums()
+    # the 6 x 6 ldsum pairs lie among the 8 x 8 csupp_dsum pairs, and
+    # sums such as a + b and b + a of abelian summands share a table
+    assert len(sums) == 58
+    for L in sums:
+        assert_supplements_match_oracles(L)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_supplements_match_oracles_dim56(p, left, right):
+    L = catalog(left, p)
+    if right is not None:
+        L = L.direct_sum(catalog(right, p))
+    for M in (L, random_conjugate(L, np.random.default_rng(20071217))):
+        assert_supplements_match_oracles(M)

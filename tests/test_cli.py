@@ -180,3 +180,16 @@ def test_pair_dedup_dimension_limit_exit_3(capsys):
         capsys, ["verify", "ldsum", "-p", "2", "-n", "4", "--samples", "40"]
     )
     assert code == 3 and "--no-dedup" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pequ", "-p", "2", "-n", "2", "-w", "0"],
+        ["verify", "ldsum", "-p", "2", "-n", "2", "-w", "2"],
+        ["verify", "pequ", "-p", "2", "-n", "2", "--samples", "4", "-w", "2"],
+    ],
+)
+def test_verify_workers_refused_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "workers" in err

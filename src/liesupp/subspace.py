@@ -17,10 +17,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
-# echelon_arrays keeps the arrays of the last ECHELON_CACHE_SLOTS (n, p, k)
-# (every 1 <= k <= n <= 6 over three fields fits) that have at most
-# ECHELON_CACHE_ROWS subspaces (all of GF(3)^6 fits), so one large lattice
-# cannot pin its arrays
+# echelon_arrays and _parity_checks each keep the arrays of the last
+# ECHELON_CACHE_SLOTS (n, p, k) (every 1 <= k <= n <= 6 over three fields
+# fits) that have at most ECHELON_CACHE_ROWS subspaces (all of GF(3)^6 fits),
+# so one large lattice cannot pin its arrays
 ECHELON_CACHE_SLOTS = 64
 ECHELON_CACHE_ROWS = 2**16
 
@@ -229,9 +229,27 @@ def echelon_arrays(n: int, p: int, k: int):
     basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p).  The
     arrays may be shared between calls, so they are read-only.
     """
+    return _shape_cached(_cached_echelon_arrays, n, p, k)
+
+
+def _parity_checks(n: int, p: int, k: int) -> np.ndarray:
+    """Parity checks of the dim-k subspaces of GF(p)^n, in echelon_arrays
+    order: an (m, n, n - k) array H with v in the span of bases[a] iff
+    v @ H[a] == 0 mod p.  Column j of H[a] belongs to the j-th non-pivot
+    column q of bases[a]: 1 at row q and -bases[a, r, q] mod p at row
+    pivots[a, r], so v @ H[a][:, j] is v[q] minus the q-th entry of the
+    combination of basis rows that agrees with v at the pivots.  Cached and
+    read-only like echelon_arrays."""
+    return _shape_cached(_cached_parity_checks, n, p, k)
+
+
+def _shape_cached(cached, n: int, p: int, k: int):
+    """cached(n, p, k) for shapes of at most ECHELON_CACHE_ROWS subspaces;
+    past that the uncached builder, so one large lattice cannot pin its
+    arrays."""
     if gaussian_binomial(n, k, p) > ECHELON_CACHE_ROWS:
-        return _build_echelon_arrays(n, p, k)
-    return _cached_echelon_arrays(n, p, k)
+        return cached.__wrapped__(n, p, k)
+    return cached(n, p, k)
 
 
 def _build_echelon_arrays(n: int, p: int, k: int):
@@ -258,7 +276,22 @@ def _build_echelon_arrays(n: int, p: int, k: int):
     return _read_only(np.concatenate(blocks), np.concatenate(pivs))
 
 
+def _build_parity_checks(n: int, p: int, k: int) -> np.ndarray:
+    bases, piv = _shape_cached(_cached_echelon_arrays, n, p, k)
+    m = len(bases)
+    rows, cols = np.arange(m)[:, None], np.arange(n - k)
+    free = np.ones((m, n), dtype=bool)
+    free[rows, piv] = False
+    nonpiv = np.nonzero(free)[1].reshape(m, n - k)  # ascending in each row
+    checks = np.zeros((m, n, n - k), dtype=np.int64)
+    checks[rows, nonpiv, cols] = 1
+    at_free = np.take_along_axis(bases, nonpiv[:, None, :], axis=2)
+    checks[rows[:, :, None], piv[:, :, None], cols] = -at_free % p
+    return _read_only(checks)[0]
+
+
 _cached_echelon_arrays = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_echelon_arrays)
+_cached_parity_checks = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_parity_checks)
 
 
 def _read_only(*arrays):

@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liesupp.classify as classify_mod
 import liesupp.lattice as lattice_mod
-from liesupp.census import CensusSpec, generate
+from liesupp.census import CHECKERS, CensusSpec, generate, verify
 from liesupp.classify import (
     Analyzer,
     c_supplement,
@@ -260,6 +264,70 @@ def test_classify_report_independent_of_analyzer():
         _report_doc(classify_algebra(L, analyzer=shared)),
     ]
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_lru_keeps_the_newest_entries():
+    lru = classify_mod._LRU(2)
+    lru["a"], lru["b"] = 1, 2
+    assert lru.get("a") == 1  # now the newest
+    lru["c"] = 3
+    assert list(lru) == ["a", "c"]
+    assert lru.get("b", "gone") == "gone"
+
+
+def _verify_docs(make_analyzer):
+    docs = {}
+    for theorem in sorted(CHECKERS):
+        doc = verify(theorem, CensusSpec(2, 3), analyzer=make_analyzer()).to_doc()
+        doc.pop("timing")
+        docs[theorem] = doc
+    return docs
+
+
+def test_memo_bound_keeps_verdicts(monkeypatch):
+    default = _verify_docs(Analyzer)
+    monkeypatch.setattr(classify_mod, "MEMO_SLOTS", 4)
+    real_set = classify_mod._LRU.__setitem__
+    sizes = []
+
+    def recording(lru, key, value):
+        real_set(lru, key, value)
+        sizes.append((len(lru), lru.slots))
+
+    monkeypatch.setattr(classify_mod._LRU, "__setitem__", recording)
+    analyzers = []
+
+    def small():
+        analyzers.append(Analyzer())
+        return analyzers[-1]
+
+    assert _verify_docs(small) == default
+    assert all(size <= slots for size, slots in sizes)
+    for az in analyzers:
+        assert az._memo.slots == az._ss_memo.slots == 4
+    # the bound was reached, so entries really were dropped
+    assert max(len(az._memo) for az in analyzers) == 4
+
+
+@lru_cache(maxsize=2)
+def _census_algebras(p):
+    return [entry.algebra for entry in generate(CensusSpec(p, 3))]
+
+
+@given(
+    p=st.sampled_from([2, 3]),
+    index=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_classification_invariant_under_basis_change(p, index, seed):
+    algebras = _census_algebras(p)
+    L = algebras[index % len(algebras)]
+    M = random_conjugate(L, np.random.default_rng(seed))
+    before, after = classify_algebra(L), classify_algebra(M)
+    assert after.predicates == before.predicates
+    assert after.lattice_stats == before.lattice_stats
+    assert after.witnesses["phi"].dim == before.witnesses["phi"].dim
 
 
 # -- the structural sl2 test ------------------------------------------------

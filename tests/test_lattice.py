@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, generate
 from liesupp.lattice import (
+    _closed_and_ideal_masks,
     abelian_socle,
     build_lattice,
     core,
@@ -28,7 +30,12 @@ from liesupp.liealg import (
     heisenberg,
     sl2,
 )
-from liesupp.subspace import Subspace, enumerate_subspaces
+from liesupp.subspace import (
+    Subspace,
+    _parity_checks,
+    echelon_arrays,
+    enumerate_subspaces,
+)
 from oracles import (
     DIM56_SUMS,
     core_by_enumeration,
@@ -56,6 +63,15 @@ def test_heisenberg_lattice_counts_vs_oracle():
     assert len(lat.maximals) == 3
 
 
+def _census(p):
+    return [entry.algebra for entry in generate(CensusSpec(p, 3))]
+
+
+def _dim56(p, left, right):
+    L = catalog(left, p)
+    return L if right is None else L.direct_sum(catalog(right, p))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_maximals_match_all_pairs_oracle_on_census(p):
     for entry in generate(CensusSpec(p, 3)):
@@ -67,9 +83,7 @@ def test_maximals_match_all_pairs_oracle_on_census(p):
 
 @pytest.mark.parametrize("p,left,right", DIM56_SUMS)
 def test_maximals_match_all_pairs_oracle_dim56(p, left, right):
-    L = catalog(left, p)
-    if right is not None:
-        L = L.direct_sum(catalog(right, p))
+    L = _dim56(p, left, right)
     rng = np.random.default_rng(20071217)
     stats = []
     for M in (L, random_conjugate(L, rng)):
@@ -77,6 +91,60 @@ def test_maximals_match_all_pairs_oracle_dim56(p, left, right):
         assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, M.dim)
         stats.append(lat.stats())
     assert stats[0] == stats[1]  # the lattice is an isomorphism invariant
+
+
+def _assert_masks_match_naive(L):
+    """The batched closure and ideal masks of every dimension against
+    naive_subalgebras and L.is_ideal."""
+    n, p = L.dim, L.p
+    naive = naive_subalgebras(L)
+    closed_rows = {s.rows for s in naive}
+    ideal_rows = {s.rows for s in naive if L.is_ideal(s)}
+    for k in range(n + 1):
+        bases, _ = echelon_arrays(n, p, k)
+        closed, ideal = _closed_and_ideal_masks(L, bases, _parity_checks(n, p, k))
+        rows = [tuple(map(tuple, b)) for b in bases.tolist()]
+        assert closed.tolist() == [r in closed_rows for r in rows]
+        assert ideal.tolist() == [r in ideal_rows for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_masks_match_naive_on_census(p):
+    for L in _census(p):
+        _assert_masks_match_naive(L)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_masks_match_naive_dim56(p, left, right):
+    _assert_masks_match_naive(
+        random_conjugate(_dim56(p, left, right), np.random.default_rng(20071218))
+    )
+
+
+def _assert_lattice_order(lat):
+    for subs in (lat.subalgebras, lat.ideals, lat.maximals, *lat.by_dim.values()):
+        assert subs == sorted(subs, key=Subspace.sort_key)
+    assert all(s.dim == d for d, subs in lat.by_dim.items() for s in subs)
+    assert [s for d in sorted(lat.by_dim) for s in lat.by_dim[d]] == lat.subalgebras
+
+
+def test_lattice_lists_in_sort_key_order():
+    algebras = _census(2) + _census(3)
+    rng = np.random.default_rng(20071219)
+    for case in DIM56_SUMS:
+        L = _dim56(*case)
+        algebras += [L, random_conjugate(L, rng)]
+    for L in algebras:
+        _assert_lattice_order(build_lattice(L))
+
+
+def test_maximals_in_blocks_of_one_match_all_pairs_oracle(monkeypatch):
+    monkeypatch.setattr(lattice_mod, "_MAXIMAL_BLOCK", 1)
+    algebras = _census(2) + _census(3) + [abelian(3, 4), abelian(2, 5)]
+    algebras += [_dim56(*case) for case in DIM56_SUMS if case[0] == 2]
+    for L in algebras:
+        lat = build_lattice(L)
+        assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, L.dim)
 
 
 def test_abelian_everything_closed():

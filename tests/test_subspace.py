@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liesupp.subspace as subspace_mod
 from liesupp.subspace import (
+    ECHELON_CACHE_ROWS,
     CapExceededError,
     Subspace,
+    _parity_checks,
     count_subspaces,
     echelon_arrays,
     enumerate_subspaces,
@@ -129,6 +132,53 @@ def test_echelon_arrays_shared_and_read_only():
     assert len(big[0]) > subspace_mod.ECHELON_CACHE_ROWS
     assert echelon_arrays(4, 17, 2)[0] is not big[0]
     assert not big[0].flags.writeable
+
+
+# every (p, n, k) with p in {2, 3, 5}, n <= 6 whose arrays the cache keeps
+PARITY_SHAPES = [
+    (p, n, k)
+    for p in (2, 3, 5)
+    for n in range(1, 7)
+    for k in range(n + 1)
+    if gaussian_binomial(n, k, p) <= ECHELON_CACHE_ROWS
+]
+
+
+@st.composite
+def subspace_and_vector(draw):
+    p, n, k = draw(st.sampled_from(PARITY_SHAPES))
+    bases, piv = echelon_arrays(n, p, k)
+    a = draw(st.integers(0, len(bases) - 1))
+    # a combination of the basis rows, then maybe moved off the subspace
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    v = [sum(c * int(x) for c, x in zip(coeffs, col)) % p for col in bases[a].T]
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        v = [(x + y) % p for x, y in zip(v, noise)]
+    return p, n, k, a, v
+
+
+@given(subspace_and_vector())
+@settings(max_examples=400, deadline=None)
+def test_parity_check_annihilates_exactly_the_members(case):
+    p, n, k, a, v = case
+    bases, piv = echelon_arrays(n, p, k)
+    checks = _parity_checks(n, p, k)
+    assert checks.shape == (len(bases), n, n - k)
+    s = Subspace(n, p, tuple(map(tuple, bases[a].tolist())), tuple(piv[a].tolist()))
+    zero = not ((np.array(v, dtype=np.int64) @ checks[a]) % p).any()
+    assert zero == s.member(v)
+
+
+def test_parity_checks_shared_and_read_only():
+    checks = _parity_checks(4, 3, 2)
+    assert _parity_checks(4, 3, 2) is checks
+    with pytest.raises(ValueError):
+        checks[0, 0, 0] = 2
+    big = _parity_checks(4, 17, 2)  # 89,030 planes: built, not kept
+    assert len(big) > subspace_mod.ECHELON_CACHE_ROWS
+    assert _parity_checks(4, 17, 2) is not big
+    assert not big.flags.writeable
 
 
 def test_dim_filter_line_count():

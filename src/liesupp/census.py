@@ -4,7 +4,9 @@ A census is an exhaustive (or seeded-random) universe of structure-constant
 tables over GF(p), Jacobi-filtered into Lie algebras.  Each verification
 campaign evaluates one structural statement on every algebra (or ordered
 pair of algebras) of the universe and logs every violation with the full
-table, so each counterexample is replayable standalone.
+table, so each counterexample is replayable standalone.  An exhaustive
+census is split into GL(n, p) isomorphism classes (see classes), and its
+campaigns evaluate the statement once per class.
 
 Theorem ids
 -----------
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import ISO_DIM_LIMIT, Analyzer, c_supplement
+from .classify import ISO_DIM_LIMIT, Analyzer, _LRU, c_supplement
 from .formats import algebra_to_doc, jsonable
-from .gfp import PrimeField, require_int64_safe
+from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
 from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
 
@@ -33,6 +34,12 @@ DEFAULT_TABLE_CAP = 2**25
 # tables decoded and Jacobi-filtered together: the int64 residuals of one
 # batch take 2 MB in dimension 3 and 8 MB in dimension 4
 JACOBI_BATCH = 1024
+# tables whose generator images are formed together in an orbit closure:
+# the 13 images of 256 dim-4 tables take 1.7 MB
+ORBIT_BATCH = 256
+# (p, n) class lists kept by classes(); the dim-4 GF(2) list alone takes
+# minutes to build again
+CLASS_CACHE_SLOTS = 8
 
 PAIR_THEOREMS = ("ldsum", "csupp_dsum")
 
@@ -101,25 +108,161 @@ def _tables_from_digits(digits: np.ndarray, n: int, p: int) -> np.ndarray:
     return tables
 
 
+def _tables_from_indices(idx: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Tables of the given indices: the base-p digits of an index, most
+    significant first, in the digit order of _tables_from_digits."""
+    e = table_digit_count(n)
+    digits = np.empty((len(idx), e), dtype=np.int64)
+    rem = np.array(idx, dtype=np.int64)
+    for pos in range(e - 1, -1, -1):
+        digits[:, pos] = rem % p
+        rem //= p
+    return _tables_from_digits(digits, n, p)
+
+
+def _index_weights(n: int, p: int) -> np.ndarray:
+    """W of shape (n, n, n) with index(table) = sum(W * table): the place
+    value of each digit at its (i < j, k) position, 0 below the diagonal."""
+    w = np.zeros((n, n, n), dtype=np.int64)
+    place = table_digit_count(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                place -= 1
+                w[i, j, k] = p**place
+    return w
+
+
+def _jacobi_batches(
+    p: int, n: int, start: int, stop: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(indices, tables) of the Jacobi-passing tables among the indices
+    [start, stop), in order, decoded and filtered JACOBI_BATCH at a time."""
+    for lo in range(start, stop, JACOBI_BATCH):
+        idx = np.arange(lo, min(lo + JACOBI_BATCH, stop), dtype=np.int64)
+        tables = _tables_from_indices(idx, n, p)
+        ok = ~jacobi_residuals(tables, p).reshape(len(idx), -1).any(axis=1)
+        yield idx[ok], tables[ok]
+
+
 def _exhaustive_algebras(
     p: int, n: int, start: int, stop: int
 ) -> Iterator[Tuple[int, LieAlgebra]]:
     """(t, algebra) for every Jacobi-passing table index t in [start, stop),
-    in order.  Indices are decoded and Jacobi-filtered JACOBI_BATCH at a time,
-    and only the passing tables are built (and validated again) as algebras."""
+    in order; only the passing tables are built (and validated again) as
+    algebras."""
     field_ = PrimeField(p)
-    e = table_digit_count(n)
-    for lo in range(start, stop, JACOBI_BATCH):
-        idx = np.arange(lo, min(lo + JACOBI_BATCH, stop), dtype=np.int64)
-        digits = np.empty((len(idx), e), dtype=np.int64)
-        rem = idx.copy()
-        for pos in range(e - 1, -1, -1):
-            digits[:, pos] = rem % p
-            rem //= p
-        tables = _tables_from_digits(digits, n, p)
-        ok = ~jacobi_residuals(tables, p).reshape(len(idx), -1).any(axis=1)
-        for b in np.flatnonzero(ok):
-            yield int(idx[b]), LieAlgebra(field_, n, table=tables[b])
+    for idx, tables in _jacobi_batches(p, n, start, stop):
+        for t, table in zip(idx, tables):
+            yield int(t), LieAlgebra(field_, n, table=table)
+
+
+# -- isomorphism classes ----------------------------------------------------
+
+
+def _generators(n: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n(n-1)+1 elementary generators of GL(n, p) and their inverses:
+    the transvections I + E_ij (i != j), which generate SL(n, p), and for
+    p > 2 diag(g, 1, ..., 1) with g a primitive root, whose determinant
+    generates the units."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    gens = np.tile(np.eye(n, dtype=np.int64), (len(pairs) + (p > 2), 1, 1))
+    invs = gens.copy()
+    for g, (i, j) in enumerate(pairs):
+        gens[g, i, j], invs[g, i, j] = 1, p - 1
+    if p > 2:
+        root = primitive_root(p)
+        gens[-1, 0, 0], invs[-1, 0, 0] = root, pow(root, p - 2, p)
+    return gens, invs
+
+
+def _is_marked(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return ((bits[idx >> 3] >> (idx & 7)) & 1).astype(bool)
+
+
+def _mark(bits: np.ndarray, idx: np.ndarray) -> None:
+    np.bitwise_or.at(bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+
+
+def _orbit(table: np.ndarray, p: int, bits: np.ndarray) -> np.ndarray:
+    """Sorted table indices of the GL(n, p)-orbit of `table`.
+
+    The orbit is the closure of the table under the basis changes
+    f_i = sum_a T[i, a] e_a of the elementary generators T, breadth first,
+    so the work grows with the orbit and not with |GL(n, p)|.  Every index
+    found is marked in the bitset `bits` (one bit per table index), and a
+    marked index counts as already found, so `bits` must hold no index of
+    this orbit on entry."""
+    n = table.shape[0]
+    gens, invs = _generators(n, p)
+    weights = _index_weights(n, p)
+    frontier = table[None]
+    found = [np.tensordot(frontier, weights, axes=3)]
+    _mark(bits, found[0])
+    while len(frontier):
+        grown = []
+        for lo in range(0, len(frontier), ORBIT_BATCH):
+            part = frontier[lo : lo + ORBIT_BATCH]
+            # [f_i, f_j] in the old basis, then its coordinates in the new
+            w = np.einsum("gia,gjb,fabm->fgijm", gens, gens, part) % p
+            images = (np.einsum("fgijm,gmk->fgijk", w, invs) % p).reshape(-1, n, n, n)
+            codes, first = np.unique(
+                np.tensordot(images, weights, axes=3), return_index=True
+            )
+            new = ~_is_marked(bits, codes)
+            _mark(bits, codes[new])
+            found.append(codes[new])
+            grown.append(images[first[new]])
+        frontier = np.concatenate(grown)
+    return np.sort(np.concatenate(found))
+
+
+def _new_bitset(p: int, n: int) -> np.ndarray:
+    return np.zeros(-(-(p ** table_digit_count(n)) // 8), dtype=np.uint8)
+
+
+def _sweep_classes(p: int, n: int) -> Iterator[Tuple[int, LieAlgebra, int]]:
+    field_ = PrimeField(p)
+    bits = _new_bitset(p, n)
+    for idx, tables in _jacobi_batches(p, n, 0, p ** table_digit_count(n)):
+        for t, table in zip(idx, tables):
+            if not _is_marked(bits, t):
+                size = len(_orbit(table, p, bits))
+                yield int(t), LieAlgebra(field_, n, table=table), size
+
+
+_CLASSES = _LRU(CLASS_CACHE_SLOTS)
+
+
+def classes(p: int, n: int) -> Tuple[Tuple[int, LieAlgebra, int], ...]:
+    """The isomorphism classes of n-dimensional Lie algebras over GF(p), as
+    (t, representative, orbit size) triples in increasing t.
+
+    One sweep over the census in index order marks, at each Jacobi-passing
+    index t not yet marked, the whole GL(n, p)-orbit of t's table in a
+    bitset of p^(n^2(n-1)/2) bits; t is then the least index of its orbit,
+    whose table, the representative, is the lexicographically least table of
+    the class (canonical_form_small in dimension <= 3).  Only
+    representatives are built as algebras.  The orbit sizes add up to the
+    number of Jacobi-passing tables.  Results are kept for the last
+    CLASS_CACHE_SLOTS (p, n) pairs.  No cap is checked here: a census spec
+    checks its own (see verify)."""
+    got = _CLASSES.get((p, n))
+    if got is None:
+        got = _CLASSES[(p, n)] = tuple(_sweep_classes(p, n))
+    return got
+
+
+def class_members(L: LieAlgebra) -> Iterator[Tuple[int, LieAlgebra]]:
+    """(t, algebra) for every table of the GL(n, p)-orbit of L's table, that
+    is every census table isomorphic to L, in increasing index t.  Like
+    classes, it takes a bitset of one bit per census table of dimension n."""
+    n, p = L.dim, L.p
+    members = _orbit(np.array(L.table), p, _new_bitset(p, n))
+    for lo in range(0, len(members), JACOBI_BATCH):
+        idx = members[lo : lo + JACOBI_BATCH]
+        for t, table in zip(idx, _tables_from_indices(idx, n, p)):
+            yield int(t), LieAlgebra(L.field, n, table=table)
 
 
 def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
@@ -304,6 +447,10 @@ class VerdictLog:
     examined: int
     counterexamples: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
+    # representatives checked, member tables re-checked, class-build seconds
+    classes: int = 0
+    members_rerun: int = 0
+    classes_s: float = 0.0
 
     @property
     def confirmed(self) -> bool:
@@ -316,96 +463,89 @@ class VerdictLog:
             "examined": self.examined,
             "confirmed": self.confirmed,
             "counterexamples": self.counterexamples,
-            "timing": {"elapsed_s": round(self.elapsed_s, 3)},
+            "timing": {
+                "elapsed_s": round(self.elapsed_s, 3),
+                "classes": self.classes,
+                "members_rerun": self.members_rerun,
+                "classes_s": round(self.classes_s, 3),
+            },
         }
 
 
-def _verify_chunk(args) -> Tuple[int, List[Tuple]]:
-    theorem_id, p, n, start, stop, sub_cap = args
-    az = Analyzer(cap=sub_cap)
-    checker = CHECKERS[theorem_id]
-    examined = 0
-    violations = []
-    for t, alg in _exhaustive_algebras(p, n, start, stop):
-        examined += 1
-        v = checker(alg, az)
-        if v is not None:
-            violations.append((n, t, algebra_to_doc(alg), v))
-    return examined, violations
+def _timed_classes(spec: CensusSpec, n: int, log: VerdictLog):
+    """classes(spec.p, n) after the spec's caps, its build time added to
+    log.classes_s (0 on a cache hit)."""
+    _check_exhaustive_caps(spec, n)
+    t0 = time.monotonic()
+    out = classes(spec.p, n)
+    log.classes_s += time.monotonic() - t0
+    return out
+
+
+def _counterexample(index: Tuple, alg: LieAlgebra, violation: Dict) -> Dict:
+    return {"index": list(index), "algebra": algebra_to_doc(alg), "violation": violation}
 
 
 def verify(
     theorem_id: str,
     spec: CensusSpec,
     subspace_cap: int = DEFAULT_SUBSPACE_CAP,
-    workers: int = 1,
     dedup: bool = True,
     analyzer: Optional[Analyzer] = None,
 ) -> VerdictLog:
     """Evaluate one statement over the whole universe; log every violation.
 
-    Only exhaustive per-algebra campaigns have a parallel path, so
-    workers > 1 is refused (ValueError) for pair campaigns and random
-    universes, as is workers < 1."""
+    An exhaustive per-algebra campaign checks one representative per
+    isomorphism class (see classes) and counts its whole orbit as examined.
+    A class whose representative fails is checked again table by table, in
+    index order, because a violation's details are written in the table's
+    own basis; so the document is the one a check of every table would
+    give.  A random universe is checked table by table."""
     start_time = time.monotonic()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > 1 and (theorem_id in PAIR_THEOREMS or spec.mode != "exhaustive"):
-        raise ValueError(
-            "workers > 1 needs an exhaustive per-algebra campaign; "
-            "pair campaigns and random universes run serially"
-        )
     if theorem_id in PAIR_THEOREMS:
         log = _verify_pairs(theorem_id, spec, subspace_cap, dedup, analyzer)
-        log.elapsed_s = time.monotonic() - start_time
-        return log
-    if theorem_id not in CHECKERS:
+    elif theorem_id not in CHECKERS:
         raise KeyError(
             f"unknown theorem id {theorem_id!r}; known: "
             f"{sorted(CHECKERS) + list(PAIR_THEOREMS)}"
         )
-    universe = spec.describe()
-    examined = 0
-    counterexamples = []
-    if workers > 1:
-        jobs = []
-        for n in spec.dims():
-            total = _check_exhaustive_caps(spec, n)
-            step = max(1, total // (workers * 4))
-            for s in range(0, total, step):
-                jobs.append(
-                    (theorem_id, spec.p, n, s, min(s + step, total), subspace_cap)
-                )
-        with Pool(workers) as pool:
-            results = pool.map(_verify_chunk, jobs)
-        merged = []
-        for ex, vs in results:
-            examined += ex
-            merged.extend(vs)
-        merged.sort(key=lambda item: (item[0], item[1]))
-        for n, t, doc, v in merged:
-            counterexamples.append({"index": ["e", n, t], "algebra": doc, "violation": v})
     else:
         az = analyzer or Analyzer(cap=subspace_cap)
-        checker = CHECKERS[theorem_id]
-        for entry in generate(spec):
-            examined += 1
-            v = checker(entry.algebra, az)
-            if v is not None:
-                counterexamples.append(
-                    {
-                        "index": list(entry.index),
-                        "algebra": algebra_to_doc(entry.algebra),
-                        "violation": v,
-                    }
-                )
-    return VerdictLog(
-        theorem_id,
-        universe,
-        examined,
-        counterexamples,
-        time.monotonic() - start_time,
-    )
+        log = VerdictLog(theorem_id, spec.describe(), 0)
+        if spec.mode == "exhaustive":
+            _check_classes(CHECKERS[theorem_id], spec, az, log)
+        else:
+            _check_tables(CHECKERS[theorem_id], spec, az, log)
+    log.elapsed_s = time.monotonic() - start_time
+    return log
+
+
+def _check_tables(checker, spec: CensusSpec, az: Analyzer, log: VerdictLog):
+    for entry in generate(spec):
+        log.examined += 1
+        v = checker(entry.algebra, az)
+        if v is not None:
+            log.counterexamples.append(_counterexample(entry.index, entry.algebra, v))
+
+
+def _check_classes(checker, spec: CensusSpec, az: Analyzer, log: VerdictLog):
+    found = []  # (dim, index, algebra, violation)
+    for n in spec.dims():
+        for t, rep, size in _timed_classes(spec, n, log):
+            log.examined += size
+            log.classes += 1
+            v = checker(rep, az)
+            if v is None:
+                continue
+            found.append((n, t, rep, v))
+            for u, alg in class_members(rep):
+                if u != t:
+                    log.members_rerun += 1
+                    w = checker(alg, az)
+                    if w is not None:
+                        found.append((n, u, alg, w))
+    found.sort(key=lambda f: (f[0], f[1]))
+    log.counterexamples = [_counterexample(("e", n, t), a, v) for n, t, a, v in found]
 
 
 def _verify_pairs(
@@ -416,15 +556,18 @@ def _verify_pairs(
     analyzer: Optional[Analyzer],
 ) -> VerdictLog:
     """Pair campaigns: filter the universe by the hypothesis predicate,
-    optionally deduplicate by isomorphism class (canonical form, dims <= 3),
-    then test every ordered direct sum."""
+    optionally deduplicate by isomorphism class, then test every ordered
+    direct sum.  An exhaustive universe dedups through its class
+    representatives; a random one through canonical forms (dims <= 3)."""
     require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
-    if dedup and spec.max_dim > ISO_DIM_LIMIT:
+    random_dedup = dedup and spec.mode != "exhaustive"
+    if random_dedup and spec.max_dim > ISO_DIM_LIMIT:
         # canonical forms are brute force; refuse before generating anything
         raise CapExceededError(
             spec.max_dim,
             ISO_DIM_LIMIT,
-            "dimensions for isomorphism dedup (--no-dedup skips it)",
+            "dimensions for isomorphism dedup of a random universe "
+            "(--no-dedup skips it)",
         )
     az = analyzer or Analyzer(cap=subspace_cap)
     if theorem_id == "ldsum":
@@ -433,27 +576,33 @@ def _verify_pairs(
     else:  # csupp_dsum
         hypothesis = lambda a: az.c_supplemented(a)[0]
         conclusion = lambda d: az.c_supplemented(d)[0]
+    log = VerdictLog(theorem_id, spec.describe(), 0)
     members: List[Tuple[Tuple, LieAlgebra]] = []
-    seen = set()
-    for entry in generate(spec):
-        if not hypothesis(entry.algebra):
-            continue
-        if dedup:
-            canon = az.canonical(entry.algebra)
-            if canon.key in seen:
+    if dedup and not random_dedup:
+        for n in spec.dims():
+            for t, rep, _size in _timed_classes(spec, n, log):
+                log.classes += 1
+                if hypothesis(rep):
+                    members.append((("e", n, t), rep))
+    else:
+        seen = set()
+        for entry in generate(spec):
+            if not hypothesis(entry.algebra):
                 continue
-            seen.add(canon.key)
-            members.append((entry.index, canon))
-        else:
-            members.append((entry.index, entry.algebra))
-    counterexamples = []
-    examined = 0
+            if dedup:
+                canon = az.canonical(entry.algebra)
+                if canon.key in seen:
+                    continue
+                seen.add(canon.key)
+                members.append((entry.index, canon))
+            else:
+                members.append((entry.index, entry.algebra))
     for idx_a, a in members:
         for idx_b, b in members:
-            examined += 1
+            log.examined += 1
             d = a.direct_sum(b)
             if not conclusion(d):
-                counterexamples.append(
+                log.counterexamples.append(
                     {
                         "index": [list(idx_a), list(idx_b)],
                         "summands": [algebra_to_doc(a), algebra_to_doc(b)],
@@ -461,8 +610,7 @@ def _verify_pairs(
                         "violation": {"kind": f"{theorem_id}_conclusion_fails"},
                     }
                 )
-    universe = spec.describe()
-    universe["pairs"] = True
-    universe["dedup_by_isomorphism"] = dedup
-    universe["members"] = len(members)
-    return VerdictLog(theorem_id, universe, examined, counterexamples)
+    log.universe["pairs"] = True
+    log.universe["dedup_by_isomorphism"] = dedup
+    log.universe["members"] = len(members)
+    return log

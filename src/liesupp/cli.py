@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds / statement confirmed; 1 property
 false or counterexamples found (report still emitted); 2 invalid input;
-3 cap exceeded.  Diagnostics go to stderr, reports to stdout or --out.
+3 cap exceeded; 4 internal error (a fault in liesupp, not in the input).
+Diagnostics go to stderr, reports to stdout or --out.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .formats import (
     jsonable,
     space_doc,
 )
+from .gfp import InternalError
 from .lattice import build_lattice, core
 from .liealg import CATALOG, InvalidAlgebraError, JacobiError, LieAlgebra, catalog
 from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FALSE = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 PROPERTY_NAMES = {
     "c-supplemented": "c_supplemented",
@@ -226,7 +229,6 @@ def cmd_verify(args) -> int:
         args.theorem,
         spec,
         subspace_cap=args.cap,
-        workers=args.workers,
         dedup=not args.no_dedup,
     )
     _emit(log.to_doc(), args.out)
@@ -301,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_census_flags(sp)
     sp.add_argument("--cap", type=int, default=DEFAULT_SUBSPACE_CAP)
-    sp.add_argument("--workers", "-w", type=int, default=1)
     sp.add_argument("--no-dedup", action="store_true",
                     help="pair universes: keep isomorphic duplicates")
     sp.add_argument("--out")
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,6 +20,11 @@ class ModulusTooLargeError(ValueError):
     """The modulus is too large for exact int64 table arithmetic."""
 
 
+class InternalError(RuntimeError):
+    """A computation reached a state that the checks before it exclude: a
+    fault in liesupp, not in its input."""
+
+
 def int64_safe(p: int, n: int) -> bool:
     """True iff a sum of n*n products of three residues mod p, the worst
     case of the bracket einsum in dimension n, stays below 2**63."""
@@ -43,6 +48,22 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group of GF(p)."""
+    factors, m, d = [], p - 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    return next(
+        g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
 
 
 class PrimeField:

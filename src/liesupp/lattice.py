@@ -8,7 +8,7 @@ works from exact linear algebra on those lists; complements of a
 subalgebra are found by pairing Plücker coordinates (see complements).
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
-byte-stable across runs and worker counts.
+byte-stable across runs.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gfp import ModulusTooLargeError
+from .gfp import InternalError
 from .liealg import LieAlgebra
 from .subspace import (
     CapExceededError,
@@ -264,7 +264,8 @@ def plucker_pairing(
     """det[U; W] mod p for one dim-k subspace U of GF(p)^n (Plücker
     coordinates pu) against a batch of dim-(n-k) subspaces W (rows of pw)."""
     if comb(n, k) * (p - 1) ** 2 >= 2**63:
-        raise ModulusTooLargeError(
+        # PrimeField and the subspace cap keep every caller far below this
+        raise InternalError(
             f"GF({p})^{n}: Plücker pairings of dim {k} would overflow int64"
         )
     dual, signs = _pairing_dual(n, k)
@@ -400,7 +401,8 @@ def radical(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> Subspace:
     for i in lattice.ideals:
         if _space_solvable(L, i):
             out = out.sum(i)
-    assert _space_solvable(L, out), "radical is not solvable"
+    if not _space_solvable(L, out):
+        raise InternalError("radical is not solvable")
     return out
 
 

@@ -298,11 +298,6 @@ class QuotientMap:
             v[j] = w[a] % self.parent.p
         return tuple(v)
 
-    def project_space(self, u: Subspace) -> Subspace:
-        return Subspace.span(
-            [self.project(r) for r in u.rows], self.quotient.dim, self.parent.p
-        )
-
     def lift_space(self, u: Subspace) -> Subspace:
         """Full preimage of a subspace of the quotient."""
         rows = [self.section(r) for r in u.rows]
@@ -336,11 +331,6 @@ class Embedding:
     def lift_space(self, u: Subspace) -> Subspace:
         return Subspace.span(
             [self.lift(r) for r in u.rows], self.parent.dim, self.parent.p
-        )
-
-    def restrict_space(self, u: Subspace) -> Subspace:
-        return Subspace.span(
-            [self.restrict(r) for r in u.rows], self.sub.dim, self.parent.p
         )
 
 

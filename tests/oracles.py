@@ -5,9 +5,13 @@ function here is the direct definition, with no shortcut.  random_conjugate
 changes basis in exact Python-int arithmetic, so that isomorphism invariants
 can be checked without trusting the code under test.
 """
+from functools import lru_cache
+
 import numpy as np
 
-from liesupp.classify import is_isomorphic_small
+from liesupp.census import CHECKERS, generate
+from liesupp.classify import Analyzer, canonical_form_small, is_isomorphic_small
+from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
 from liesupp.lattice import minimal_ideals
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
@@ -148,3 +152,99 @@ def c_supplement_by_sums(L, lattice, b):
             if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
                 return c_, b.intersect(c_)
     return None
+
+
+def verify_by_table(theorem_id, spec, analyzer=None):
+    """The verify document, timing left out, from a check of every table of
+    the universe in census order.  A per-algebra statement runs
+    census.CHECKERS[theorem_id] (looked up at call time) on each table; a
+    pair statement keeps, per isomorphism class, the canonical form of the
+    first table that satisfies its hypothesis, and tests every ordered
+    direct sum of those."""
+    az = analyzer or Analyzer()
+    universe = spec.describe()
+    counterexamples = []
+    if theorem_id in ("ldsum", "csupp_dsum"):
+        holds = az.completely_factorisable if theorem_id == "ldsum" else az.c_supplemented
+        members, seen = [], set()
+        for entry in generate(spec):
+            if holds(entry.algebra)[0]:
+                canon = canonical_form_small(entry.algebra)
+                if canon.key not in seen:
+                    seen.add(canon.key)
+                    members.append((list(entry.index), canon))
+        for idx_a, a in members:
+            for idx_b, b in members:
+                d = a.direct_sum(b)
+                if not holds(d)[0]:
+                    counterexamples.append(
+                        {
+                            "index": [idx_a, idx_b],
+                            "summands": [algebra_to_doc(a), algebra_to_doc(b)],
+                            "algebra": algebra_to_doc(d),
+                            "violation": {"kind": f"{theorem_id}_conclusion_fails"},
+                        }
+                    )
+        examined = len(members) ** 2
+        universe.update(pairs=True, dedup_by_isomorphism=True, members=len(members))
+    else:
+        checker = CHECKERS[theorem_id]
+        examined = 0
+        for entry in generate(spec):
+            examined += 1
+            v = checker(entry.algebra, az)
+            if v is not None:
+                counterexamples.append(
+                    {
+                        "index": list(entry.index),
+                        "algebra": algebra_to_doc(entry.algebra),
+                        "violation": v,
+                    }
+                )
+    return {
+        "theorem": theorem_id,
+        "universe": universe,
+        "examined": examined,
+        "confirmed": not counterexamples,
+        "counterexamples": counterexamples,
+    }
+
+
+@lru_cache(maxsize=4)
+def gl_group(n, p):
+    """Every invertible n x n matrix over GF(p), with its inverse: all
+    p^(n*n) matrices, inverted together by Gauss-Jordan elimination of
+    [T | I], the singular ones dropped."""
+    codes = np.arange(p ** (n * n), dtype=np.int64)
+    digits = (codes[:, None] // p ** np.arange(n * n - 1, -1, -1)) % p
+    t = digits.reshape(-1, n, n)
+    aug = np.concatenate([t, np.broadcast_to(np.eye(n, dtype=np.int64), t.shape)], axis=2)
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    invertible = np.ones(len(t), dtype=bool)
+    batch = np.arange(len(t))
+    for col in range(n):
+        nonzero = aug[:, col:, col] != 0
+        invertible &= nonzero.any(axis=1)
+        piv = col + nonzero.argmax(axis=1)
+        top, row = aug[batch, col].copy(), aug[batch, piv].copy()
+        aug[batch, piv], aug[batch, col] = top, row
+        aug[:, col] = aug[:, col] * inverse[aug[:, col, col]][:, None] % p
+        factor = aug[:, :, col].copy()
+        factor[:, col] = 0
+        aug = (aug - factor[:, :, None] * aug[:, col][:, None, :]) % p
+    return t[invertible], aug[invertible][:, :, n:]
+
+
+def gl_orbit(L):
+    """Sorted census indices of every table of L in every basis
+    f_i = sum_a T[i, a] e_a, T running over all of GL(n, p)."""
+    n, p = L.dim, L.p
+    t, t_inv = gl_group(n, p)
+    brackets = np.einsum("cia,cjb,abm->cijm", t, t, L.table) % p
+    tables = np.einsum("cijm,cmk->cijk", brackets, t_inv) % p
+    codes = np.zeros(len(tables), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                codes = codes * p + tables[:, i, j, k]
+    return np.unique(codes)

@@ -1,6 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liesupp.census as census_mod
@@ -13,12 +19,18 @@ from liesupp.census import (
     table_digit_count,
     verify,
 )
-from liesupp.classify import Analyzer, canonical_form_small
+from liesupp.classify import Analyzer, _LRU, canonical_form_small
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
-from liesupp.liealg import counterexample_L1
+from liesupp.liealg import (
+    L1_gamma,
+    abelian,
+    counterexample_L1,
+    heisenberg,
+    nonabelian2,
+)
 from liesupp.subspace import CapExceededError
-from oracles import census_by_index
+from oracles import census_by_index, gl_orbit, verify_by_table
 
 
 def brute_force_jacobi_count(n, p):
@@ -102,41 +114,6 @@ def test_generate_matches_per_index_oracle(p, max_dim):
     assert got == [(idx, alg.key) for idx, alg in census_by_index(spec)]
 
 
-def test_chunked_workers_cover_the_census():
-    # GF(3) dim 3 splits into chunks that straddle the Jacobi batches
-    log = verify("csimple_neg_char2", CensusSpec(3, 3), workers=2)
-    assert log.examined == 1441 and log.confirmed
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_verify_refuses_workers_below_one(workers):
-    with pytest.raises(ValueError, match="at least 1"):
-        verify("pequ", CensusSpec(2, 2), workers=workers)
-
-
-SERIAL_ONLY = (
-    ("ldsum", CensusSpec(2, 2)),
-    ("csupp_dsum", CensusSpec(2, 2)),
-    ("pequ", CensusSpec(2, 3, mode="random", count=6, seed=0)),
-)
-
-
-@pytest.mark.parametrize("theorem,spec", SERIAL_ONLY)
-def test_verify_refuses_workers_without_parallel_path(theorem, spec, monkeypatch):
-    def refuse(spec):
-        raise AssertionError("census generated before the workers check")
-
-    with monkeypatch.context() as m:
-        m.setattr(census_mod, "generate", refuse)
-        with pytest.raises(ValueError, match="workers > 1"):
-            verify(theorem, spec, workers=2)
-    serial = verify(theorem, spec, workers=1).to_doc()
-    default = verify(theorem, spec).to_doc()
-    serial.pop("timing")
-    default.pop("timing")
-    assert serial == default
-
-
 def test_random_mode_balances_dimensions():
     spec = CensusSpec(2, 4, mode="random", count=40, seed=0)
     entries = list(generate(spec))
@@ -214,15 +191,6 @@ def test_verify_deterministic_modulo_timing():
     assert d1 == d2
 
 
-def test_verify_workers_merge_matches_serial():
-    spec = CensusSpec(2, 3)
-    serial = verify("tsupp", spec, workers=1).to_doc()
-    parallel = verify("tsupp", spec, workers=2).to_doc()
-    serial.pop("timing")
-    parallel.pop("timing")
-    assert serial == parallel
-
-
 def test_pair_campaign_ldsum_confirmed():
     log = verify("ldsum", CensusSpec(2, 3))
     assert log.confirmed
@@ -272,3 +240,140 @@ def test_table_digit_count():
     assert table_digit_count(3) == 9
     assert table_digit_count(2) == 2
     assert candidate_count(CensusSpec(2, 3)) == 1 + 4 + 512
+
+
+# -- isomorphism classes ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p,per_dim,tables", [(2, (1, 2, 7), 125), (3, (1, 2, 9), 1441), (5, (1, 2), 26)]
+)
+def test_classes_cover_the_census(p, per_dim, tables):
+    spec = CensusSpec(p, len(per_dim))
+    census_keys = {e.index: e.algebra.key for e in generate(spec)}
+    covered = []
+    for n, count in zip(spec.dims(), per_dim):
+        found = census_mod.classes(p, n)
+        assert len(found) == count
+        assert [t for t, _, _ in found] == sorted(t for t, _, _ in found)
+        for t, rep, size in found:
+            # the least index of the orbit is the canonical form's table
+            assert census_keys[("e", n, t)] == rep.key == canonical_form_small(rep).key
+            members = [u for u, _ in census_mod.class_members(rep)]
+            assert members[0] == t and len(members) == size
+            assert np.array_equal(members, gl_orbit(rep))
+            covered += [("e", n, u) for u in members]
+    assert len(covered) == tables
+    assert sorted(covered) == sorted(census_keys)
+
+
+DIM4_GF2 = {
+    "abelian": abelian(2, 4),
+    "nonabelian2+nonabelian2": nonabelian2(2).direct_sum(nonabelian2(2)),
+    "heisenberg+F": heisenberg(2).direct_sum(abelian(2, 1)),
+    "counterexample_L1+F": counterexample_L1(2).direct_sum(abelian(2, 1)),
+    "L1_gamma+F": L1_gamma(2).direct_sum(abelian(2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM4_GF2))
+def test_generator_closure_matches_gl_orbit_dim4(name):
+    L = DIM4_GF2[name]
+    members = [u for u, _ in census_mod.class_members(L)]
+    assert np.array_equal(members, gl_orbit(L))
+
+
+def test_class_cache_is_lazy_and_bounded(monkeypatch):
+    code = "import liesupp.census as c; assert not c._CLASSES, list(c._CLASSES)"
+    src = str(Path(census_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    monkeypatch.setattr(census_mod, "_CLASSES", _LRU(2))
+    first = census_mod.classes(2, 2)
+    assert census_mod.classes(2, 2) is first
+    for key in ((3, 1), (3, 2), (2, 1)):
+        census_mod.classes(*key)
+    assert list(census_mod._CLASSES) == [(3, 2), (2, 1)]
+
+
+ORACLE_AZ = Analyzer()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("theorem", sorted(CHECKERS))
+def test_class_campaign_matches_per_table_oracle(theorem, p):
+    spec = CensusSpec(p, 3)
+    doc = verify(theorem, spec).to_doc()
+    timing = doc.pop("timing")
+    assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
+    assert timing["classes"] == {2: 10, 3: 12}[p]
+
+
+@pytest.mark.parametrize("theorem", PAIR_THEOREMS)
+@pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 2)])
+def test_class_pair_dedup_matches_canonical_forms(theorem, p, max_dim):
+    spec = CensusSpec(p, max_dim)
+    doc = verify(theorem, spec).to_doc()
+    doc.pop("timing")
+    assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
+
+
+def _first_bracket_row(L, az):
+    """Flags every nonabelian algebra, with a detail written in its basis."""
+    rows = [row for row in L.table.reshape(-1, L.dim).tolist() if any(row)]
+    return {"kind": "nonabelian", "row": rows[0]} if rows else None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_failing_classes_rerun_every_member(p, monkeypatch):
+    monkeypatch.setitem(CHECKERS, "nonabelian", _first_bracket_row)
+    spec = CensusSpec(p, 3)
+    for n in spec.dims():
+        census_mod.classes(p, n)  # warm, so classes_s reads 0
+    doc = verify("nonabelian", spec).to_doc()
+    timing = doc.pop("timing")
+    assert doc == verify_by_table("nonabelian", spec)
+    # every class but the abelian one of each dimension fails
+    failing = [size for n in spec.dims() for t, _, size in census_mod.classes(p, n) if t]
+    assert timing["members_rerun"] == sum(size - 1 for size in failing)
+    assert len(doc["counterexamples"]) == sum(failing)
+    assert timing["classes_s"] == 0
+
+
+def test_random_campaign_checks_every_table(monkeypatch):
+    monkeypatch.setitem(CHECKERS, "nonabelian", _first_bracket_row)
+    spec = CensusSpec(3, 3, mode="random", count=12, seed=5)
+    for theorem in ("pequ", "nonabelian"):
+        doc = verify(theorem, spec).to_doc()
+        timing = doc.pop("timing")
+        assert doc == verify_by_table(theorem, spec)
+        assert doc["examined"] == 12 and timing["classes"] == 0
+    assert doc["counterexamples"]
+
+
+def test_pair_dedup_past_dim3_through_classes(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("per-table census used for an exhaustive dedup")
+
+    monkeypatch.setattr(census_mod, "generate", refuse)
+    monkeypatch.setattr(census_mod, "ISO_DIM_LIMIT", 2)
+    spec = CensusSpec(2, 3)
+    doc = verify("csupp_dsum", spec).to_doc()
+    assert doc["universe"]["members"] == 8 and len(doc["counterexamples"]) == 3
+
+
+@pytest.mark.skipif(
+    os.environ.get("LIESUPP_DIM4") != "1", reason="the dim-4 sweep takes minutes"
+)
+def test_dim4_gf2_campaigns():
+    start = time.monotonic()
+    found = census_mod.classes(2, 4)
+    assert len(found) == 23
+    assert sum(size for _, _, size in found) == 34336
+    spec = CensusSpec(2, 4, dim4_opt_in=True)
+    for theorem in sorted(CHECKERS):
+        log = verify(theorem, spec)
+        assert log.examined == 1 + 4 + 120 + 34336
+    elapsed = time.monotonic() - start
+    print(f"dim-4 GF(2): classes and eight campaigns in {elapsed:.1f}s")
+    assert elapsed < 300

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from liesupp.cli import main
+import liesupp.lattice as lattice_mod
+from liesupp.cli import EXIT_INTERNAL, main
 from liesupp.formats import algebra_to_doc
-from liesupp.liealg import counterexample_double, heisenberg
+from liesupp.liealg import abelian, counterexample_double, heisenberg
 
 
 def write_doc(tmp_path, doc, name="alg.json"):
@@ -182,14 +183,26 @@ def test_pair_dedup_dimension_limit_exit_3(capsys):
     assert code == 3 and "--no-dedup" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "pequ", "-p", "2", "-n", "2", "-w", "0"],
-        ["verify", "ldsum", "-p", "2", "-n", "2", "-w", "2"],
-        ["verify", "pequ", "-p", "2", "-n", "2", "--samples", "4", "-w", "2"],
-    ],
-)
-def test_verify_workers_refused_exit_2(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == 2 and out == "" and "workers" in err
+def test_unsolvable_radical_exit_4(tmp_path, capsys, monkeypatch):
+    # every proper ideal passes as solvable, so the radical becomes all of
+    # the abelian plane, which then fails its own check
+    monkeypatch.setattr(lattice_mod, "_space_solvable", lambda L, u: u.dim < L.dim)
+    path = write_doc(tmp_path, algebra_to_doc(abelian(2, 2)))
+    code, out, err = run(capsys, ["classify", path])
+    assert code == EXIT_INTERNAL == 4
+    assert out == "" and "internal error: radical is not solvable" in err
+
+
+def test_plucker_overflow_guard_exit_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lattice_mod, "comb", lambda n, k: 2**63)
+    path = write_doc(tmp_path, algebra_to_doc(heisenberg(2)))
+    code, out, err = run(capsys, ["check", path, "--property", "c-supplemented"])
+    assert code == EXIT_INTERNAL
+    assert out == "" and "internal error" in err and "overflow" in err
+
+
+def test_workers_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "pequ", "-p", "2", "-n", "2", "-w", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -w 2" in capsys.readouterr().err

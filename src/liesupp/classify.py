@@ -11,7 +11,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -58,10 +58,11 @@ def c_supplement(
     """First supplement of b in canonical search order, or None.
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
-    sum is everything; they are tested all at once by lattice.complements.
-    Only when none fits is the core computed and larger candidates scanned:
-    a C with b + C = L meets b in dim C - codim(b) dimensions, so no C of
-    dimension above codim(b) + dim core(b) can meet b inside the core.
+    sum is everything; the first of them is looked up in
+    lattice.first_complements.  Only when none fits is the core computed and
+    larger candidates scanned: a C with b + C = L meets b in
+    dim C - codim(b) dimensions, so no C of dimension above
+    codim(b) + dim core(b) can meet b inside the core.
     """
     n = L.dim
     d0 = n - b.dim
@@ -86,19 +87,28 @@ def complement_subalgebra(
 ) -> Optional[Subspace]:
     """A subalgebra C with b + C everything and b meet C = 0, or None.
     Such a C necessarily has dimension exactly codim(b); the first one in
-    lattice order is returned."""
-    hits = np.flatnonzero(lattice.complements(b))
-    return lattice.by_dim[L.dim - b.dim][hits[0]] if len(hits) else None
+    lattice order is returned.  b must be a subalgebra of the lattice
+    (ValueError otherwise)."""
+    first = lattice.first_complements(b.dim)[lattice.row(b)]
+    return lattice.by_dim[L.dim - b.dim][first] if first >= 0 else None
+
+
+def _uncomplemented(lattice: LatticeCache) -> Iterator[Subspace]:
+    """The subalgebras without a complement, in lattice order."""
+    for k, subs in lattice.by_dim.items():
+        for row in np.flatnonzero(lattice.first_complements(k) < 0):
+            yield subs[row]
 
 
 def is_c_supplemented_algebra(
     L: LieAlgebra, lattice: Optional[LatticeCache] = None
 ) -> Tuple[bool, Optional[Subspace]]:
     """Conjunction over every subalgebra; on failure reports the canonically
-    first subalgebra without a supplement."""
+    first subalgebra without a supplement.  A complement is a supplement,
+    so only the subalgebras without one are searched further."""
     if lattice is None:
         lattice = build_lattice(L)
-    for b in lattice.subalgebras:
+    for b in _uncomplemented(lattice):
         if c_supplement(L, lattice, b) is None:
             return False, b
     return True, None
@@ -107,12 +117,12 @@ def is_c_supplemented_algebra(
 def is_completely_factorisable(
     L: LieAlgebra, lattice: Optional[LatticeCache] = None
 ) -> Tuple[bool, Optional[Subspace]]:
+    """Every subalgebra has a complement; on failure reports the canonically
+    first one without."""
     if lattice is None:
         lattice = build_lattice(L)
-    for b in lattice.subalgebras:
-        if complement_subalgebra(L, lattice, b) is None:
-            return False, b
-    return True, None
+    failing = next(_uncomplemented(lattice), None)
+    return failing is None, failing
 
 
 def is_phi_free(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:

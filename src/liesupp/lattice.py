@@ -4,8 +4,11 @@ build_lattice enumerates every subspace of GF(p)^n (echelon generation,
 batched closure tests with numpy) and records which are subalgebras, which
 are ideals, and which subalgebras are maximal.  Everything downstream
 (core, Frattini ideal, minimal ideals, socle, radical, supersolvability)
-works from exact linear algebra on those lists; complements of a
-subalgebra are found by pairing Plücker coordinates (see complements).
+works from exact linear algebra on those lists.  Complements are found per
+dimension: LatticeCache.first_complements(k) pairs the Plücker coordinates
+of every dim-k subalgebra with those of every dim-(n-k) one in blocked
+matrix products and keeps, for each subalgebra, its first complement, so a
+complement query is a row lookup.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -28,10 +31,12 @@ from .subspace import (
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
+    _parity_check,
     _parity_checks,
     _read_only,
     count_subspaces,
     echelon_arrays,
+    rref,
 )
 
 
@@ -45,32 +50,32 @@ class LatticeCache:
     maximals: List[Subspace]
     subspace_count: int
     by_dim: Dict[int, List[Subspace]]
-    # Plücker coordinates of by_dim[d], built on first use by complements
-    _plucker: Dict[int, np.ndarray] = field(
+    # first_complements(d) per dimension d, built on first use
+    _first: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def complements(self, b: Subspace) -> np.ndarray:
-        """Bool mask over by_dim[n - dim b]: True where that subalgebra C has
-        b + C = L (and so meets b in 0).  One Plücker pairing per C instead
-        of a row reduction; b must be a subalgebra of this lattice."""
-        n, p, k = self.algebra.dim, self.algebra.p, b.dim
-        same_dim = self.by_dim.get(k, [])
+    def row(self, b: Subspace) -> int:
+        """Index of b in by_dim[dim b]; b must be a subalgebra of this
+        lattice."""
+        same_dim = self.by_dim.get(b.dim, [])
         row = bisect_left(same_dim, b.rows, key=_rows)
         if row == len(same_dim) or same_dim[row] != b:
             raise ValueError(f"{b} is not a subalgebra of this lattice")
-        if n - k not in self.by_dim:
-            return np.zeros(0, dtype=bool)
-        det = plucker_pairing(self._coords(k)[row], self._coords(n - k), n, k, p)
-        return det != 0
+        return row
 
-    def _coords(self, d: int) -> np.ndarray:
-        got = self._plucker.get(d)
+    def first_complements(self, k: int) -> np.ndarray:
+        """For each row of by_dim[k], the index in by_dim[n - k] of its first
+        complement C (b + C = L, so b meets C in 0), or -1 when it has
+        none.  Built with the array of dimension n - k, by one blocked
+        Plücker product (see _first_complements)."""
+        got = self._first.get(k)
         if got is None:
-            n, subs = self.algebra.dim, self.by_dim[d]
-            bases = np.array([s.rows for s in subs], dtype=np.int64)
-            got = plucker(bases.reshape(len(subs), d, n), self.algebra.p)
-            self._plucker[d] = got
+            n = self.algebra.dim
+            got, self._first[n - k] = _first_complements(
+                self.by_dim.get(k, []), self.by_dim.get(n - k, []), n, self.algebra.p
+            )
+            self._first[k] = got
         return got
 
     def stats(self) -> Dict[str, int]:
@@ -93,6 +98,8 @@ class LatticeCache:
 
 # upper bound on the int64 values of one residual block of the maximal test
 _MAXIMAL_BLOCK = 2**18
+# upper bound on the float64 values of one block of Plücker pairings
+_PAIRING_BLOCK = 2**18
 
 
 def _ad_rows(L: LieAlgebra, rows: np.ndarray) -> np.ndarray:
@@ -221,7 +228,9 @@ def _maximal_subalgebras(
 #   sum over k-subsets S of the columns of sign(S) * minor_S(U) * minor_S'(W),
 # S' the complement of S and sign(S) = (-1)^(k(k-1)/2 + sum S) (0-based).
 # The minors are the Plücker coordinates of U and W; reduced mod p they are
-# below p, so each of the C(n, k) products is below p^2.
+# below p, so each of the C(n, k) products is below p^2 and the sum is below
+# C(n, k) p^2.  plucker_pairing refuses sums that could reach 2^53, so its
+# float64 products are exact integers.
 
 _rows = attrgetter("rows")
 
@@ -261,15 +270,57 @@ def _laplace_step(n: int, r: int):
 def plucker_pairing(
     pu: np.ndarray, pw: np.ndarray, n: int, k: int, p: int
 ) -> np.ndarray:
-    """det[U; W] mod p for one dim-k subspace U of GF(p)^n (Plücker
-    coordinates pu) against a batch of dim-(n-k) subspaces W (rows of pw)."""
-    if comb(n, k) * (p - 1) ** 2 >= 2**63:
+    """det[U; W] mod p for every pair of a batch of dim-k subspaces U of
+    GF(p)^n (rows of their Plücker coordinates pu) and a batch of
+    dim-(n-k) subspaces W (rows of pw): a (len(pu), len(pw)) array of exact
+    residues, held in float64 so that the product runs through BLAS."""
+    if comb(n, k) * (p - 1) ** 2 >= 2**53:
         # PrimeField and the subspace cap keep every caller far below this
         raise InternalError(
-            f"GF({p})^{n}: Plücker pairings of dim {k} would overflow int64"
+            f"GF({p})^{n}: Plücker pairings of dim {k} would overflow "
+            "the exact integers of float64"
         )
     dual, signs = _pairing_dual(n, k)
-    return (pw @ (pu[dual].astype(np.int64) * signs)) % p
+    det = (pu[:, dual] * signs) @ pw.T.astype(np.float64)
+    # |det| < 2^53, so det / p rounds to a whole number only when it is one,
+    # and its floor is exact: det - p * floor(det / p) is det mod p
+    quotient = det / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    det -= quotient
+    return det
+
+
+def _first_complements(
+    us: List[Subspace], ws: List[Subspace], n: int, p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(first_u, first_w) for lists of dim-k and dim-(n-k) subspaces:
+    first_u[a] is the least b with us[a] + ws[b] = GF(p)^n, or -1, and
+    first_w[b] the least such a.  The pairings are taken in row blocks of
+    at most _PAIRING_BLOCK values; det[W; U] = +-det[U; W], so one product
+    answers both dimensions."""
+    first_u = np.full(len(us), -1, dtype=np.intp)
+    first_w = np.full(len(ws), -1, dtype=np.intp)
+    if not us or not ws:
+        return first_u, first_w
+    k = us[0].dim
+    pu, pw = (
+        plucker(_bases(subs, d, n), p) for subs, d in ((us, k), (ws, n - k))
+    )
+    step = max(1, _PAIRING_BLOCK // len(ws))
+    for lo in range(0, len(us), step):
+        hit = plucker_pairing(pu[lo : lo + step], pw, n, k, p) != 0
+        found = hit.any(axis=1)
+        first_u[lo : lo + step][found] = hit[found].argmax(axis=1)
+        new = hit.any(axis=0) & (first_w < 0)
+        first_w[new] = lo + hit[:, new].argmax(axis=0)
+    return first_u, first_w
+
+
+def _bases(subs: List[Subspace], d: int, n: int) -> np.ndarray:
+    """The RREF rows of dim-d subspaces as one (len(subs), d, n) array."""
+    flat = chain.from_iterable(chain.from_iterable(s.rows for s in subs))
+    return np.fromiter(flat, np.int64, len(subs) * d * n).reshape(len(subs), d, n)
 
 
 @lru_cache(maxsize=256)
@@ -282,51 +333,33 @@ def _pairing_dual(n: int, k: int):
         s = tuple(j for j in range(n) if j not in t)
         dual.append(index[s])
         signs.append((-1) ** (k * (k - 1) // 2 + sum(s)))
-    return _read_only(np.array(dual, dtype=np.intp), np.array(signs, dtype=np.int64))
+    return _read_only(np.array(dual, dtype=np.intp), np.array(signs, dtype=np.float64))
 
 
 # -- core -------------------------------------------------------------------
 
 
 def core(L: LieAlgebra, b: Subspace) -> Subspace:
-    """Largest ideal of L contained in b, by fixpoint refinement: repeatedly
-    keep the x with [e_i, x] still inside for every basis vector e_i."""
+    """Largest ideal of L contained in b, by fixpoint refinement: each round
+    keeps the x of the current subspace with [x, e_j] still inside it for
+    every basis vector e_j.  With rows b_s and parity check H of the current
+    subspace, x = sum_s a_s b_s is kept iff sum_s a_s ([b_s, e_j] @ H) = 0
+    mod p for every j: one _ad_rows product and one nullspace per round."""
     n, p = L.dim, L.p
     cur = b
     while cur.dim:
-        rows = cur.rows
-        r = len(rows)
-        # condition matrix on coefficient vectors a: sum_j a_j * resid_ij = 0
-        cond = []
-        resid = [
-            [cur.reduce(L.bracket(L.basis_vector(i), rows[j])) for j in range(r)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for coord in range(n):
-                row = [resid[i][j][coord] for j in range(r)]
-                if any(row):
-                    cond.append(row)
-        if not cond:
+        rows = np.array(cur.rows, dtype=np.int64)
+        cond = (_ad_rows(L, rows) @ _parity_check(cur)).reshape(cur.dim, -1) % p
+        cond = cond.T[cond.any(axis=0)]  # one equation in the a_s per row
+        kernel = _nullspace(cond.tolist(), cur.dim, p)
+        if len(kernel) == cur.dim:
             return cur
-        kernel = _nullspace(cond, r, p)
-        nxt_rows = []
-        for coeffs in kernel:
-            v = [0] * n
-            for a, brow in zip(coeffs, rows):
-                if a:
-                    v = [(x + a * y) % p for x, y in zip(v, brow)]
-            nxt_rows.append(tuple(v))
-        nxt = Subspace.span(nxt_rows, n, p)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
+        coeffs = np.array(kernel, dtype=np.int64).reshape(len(kernel), cur.dim)
+        cur = Subspace.span((coeffs @ rows % p).tolist(), n, p)
     return cur
 
 
 def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]]:
-    from .subspace import rref
-
     red, pivots = rref(mat, ncols, p)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []

@@ -2,17 +2,21 @@
 
 An algebra is its dimension n plus the table c_{ij}^k for i < j, giving
 [e_i, e_j] = sum_k c_{ij}^k e_k.  Antisymmetry is structural ([e_j, e_i] is
-defined as -[e_i, e_j]); the Jacobi identity is validated at construction
+defined as -[e_i, e_j]); a full table given directly must be antisymmetric
+and alternating ([e_i, e_i] = 0, which antisymmetry implies only for p odd).
+The Jacobi identity is validated at construction, on the triples i < j < k,
 and violations are rejected with the offending basis triple.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gfp import PrimeField, require_int64_safe
-from .subspace import Subspace
+from .subspace import Subspace, _read_only
 
 Vector = Tuple[int, ...]
 
@@ -39,18 +43,34 @@ class NotSubalgebraError(ValueError):
 
 
 def jacobi_residuals(tables: np.ndarray, p: int) -> np.ndarray:
-    """Jacobi residuals of a batch of antisymmetric tables over GF(p).
+    """Jacobi residuals of a batch of alternating tables over GF(p).
 
     tables has shape (b, n, n, n) with entries in [0, p); the result has
-    shape (b, n, n, n, n) and out[b, i, j, k] is the coefficient vector of
-    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] mod p, so
-    table b satisfies the Jacobi identity iff out[b] is all zero.
+    shape (b, C(n, 3), n) and out[b, t] is the coefficient vector of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] mod p for the
+    t-th triple i < j < k of combinations(range(n), 3).  For an alternating
+    table the Jacobi form is trilinear and alternating, so it vanishes on
+    every triple with a repeated index and changes sign under a swap: table
+    b satisfies the Jacobi identity iff out[b] is all zero.
     """
-    b, n = tables.shape[0], tables.shape[1]
-    # t[b, i, j, k] = [[e_i, e_j], e_k]
-    t = np.matmul(tables.reshape(b, n * n, n), tables.reshape(b, n, n * n))
-    t = t.reshape(b, n, n, n, n)
-    return (t + np.transpose(t, (0, 3, 1, 2, 4)) + np.transpose(t, (0, 2, 3, 1, 4))) % p
+    b, n = tables.shape[:2]
+    pairs, last, _ = _jacobi_indices(n)
+    # [[e_i, e_j], e_k] = [e_k, [e_j, e_i]] = sum_m c_ji^m [e_k, e_m], for
+    # the triples (i, j, k), then (j, k, i), then (k, i, j)
+    terms = tables.reshape(b, n * n, 1, n)[:, pairs] @ tables[:, last]
+    return terms.reshape(b, 3, -1, n).sum(axis=1) % p
+
+
+@lru_cache(maxsize=16)
+def _jacobi_indices(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, last, triples): triples holds the triples i < j < k < n in
+    combinations order; pairs and last run over them, then over their
+    rotations (j, k, i), then over (k, i, j), with pairs the flat index
+    j * n + i of the reversed first two and last the third."""
+    triples = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    i, j, k = triples.T
+    pairs = np.concatenate([j * n + i, k * n + j, i * n + k])
+    return _read_only(pairs, np.concatenate([k, i, j]), triples)
 
 
 class LieAlgebra:
@@ -92,6 +112,9 @@ class LieAlgebra:
                 raise InvalidAlgebraError(f"table shape {table.shape} != {(n, n, n)}")
             if ((table + np.swapaxes(table, 0, 1)) % p).any():
                 raise InvalidAlgebraError("table is not antisymmetric")
+            # in characteristic 2, antisymmetry leaves [e_i, e_i] free
+            if table.reshape(n * n, n)[:: n + 1].any():
+                raise InvalidAlgebraError("table is not alternating: [e_i, e_i] != 0")
         self.field = field
         self.dim = n
         self.table = table
@@ -116,16 +139,9 @@ class LieAlgebra:
             return
         jac = jacobi_residuals(self.table[None], self.p)[0]
         if jac.any():
-            idx = np.argwhere(jac.any(axis=3))
-            for i, j, k in idx:
-                if i < j < k:
-                    raise JacobiError(
-                        (int(i), int(j), int(k)), tuple(int(x) for x in jac[i, j, k])
-                    )
-            i, j, k = idx[0]
-            raise JacobiError(
-                (int(i), int(j), int(k)), tuple(int(x) for x in jac[i, j, k])
-            )
+            t = np.flatnonzero(jac.any(axis=1))[0]
+            triple = tuple(int(a) for a in _jacobi_indices(self.dim)[2][t])
+            raise JacobiError(triple, tuple(int(x) for x in jac[t]))
 
     # -- basic bracket operations -------------------------------------------
 
@@ -164,14 +180,6 @@ class LieAlgebra:
                 if not u.member(self.bracket(e, r)):
                     return False
         return True
-
-    def subalgebra_closure(self, u: Subspace) -> Subspace:
-        cur = u
-        while True:
-            nxt = cur.sum(self.product_space(cur, cur))
-            if nxt.dim == cur.dim:
-                return nxt
-            cur = nxt
 
     # -- derived constructions ----------------------------------------------
 
@@ -251,9 +259,6 @@ class LieAlgebra:
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].dim == 0
-
-    def is_abelian(self) -> bool:
-        return not self.table.any()
 
     # -- serialization helpers ----------------------------------------------
 

@@ -277,8 +277,20 @@ def _build_echelon_arrays(n: int, p: int, k: int):
 
 
 def _build_parity_checks(n: int, p: int, k: int) -> np.ndarray:
-    bases, piv = _shape_cached(_cached_echelon_arrays, n, p, k)
-    m = len(bases)
+    return _read_only(_checks(*_shape_cached(_cached_echelon_arrays, n, p, k), p))[0]
+
+
+def _parity_check(space: Subspace) -> np.ndarray:
+    """The (n, n - dim) parity check of one subspace, as _parity_checks
+    builds it."""
+    n, d = space.n, space.dim
+    bases = np.array(space.rows, dtype=np.int64).reshape(1, d, n)
+    pivots = np.array(space.pivots, dtype=np.int64).reshape(1, d)
+    return _checks(bases, pivots, space.p)[0]
+
+
+def _checks(bases: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
+    m, k, n = bases.shape
     rows, cols = np.arange(m)[:, None], np.arange(n - k)
     free = np.ones((m, n), dtype=bool)
     free[rows, piv] = False
@@ -287,7 +299,7 @@ def _build_parity_checks(n: int, p: int, k: int) -> np.ndarray:
     checks[rows, nonpiv, cols] = 1
     at_free = np.take_along_axis(bases, nonpiv[:, None, :], axis=2)
     checks[rows[:, :, None], piv[:, :, None], cols] = -at_free % p
-    return _read_only(checks)[0]
+    return checks
 
 
 _cached_echelon_arrays = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_echelon_arrays)

@@ -13,7 +13,7 @@ from liesupp.census import CHECKERS, generate
 from liesupp.classify import Analyzer, canonical_form_small, is_isomorphic_small
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
-from liesupp.lattice import minimal_ideals
+from liesupp.lattice import build_lattice, minimal_ideals
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
 from liesupp.subspace import Subspace, rref
 
@@ -76,6 +76,17 @@ def random_conjugate(L, rng):
     return LieAlgebra(L.field, n, table=table)
 
 
+def jacobi_residuals_full(tables, p):
+    """All n^3 Jacobi residuals of a batch of antisymmetric tables, shape
+    (b, n, n, n, n): out[b, i, j, k] is the coefficient vector of
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] mod p."""
+    b, n = tables.shape[0], tables.shape[1]
+    # t[b, i, j, k] = [[e_i, e_j], e_k]
+    t = np.matmul(tables.reshape(b, n * n, n), tables.reshape(b, n, n * n))
+    t = t.reshape(b, n, n, n, n)
+    return (t + np.transpose(t, (0, 3, 1, 2, 4)) + np.transpose(t, (0, 2, 3, 1, 4))) % p
+
+
 def census_by_index(spec):
     """The exhaustive census one table index at a time: decode each index
     into its digits (pair-major, lex pairs i<j, coefficients ascending within
@@ -135,6 +146,19 @@ def complement_by_sums(L, lattice, b):
         if b.sum(c_).dim == n:
             return c_
     return None
+
+
+@lru_cache(maxsize=4096)
+def first_complements_by_sums(L):
+    """{k: [index in by_dim[n - k] of complement_by_sums(B), or -1, for each
+    B in by_dim[k]]} over the lattice of L."""
+    lattice = build_lattice(L)
+    out = {}
+    for k, subs in lattice.by_dim.items():
+        index = {c_: i for i, c_ in enumerate(lattice.by_dim.get(L.dim - k, []))}
+        found = (complement_by_sums(L, lattice, b) for b in subs)
+        out[k] = [-1 if c_ is None else index[c_] for c_ in found]
+    return out
 
 
 def c_supplement_by_sums(L, lattice, b):

@@ -41,6 +41,7 @@ from oracles import (
     DIM56_SUMS,
     c_supplement_by_sums,
     core_by_enumeration,
+    first_complements_by_sums,
     first_unsupplemented,
     random_conjugate,
     sl2_summands_by_isomorphism,
@@ -474,7 +475,11 @@ def test_supplement_witness_core_is_the_core():
 
 
 def assert_supplements_match_oracles(L):
+    """c_supplement and complement_subalgebra on every subalgebra, and the
+    witnesses of is_c_supplemented_algebra and is_completely_factorisable,
+    against the per-candidate row-reduction oracles."""
     lat = build_lattice(L)
+    unsupplemented, uncomplemented = [], []
     for b in lat.subalgebras:
         w = c_supplement(L, lat, b)
         expected = c_supplement_by_sums(L, lat, b)
@@ -486,6 +491,14 @@ def assert_supplements_match_oracles(L):
         else:
             complement = None
         assert complement_subalgebra(L, lat, b) == complement
+        if expected is None:
+            unsupplemented.append(b)
+        if complement is None:
+            uncomplemented.append(b)
+    first = unsupplemented[0] if unsupplemented else None
+    assert is_c_supplemented_algebra(L, lat) == (first is None, first)
+    first = uncomplemented[0] if uncomplemented else None
+    assert is_completely_factorisable(L, lat) == (first is None, first)
 
 
 @pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 2)])
@@ -494,6 +507,7 @@ def test_supplements_match_oracles_on_census(p, max_dim):
         assert_supplements_match_oracles(entry.algebra)
 
 
+@lru_cache(maxsize=1)
 def gf2_pair_sums():
     """Every ordered direct sum that the GF(2) dims <= 3 pair campaigns
     (ldsum and csupp_dsum, deduplicated by isomorphism) examine."""
@@ -509,7 +523,7 @@ def gf2_pair_sums():
             for b in members.values():
                 d = a.direct_sum(b)
                 sums.setdefault(d.key, d)
-    return list(sums.values())
+    return tuple(sums.values())
 
 
 def test_supplements_match_oracles_on_gf2_pair_sums():
@@ -528,3 +542,39 @@ def test_supplements_match_oracles_dim56(p, left, right):
         L = L.direct_sum(catalog(right, p))
     for M in (L, random_conjugate(L, np.random.default_rng(20071217))):
         assert_supplements_match_oracles(M)
+
+
+def _dim56_both_bases():
+    out = []
+    for p, left, right in DIM56_SUMS:
+        L = catalog(left, p)
+        if right is not None:
+            L = L.direct_sum(catalog(right, p))
+        out += [L, random_conjugate(L, np.random.default_rng(20071217))]
+    return out
+
+
+FIRST_COMPLEMENT_UNIVERSES = {
+    "census_gf2": lambda: _census_algebras(2),
+    "census_gf3": lambda: _census_algebras(3),
+    "gf2_pair_sums": gf2_pair_sums,
+    "dim56": _dim56_both_bases,
+    "abelian_gf2_6": lambda: [abelian(2, 6)],
+}
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("universe", sorted(FIRST_COMPLEMENT_UNIVERSES))
+def test_first_complements_match_sums(universe, block, monkeypatch):
+    """The first-complement table of every dimension equals
+    complement_by_sums on every subalgebra, also with pairing blocks of
+    one row, and is_completely_factorisable reports its first -1."""
+    if block is not None:
+        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
+    for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
+        lat = build_lattice(L)
+        expected = first_complements_by_sums(L)
+        assert {k: lat.first_complements(k).tolist() for k in lat.by_dim} == expected
+        missing = [lat.by_dim[k][r] for k, c in expected.items() for r, j in enumerate(c) if j < 0]
+        first = missing[0] if missing else None
+        assert is_completely_factorisable(L, lat) == (first is None, first)

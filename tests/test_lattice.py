@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, generate
+from liesupp.classify import complement_subalgebra
 from liesupp.lattice import (
     _closed_and_ideal_masks,
     abelian_socle,
@@ -178,7 +179,7 @@ def test_core_monotone_idempotent():
                 assert core(h, b2).contains(cb)
 
 
-@pytest.mark.parametrize("p", [2])
+@pytest.mark.parametrize("p", [2, 3])
 def test_core_fixpoint_matches_enumeration_oracle(p):
     # every subalgebra of every algebra in the small exhaustive universe
     for entry in generate(CensusSpec(p, 3)):
@@ -186,6 +187,15 @@ def test_core_fixpoint_matches_enumeration_oracle(p):
         lat = build_lattice(L)
         for b in lat.subalgebras:
             assert core(L, b) == core_by_enumeration(L, b, lat)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_core_fixpoint_matches_enumeration_oracle_dim56(p, left, right):
+    L = _dim56(p, left, right)
+    for M in (L, random_conjugate(L, np.random.default_rng(20071221))):
+        lat = build_lattice(M)
+        for b in lat.subalgebras:
+            assert core(M, b) == core_by_enumeration(M, b, lat)
 
 
 def test_frattini_examples():
@@ -314,25 +324,48 @@ def test_plucker_coordinates_are_the_minors(p, dtype):
 
 
 @st.composite
-def complementary_pair(draw):
-    """Random k x n and (n - k) x n matrices over one of four fields."""
+def complementary_batches(draw):
+    """One to three random k x n and one to three (n - k) x n matrices over
+    one of four fields."""
     p = draw(st.sampled_from([2, 3, 5, 1008199]))
     n = draw(st.integers(1, 6))
     k = draw(st.integers(0, n))
     row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-    u = draw(st.lists(row, min_size=k, max_size=k))
-    w = draw(st.lists(row, min_size=n - k, max_size=n - k))
-    return p, n, k, u, w
+    us = draw(st.lists(st.lists(row, min_size=k, max_size=k), min_size=1, max_size=3))
+    ws = draw(
+        st.lists(st.lists(row, min_size=n - k, max_size=n - k), min_size=1, max_size=3)
+    )
+    return p, n, k, us, ws
 
 
-@given(complementary_pair())
+@given(complementary_batches())
 @settings(max_examples=300, deadline=None)
 def test_plucker_pairing_nonzero_iff_sum_is_everything(case):
-    p, n, k, u, w = case
-    pu = plucker(np.array(u, dtype=np.int64).reshape(1, k, n), p)[0]
-    pw = plucker(np.array(w, dtype=np.int64).reshape(1, n - k, n), p)
-    full = Subspace.span(u, n, p).sum(Subspace.span(w, n, p)).dim == n
-    assert (plucker_pairing(pu, pw, n, k, p)[0] != 0) == full
+    p, n, k, us, ws = case
+    pu = plucker(np.array(us, dtype=np.int64).reshape(len(us), k, n), p)
+    pw = plucker(np.array(ws, dtype=np.int64).reshape(len(ws), n - k, n), p)
+    det = plucker_pairing(pu, pw, n, k, p)
+    assert det.shape == (len(us), len(ws))
+    assert ((det >= 0) & (det < p) & (det == np.floor(det))).all()
+    full = [
+        [Subspace.span(u, n, p).sum(Subspace.span(w, n, p)).dim == n for w in ws]
+        for u in us
+    ]
+    assert (det != 0).tolist() == full
+
+
+def test_plucker_pairing_is_the_determinant_mod_p():
+    rng = np.random.default_rng(20071220)
+    for p in (2, 3, 5, 1008199):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                us = rng.integers(0, p, size=(3, k, n))
+                ws = rng.integers(0, p, size=(4, n - k, n))
+                det = plucker_pairing(plucker(us, p), plucker(ws, p), n, k, p)
+                assert det.tolist() == [
+                    [det_by_permutations(np.concatenate([u, w]).tolist(), p) for w in ws]
+                    for u in us
+                ]
 
 
 def test_complements_refuses_a_subspace_outside_the_lattice():
@@ -341,11 +374,14 @@ def test_complements_refuses_a_subspace_outside_the_lattice():
     plane = next(
         s for s in enumerate_subspaces(3, 3, dim_filter=2) if s not in lat.subalgebras
     )
-    with pytest.raises(ValueError, match="not a subalgebra"):
-        lat.complements(plane)
-    with pytest.raises(ValueError, match="not a subalgebra"):
-        lat.complements(Subspace.zero(4, 3))
+    for outside in (plane, Subspace.zero(4, 3)):
+        with pytest.raises(ValueError, match="not a subalgebra"):
+            lat.row(outside)
+        with pytest.raises(ValueError, match="not a subalgebra"):
+            complement_subalgebra(L, lat, outside)
+    for k, subs in lat.by_dim.items():
+        assert [lat.row(b) for b in subs] == list(range(len(subs)))
     line = lat.by_dim[1][0]
-    assert lat.complements(line).tolist() == [
-        line.sum(c).dim == 3 for c in lat.by_dim[2]
-    ]
+    first = lat.first_complements(1)[lat.row(line)]
+    hits = [line.sum(c).dim == 3 for c in lat.by_dim[2]]
+    assert first == hits.index(True)

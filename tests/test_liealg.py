@@ -21,7 +21,7 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.subspace import Subspace
-from oracles import random_conjugate
+from oracles import jacobi_residuals_full, random_conjugate
 
 # the largest prime p with 3^2 (p - 1)^3 < 2^63, and the next prime
 LARGEST_DIM3_PRIME = 1_008_199
@@ -89,22 +89,11 @@ def test_subalgebra_and_ideal():
     assert h.is_ideal(Subspace.zero(3, 2)) and h.is_ideal(Subspace.full(3, 2))
 
 
-def test_subalgebra_closure():
-    h = heisenberg(2)
-    xy = Subspace.span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    assert h.subalgebra_closure(xy).dim == 3
-    s = sl2(3)
-    ef = Subspace.span([(1, 0, 0), (0, 0, 1)], 3, 3)
-    assert s.subalgebra_closure(ef).dim == 3  # [e, f] = h
-    z = Subspace.span([(0, 0, 1)], 3, 2)
-    assert h.subalgebra_closure(z) == z
-
-
 def test_quotient():
     h = heisenberg(2)
     z = Subspace.span([(0, 0, 1)], 3, 2)
     q, qmap = h.quotient(z)
-    assert q.dim == 2 and q.is_abelian()
+    assert q.dim == 2 and not q.table.any()
     # projection then section is the identity on the quotient
     for w in [(1, 0), (0, 1), (1, 1)]:
         assert qmap.project(qmap.section(w)) == w
@@ -124,7 +113,7 @@ def test_quotient_requires_ideal():
 
 def test_direct_sum():
     a = abelian(3, 1).direct_sum(abelian(3, 2))
-    assert a.dim == 3 and a.is_abelian()
+    assert a.dim == 3 and not a.table.any()
     # two copies of the three-dimensional solvable example
     l1 = counterexample_L1(2)
     d = l1.direct_sum(l1)
@@ -146,14 +135,14 @@ def test_as_algebra():
     h = heisenberg(2)
     yz = Subspace.span([(0, 1, 0), (0, 0, 1)], 3, 2)
     sub, emb = h.as_algebra(yz)
-    assert sub.dim == 2 and sub.is_abelian()
+    assert sub.dim == 2 and not sub.table.any()
     assert emb.lift((1, 0)) == (0, 1, 0)
     full_sub, _ = h.as_algebra(Subspace.full(3, 2))
     assert full_sub.key == h.key
     s = sl2(3)
     he = Subspace.span([(1, 0, 0), (0, 1, 0)], 3, 3)  # span(e, h)
     sub2, _ = s.as_algebra(he)
-    assert sub2.dim == 2 and not sub2.is_abelian()
+    assert sub2.dim == 2 and sub2.table.any()
 
 
 def test_as_algebra_series_consistency():
@@ -251,6 +240,10 @@ def _batch_mask(tables, p):
     return ~jacobi_residuals(tables, p).reshape(len(tables), -1).any(axis=1)
 
 
+def _full_mask(tables, p):
+    return ~jacobi_residuals_full(tables, p).reshape(len(tables), -1).any(axis=1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jacobi_batch_mask_every_gf3_table(n):
     e = n * (n * (n - 1) // 2)
@@ -258,6 +251,7 @@ def test_jacobi_batch_mask_every_gf3_table(n):
     tables = _antisymmetric(upper.reshape(len(upper), e), n, 3)
     mask = _batch_mask(tables, 3)
     assert np.array_equal(mask, _accepted_one_by_one(tables, n, 3))
+    assert np.array_equal(mask, _full_mask(tables, 3))
     assert mask.sum() == {1: 1, 2: 9, 3: 1431}[n]
 
 
@@ -279,6 +273,61 @@ def test_jacobi_batch_mask_dim4_sample(p):
     mask = _batch_mask(tables, p)
     assert np.array_equal(mask, _accepted_one_by_one(tables, 4, p))
     assert mask[len(sample) :].all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_triple_jacobi_mask_matches_full_form_every_gf2_table(n):
+    e = n * (n * (n - 1) // 2)
+    upper = np.array(list(itertools.product(range(2), repeat=e)), dtype=np.int64)
+    tables = _antisymmetric(upper.reshape(len(upper), e), n, 2)
+    assert np.array_equal(_batch_mask(tables, 2), _full_mask(tables, 2))
+
+
+def test_triple_jacobi_mask_matches_full_form_first_gf2_dim4_tables():
+    for lo in range(0, 2**16, 1024):
+        idx = np.arange(lo, lo + 1024, dtype=np.int64)
+        digits = (idx[:, None] >> np.arange(23, -1, -1)) & 1
+        tables = _antisymmetric(digits, 4, 2)
+        assert np.array_equal(_batch_mask(tables, 2), _full_mask(tables, 2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
+def test_jacobi_error_triple_and_residual_match_full_form(p, n):
+    """For every failing table, JacobiError names the least failing triple
+    i < j < k of the full residual array, with its residual."""
+    e = n * (n * (n - 1) // 2)
+    if p**e <= 2**12:
+        upper = np.array(list(itertools.product(range(p), repeat=e)), dtype=np.int64)
+    else:
+        upper = np.random.default_rng(20071222).integers(0, p, size=(4096, e))
+    tables = _antisymmetric(upper.reshape(len(upper), e), n, p)
+    full = jacobi_residuals_full(tables, p)
+    for table, jac in zip(tables, full):
+        failing = [tuple(t) for t in np.argwhere(jac.any(axis=3)).tolist()]
+        if not failing:
+            LieAlgebra(PrimeField(p), n, table=table)
+            continue
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra(PrimeField(p), n, table=table)
+        first = min(t for t in failing if t[0] < t[1] < t[2])
+        assert exc.value.triple == first
+        assert exc.value.residual == tuple(int(x) for x in jac[first])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_non_alternating_table_refused(p):
+    # [e_0, e_0] = e_1: over GF(2) this table is antisymmetric, t = -t
+    # (p odd: t = -t forces t = 0, so the antisymmetry test refuses it)
+    reason = "not alternating" if p == 2 else "not antisymmetric"
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 1] = 1
+    with pytest.raises(InvalidAlgebraError, match=reason):
+        LieAlgebra(PrimeField(p), 2, table=table)
+    # the same kind of entry on top of an otherwise valid algebra
+    table = np.array(heisenberg(p).table)
+    table[2, 2, 0] = 1
+    with pytest.raises(InvalidAlgebraError, match=reason):
+        LieAlgebra(PrimeField(p), 3, table=table)
 
 
 def test_jacobi_error_names_first_triple():

@@ -290,6 +290,8 @@ def _parity_check(space: Subspace) -> np.ndarray:
 
 
 def _checks(bases: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
+    """Parity checks (see _parity_checks) of a batch of RREF bases of shape
+    (m, k, n) with their pivot columns, shape (m, k)."""
     m, k, n = bases.shape
     rows, cols = np.arange(m)[:, None], np.arange(n - k)
     free = np.ones((m, n), dtype=bool)

@@ -24,7 +24,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import ISO_DIM_LIMIT, Analyzer, _LRU, c_supplement
+from .classify import (
+    ISO_DIM_LIMIT,
+    Analyzer,
+    _LRU,
+    c_supplement,
+    first_non_ideal_inside,
+)
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
@@ -312,16 +318,6 @@ def _rows(s: Subspace):
     return [list(r) for r in s.rows]
 
 
-def _phi_subalgebras_ideal(L: LieAlgebra, phi: Subspace, az: Analyzer) -> bool:
-    if phi.dim == 0:
-        return True
-    phi_alg, emb = L.as_algebra(phi)
-    for s in az.lattice(phi_alg).subalgebras:
-        if not L.is_ideal(emb.lift_space(s)):
-            return False
-    return True
-
-
 def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     if not az.c_supplemented(L)[0]:
         return None
@@ -342,25 +338,20 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
     phi_l = az.frattini(L)[1]
-    for d in lat.subalgebras:
-        if d.dim == 0:
-            continue
-        dalg, emb = L.as_algebra(d)
-        phi_d = az.frattini(dalg)[1]
-        if phi_d.dim == 0:
-            continue
-        lifted = emb.lift_space(phi_d)
-        for b in lat.subalgebras:
-            if b.dim == 0 or not lifted.contains(b):
+    phis = lat.subalgebra_phis()
+    for k, subs in lat.by_dim.items():
+        for d, phi_d in zip(subs, phis[k]):
+            if phi_d.dim == 0:
                 continue
-            if c_supplement(L, lat, b) is None:
-                continue
-            if not (L.is_ideal(b) and phi_l.contains(b)):
-                return {
-                    "kind": "frattini_subalgebra_not_promoted",
-                    "D": _rows(d),
-                    "B": _rows(b),
-                }
+            for b in lat.inside(phi_d):
+                if b.dim == 0 or c_supplement(L, lat, b) is None:
+                    continue
+                if not (L.is_ideal(b) and phi_l.contains(b)):
+                    return {
+                        "kind": "frattini_subalgebra_not_promoted",
+                        "D": _rows(d),
+                        "B": _rows(b),
+                    }
     return None
 
 
@@ -377,7 +368,10 @@ def _check_pequ(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     phi = az.frattini(L)[1]
     lhs = az.c_supplemented(L)[0]
     q, _ = L.quotient(phi)
-    rhs = az.completely_factorisable(q)[0] and _phi_subalgebras_ideal(L, phi, az)
+    rhs = (
+        az.completely_factorisable(q)[0]
+        and first_non_ideal_inside(az.lattice(L), phi) is None
+    )
     if lhs != rhs:
         return {"kind": "equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
     return None
@@ -388,7 +382,7 @@ def _check_tsolv(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
         return None
     phi = az.frattini(L)[1]
     lhs = az.c_supplemented(L)[0]
-    rhs = az.supersolvable(L) and _phi_subalgebras_ideal(L, phi, az)
+    rhs = az.supersolvable(L) and first_non_ideal_inside(az.lattice(L), phi) is None
     if lhs != rhs:
         return {"kind": "solvable_equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
     return None

@@ -118,11 +118,17 @@ def is_completely_factorisable(
     L: LieAlgebra, lattice: Optional[LatticeCache] = None
 ) -> Tuple[bool, Optional[Subspace]]:
     """Every subalgebra has a complement; on failure reports the canonically
-    first one without."""
+    first one without.  The lines decide it: if every line has a complement
+    then every subalgebra has one (by induction on the dimension: a line l'
+    inside a complement M of a line l has a complement in M, its
+    intersection with a complement of l' in L), the zero subspace always has
+    the complement L, and lines come first in lattice order."""
     if lattice is None:
         lattice = build_lattice(L)
-    failing = next(_uncomplemented(lattice), None)
-    return failing is None, failing
+    missing = np.flatnonzero(lattice.first_complements(1) < 0)
+    if not len(missing):
+        return True, None
+    return False, lattice.by_dim[1][missing[0]]
 
 
 def is_phi_free(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:
@@ -135,16 +141,15 @@ def is_elementary(
     analyzer: Optional["Analyzer"] = None,
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) = 0 for every subalgebra B (phi computed inside B's own
-    algebra).  Returns the first offending subalgebra otherwise."""
-    az = analyzer if analyzer is not None else Analyzer()
+    algebra, see LatticeCache.subalgebra_phis).  Returns the first
+    offending subalgebra otherwise."""
     if lattice is None:
-        lattice = az.lattice(L)
-    for b in lattice.subalgebras:
-        if b.dim == 0:
-            continue
-        sub, _ = L.as_algebra(b)
-        if az.frattini(sub)[1].dim:
-            return False, b
+        lattice = (analyzer if analyzer is not None else Analyzer()).lattice(L)
+    phis = lattice.subalgebra_phis()
+    for k, subs in lattice.by_dim.items():
+        for b, phi_b in zip(subs, phis[k]):
+            if phi_b.dim:
+                return False, b
     return True, None
 
 
@@ -153,20 +158,27 @@ def is_E_algebra(
     lattice: Optional[LatticeCache] = None,
     analyzer: Optional["Analyzer"] = None,
 ) -> Tuple[bool, Optional[Subspace]]:
-    """phi(B) <= phi(L) for every subalgebra B, with each phi(B) mapped back
-    into the ambient coordinates through the embedding."""
-    az = analyzer if analyzer is not None else Analyzer()
+    """phi(B) <= phi(L) for every subalgebra B, phi(B) taken in the ambient
+    coordinates.  Returns the first offending subalgebra otherwise."""
     if lattice is None:
-        lattice = az.lattice(L)
-    phi_l = az.frattini(L, lattice)[1]
-    for b in lattice.subalgebras:
-        if b.dim == 0:
-            continue
-        sub, emb = L.as_algebra(b)
-        phi_b = az.frattini(sub)[1]
-        if phi_b.dim and not phi_l.contains(emb.lift_space(phi_b)):
-            return False, b
+        lattice = (analyzer if analyzer is not None else Analyzer()).lattice(L)
+    phis = lattice.subalgebra_phis()
+    phi_l = phis[L.dim][0]  # L is the one subalgebra of dimension n
+    for k, subs in lattice.by_dim.items():
+        for b, phi_b in zip(subs, phis[k]):
+            if phi_b.dim and not phi_l.contains(phi_b):
+                return False, b
     return True, None
+
+
+def first_non_ideal_inside(lattice: LatticeCache, space: Subspace) -> Optional[Subspace]:
+    """The first subalgebra of the lattice, in lattice order, that lies in
+    `space` and is not an ideal, or None.  For space = phi(L) this is the
+    first subalgebra of phi(L)'s own algebra whose image is not an ideal:
+    the RREF rows of a subspace of phi read at phi's pivot columns are its
+    RREF in phi's coordinates, and that map keeps lexicographic order."""
+    ideals = {i for i in lattice.ideals if i.dim <= space.dim}
+    return next((s for s in lattice.inside(space) if s not in ideals), None)
 
 
 # -- brute-force isomorphism in dimension <= 3 ------------------------------
@@ -363,14 +375,11 @@ def check_main_decomposition(
         lattice = az.lattice(L)
     phi = az.frattini(L, lattice)[1]
     out: Dict = {"phi": phi}
-    if phi.dim:
-        phi_alg, emb = L.as_algebra(phi)
-        for s in az.lattice(phi_alg).subalgebras:
-            lifted = emb.lift_space(s)
-            if not L.is_ideal(lifted):
-                out["reason"] = "phi_subalgebra_not_ideal"
-                out["witness"] = lifted
-                return False, out
+    witness = first_non_ideal_inside(lattice, phi)
+    if witness is not None:
+        out["reason"] = "phi_subalgebra_not_ideal"
+        out["witness"] = witness
+        return False, out
     q, qmap = L.quotient(phi)
     out["quotient_dim"] = q.dim
     lat_q = az.lattice(q)

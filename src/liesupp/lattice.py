@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .subspace import (
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
+    _checks,
     _parity_check,
     _parity_checks,
     _read_only,
@@ -53,6 +54,10 @@ class LatticeCache:
     # first_complements(d) per dimension d, built on first use
     _first: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # subalgebra_phis(), built on first use
+    _phis: Optional[Dict[int, List[Subspace]]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def row(self, b: Subspace) -> int:
@@ -77,6 +82,27 @@ class LatticeCache:
             )
             self._first[k] = got
         return got
+
+    def subalgebra_phis(self) -> Dict[int, List[Subspace]]:
+        """phi(B), the Frattini ideal of B's own algebra, for every
+        subalgebra B, in ambient coordinates: a list per dimension k, row
+        for row with by_dim[k].  Built on first use, once per distinct
+        induced table (see _subalgebra_phis); no lattice of a subalgebra is
+        built."""
+        if self._phis is None:
+            self._phis = _subalgebra_phis(self)
+        return self._phis
+
+    def inside(self, space: Subspace) -> Iterator[Subspace]:
+        """The subalgebras of this lattice contained in `space`, in lattice
+        order."""
+        check = _parity_check(space)
+        for d, subs in self.by_dim.items():
+            if d > space.dim:
+                break
+            resid = _bases(subs, d, space.n) @ check % space.p
+            for row in np.flatnonzero(~resid.reshape(len(subs), -1).any(axis=1)):
+                yield subs[row]
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -125,6 +151,19 @@ def _pairs(k: int):
     return _read_only(*np.triu_indices(k, 1))
 
 
+def _pair_brackets(L: LieAlgebra, bases: np.ndarray):
+    """(ad, brackets) for a batch of bases of shape (m, k, n): ad[a, s, j] is
+    [b_s, e_j] mod p for basis row b_s of bases[a], and brackets[a, u] is
+    [b_s, b_t], not reduced mod p, for the u-th pair s < t of _pairs(k);
+    the other pairs follow by antisymmetry."""
+    m, k, n = bases.shape
+    ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
+    # [b_s, b_t] = sum_j b_t[j] [b_s, e_j]
+    s, t = _pairs(k)
+    brackets = bases[:, t, None, :] @ ad[:, s]
+    return ad, brackets.reshape(m, len(s), n)
+
+
 def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
     """Batch closure/ideal tests for all dim-k subspaces at once.  Only a
     subalgebra can be an ideal, so the ideal test runs on the closed ones."""
@@ -133,13 +172,8 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     if k == 0:
         ones = np.ones(m, dtype=bool)
         return ones, ones
-    # ad[a, s, j] = [b_s, e_j] for basis row b_s of bases[a]
-    ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
-    # [b_s, b_t] = sum_j b_t[j] [b_s, e_j] for s < t; the other pairs
-    # follow by antisymmetry
-    s, t = _pairs(k)
-    brackets = bases[:, t, None, :] @ ad[:, s]
-    outside = brackets.reshape(m, len(s), n) @ checks
+    ad, brackets = _pair_brackets(L, bases)
+    outside = brackets @ checks
     outside %= p
     closed = ~outside.any(axis=(1, 2))
 
@@ -180,45 +214,162 @@ def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCach
         ideals += [s for s, i in zip(subs, ideal[idx]) if i]
         arrays[k] = bases[idx], checks[idx]
     subalgebras = [s for subs in by_dim.values() for s in subs]
-    maximals = _maximal_subalgebras(by_dim, arrays, n, p)
+    masks = _maximal_masks(arrays, n, n, p)
+    maximals = [s for d in sorted(masks) for s, k in zip(by_dim[d], masks[d]) if k]
     return LatticeCache(L, subalgebras, ideals, maximals, total, by_dim)
 
 
-def _maximal_subalgebras(
-    by_dim: Dict[int, List[Subspace]],
-    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    n: int,
-    p: int,
-) -> List[Subspace]:
-    """Top-down scan: every proper subalgebra lies in a maximal one, so going
-    from the highest dimension down, s is maximal exactly when no maximal
-    subalgebra kept so far contains it.  Each dimension is tested at once
-    against the kept parity checks, zero-padded to the widest one, in blocks
-    of at most _MAXIMAL_BLOCK residues."""
-    found: Dict[int, List[Subspace]] = {}
+def _maximal_masks(
+    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]], top: int, n: int, p: int
+) -> Dict[int, np.ndarray]:
+    """Top-down scan over the subalgebras of a subalgebra B of dim `top`
+    (arrays[d] holds the bases and parity checks of those of dim d): every
+    proper subalgebra of B lies in a maximal one, so going from the highest
+    dimension below `top` down, s is maximal in B exactly when no maximal
+    subalgebra kept so far contains it.  Returns the mask of the maximal
+    ones per dimension."""
+    masks: Dict[int, np.ndarray] = {}
     kept: List[np.ndarray] = []
-    for d in sorted((d for d in by_dim if d < n), reverse=True):
+    for d in sorted((d for d in arrays if d < top), reverse=True):
         bases, checks = arrays[d]
-        keep = np.ones(len(bases), dtype=bool)
-        if kept:
-            width = max(h.shape[2] for h in kept)
-            count = sum(len(h) for h in kept)
-            padded = np.zeros((count, n, width), dtype=np.int64)
-            at = 0
-            for h in kept:
-                padded[at : at + len(h), :, : h.shape[2]] = h
-                at += len(h)
-            flat = padded.transpose(1, 0, 2).reshape(n, count * width)
-            step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
-            for lo in range(0, len(bases), step):
-                block = bases[lo : lo + step]
-                resid = block.reshape(len(block) * d, n) @ flat
-                resid %= p
-                inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
-                keep[lo : lo + step] = ~inside.any(axis=1)
-        found[d] = [s for s, k in zip(by_dim[d], keep) if k]
+        keep = ~_inside(bases, kept, p, np.any)
+        masks[d] = keep
         kept.append(checks[keep])
-    return [s for d in sorted(found) for s in found[d]]
+    return masks
+
+
+def _inside(
+    bases: np.ndarray, checks: List[np.ndarray], p: int, test: Callable
+) -> np.ndarray:
+    """For a batch of bases of shape (m, d, n) and a list of parity-check
+    arrays (of any dimensions), test(axis=1) over "bases[a] lies in the
+    c-th subspace" for every a: np.any for inside some, np.all for inside
+    every one.  The checks are tested at once, zero-padded to the widest,
+    in blocks of at most _MAXIMAL_BLOCK residues."""
+    m, d, n = bases.shape
+    count = sum(len(h) for h in checks)
+    if not count:
+        return test(np.ones((m, 0), dtype=bool), axis=1)
+    width = max(h.shape[2] for h in checks)
+    padded = np.zeros((count, n, width), dtype=np.int64)
+    at = 0
+    for h in checks:
+        padded[at : at + len(h), :, : h.shape[2]] = h
+        at += len(h)
+    flat = padded.transpose(1, 0, 2).reshape(n, count * width)
+    out = np.empty(m, dtype=bool)
+    step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
+    for lo in range(0, m, step):
+        block = bases[lo : lo + step]
+        resid = block.reshape(len(block) * d, n) @ flat
+        resid %= p
+        inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
+        out[lo : lo + step] = test(inside, axis=1)
+    return out
+
+
+# -- Frattini ideals of subalgebras ------------------------------------------
+#
+# The subalgebras of a subalgebra B are the members of L's lattice that lie
+# in B, so phi(B) needs no lattice of its own: its maximal subalgebras are
+# the maximal elements among those members, F(B), their intersection, is a
+# subalgebra and so the largest member inside all of them, and phi(B) is
+# the largest ideal of B inside F(B).  phi(B) depends only on B's structure
+# constants in its RREF basis, and an isomorphism B -> B' maps phi(B) onto
+# phi(B'), so it is computed once per distinct table and mapped to the
+# other subalgebras with that table.
+
+
+def _arrays(subs: List[Subspace], d: int, n: int, p: int):
+    """(bases, pivots, parity checks) of dim-d subspaces as arrays."""
+    bases = _bases(subs, d, n)
+    piv = (bases != 0).argmax(axis=2)
+    return bases, piv, _checks(bases, piv, p)
+
+
+def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """The structure constants of a batch of subalgebras in their RREF
+    bases: (m, C(k, 2) * k), row a holding the coordinates of [b_s, b_t],
+    its entries at the pivot columns, for the pairs s < t of _pairs(k)."""
+    m, k = piv.shape
+    brackets = _pair_brackets(L, bases)[1] % L.p
+    return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(m, -1)
+
+
+def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
+    """See LatticeCache.subalgebra_phis.  Subalgebras of dimension k >= 2
+    are grouped by their induced tables (np.unique); a zero table (abelian
+    B) has phi = 0.  For each other table the first subalgebra B with it
+    gives phi(B), whose RREF rows read at B's pivot columns are its RREF
+    coordinates Phi; a subalgebra B' with the same table has
+    phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
+    leading columns of Phi."""
+    L = lattice.algebra
+    n, p = L.dim, L.p
+    zero = Subspace.zero(n, p)
+    arrays = {d: _arrays(subs, d, n, p) for d, subs in lattice.by_dim.items()}
+    out: Dict[int, List[Subspace]] = {}
+    for k, subs in lattice.by_dim.items():
+        phis = out[k] = [zero] * len(subs)
+        if k < 2:
+            continue
+        bases, piv, _ = arrays[k]
+        tables, first, group, counts = np.unique(
+            _induced_tables(L, bases, piv),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        groups = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+        for table, rep, members in zip(tables, first, groups):
+            if not table.any():
+                continue
+            phi = _phi_of_member(L, lattice.by_dim, arrays, k, rep)
+            if not phi.dim:
+                continue
+            coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
+            lead = (coords != 0).argmax(axis=1)
+            rows = coords @ bases[members] % p
+            pivots = piv[members][:, lead]
+            for a, r, q in zip(members.tolist(), rows.tolist(), pivots.tolist()):
+                phis[a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
+    return out
+
+
+def _phi_of_member(
+    L: LieAlgebra, by_dim: Dict[int, List[Subspace]], arrays, k: int, row: int
+) -> Subspace:
+    """phi(B) for B = by_dim[k][row], k >= 2, from the lattice members
+    inside B: one parity-check product per lower dimension finds them and
+    the top-down scan of _maximal_masks picks the maximal ones.  F(B) is
+    the x = a . rows(B) with x . H = 0 for the parity check H of every
+    maximal one, a nullspace in the k coordinates a, and
+    phi(B) = core(L, F(B), B)."""
+    n, p = L.dim, L.p
+    b = by_dim[k][row]
+    check = arrays[k][2][row]
+    below = {}  # dim d -> (bases, checks) of the members of dim d inside B
+    for d in range(1, k):
+        if d not in arrays:
+            continue
+        bases, _, checks = arrays[d]
+        resid = bases.reshape(len(bases) * d, n) @ check
+        resid %= p
+        inside = ~resid.reshape(len(bases), -1).any(axis=1)
+        below[d] = bases[inside], checks[inside]
+    rows = np.array(b.rows, dtype=np.int64)
+    equations = [
+        (rows @ below[d][1][mask]).transpose(0, 2, 1).reshape(-1, k)
+        for d, mask in _maximal_masks(below, k, n, p).items()
+    ]
+    equations = np.concatenate(equations) % p
+    equations = np.unique(equations[equations.any(axis=1)], axis=0)
+    coords = _nullspace(equations.tolist(), k, p)
+    if not coords:
+        return Subspace.zero(n, p)
+    f = Subspace.span((np.array(coords, dtype=np.int64) @ rows % p).tolist(), n, p)
+    return core(L, f, b)
 
 
 # -- Plücker coordinates ----------------------------------------------------
@@ -339,17 +490,22 @@ def _pairing_dual(n: int, k: int):
 # -- core -------------------------------------------------------------------
 
 
-def core(L: LieAlgebra, b: Subspace) -> Subspace:
-    """Largest ideal of L contained in b, by fixpoint refinement: each round
-    keeps the x of the current subspace with [x, e_j] still inside it for
-    every basis vector e_j.  With rows b_s and parity check H of the current
-    subspace, x = sum_s a_s b_s is kept iff sum_s a_s ([b_s, e_j] @ H) = 0
-    mod p for every j: one _ad_rows product and one nullspace per round."""
+def core(L: LieAlgebra, b: Subspace, within: Optional[Subspace] = None) -> Subspace:
+    """Largest ideal of `within` (default L) contained in b, for b inside
+    `within`, by fixpoint refinement: each round keeps the x of the current
+    subspace with [x, w] still inside it for every basis row w of `within`.
+    With rows b_s and parity check H of the current subspace,
+    x = sum_s a_s b_s is kept iff sum_s a_s ([b_s, w] @ H) = 0 mod p for
+    every w: one _ad_rows product and one nullspace per round."""
     n, p = L.dim, L.p
     cur = b
     while cur.dim:
         rows = np.array(cur.rows, dtype=np.int64)
-        cond = (_ad_rows(L, rows) @ _parity_check(cur)).reshape(cur.dim, -1) % p
+        ad = _ad_rows(L, rows)  # [b_s, e_j]
+        if within is not None:
+            # [b_s, w] = sum_j w[j] [b_s, e_j]
+            ad = np.array(within.rows, dtype=np.int64) @ ad % p
+        cond = (ad @ _parity_check(cur)).reshape(cur.dim, -1) % p
         cond = cond.T[cond.any(axis=0)]  # one equation in the a_s per row
         kernel = _nullspace(cond.tolist(), cur.dim, p)
         if len(kernel) == cur.dim:

@@ -158,20 +158,26 @@ class LieAlgebra:
         )
         return tuple(int(x) for x in w % p)
 
-    def product_space(self, u: Subspace, v: Subspace) -> Subspace:
-        """Span of all [x, y] with x, y ranging over the two bases."""
+    def _brackets(self, u: Subspace, v: Subspace) -> np.ndarray:
+        """[x, y] mod p for every row x of u's basis and y of v's, shape
+        (dim u, dim v, n): two matrix products with the table."""
         if u.n != self.dim or v.n != self.dim:
             raise ValueError("ambient mismatch")
-        prods = [self.bracket(x, y) for x in u.rows for y in v.rows]
-        return Subspace.span(prods, self.dim, self.p)
+        n = self.dim
+        x = np.array(u.rows, dtype=np.int64).reshape(u.dim, n)
+        y = np.array(v.rows, dtype=np.int64).reshape(v.dim, n)
+        # ad[s, j] = [x_s, e_j], then [x_s, y_t] = sum_j y_t[j] ad[s, j]
+        ad = (x @ self.table.reshape(n, n * n)).reshape(u.dim, n, n)
+        return y @ ad % self.p
+
+    def product_space(self, u: Subspace, v: Subspace) -> Subspace:
+        """Span of all [x, y] with x, y ranging over the two bases."""
+        prods = self._brackets(u, v).reshape(u.dim * v.dim, self.dim)
+        return Subspace.span(prods.tolist(), self.dim, self.p)
 
     def is_subalgebra(self, u: Subspace) -> bool:
-        rows = u.rows
-        for s in range(len(rows)):
-            for t in range(s + 1, len(rows)):
-                if not u.member(self.bracket(rows[s], rows[t])):
-                    return False
-        return True
+        prods = self._brackets(u, u)
+        return _in_span(prods, _coordinates(prods, u), u)
 
     def is_ideal(self, u: Subspace) -> bool:
         for i in range(self.dim):
@@ -202,18 +208,13 @@ class LieAlgebra:
         return q, QuotientMap(self, q, ideal, tuple(comp))
 
     def as_algebra(self, space: Subspace) -> Tuple["LieAlgebra", "Embedding"]:
-        """The induced algebra on a bracket-closed subspace, in its RREF basis."""
-        if not self.is_subalgebra(space):
+        """The induced algebra on a bracket-closed subspace, in its RREF
+        basis."""
+        prods = self._brackets(space, space)
+        table = _coordinates(prods, space)
+        if not _in_span(prods, table, space):
             raise NotSubalgebraError(f"{space!r} is not bracket-closed")
-        rows, piv = space.rows, space.pivots
-        k = space.dim
-        brackets = {}
-        for s in range(k):
-            for t in range(s + 1, k):
-                w = self.bracket(rows[s], rows[t])
-                # w lies in the span; its coordinates are the pivot entries
-                brackets[(s, t)] = tuple(w[c] for c in piv)
-        sub = LieAlgebra(self.field, k, brackets)
+        sub = LieAlgebra(self.field, space.dim, table=table)
         return sub, Embedding(self, sub, space)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -282,6 +283,19 @@ class LieAlgebra:
         return f"LieAlgebra(GF({self.p}), dim={self.dim})"
 
 
+def _coordinates(vectors: np.ndarray, u: Subspace) -> np.ndarray:
+    """The entries of vectors (shape (..., n)) at u's pivot columns: for a
+    vector of u these are its coordinates in u's RREF basis."""
+    return vectors[..., list(u.pivots)]
+
+
+def _in_span(vectors: np.ndarray, coords: np.ndarray, u: Subspace) -> bool:
+    """Whether all vectors lie in u, given their _coordinates: a vector is
+    in u iff it equals the combination of u's rows with its coordinates."""
+    rows = np.array(u.rows, dtype=np.int64).reshape(u.dim, u.n)
+    return not ((coords @ rows - vectors) % u.p).any()
+
+
 class QuotientMap:
     """Projection/section pair for a quotient L -> L/I."""
 
@@ -303,15 +317,10 @@ class QuotientMap:
             v[j] = w[a] % self.parent.p
         return tuple(v)
 
-    def lift_space(self, u: Subspace) -> Subspace:
-        """Full preimage of a subspace of the quotient."""
-        rows = [self.section(r) for r in u.rows]
-        rows += list(self.ideal.rows)
-        return Subspace.span(rows, self.parent.dim, self.parent.p)
-
 
 class Embedding:
-    """Coordinate maps between a bracket-closed subspace and its own algebra."""
+    """A bracket-closed subspace of `parent` and its own algebra `sub`, whose
+    basis is the subspace's RREF basis."""
 
     __slots__ = ("parent", "sub", "space")
 
@@ -319,24 +328,6 @@ class Embedding:
         self.parent = parent
         self.sub = sub
         self.space = space
-
-    def lift(self, coords: Sequence[int]) -> Vector:
-        p = self.parent.p
-        v = [0] * self.parent.dim
-        for a, row in zip(coords, self.space.rows):
-            if a:
-                v = [(x + a * y) % p for x, y in zip(v, row)]
-        return tuple(v)
-
-    def restrict(self, v: Sequence[int]) -> Vector:
-        if not self.space.member(v):
-            raise ValueError("vector is not in the subspace")
-        return tuple(v[c] % self.parent.p for c in self.space.pivots)
-
-    def lift_space(self, u: Subspace) -> Subspace:
-        return Subspace.span(
-            [self.lift(r) for r in u.rows], self.parent.dim, self.parent.p
-        )
 
 
 # -- catalog of named algebras ----------------------------------------------

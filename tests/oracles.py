@@ -13,7 +13,7 @@ from liesupp.census import CHECKERS, generate
 from liesupp.classify import Analyzer, canonical_form_small, is_isomorphic_small
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
-from liesupp.lattice import build_lattice, minimal_ideals
+from liesupp.lattice import build_lattice, frattini, minimal_ideals
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
 from liesupp.subspace import Subspace, rref
 
@@ -49,6 +49,91 @@ def core_by_enumeration(L, b, lattice):
         if b.contains(ideal):
             out = out.sum(ideal)
     return out
+
+
+def lift_space(space, u):
+    """The subspace of the ambient space whose coordinates in space's RREF
+    basis span u."""
+    n, p = space.n, space.p
+    rows = [
+        [sum(a * row[j] for a, row in zip(coords, space.rows)) % p for j in range(n)]
+        for coords in u.rows
+    ]
+    return Subspace.span(rows, n, p)
+
+
+def subalgebra_phis_by_sublattices(L, lattice, analyzer):
+    """{k: [phi(B) for B in lattice.by_dim[k]]}: each B made an algebra of
+    its own (as_algebra), its Frattini ideal taken from its own lattice
+    through `analyzer` and lifted back to the ambient coordinates."""
+    out = {}
+    for k, subs in lattice.by_dim.items():
+        out[k] = []
+        for b in subs:
+            sub, _ = L.as_algebra(b)
+            out[k].append(lift_space(b, analyzer.frattini(sub)[1]))
+    return out
+
+
+def phi_subalgebra_not_ideal_by_sublattice(L, phi, analyzer):
+    """The first subalgebra of phi's own algebra, in its lattice order and
+    lifted to L, that is not an ideal of L (tested bracket by bracket), or
+    None."""
+    phi_alg, _ = L.as_algebra(phi)
+    for s in analyzer.lattice(phi_alg).subalgebras:
+        lifted = lift_space(phi, s)
+        if not L.is_ideal(lifted):
+            return lifted
+    return None
+
+
+def check_pfrat_by_sublattices(L, az):
+    """census pfrat checker with phi(D) from D's own lattice."""
+    lat = az.lattice(L)
+    phi_l = frattini(L, lat)[1]
+    phis = subalgebra_phis_by_sublattices(L, lat, az)
+    for k, subs in lat.by_dim.items():
+        for d, lifted in zip(subs, phis[k]):
+            for b in lat.subalgebras:
+                if b.dim == 0 or not lifted.contains(b):
+                    continue
+                if c_supplement_by_sums(L, lat, b) is None:
+                    continue
+                if not (L.is_ideal(b) and phi_l.contains(b)):
+                    return {
+                        "kind": "frattini_subalgebra_not_promoted",
+                        "D": [list(r) for r in d.rows],
+                        "B": [list(r) for r in b.rows],
+                    }
+    return None
+
+
+def check_pequ_by_sublattice(L, az):
+    """census pequ checker with the subalgebras of phi(L) from phi's own
+    lattice."""
+    phi = az.frattini(L)[1]
+    lhs = az.c_supplemented(L)[0]
+    q, _ = L.quotient(phi)
+    rhs = (
+        az.completely_factorisable(q)[0]
+        and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
+    )
+    if lhs != rhs:
+        return {"kind": "equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
+    return None
+
+
+def check_tsolv_by_sublattice(L, az):
+    """census tsolv checker with the subalgebras of phi(L) from phi's own
+    lattice."""
+    if not L.is_solvable():
+        return None
+    phi = az.frattini(L)[1]
+    lhs = az.c_supplemented(L)[0]
+    rhs = az.supersolvable(L) and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
+    if lhs != rhs:
+        return {"kind": "solvable_equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
+    return None
 
 
 def random_conjugate(L, rng):

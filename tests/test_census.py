@@ -30,7 +30,14 @@ from liesupp.liealg import (
     nonabelian2,
 )
 from liesupp.subspace import CapExceededError
-from oracles import census_by_index, gl_orbit, verify_by_table
+from oracles import (
+    census_by_index,
+    check_pequ_by_sublattice,
+    check_pfrat_by_sublattices,
+    check_tsolv_by_sublattice,
+    gl_orbit,
+    verify_by_table,
+)
 
 
 def brute_force_jacobi_count(n, p):
@@ -307,6 +314,26 @@ def test_class_campaign_matches_per_table_oracle(theorem, p):
     timing = doc.pop("timing")
     assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
     assert timing["classes"] == {2: 10, 3: 12}[p]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "theorem,oracle",
+    [
+        ("pfrat", check_pfrat_by_sublattices),
+        ("pequ", check_pequ_by_sublattice),
+        ("tsolv", check_tsolv_by_sublattice),
+    ],
+)
+def test_phi_campaigns_match_sublattice_oracles(theorem, oracle, p, monkeypatch):
+    """The campaigns that read phi of subalgebras from the ambient lattice
+    give the documents of a per-table run of checkers that build the
+    lattice of each subalgebra or of phi(L)."""
+    spec = CensusSpec(p, 3)
+    doc = verify(theorem, spec).to_doc()
+    doc.pop("timing")
+    monkeypatch.setitem(CHECKERS, theorem, oracle)
+    assert doc == verify_by_table(theorem, spec, Analyzer())
 
 
 @pytest.mark.parametrize("theorem", PAIR_THEOREMS)

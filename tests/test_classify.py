@@ -16,6 +16,7 @@ from liesupp.classify import (
     check_semisimple_shape,
     classify_algebra,
     complement_subalgebra,
+    first_non_ideal_inside,
     is_E_algebra,
     is_c_supplemented_algebra,
     is_completely_factorisable,
@@ -25,7 +26,7 @@ from liesupp.classify import (
 )
 from liesupp.formats import jsonable
 from liesupp.gfp import PrimeField
-from liesupp.lattice import build_lattice
+from liesupp.lattice import build_lattice, frattini
 from liesupp.liealg import (
     LieAlgebra,
     abelian,
@@ -43,8 +44,10 @@ from oracles import (
     core_by_enumeration,
     first_complements_by_sums,
     first_unsupplemented,
+    phi_subalgebra_not_ideal_by_sublattice,
     random_conjugate,
     sl2_summands_by_isomorphism,
+    subalgebra_phis_by_sublattices,
 )
 
 
@@ -578,3 +581,74 @@ def test_first_complements_match_sums(universe, block, monkeypatch):
         missing = [lat.by_dim[k][r] for k, c in expected.items() for r, j in enumerate(c) if j < 0]
         first = missing[0] if missing else None
         assert is_completely_factorisable(L, lat) == (first is None, first)
+
+
+# -- Frattini ideals of subalgebras from the ambient lattice ------------------
+
+# shared by the oracle calls, so that each distinct subalgebra table has its
+# lattice and Frattini ideal built once
+PHI_ORACLE_AZ = Analyzer()
+
+
+def assert_phis_match_oracles(L):
+    """subalgebra_phis against the per-subalgebra lattices of the oracle, on
+    every subalgebra; the witnesses of is_elementary and is_E_algebra and
+    the phi-subalgebra witness against loops over the oracle's answers."""
+    lat = build_lattice(L)
+    expected = subalgebra_phis_by_sublattices(L, lat, PHI_ORACLE_AZ)
+    assert lat.subalgebra_phis() == expected
+    pairs = [(b, phi_b) for k, subs in lat.by_dim.items() for b, phi_b in zip(subs, expected[k])]
+    first = next((b for b, phi_b in pairs if phi_b.dim), None)
+    assert is_elementary(L, lat) == (first is None, first)
+    phi_l = frattini(L, lat)[1]
+    first = next((b for b, phi_b in pairs if not phi_l.contains(phi_b)), None)
+    assert is_E_algebra(L, lat) == (first is None, first)
+    assert first_non_ideal_inside(lat, phi_l) == phi_subalgebra_not_ideal_by_sublattice(
+        L, phi_l, PHI_ORACLE_AZ
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subalgebra_phis_match_sublattice_oracle_on_census(p):
+    for entry in generate(CensusSpec(p, 3)):
+        assert_phis_match_oracles(entry.algebra)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_subalgebra_phis_match_sublattice_oracle_dim56(p, left, right):
+    L = catalog(left, p)
+    if right is not None:
+        L = L.direct_sum(catalog(right, p))
+    for M in (L, random_conjugate(L, np.random.default_rng(20071219))):
+        assert_phis_match_oracles(M)
+
+
+def test_subalgebra_phis_match_sublattice_oracle_heisenberg_sum():
+    # 9,564 subalgebras, of which 1,837 have phi(B) != 0
+    assert_phis_match_oracles(heisenberg(2).direct_sum(abelian(2, 4)))
+
+
+def test_abelian_gf2_7_is_elementary_and_E():
+    # 29,212 subalgebras, every induced table zero
+    L = abelian(2, 7)
+    lat = build_lattice(L)
+    assert is_elementary(L, lat) == (True, None)
+    assert is_E_algebra(L, lat) == (True, None)
+
+
+def test_subalgebra_phis_build_no_subalgebra_lattice(monkeypatch):
+    L = counterexample_double(3)
+    lat = build_lattice(L)
+    expected = subalgebra_phis_by_sublattices(L, lat, Analyzer())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subalgebra lattice was built")
+
+    monkeypatch.setattr(lattice_mod, "build_lattice", refuse)
+    monkeypatch.setattr(classify_mod, "build_lattice", refuse)
+    monkeypatch.setattr(LieAlgebra, "as_algebra", refuse)
+    phis = lat.subalgebra_phis()
+    assert phis == expected
+    assert lat.subalgebra_phis() is phis  # memoised on the lattice
+    assert not is_elementary(L, lat)[0]
+    assert is_E_algebra(L, lat)[0]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
-from liesupp.census import CensusSpec, generate
+from liesupp.census import CensusSpec, classes, generate
 from liesupp.classify import complement_subalgebra
 from liesupp.lattice import (
     _closed_and_ideal_masks,
@@ -146,6 +146,19 @@ def test_maximals_in_blocks_of_one_match_all_pairs_oracle(monkeypatch):
     for L in algebras:
         lat = build_lattice(L)
         assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, L.dim)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inside_matches_contains(p):
+    """LatticeCache.inside(space) lists the subalgebras contained in space,
+    in lattice order, for every subspace of every class representative of
+    dims 1..3."""
+    for n in (1, 2, 3):
+        for _, L, _ in classes(p, n):
+            lat = build_lattice(L)
+            for space in enumerate_subspaces(n, p):
+                expected = [s for s in lat.subalgebras if space.contains(s)]
+                assert list(lat.inside(space)) == expected
 
 
 def test_abelian_everything_closed():

@@ -11,6 +11,7 @@ from liesupp.liealg import (
     InvalidAlgebraError,
     JacobiError,
     LieAlgebra,
+    NotSubalgebraError,
     abelian,
     catalog,
     counterexample_L1,
@@ -20,8 +21,9 @@ from liesupp.liealg import (
     L1_gamma,
     sl2,
 )
-from liesupp.subspace import Subspace
-from oracles import jacobi_residuals_full, random_conjugate
+from liesupp.census import classes
+from liesupp.subspace import Subspace, enumerate_subspaces
+from oracles import jacobi_residuals_full, lift_space, random_conjugate
 
 # the largest prime p with 3^2 (p - 1)^3 < 2^63, and the next prime
 LARGEST_DIM3_PRIME = 1_008_199
@@ -80,6 +82,31 @@ def test_product_space():
     assert s.product_space(Subspace.full(3, 3), Subspace.full(3, 3)).dim == 3
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_brackets_on_bases_match_pairwise_brackets(p):
+    """product_space, is_subalgebra and as_algebra against one bracket call
+    per basis pair, on every subspace (and pair of subspaces) of every
+    class representative of dims 1..3."""
+    algebras = [rep for n in (1, 2, 3) for _, rep, _ in classes(p, n)]
+    for L in algebras:
+        spaces = list(enumerate_subspaces(L.dim, p))
+        for u in spaces:
+            for v in spaces:
+                prods = [L.bracket(x, y) for x in u.rows for y in v.rows]
+                assert L.product_space(u, v) == Subspace.span(prods, L.dim, p)
+            closed = all(u.member(L.bracket(x, y)) for x in u.rows for y in u.rows)
+            assert L.is_subalgebra(u) == closed
+            if not closed:
+                with pytest.raises(NotSubalgebraError):
+                    L.as_algebra(u)
+                continue
+            sub, _ = L.as_algebra(u)
+            for s in range(u.dim):
+                for t in range(u.dim):
+                    w = L.bracket(u.rows[s], u.rows[t])
+                    assert tuple(sub.table[s, t]) == tuple(w[c] for c in u.pivots)
+
+
 def test_subalgebra_and_ideal():
     h = heisenberg(2)
     xy = Subspace.span([(1, 0, 0), (0, 1, 0)], 3, 2)
@@ -136,7 +163,7 @@ def test_as_algebra():
     yz = Subspace.span([(0, 1, 0), (0, 0, 1)], 3, 2)
     sub, emb = h.as_algebra(yz)
     assert sub.dim == 2 and not sub.table.any()
-    assert emb.lift((1, 0)) == (0, 1, 0)
+    assert emb.space == yz and emb.sub is sub and emb.parent is h
     full_sub, _ = h.as_algebra(Subspace.full(3, 2))
     assert full_sub.key == h.key
     s = sl2(3)
@@ -149,8 +176,8 @@ def test_as_algebra_series_consistency():
     # derived series computed inside the subalgebra agrees with the ambient one
     l1 = counterexample_L1(3)
     full = Subspace.full(3, 3)
-    sub, emb = l1.as_algebra(full)
-    inner = [emb.lift_space(s) for s in sub.derived_series()]
+    sub, _ = l1.as_algebra(full)
+    inner = [lift_space(full, s) for s in sub.derived_series()]
     outer = l1.derived_series()
     assert [s.rows for s in inner] == [s.rows for s in outer]
 

@@ -29,8 +29,10 @@ from .lattice import (
 from .subspace import DEFAULT_SUBSPACE_CAP, Subspace
 
 ISO_DIM_LIMIT = 3
-# entries in each of an Analyzer's two verdict memos: the largest benchmark
-# campaign (tsupp over GF(3) dims <= 3) peaks at 4,791, so none of them evicts
+# entries in each of an Analyzer's two verdict memos: with one check per
+# isomorphism class the benchmark campaigns peak at 65 (csupp_dsum over
+# GF(2) dims <= 3), and a random universe, checked table by table, at 1,324
+# for 1,441 GF(3) tables of dims <= 3 (tsupp), so none of them evicts
 MEMO_SLOTS = 8192
 _ISO_CHUNK = 200_000
 
@@ -446,8 +448,9 @@ def classify_algebra(
     analyzer: Optional["Analyzer"] = None,
 ) -> ClassificationReport:
     """Evaluate the wanted predicates of L through one Analyzer, so the
-    lattice and Frattini ideal of each distinct subalgebra, quotient and
-    summand table are computed once.  Without an analyzer a fresh
+    lattice and Frattini ideal of each distinct quotient and summand table
+    are computed once; the Frattini ideals of L's subalgebras come from L's
+    own lattice (LatticeCache.subalgebra_phis).  Without an analyzer a fresh
     Analyzer(cap) is used (default cap when cap is None); a given one brings
     its own cap, which a different explicit `cap` may not contradict, and
     may be shared across calls."""

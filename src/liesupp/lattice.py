@@ -8,7 +8,9 @@ works from exact linear algebra on those lists.  Complements are found per
 dimension: LatticeCache.first_complements(k) pairs the Plücker coordinates
 of every dim-k subalgebra with those of every dim-(n-k) one in blocked
 matrix products and keeps, for each subalgebra, its first complement, so a
-complement query is a row lookup.
+complement query is a row lookup.  LatticeCache.subalgebra_phis() gives the
+Frattini ideal of every subalgebra B from the members of the lattice that
+lie in B, once per distinct induced table, without a lattice of B.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs.
@@ -21,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -226,58 +228,46 @@ def _maximal_masks(
     (arrays[d] holds the bases and parity checks of those of dim d): every
     proper subalgebra of B lies in a maximal one, so going from the highest
     dimension below `top` down, s is maximal in B exactly when no maximal
-    subalgebra kept so far contains it.  Returns the mask of the maximal
-    ones per dimension."""
+    subalgebra kept so far contains it.  Each dimension is tested at once
+    against the kept parity checks, zero-padded to the widest one, in blocks
+    of at most _MAXIMAL_BLOCK residues.  Returns the mask of the maximal
+    ones per dimension; with every subalgebra of L and top = n, those of
+    L."""
     masks: Dict[int, np.ndarray] = {}
     kept: List[np.ndarray] = []
     for d in sorted((d for d in arrays if d < top), reverse=True):
         bases, checks = arrays[d]
-        keep = ~_inside(bases, kept, p, np.any)
+        keep = np.ones(len(bases), dtype=bool)
+        if kept:
+            width = max(h.shape[2] for h in kept)
+            count = sum(len(h) for h in kept)
+            padded = np.zeros((count, n, width), dtype=np.int64)
+            at = 0
+            for h in kept:
+                padded[at : at + len(h), :, : h.shape[2]] = h
+                at += len(h)
+            flat = padded.transpose(1, 0, 2).reshape(n, count * width)
+            step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
+            for lo in range(0, len(bases), step):
+                block = bases[lo : lo + step]
+                resid = block.reshape(len(block) * d, n) @ flat
+                resid %= p
+                inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
+                keep[lo : lo + step] = ~inside.any(axis=1)
         masks[d] = keep
         kept.append(checks[keep])
     return masks
 
 
-def _inside(
-    bases: np.ndarray, checks: List[np.ndarray], p: int, test: Callable
-) -> np.ndarray:
-    """For a batch of bases of shape (m, d, n) and a list of parity-check
-    arrays (of any dimensions), test(axis=1) over "bases[a] lies in the
-    c-th subspace" for every a: np.any for inside some, np.all for inside
-    every one.  The checks are tested at once, zero-padded to the widest,
-    in blocks of at most _MAXIMAL_BLOCK residues."""
-    m, d, n = bases.shape
-    count = sum(len(h) for h in checks)
-    if not count:
-        return test(np.ones((m, 0), dtype=bool), axis=1)
-    width = max(h.shape[2] for h in checks)
-    padded = np.zeros((count, n, width), dtype=np.int64)
-    at = 0
-    for h in checks:
-        padded[at : at + len(h), :, : h.shape[2]] = h
-        at += len(h)
-    flat = padded.transpose(1, 0, 2).reshape(n, count * width)
-    out = np.empty(m, dtype=bool)
-    step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
-    for lo in range(0, m, step):
-        block = bases[lo : lo + step]
-        resid = block.reshape(len(block) * d, n) @ flat
-        resid %= p
-        inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
-        out[lo : lo + step] = test(inside, axis=1)
-    return out
-
-
 # -- Frattini ideals of subalgebras ------------------------------------------
 #
 # The subalgebras of a subalgebra B are the members of L's lattice that lie
-# in B, so phi(B) needs no lattice of its own: its maximal subalgebras are
-# the maximal elements among those members, F(B), their intersection, is a
-# subalgebra and so the largest member inside all of them, and phi(B) is
-# the largest ideal of B inside F(B).  phi(B) depends only on B's structure
-# constants in its RREF basis, and an isomorphism B -> B' maps phi(B) onto
-# phi(B'), so it is computed once per distinct table and mapped to the
-# other subalgebras with that table.
+# in B, so phi(B) needs no lattice of its own: the maximal subalgebras of B
+# are the maximal elements among those members, F(B) is their intersection
+# and phi(B) the largest ideal of B inside F(B).  phi(B) depends only on B's
+# structure constants in its RREF basis, and an isomorphism B -> B' maps
+# phi(B) onto phi(B'), so it is computed once per distinct table and mapped
+# to the other subalgebras with that table.
 
 
 def _arrays(subs: List[Subspace], d: int, n: int, p: int):

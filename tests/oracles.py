@@ -136,6 +136,17 @@ def check_tsolv_by_sublattice(L, az):
     return None
 
 
+def core_within_by_enumeration(L, b, c, lattice):
+    """Independent route to the largest ideal of c inside b: the sum of all
+    enumerated subalgebras X inside b with [x, w] in X for every basis row
+    x of X and w of c, one bracket call each."""
+    out = Subspace.zero(L.dim, L.p)
+    for x in lattice.subalgebras:
+        if b.contains(x) and all(x.member(L.bracket(r, w)) for r in x.rows for w in c.rows):
+            out = out.sum(x)
+    return out
+
+
 def random_conjugate(L, rng):
     """L in the basis f_i = sum_a t[i, a] e_a for a random t in GL(n, p)."""
     n, p = L.dim, L.p

@@ -26,6 +26,7 @@ from liesupp.liealg import (
     L1_gamma,
     abelian,
     counterexample_L1,
+    counterexample_double,
     heisenberg,
     nonabelian2,
 )
@@ -36,6 +37,7 @@ from oracles import (
     check_pfrat_by_sublattices,
     check_tsolv_by_sublattice,
     gl_orbit,
+    subalgebra_phis_by_sublattices,
     verify_by_table,
 )
 
@@ -334,6 +336,37 @@ def test_phi_campaigns_match_sublattice_oracles(theorem, oracle, p, monkeypatch)
     doc.pop("timing")
     monkeypatch.setitem(CHECKERS, theorem, oracle)
     assert doc == verify_by_table(theorem, spec, Analyzer())
+
+
+@pytest.mark.parametrize(
+    "L",
+    [counterexample_double(2), heisenberg(2).direct_sum(heisenberg(2))],
+    ids=["counterexample_double/GF(2)", "heisenberg+heisenberg/GF(2)"],
+)
+def test_pfrat_examines_each_subalgebra_of_each_phi(L, monkeypatch):
+    """pfrat tests c-supplementation on the nonzero subalgebras inside
+    phi(D), for every subalgebra D in lattice order; with no violation it
+    reaches every such pair."""
+    seen = []
+    real = census_mod.c_supplement
+
+    def recording(L, lattice, b):
+        seen.append(b)
+        return real(L, lattice, b)
+
+    monkeypatch.setattr(census_mod, "c_supplement", recording)
+    az = Analyzer()
+    lat = az.lattice(L)
+    assert CHECKERS["pfrat"](L, az) is None
+    phis = subalgebra_phis_by_sublattices(L, lat, Analyzer())
+    expected = [
+        b
+        for k in lat.by_dim
+        for phi_d in phis[k]
+        for b in lat.subalgebras
+        if b.dim and phi_d.contains(b)
+    ]
+    assert expected and seen == expected
 
 
 @pytest.mark.parametrize("theorem", PAIR_THEOREMS)

@@ -40,6 +40,7 @@ from liesupp.subspace import (
 from oracles import (
     DIM56_SUMS,
     core_by_enumeration,
+    core_within_by_enumeration,
     maximal_subalgebras_all_pairs,
     random_conjugate,
 )
@@ -200,6 +201,21 @@ def test_core_fixpoint_matches_enumeration_oracle(p):
         lat = build_lattice(L)
         for b in lat.subalgebras:
             assert core(L, b) == core_by_enumeration(L, b, lat)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_core_within_a_subalgebra_matches_enumeration_oracle(p):
+    """core(L, b, c), the largest ideal of c inside b, on every pair b <= c
+    of subalgebras of every class representative of dims 1..3, and of
+    heisenberg + nonabelian2 (dim 5) over GF(2)."""
+    algebras = [rep for n in (1, 2, 3) for _, rep, _ in classes(p, n)]
+    if p == 2:
+        algebras.append(heisenberg(2).direct_sum(catalog("nonabelian2", 2)))
+    for L in algebras:
+        lat = build_lattice(L)
+        for c in lat.subalgebras:
+            for b in lat.inside(c):
+                assert core(L, b, c) == core_within_by_enumeration(L, b, c, lat)
 
 
 @pytest.mark.parametrize("p,left,right", DIM56_SUMS)

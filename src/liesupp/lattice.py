@@ -288,32 +288,29 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
 
 def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     """See LatticeCache.subalgebra_phis.  Subalgebras of dimension k >= 2
-    are grouped by their induced tables (np.unique); a zero table (abelian
-    B) has phi = 0.  For each other table the first subalgebra B with it
-    gives phi(B), whose RREF rows read at B's pivot columns are its RREF
+    are grouped by their induced tables; a zero table (abelian B) has
+    phi = 0.  For each other table the first subalgebra B with it gives
+    phi(B), whose RREF rows read at B's pivot columns are its RREF
     coordinates Phi; a subalgebra B' with the same table has
     phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
     leading columns of Phi."""
     L = lattice.algebra
     n, p = L.dim, L.p
     zero = Subspace.zero(n, p)
-    arrays = {d: _arrays(subs, d, n, p) for d, subs in lattice.by_dim.items()}
+    arrays = {d: _arrays(subs, d, n, p) for d, subs in lattice.by_dim.items() if d}
     out: Dict[int, List[Subspace]] = {}
     for k, subs in lattice.by_dim.items():
         phis = out[k] = [zero] * len(subs)
         if k < 2:
             continue
         bases, piv, _ = arrays[k]
-        tables, first, group, counts = np.unique(
-            _induced_tables(L, bases, piv),
-            axis=0,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
-        groups = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-        for table, rep, members in zip(tables, first, groups):
-            if not table.any():
+        tables = _induced_tables(L, bases, piv)
+        groups: Dict[bytes, List[int]] = {}
+        for a, table in enumerate(map(bytes, tables)):
+            groups.setdefault(table, []).append(a)
+        for members in groups.values():
+            rep = members[0]
+            if not tables[rep].any():
                 continue
             phi = _phi_of_member(L, lattice.by_dim, arrays, k, rep)
             if not phi.dim:
@@ -322,7 +319,7 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
             lead = (coords != 0).argmax(axis=1)
             rows = coords @ bases[members] % p
             pivots = piv[members][:, lead]
-            for a, r, q in zip(members.tolist(), rows.tolist(), pivots.tolist()):
+            for a, r, q in zip(members, rows.tolist(), pivots.tolist()):
                 phis[a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
     return out
 
@@ -353,9 +350,8 @@ def _phi_of_member(
         (rows @ below[d][1][mask]).transpose(0, 2, 1).reshape(-1, k)
         for d, mask in _maximal_masks(below, k, n, p).items()
     ]
-    equations = np.concatenate(equations) % p
-    equations = np.unique(equations[equations.any(axis=1)], axis=0)
-    coords = _nullspace(equations.tolist(), k, p)
+    equations = set(map(tuple, (np.concatenate(equations) % p).tolist()))
+    coords = _nullspace(list(equations), k, p)
     if not coords:
         return Subspace.zero(n, p)
     f = Subspace.span((np.array(coords, dtype=np.int64) @ rows % p).tolist(), n, p)

@@ -281,9 +281,8 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
     """The structure constants of a batch of subalgebras in their RREF
     bases: (m, C(k, 2) * k), row a holding the coordinates of [b_s, b_t],
     its entries at the pivot columns, for the pairs s < t of _pairs(k)."""
-    m, k = piv.shape
     brackets = _pair_brackets(L, bases)[1] % L.p
-    return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(m, -1)
+    return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(len(piv), -1)
 
 
 def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:

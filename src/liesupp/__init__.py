@@ -44,9 +44,7 @@ from .classify import (
     is_c_supplemented_algebra,
     is_completely_factorisable,
     is_elementary,
-    is_isomorphic_small,
     is_phi_free,
-    canonical_form_small,
 )
 from .census import CensusSpec, VerdictLog, generate, verify
 

@@ -24,13 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import (
-    ISO_DIM_LIMIT,
-    Analyzer,
-    _LRU,
-    c_supplement,
-    first_non_ideal_inside,
-)
+from .classify import Analyzer, _LRU, c_supplement, first_non_ideal_inside
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
@@ -88,13 +82,15 @@ def table_digit_count(n: int) -> int:
     return n * (n * (n - 1) // 2)
 
 
-def _check_exhaustive_caps(spec: CensusSpec, n: int) -> int:
+def _check_exhaustive_caps(spec: CensusSpec, n: int, use: str = "") -> int:
+    """The number of dim-n tables, after refusing a census of them past the
+    spec's caps; `use` names what the census is wanted for."""
     total = spec.p ** table_digit_count(n)
     if total > spec.table_cap:
-        raise CapExceededError(total, spec.table_cap, "candidate tables")
+        raise CapExceededError(total, spec.table_cap, f"candidate tables{use}")
     if n >= 4 and not spec.dim4_opt_in:
         raise CapExceededError(
-            total, 0, f"dim-{n} exhaustive tables (enable dim4_opt_in)"
+            total, 0, f"dim-{n} exhaustive tables{use} (enable dim4_opt_in)"
         )
     return total
 
@@ -248,11 +244,10 @@ def classes(p: int, n: int) -> Tuple[Tuple[int, LieAlgebra, int], ...]:
     index t not yet marked, the whole GL(n, p)-orbit of t's table in a
     bitset of p^(n^2(n-1)/2) bits; t is then the least index of its orbit,
     whose table, the representative, is the lexicographically least table of
-    the class (canonical_form_small in dimension <= 3).  Only
-    representatives are built as algebras.  The orbit sizes add up to the
-    number of Jacobi-passing tables.  Results are kept for the last
-    CLASS_CACHE_SLOTS (p, n) pairs.  No cap is checked here: a census spec
-    checks its own (see verify)."""
+    the class.  Only representatives are built as algebras.  The orbit sizes
+    add up to the number of Jacobi-passing tables.  Results are kept for the
+    last CLASS_CACHE_SLOTS (p, n) pairs.  No cap is checked here: a census
+    spec checks its own (see verify)."""
     got = _CLASSES.get((p, n))
     if got is None:
         got = _CLASSES[(p, n)] = tuple(_sweep_classes(p, n))
@@ -269,6 +264,17 @@ def class_members(L: LieAlgebra) -> Iterator[Tuple[int, LieAlgebra]]:
         idx = members[lo : lo + JACOBI_BATCH]
         for t, table in zip(idx, _tables_from_indices(idx, n, p)):
             yield int(t), LieAlgebra(L.field, n, table=table)
+
+
+def _representative_if_new(L: LieAlgebra, bits: np.ndarray) -> Optional[LieAlgebra]:
+    """The representative of L's isomorphism class, the least table of its
+    GL(n, p)-orbit, with the whole orbit marked in `bits` (one bit per
+    census table of dimension n); None when L's table is already marked."""
+    n, p = L.dim, L.p
+    if _is_marked(bits, np.tensordot(L.table, _index_weights(n, p), axes=3)):
+        return None
+    least = _orbit(np.array(L.table), p, bits)[:1]
+    return LieAlgebra(L.field, n, table=_tables_from_indices(least, n, p)[0])
 
 
 def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
@@ -324,12 +330,12 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
     for k in lat.subalgebras:
         if 0 < k.dim < L.dim:
-            sub, _ = L.as_algebra(k)
+            sub = L.as_algebra(k)
             if not az.c_supplemented(sub)[0]:
                 return {"kind": "subalgebra_not_c_supplemented", "subalgebra": _rows(k)}
     for i in lat.ideals:
         if 0 < i.dim < L.dim:
-            q, _ = L.quotient(i)
+            q = L.quotient(i)
             if not az.c_supplemented(q)[0]:
                 return {"kind": "quotient_not_c_supplemented", "ideal": _rows(i)}
     return None
@@ -367,7 +373,7 @@ def _check_cE(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 def _check_pequ(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     phi = az.frattini(L)[1]
     lhs = az.c_supplemented(L)[0]
-    q, _ = L.quotient(phi)
+    q = L.quotient(phi)
     rhs = (
         az.completely_factorisable(q)[0]
         and first_non_ideal_inside(az.lattice(L), phi) is None
@@ -552,17 +558,18 @@ def _verify_pairs(
     """Pair campaigns: filter the universe by the hypothesis predicate,
     optionally deduplicate by isomorphism class, then test every ordered
     direct sum.  An exhaustive universe dedups through its class
-    representatives; a random one through canonical forms (dims <= 3)."""
+    representatives.  A random one keeps, per class, the representative in
+    place of the first sample that satisfies the hypothesis, finding classes
+    by orbit in a bitset of the whole census of each dimension; so it is
+    refused wherever that census would be."""
     require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
     random_dedup = dedup and spec.mode != "exhaustive"
-    if random_dedup and spec.max_dim > ISO_DIM_LIMIT:
-        # canonical forms are brute force; refuse before generating anything
-        raise CapExceededError(
-            spec.max_dim,
-            ISO_DIM_LIMIT,
-            "dimensions for isomorphism dedup of a random universe "
-            "(--no-dedup skips it)",
-        )
+    if random_dedup:
+        # refuse before generating anything
+        for n in spec.dims():
+            _check_exhaustive_caps(
+                spec, n, " for the dedup of a random universe (--no-dedup skips it)"
+            )
     az = analyzer or Analyzer(cap=subspace_cap)
     if theorem_id == "ldsum":
         hypothesis = lambda a: az.completely_factorisable(a)[0]
@@ -579,18 +586,16 @@ def _verify_pairs(
                 if hypothesis(rep):
                     members.append((("e", n, t), rep))
     else:
-        seen = set()
+        bits = {n: _new_bitset(spec.p, n) for n in spec.dims()} if dedup else None
         for entry in generate(spec):
-            if not hypothesis(entry.algebra):
+            alg = entry.algebra
+            if not hypothesis(alg):
                 continue
             if dedup:
-                canon = az.canonical(entry.algebra)
-                if canon.key in seen:
+                alg = _representative_if_new(alg, bits[alg.dim])
+                if alg is None:
                     continue
-                seen.add(canon.key)
-                members.append((entry.index, canon))
-            else:
-                members.append((entry.index, entry.algebra))
+            members.append((entry.index, alg))
     for idx_a, a in members:
         for idx_b, b in members:
             log.examined += 1

@@ -1,6 +1,6 @@
 """Structural predicates: c-supplementation, complete factorisability,
-phi-free / elementary / E-algebra, small-dimension isomorphism testing, and
-the semisimple-shape and main decomposition checks.
+phi-free / elementary / E-algebra, and the semisimple-shape and main
+decomposition checks.
 
 Supplement searches iterate candidates in (dim, lexicographic RREF) order
 and return the first witness, so reports are reproducible across runs.
@@ -28,13 +28,13 @@ from .lattice import (
 )
 from .subspace import DEFAULT_SUBSPACE_CAP, Subspace
 
-ISO_DIM_LIMIT = 3
 # entries in each of an Analyzer's two verdict memos: with one check per
 # isomorphism class the benchmark campaigns peak at 65 (csupp_dsum over
 # GF(2) dims <= 3), and a random universe, checked table by table, at 1,324
 # for 1,441 GF(3) tables of dims <= 3 (tsupp), so none of them evicts
 MEMO_SLOTS = 8192
-_ISO_CHUNK = 200_000
+# lattices kept by an Analyzer
+LATTICE_SLOTS = 256
 
 
 @dataclass
@@ -183,142 +183,6 @@ def first_non_ideal_inside(lattice: LatticeCache, space: Subspace) -> Optional[S
     return next((s for s in lattice.inside(space) if s not in ideals), None)
 
 
-# -- brute-force isomorphism in dimension <= 3 ------------------------------
-
-
-def _digit_matrices(start: int, stop: int, n: int, p: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((len(idx), n * n), dtype=np.int64)
-    rem = idx.copy()
-    for pos in range(n * n - 1, -1, -1):
-        digits[:, pos] = rem % p
-        rem //= p
-    return digits.reshape(-1, n, n)
-
-
-def _dets_mod(T: np.ndarray, p: int) -> np.ndarray:
-    n = T.shape[1]
-    if n == 1:
-        return T[:, 0, 0] % p
-    if n == 2:
-        return (T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]) % p
-    a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 0, 2]
-    d, e, f = T[:, 1, 0], T[:, 1, 1], T[:, 1, 2]
-    g, h, i = T[:, 2, 0], T[:, 2, 1], T[:, 2, 2]
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-
-
-def _inverses_mod(T: np.ndarray, det: np.ndarray, p: int) -> np.ndarray:
-    """Adjugate-based inverse of a batch of invertible 1x1..3x3 matrices."""
-    inv_table = np.array([0] + [pow(d, p - 2, p) for d in range(1, p)], dtype=np.int64)
-    dinv = inv_table[det % p]
-    n = T.shape[1]
-    adj = np.empty_like(T)
-    if n == 1:
-        adj[:, 0, 0] = 1
-    elif n == 2:
-        adj[:, 0, 0] = T[:, 1, 1]
-        adj[:, 0, 1] = -T[:, 0, 1]
-        adj[:, 1, 0] = -T[:, 1, 0]
-        adj[:, 1, 1] = T[:, 0, 0]
-    else:
-        for r in range(3):
-            for s in range(3):
-                r1, r2 = [x for x in range(3) if x != s]
-                c1, c2 = [x for x in range(3) if x != r]
-                adj[:, r, s] = (-1) ** (r + s) * (
-                    T[:, r1, c1] * T[:, r2, c2] - T[:, r1, c2] * T[:, r2, c1]
-                )
-    return (adj * dinv[:, None, None]) % p
-
-
-def is_isomorphic_small(
-    A: LieAlgebra, B: LieAlgebra
-) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Exhaustive basis-change search in dimension <= 3.
-
-    Returns the first invertible T (rows = images of A's basis in B's
-    coordinates) with [Tx, Ty]_B = T[x, y]_A for all basis pairs, or None.
-    """
-    if A.p != B.p:
-        raise ValueError("field mismatch")
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    n, p = A.dim, A.p
-    if n > ISO_DIM_LIMIT:
-        raise ValueError(f"isomorphism search limited to dimension {ISO_DIM_LIMIT}")
-    if n == 0:
-        return ()
-    # cheap invariants first
-    for inv in (
-        lambda x: tuple(s.dim for s in x.derived_series()),
-        lambda x: tuple(s.dim for s in x.lower_central_series()),
-    ):
-        if inv(A) != inv(B):
-            return None
-    pairs_i = np.array([i for i in range(n) for _ in range(i + 1, n)], dtype=np.int64)
-    pairs_j = np.array([j for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
-    c_a = A.table[pairs_i, pairs_j, :] if len(pairs_i) else None
-    total = p ** (n * n)
-    for start in range(0, total, _ISO_CHUNK):
-        T = _digit_matrices(start, min(start + _ISO_CHUNK, total), n, p)
-        if len(pairs_i):
-            lhs = np.einsum("pk,ckm->cpm", c_a, T) % p
-            rhs = (
-                np.einsum("cpu,cpv,uvm->cpm", T[:, pairs_i, :], T[:, pairs_j, :], B.table)
-                % p
-            )
-            ok = (lhs == rhs).all(axis=(1, 2))
-        else:
-            ok = np.ones(len(T), dtype=bool)
-        ok &= _dets_mod(T, p) != 0
-        hits = np.flatnonzero(ok)
-        if len(hits):
-            t = T[hits[0]]
-            return tuple(tuple(int(x) for x in row) for row in t)
-    return None
-
-
-def canonical_form_small(L: LieAlgebra) -> LieAlgebra:
-    """Lexicographically least structure-constant table reachable by any
-    basis change; a true isomorphism-class invariant in dimension <= 3."""
-    n, p = L.dim, L.p
-    if n > ISO_DIM_LIMIT:
-        raise ValueError(f"canonical form limited to dimension {ISO_DIM_LIMIT}")
-    if n < 2:
-        return LieAlgebra(L.field, n)
-    pairs_i = np.array([i for i in range(n) for _ in range(i + 1, n)], dtype=np.int64)
-    pairs_j = np.array([j for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
-    npairs = len(pairs_i)
-    powers = p ** np.arange(npairs * n - 1, -1, -1, dtype=object)
-    best = None
-    total = p ** (n * n)
-    for start in range(0, total, _ISO_CHUNK):
-        T = _digit_matrices(start, min(start + _ISO_CHUNK, total), n, p)
-        det = _dets_mod(T, p)
-        T = T[det != 0]
-        det = det[det != 0]
-        if not len(T):
-            continue
-        tinv = _inverses_mod(T, det, p)
-        w = (
-            np.einsum("cpu,cpv,uvm->cpm", T[:, pairs_i, :], T[:, pairs_j, :], L.table)
-            % p
-        )
-        new = np.einsum("cpm,cmk->cpk", w, tinv) % p
-        flat = new.reshape(len(T), npairs * n)
-        codes = flat.astype(object) @ powers
-        i = int(np.argmin(codes))
-        if best is None or codes[i] < best[0]:
-            best = (codes[i], flat[i].copy())
-    digits = best[1]
-    brackets = {}
-    for idx in range(npairs):
-        coeffs = tuple(int(x) for x in digits[idx * n : (idx + 1) * n])
-        brackets[(int(pairs_i[idx]), int(pairs_j[idx]))] = coeffs
-    return LieAlgebra(L.field, n, brackets)
-
-
 # -- structure-theorem shapes -----------------------------------------------
 
 
@@ -333,7 +197,7 @@ def check_semisimple_shape(
     solvable), in characteristic != 2 every 3-dimensional simple Lie algebra
     is a form of sl2 (Jacobson, Lie Algebras, 1962, ch. I), and over a
     finite field every such form is split.  The tests check this against
-    the brute-force is_isomorphic_small over GF(3), GF(5) and GF(7)."""
+    a brute-force isomorphism search over GF(3), GF(5) and GF(7)."""
     n, p = L.dim, L.p
     if n == 0:
         return False, {"reason": "zero algebra"}
@@ -382,13 +246,13 @@ def check_main_decomposition(
         out["reason"] = "phi_subalgebra_not_ideal"
         out["witness"] = witness
         return False, out
-    q, qmap = L.quotient(phi)
+    q = L.quotient(phi)
     out["quotient_dim"] = q.dim
     lat_q = az.lattice(q)
     r = radical(q, lat_q)
     out["R"] = r
     if r.dim:
-        r_alg, _ = q.as_algebra(r)
+        r_alg = q.as_algebra(r)
         if not az.supersolvable(r_alg):
             out["reason"] = "radical_not_supersolvable"
             return False, out
@@ -403,7 +267,7 @@ def check_main_decomposition(
         if s.dim == 0:
             out["S"] = s
             return True, out
-        s_alg, _ = q.as_algebra(s)
+        s_alg = q.as_algebra(s)
         ok, _info = az.semisimple_shape(s_alg)
         if ok:
             out["S"] = s
@@ -547,14 +411,14 @@ class Analyzer:
 
     Census campaigns hit the same subalgebra/quotient tables over and over;
     caching verdicts per table collapses that cost.  Lattices, verdicts and
-    supersolvability answers are each kept in a bounded LRU (lattice_slots
+    supersolvability answers are each kept in a bounded LRU (LATTICE_SLOTS
     lattices, MEMO_SLOTS entries), so a long campaign cannot grow without
     limit.
     """
 
-    def __init__(self, cap: int = DEFAULT_SUBSPACE_CAP, lattice_slots: int = 256):
+    def __init__(self, cap: int = DEFAULT_SUBSPACE_CAP):
         self.cap = cap
-        self._lattices = _LRU(lattice_slots)
+        self._lattices = _LRU(LATTICE_SLOTS)
         self._memo = _LRU(MEMO_SLOTS)
         self._ss_memo = _LRU(MEMO_SLOTS)
 
@@ -592,11 +456,6 @@ class Analyzer:
     def supersolvable(self, L):
         return is_supersolvable(L, self._ss_memo)
 
-    def elementary(self, L):
-        return self._cached(
-            "elem", L, lambda: is_elementary(L, self.lattice(L), self)
-        )
-
     def e_algebra(self, L):
         return self._cached(
             "ealg", L, lambda: is_E_algebra(L, self.lattice(L), self)
@@ -619,6 +478,3 @@ class Analyzer:
             L,
             lambda: check_main_decomposition(L, self.lattice(L), analyzer=self),
         )
-
-    def canonical(self, L):
-        return self._cached("canon", L, lambda: canonical_form_small(L))

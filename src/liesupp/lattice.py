@@ -621,7 +621,7 @@ def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
         if all(
             line.member(L.bracket(L.basis_vector(i), v)) for i in range(n)
         ):
-            q, _ = L.quotient(line)
+            q = L.quotient(line)
             if is_supersolvable(q, _memo):
                 result = True
                 break

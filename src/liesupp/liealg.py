@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class LieAlgebra:
 
     # -- derived constructions ----------------------------------------------
 
-    def quotient(self, ideal: Subspace) -> Tuple["LieAlgebra", "QuotientMap"]:
+    def quotient(self, ideal: Subspace) -> "LieAlgebra":
         """Quotient by an ideal, on the coset basis given by the non-pivot
         coordinates of the ideal's RREF."""
         if not self.is_ideal(ideal):
@@ -204,18 +204,16 @@ class LieAlgebra:
                     self.bracket(self.basis_vector(comp[a]), self.basis_vector(comp[b]))
                 )
                 brackets[(a, b)] = tuple(w[j] for j in comp)
-        q = LieAlgebra(self.field, m, brackets)
-        return q, QuotientMap(self, q, ideal, tuple(comp))
+        return LieAlgebra(self.field, m, brackets)
 
-    def as_algebra(self, space: Subspace) -> Tuple["LieAlgebra", "Embedding"]:
+    def as_algebra(self, space: Subspace) -> "LieAlgebra":
         """The induced algebra on a bracket-closed subspace, in its RREF
         basis."""
         prods = self._brackets(space, space)
         table = _coordinates(prods, space)
         if not _in_span(prods, table, space):
             raise NotSubalgebraError(f"{space!r} is not bracket-closed")
-        sub = LieAlgebra(self.field, space.dim, table=table)
-        return sub, Embedding(self, sub, space)
+        return LieAlgebra(self.field, space.dim, table=table)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         if self.field != other.field:
@@ -294,40 +292,6 @@ def _in_span(vectors: np.ndarray, coords: np.ndarray, u: Subspace) -> bool:
     in u iff it equals the combination of u's rows with its coordinates."""
     rows = np.array(u.rows, dtype=np.int64).reshape(u.dim, u.n)
     return not ((coords @ rows - vectors) % u.p).any()
-
-
-class QuotientMap:
-    """Projection/section pair for a quotient L -> L/I."""
-
-    __slots__ = ("parent", "quotient", "ideal", "coords")
-
-    def __init__(self, parent, quotient, ideal, coords):
-        self.parent = parent
-        self.quotient = quotient
-        self.ideal = ideal
-        self.coords = coords  # parent coordinates carrying the coset basis
-
-    def project(self, v: Sequence[int]) -> Vector:
-        r = self.ideal.reduce(v)
-        return tuple(r[j] for j in self.coords)
-
-    def section(self, w: Sequence[int]) -> Vector:
-        v = [0] * self.parent.dim
-        for a, j in enumerate(self.coords):
-            v[j] = w[a] % self.parent.p
-        return tuple(v)
-
-
-class Embedding:
-    """A bracket-closed subspace of `parent` and its own algebra `sub`, whose
-    basis is the subspace's RREF basis."""
-
-    __slots__ = ("parent", "sub", "space")
-
-    def __init__(self, parent, sub, space):
-        self.parent = parent
-        self.sub = sub
-        self.space = space
 
 
 # -- catalog of named algebras ----------------------------------------------

@@ -139,16 +139,6 @@ class Subspace:
         inter = [r[n:] for r in red if not any(r[:n])]
         return Subspace.span(inter, n, p)
 
-    def vectors(self) -> Iterator[Vector]:
-        """All p^dim member vectors (small subspaces only)."""
-        p = self.p
-        for coeffs in product(range(p), repeat=self.dim):
-            v = [0] * self.n
-            for a, row in zip(coeffs, self.rows):
-                if a:
-                    v = [(x + a * y) % p for x, y in zip(v, row)]
-            yield tuple(v)
-
     def sort_key(self):
         return (self.dim, self.rows)
 

@@ -6,11 +6,12 @@ changes basis in exact Python-int arithmetic, so that isomorphism invariants
 can be checked without trusting the code under test.
 """
 from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
 from liesupp.census import CHECKERS, generate
-from liesupp.classify import Analyzer, canonical_form_small, is_isomorphic_small
+from liesupp.classify import Analyzer
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
 from liesupp.lattice import build_lattice, frattini, minimal_ideals
@@ -29,6 +30,9 @@ DIM56_SUMS = (
     (2, "heisenberg", "heisenberg"),
     (2, "L1_gamma", "L1_gamma"),
 )
+# the brute-force isomorphism routines scan all p^(n*n) basis changes
+ISO_DIM_LIMIT = 3
+_ISO_CHUNK = 200_000
 
 
 def maximal_subalgebras_all_pairs(subalgebras, n):
@@ -70,7 +74,7 @@ def subalgebra_phis_by_sublattices(L, lattice, analyzer):
     for k, subs in lattice.by_dim.items():
         out[k] = []
         for b in subs:
-            sub, _ = L.as_algebra(b)
+            sub = L.as_algebra(b)
             out[k].append(lift_space(b, analyzer.frattini(sub)[1]))
     return out
 
@@ -79,7 +83,7 @@ def phi_subalgebra_not_ideal_by_sublattice(L, phi, analyzer):
     """The first subalgebra of phi's own algebra, in its lattice order and
     lifted to L, that is not an ideal of L (tested bracket by bracket), or
     None."""
-    phi_alg, _ = L.as_algebra(phi)
+    phi_alg = L.as_algebra(phi)
     for s in analyzer.lattice(phi_alg).subalgebras:
         lifted = lift_space(phi, s)
         if not L.is_ideal(lifted):
@@ -113,7 +117,7 @@ def check_pequ_by_sublattice(L, az):
     lattice."""
     phi = az.frattini(L)[1]
     lhs = az.c_supplemented(L)[0]
-    q, _ = L.quotient(phi)
+    q = L.quotient(phi)
     rhs = (
         az.completely_factorisable(q)[0]
         and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
@@ -208,12 +212,145 @@ def census_by_index(spec):
             yield ("e", n, t), alg
 
 
+def _digit_matrices(start: int, stop: int, n: int, p: int) -> np.ndarray:
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((len(idx), n * n), dtype=np.int64)
+    rem = idx.copy()
+    for pos in range(n * n - 1, -1, -1):
+        digits[:, pos] = rem % p
+        rem //= p
+    return digits.reshape(-1, n, n)
+
+
+def _dets_mod(T: np.ndarray, p: int) -> np.ndarray:
+    n = T.shape[1]
+    if n == 1:
+        return T[:, 0, 0] % p
+    if n == 2:
+        return (T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]) % p
+    a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 0, 2]
+    d, e, f = T[:, 1, 0], T[:, 1, 1], T[:, 1, 2]
+    g, h, i = T[:, 2, 0], T[:, 2, 1], T[:, 2, 2]
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+
+
+def _inverses_mod(T: np.ndarray, det: np.ndarray, p: int) -> np.ndarray:
+    """Adjugate-based inverse of a batch of invertible 1x1..3x3 matrices."""
+    inv_table = np.array([0] + [pow(d, p - 2, p) for d in range(1, p)], dtype=np.int64)
+    dinv = inv_table[det % p]
+    n = T.shape[1]
+    adj = np.empty_like(T)
+    if n == 1:
+        adj[:, 0, 0] = 1
+    elif n == 2:
+        adj[:, 0, 0] = T[:, 1, 1]
+        adj[:, 0, 1] = -T[:, 0, 1]
+        adj[:, 1, 0] = -T[:, 1, 0]
+        adj[:, 1, 1] = T[:, 0, 0]
+    else:
+        for r in range(3):
+            for s in range(3):
+                r1, r2 = [x for x in range(3) if x != s]
+                c1, c2 = [x for x in range(3) if x != r]
+                adj[:, r, s] = (-1) ** (r + s) * (
+                    T[:, r1, c1] * T[:, r2, c2] - T[:, r1, c2] * T[:, r2, c1]
+                )
+    return (adj * dinv[:, None, None]) % p
+
+
+def is_isomorphic_small(
+    A: LieAlgebra, B: LieAlgebra
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Exhaustive basis-change search in dimension <= 3.
+
+    Returns the first invertible T (rows = images of A's basis in B's
+    coordinates) with [Tx, Ty]_B = T[x, y]_A for all basis pairs, or None.
+    """
+    if A.p != B.p:
+        raise ValueError("field mismatch")
+    if A.dim != B.dim:
+        raise ValueError("dimension mismatch")
+    n, p = A.dim, A.p
+    if n > ISO_DIM_LIMIT:
+        raise ValueError(f"isomorphism search limited to dimension {ISO_DIM_LIMIT}")
+    if n == 0:
+        return ()
+    # cheap invariants first
+    for inv in (
+        lambda x: tuple(s.dim for s in x.derived_series()),
+        lambda x: tuple(s.dim for s in x.lower_central_series()),
+    ):
+        if inv(A) != inv(B):
+            return None
+    pairs_i = np.array([i for i in range(n) for _ in range(i + 1, n)], dtype=np.int64)
+    pairs_j = np.array([j for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
+    c_a = A.table[pairs_i, pairs_j, :] if len(pairs_i) else None
+    total = p ** (n * n)
+    for start in range(0, total, _ISO_CHUNK):
+        T = _digit_matrices(start, min(start + _ISO_CHUNK, total), n, p)
+        if len(pairs_i):
+            lhs = np.einsum("pk,ckm->cpm", c_a, T) % p
+            rhs = (
+                np.einsum("cpu,cpv,uvm->cpm", T[:, pairs_i, :], T[:, pairs_j, :], B.table)
+                % p
+            )
+            ok = (lhs == rhs).all(axis=(1, 2))
+        else:
+            ok = np.ones(len(T), dtype=bool)
+        ok &= _dets_mod(T, p) != 0
+        hits = np.flatnonzero(ok)
+        if len(hits):
+            t = T[hits[0]]
+            return tuple(tuple(int(x) for x in row) for row in t)
+    return None
+
+
+def canonical_form_small(L: LieAlgebra) -> LieAlgebra:
+    """Lexicographically least structure-constant table reachable by any
+    basis change; a true isomorphism-class invariant in dimension <= 3."""
+    n, p = L.dim, L.p
+    if n > ISO_DIM_LIMIT:
+        raise ValueError(f"canonical form limited to dimension {ISO_DIM_LIMIT}")
+    if n < 2:
+        return LieAlgebra(L.field, n)
+    pairs_i = np.array([i for i in range(n) for _ in range(i + 1, n)], dtype=np.int64)
+    pairs_j = np.array([j for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
+    npairs = len(pairs_i)
+    powers = p ** np.arange(npairs * n - 1, -1, -1, dtype=object)
+    best = None
+    total = p ** (n * n)
+    for start in range(0, total, _ISO_CHUNK):
+        T = _digit_matrices(start, min(start + _ISO_CHUNK, total), n, p)
+        det = _dets_mod(T, p)
+        T = T[det != 0]
+        det = det[det != 0]
+        if not len(T):
+            continue
+        tinv = _inverses_mod(T, det, p)
+        w = (
+            np.einsum("cpu,cpv,uvm->cpm", T[:, pairs_i, :], T[:, pairs_j, :], L.table)
+            % p
+        )
+        new = np.einsum("cpm,cmk->cpk", w, tinv) % p
+        flat = new.reshape(len(T), npairs * n)
+        codes = flat.astype(object) @ powers
+        i = int(np.argmin(codes))
+        if best is None or codes[i] < best[0]:
+            best = (codes[i], flat[i].copy())
+    digits = best[1]
+    brackets = {}
+    for idx in range(npairs):
+        coeffs = tuple(int(x) for x in digits[idx * n : (idx + 1) * n])
+        brackets[(int(pairs_i[idx]), int(pairs_j[idx]))] = coeffs
+    return LieAlgebra(L.field, n, brackets)
+
+
 def sl2_summands_by_isomorphism(L, lattice):
     """True iff every minimal ideal of L is isomorphic to sl2 over GF(p),
     by the brute-force basis-change search."""
     reference = sl2(L.p)
     for m in minimal_ideals(L, lattice):
-        if m.dim != 3 or is_isomorphic_small(reference, L.as_algebra(m)[0]) is None:
+        if m.dim != 3 or is_isomorphic_small(reference, L.as_algebra(m)) is None:
             return False
     return True
 

@@ -19,7 +19,7 @@ from liesupp.census import (
     table_digit_count,
     verify,
 )
-from liesupp.classify import Analyzer, _LRU, canonical_form_small
+from liesupp.classify import Analyzer, _LRU
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.liealg import (
@@ -32,6 +32,7 @@ from liesupp.liealg import (
 )
 from liesupp.subspace import CapExceededError
 from oracles import (
+    canonical_form_small,
     census_by_index,
     check_pequ_by_sublattice,
     check_pfrat_by_sublattices,
@@ -378,6 +379,36 @@ def test_class_pair_dedup_matches_canonical_forms(theorem, p, max_dim):
     assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
 
 
+@pytest.mark.parametrize("theorem", PAIR_THEOREMS)
+@pytest.mark.parametrize("p,max_dim,seed", [(2, 3, 1), (3, 3, 2), (5, 2, 3)])
+def test_random_pair_dedup_matches_canonical_forms(theorem, p, max_dim, seed):
+    spec = CensusSpec(p, max_dim, mode="random", count=30, seed=seed)
+    doc = verify(theorem, spec).to_doc()
+    doc.pop("timing")
+    assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
+    assert 0 < doc["universe"]["members"] < 30
+
+
+class _Generated(Exception):
+    """Raised by a stand-in for census.generate."""
+
+
+def test_random_pair_dedup_admitted_where_the_census_is(monkeypatch):
+    def sentinel(spec):
+        raise _Generated
+
+    monkeypatch.setattr(census_mod, "generate", sentinel)
+    # 7^9 = 40,353,607 dim-3 tables lie past the default table cap of 2^25
+    with pytest.raises(CapExceededError, match="--no-dedup"):
+        verify("ldsum", CensusSpec(7, 3, mode="random", count=8, seed=0))
+    for spec in (
+        CensusSpec(7, 3, mode="random", count=8, seed=0, table_cap=7**9),
+        CensusSpec(2, 4, mode="random", count=8, seed=0, dim4_opt_in=True),
+    ):
+        with pytest.raises(_Generated):
+            verify("ldsum", spec)
+
+
 def _first_bracket_row(L, az):
     """Flags every nonabelian algebra, with a detail written in its basis."""
     rows = [row for row in L.table.reshape(-1, L.dim).tolist() if any(row)]
@@ -416,7 +447,6 @@ def test_pair_dedup_past_dim3_through_classes(monkeypatch):
         raise AssertionError("per-table census used for an exhaustive dedup")
 
     monkeypatch.setattr(census_mod, "generate", refuse)
-    monkeypatch.setattr(census_mod, "ISO_DIM_LIMIT", 2)
     spec = CensusSpec(2, 3)
     doc = verify("csupp_dsum", spec).to_doc()
     assert doc["universe"]["members"] == 8 and len(doc["counterexamples"]) == 3

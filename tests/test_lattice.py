@@ -279,7 +279,7 @@ def test_radical_quotient_is_semisimple():
         L = entry.algebra
         lat = build_lattice(L)
         r = radical(L, lat)
-        q, _ = L.quotient(r)
+        q = L.quotient(r)
         if q.dim:
             assert radical(q).dim == 0
 

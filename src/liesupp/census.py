@@ -595,6 +595,7 @@ def _verify_pairs(
                 alg = _representative_if_new(alg, bits[alg.dim])
                 if alg is None:
                     continue
+                log.classes += 1
             members.append((entry.index, alg))
     for idx_a, a in members:
         for idx_b, b in members:

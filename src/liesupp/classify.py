@@ -96,10 +96,12 @@ def complement_subalgebra(
 
 
 def _uncomplemented(lattice: LatticeCache) -> Iterator[Subspace]:
-    """The subalgebras without a complement, in lattice order."""
-    for k, subs in lattice.by_dim.items():
+    """The subalgebras without a complement, in lattice order.  The
+    Subspace list of a dimension is made only when one of its rows has
+    none."""
+    for k in range(lattice.algebra.dim + 1):
         for row in np.flatnonzero(lattice.first_complements(k) < 0):
-            yield subs[row]
+            yield lattice.by_dim[k][row]
 
 
 def is_c_supplemented_algebra(

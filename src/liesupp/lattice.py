@@ -1,26 +1,30 @@
 """Whole-lattice computations for a Lie algebra over GF(p).
 
-build_lattice enumerates every subspace of GF(p)^n (echelon generation,
-batched closure tests with numpy) and records which are subalgebras, which
-are ideals, and which subalgebras are maximal.  Everything downstream
-(core, Frattini ideal, minimal ideals, socle, radical, supersolvability)
-works from exact linear algebra on those lists.  Complements are found per
-dimension: LatticeCache.first_complements(k) pairs the Plücker coordinates
-of every dim-k subalgebra with those of every dim-(n-k) one in blocked
-matrix products and keeps, for each subalgebra, its first complement, so a
-complement query is a row lookup.  LatticeCache.subalgebra_phis() gives the
-Frattini ideal of every subalgebra B from the members of the lattice that
-lie in B, once per distinct induced table, without a lattice of B.
+build_lattice returns a LatticeCache that computes the subalgebras of GF(p)^n
+one dimension at a time, the first time anything asks for that dimension:
+a batched closure (and ideal) test with numpy over every dim-k subspace of
+echelon generation.  A computed dimension is kept as an index vector into
+the shared, read-only echelon_arrays and _parity_checks arrays; its
+Subspace list is made when first read.  The ideals and the maximal
+subalgebras are found on first access.  Everything downstream (core, Frattini ideal, minimal ideals,
+socle, radical, supersolvability) works from exact linear algebra on those
+lists.  Complements are found per dimension: LatticeCache.first_complements(k)
+pairs the Plücker coordinates of every dim-k subalgebra with those of every
+dim-(n-k) one in blocked matrix products and keeps, for each subalgebra, its
+first complement, so a complement query is a row lookup; it computes only
+dimensions k and n - k.  LatticeCache.subalgebra_phis() gives the Frattini
+ideal of every subalgebra B from the members of the lattice that lie in B,
+once per distinct induced table, without a lattice of B.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
-byte-stable across runs.
+byte-stable across runs, whatever order the dimensions were computed in.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations
+from collections.abc import Mapping
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -30,10 +34,10 @@ import numpy as np
 from .gfp import InternalError
 from .liealg import LieAlgebra
 from .subspace import (
+    ECHELON_CACHE_ROWS,
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
-    _checks,
     _parity_check,
     _parity_checks,
     _read_only,
@@ -43,24 +47,131 @@ from .subspace import (
 )
 
 
-@dataclass
-class LatticeCache:
-    """Complete subalgebra/ideal/maximal lists for one algebra."""
+class _Dim:
+    """The subalgebras of one dimension k: rows idx of the arrays
+    (bases, pivots, checks) of echelon_arrays and _parity_checks, in
+    Subspace.sort_key order, and which of them are ideals.  Their Subspace
+    list is made on first use."""
 
-    algebra: LieAlgebra
-    subalgebras: List[Subspace]
-    ideals: List[Subspace]
-    maximals: List[Subspace]
-    subspace_count: int
-    by_dim: Dict[int, List[Subspace]]
-    # first_complements(d) per dimension d, built on first use
-    _first: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # subalgebra_phis(), built on first use
-    _phis: Optional[Dict[int, List[Subspace]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("_p", "_bases", "_piv", "_checks", "idx", "ideal", "_subs")
+
+    def __init__(self, L: LieAlgebra, k: int):
+        n, p = L.dim, L.p
+        bases, piv = echelon_arrays(n, p, k)
+        checks = _parity_checks(n, p, k)
+        closed, ideal = _closed_and_ideal_masks(L, bases, checks)
+        idx = np.flatnonzero(closed)
+        if k:
+            # lexsort's last key is its primary one, so this is lexicographic
+            # order of the flattened rows: Subspace.sort_key order
+            idx = idx[np.lexsort(bases[idx].reshape(len(idx), k * n).T[::-1])]
+        if len(bases) > ECHELON_CACHE_ROWS:
+            # arrays the shape cache does not keep: hold the subalgebra rows
+            # only, so that a lattice never pins a whole Grassmannian
+            bases, piv, checks = bases[idx], piv[idx], checks[idx]
+            ideal, idx = ideal[idx], np.arange(len(idx))
+        else:
+            ideal = ideal[idx]
+        self._p, self._bases, self._piv, self._checks = p, bases, piv, checks
+        self.idx, self.ideal = idx, ideal
+        self._subs: Optional[List[Subspace]] = None
+
+    @property
+    def subs(self) -> List[Subspace]:
+        if self._subs is None:
+            n, p = self._bases.shape[2], self._p
+            self._subs = [
+                Subspace(n, p, tuple(map(tuple, rows)), tuple(pivots))
+                for rows, pivots in zip(self.bases.tolist(), self.piv.tolist())
+            ]
+        return self._subs
+
+    # copies of the rows in idx, for one computation at a time
+    @property
+    def bases(self) -> np.ndarray:
+        return self._bases[self.idx]
+
+    @property
+    def piv(self) -> np.ndarray:
+        return self._piv[self.idx]
+
+    @property
+    def checks(self) -> np.ndarray:
+        return self._checks[self.idx]
+
+
+class _ByDim(Mapping):
+    """LatticeCache.by_dim: each dimension that holds a subalgebra, in
+    increasing order, to its subalgebras in Subspace.sort_key order.  A
+    dimension is computed when it is first looked up or iterated over."""
+
+    __slots__ = ("_lattice",)
+
+    def __init__(self, lattice: "LatticeCache"):
+        self._lattice = lattice
+
+    def __getitem__(self, k: int) -> List[Subspace]:
+        if not 0 <= k <= self._lattice.algebra.dim:
+            raise KeyError(k)
+        dim = self._lattice._dim(k)
+        if not len(dim.idx):
+            raise KeyError(k)
+        return dim.subs
+
+    def __iter__(self) -> Iterator[int]:
+        lat = self._lattice
+        return (k for k in range(lat.algebra.dim + 1) if len(lat._dim(k).idx))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class LatticeCache:
+    """The subalgebra lattice of one algebra, computed on demand: each
+    dimension of by_dim, the ideals and the maximal subalgebras the first
+    time they are asked for.  subspace_count is the number of subspaces of
+    GF(p)^n, all of which the dimensions together test."""
+
+    def __init__(self, algebra: LieAlgebra, subspace_count: int):
+        self.algebra = algebra
+        self.subspace_count = subspace_count
+        self.by_dim: Mapping[int, List[Subspace]] = _ByDim(self)
+        self._dims: Dict[int, _Dim] = {}
+        # first_complements(d) per dimension d, built on first use
+        self._first: Dict[int, np.ndarray] = {}
+        # subalgebra_phis(), built on first use
+        self._phis: Optional[Dict[int, List[Subspace]]] = None
+
+    def _dim(self, k: int) -> _Dim:
+        got = self._dims.get(k)
+        if got is None:
+            got = self._dims[k] = _Dim(self.algebra, k)
+        return got
+
+    def _computed(self) -> Dict[int, _Dim]:
+        """Every dimension that holds a subalgebra, computed."""
+        return {k: self._dim(k) for k in self.by_dim}
+
+    @cached_property
+    def subalgebras(self) -> List[Subspace]:
+        return [s for subs in self.by_dim.values() for s in subs]
+
+    @cached_property
+    def ideals(self) -> List[Subspace]:
+        return [
+            s
+            for dim in self._computed().values()
+            for s, ideal in zip(dim.subs, dim.ideal)
+            if ideal
+        ]
+
+    @cached_property
+    def maximals(self) -> List[Subspace]:
+        n = self.algebra.dim
+        dims = self._computed()
+        arrays = {k: (dim.bases, dim.checks) for k, dim in dims.items()}
+        masks = _maximal_masks(arrays, n, n, self.algebra.p)
+        return [s for k in sorted(masks) for s, m in zip(dims[k].subs, masks[k]) if m]
 
     def row(self, b: Subspace) -> int:
         """Index of b in by_dim[dim b]; b must be a subalgebra of this
@@ -74,13 +185,13 @@ class LatticeCache:
     def first_complements(self, k: int) -> np.ndarray:
         """For each row of by_dim[k], the index in by_dim[n - k] of its first
         complement C (b + C = L, so b meets C in 0), or -1 when it has
-        none.  Built with the array of dimension n - k, by one blocked
-        Plücker product (see _first_complements)."""
+        none.  Computes dimensions k and n - k only, and answers both by
+        one blocked Plücker product (see _first_complements)."""
         got = self._first.get(k)
         if got is None:
             n = self.algebra.dim
             got, self._first[n - k] = _first_complements(
-                self.by_dim.get(k, []), self.by_dim.get(n - k, []), n, self.algebra.p
+                self._dim(k).bases, self._dim(n - k).bases, self.algebra.p
             )
             self._first[k] = got
         return got
@@ -97,14 +208,13 @@ class LatticeCache:
 
     def inside(self, space: Subspace) -> Iterator[Subspace]:
         """The subalgebras of this lattice contained in `space`, in lattice
-        order."""
+        order; computes the dimensions up to dim space only."""
         check = _parity_check(space)
-        for d, subs in self.by_dim.items():
-            if d > space.dim:
-                break
-            resid = _bases(subs, d, space.n) @ check % space.p
-            for row in np.flatnonzero(~resid.reshape(len(subs), -1).any(axis=1)):
-                yield subs[row]
+        for d in range(space.dim + 1):
+            dim = self._dim(d)
+            resid = dim.bases @ check % space.p
+            for row in np.flatnonzero(~resid.any(axis=(1, 2))):
+                yield dim.subs[row]
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -189,36 +299,12 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
 
 
 def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCache:
-    n, p = L.dim, L.p
-    total = count_subspaces(n, p)
+    """The subalgebra lattice of L, computed on demand (see LatticeCache).
+    Refuses (CapExceededError) when GF(p)^n has more than cap subspaces."""
+    total = count_subspaces(L.dim, L.p)
     if total > cap:
         raise CapExceededError(total, cap)
-    zero = Subspace.zero(n, p)
-    by_dim = {0: [zero]}
-    ideals = [zero]
-    # bases and parity checks of by_dim[k], row for row
-    arrays = {0: (np.zeros((1, 0, n), dtype=np.int64), np.eye(n, dtype=np.int64)[None])}
-    for k in range(1, n + 1):
-        bases, piv = echelon_arrays(n, p, k)
-        checks = _parity_checks(n, p, k)
-        closed, ideal = _closed_and_ideal_masks(L, bases, checks)
-        idx = np.flatnonzero(closed)
-        if not len(idx):
-            continue
-        # lexsort's last key is its primary one, so this is lexicographic
-        # order of the flattened rows: Subspace.sort_key order within dim k
-        idx = idx[np.lexsort(bases[idx].reshape(len(idx), k * n).T[::-1])]
-        subs = [
-            Subspace(n, p, tuple(map(tuple, rows)), tuple(pivots))
-            for rows, pivots in zip(bases[idx].tolist(), piv[idx].tolist())
-        ]
-        by_dim[k] = subs
-        ideals += [s for s, i in zip(subs, ideal[idx]) if i]
-        arrays[k] = bases[idx], checks[idx]
-    subalgebras = [s for subs in by_dim.values() for s in subs]
-    masks = _maximal_masks(arrays, n, n, p)
-    maximals = [s for d in sorted(masks) for s, k in zip(by_dim[d], masks[d]) if k]
-    return LatticeCache(L, subalgebras, ideals, maximals, total, by_dim)
+    return LatticeCache(L, total)
 
 
 def _maximal_masks(
@@ -270,13 +356,6 @@ def _maximal_masks(
 # to the other subalgebras with that table.
 
 
-def _arrays(subs: List[Subspace], d: int, n: int, p: int):
-    """(bases, pivots, parity checks) of dim-d subspaces as arrays."""
-    bases = _bases(subs, d, n)
-    piv = (bases != 0).argmax(axis=2)
-    return bases, piv, _checks(bases, piv, p)
-
-
 def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.ndarray:
     """The structure constants of a batch of subalgebras in their RREF
     bases: (m, C(k, 2) * k), row a holding the coordinates of [b_s, b_t],
@@ -296,7 +375,10 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     L = lattice.algebra
     n, p = L.dim, L.p
     zero = Subspace.zero(n, p)
-    arrays = {d: _arrays(subs, d, n, p) for d, subs in lattice.by_dim.items() if d}
+    # dim d -> (bases, pivots, parity checks) of by_dim[d]
+    arrays = {
+        d: (dim.bases, dim.piv, dim.checks) for d, dim in lattice._computed().items()
+    }
     out: Dict[int, List[Subspace]] = {}
     for k, subs in lattice.by_dim.items():
         phis = out[k] = [zero] * len(subs)
@@ -311,7 +393,7 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
             rep = members[0]
             if not tables[rep].any():
                 continue
-            phi = _phi_of_member(L, lattice.by_dim, arrays, k, rep)
+            phi = _phi_of_member(L, arrays, subs[rep], rep)
             if not phi.dim:
                 continue
             coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
@@ -323,18 +405,17 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     return out
 
 
-def _phi_of_member(
-    L: LieAlgebra, by_dim: Dict[int, List[Subspace]], arrays, k: int, row: int
-) -> Subspace:
-    """phi(B) for B = by_dim[k][row], k >= 2, from the lattice members
-    inside B: one parity-check product per lower dimension finds them and
+def _phi_of_member(L: LieAlgebra, arrays, b: Subspace, row: int) -> Subspace:
+    """phi(B) for the subalgebra B = b of dim k >= 2, row `row` of
+    arrays[k] (see _subalgebra_phis), from the lattice members inside B:
+    one parity-check product per lower dimension finds them and
     the top-down scan of _maximal_masks picks the maximal ones.  F(B) is
     the x = a . rows(B) with x . H = 0 for the parity check H of every
     maximal one, a nullspace in the k coordinates a, and
     phi(B) = core(L, F(B), B)."""
-    n, p = L.dim, L.p
-    b = by_dim[k][row]
-    check = arrays[k][2][row]
+    n, p, k = L.dim, L.p, b.dim
+    rows, _, checks = arrays[k]
+    rows, check = rows[row], checks[row]
     below = {}  # dim d -> (bases, checks) of the members of dim d inside B
     for d in range(1, k):
         if d not in arrays:
@@ -344,7 +425,6 @@ def _phi_of_member(
         resid %= p
         inside = ~resid.reshape(len(bases), -1).any(axis=1)
         below[d] = bases[inside], checks[inside]
-    rows = np.array(b.rows, dtype=np.int64)
     equations = [
         (rows @ below[d][1][mask]).transpose(0, 2, 1).reshape(-1, k)
         for d, mask in _maximal_masks(below, k, n, p).items()
@@ -428,21 +508,19 @@ def plucker_pairing(
 
 
 def _first_complements(
-    us: List[Subspace], ws: List[Subspace], n: int, p: int
+    us: np.ndarray, ws: np.ndarray, p: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(first_u, first_w) for lists of dim-k and dim-(n-k) subspaces:
-    first_u[a] is the least b with us[a] + ws[b] = GF(p)^n, or -1, and
-    first_w[b] the least such a.  The pairings are taken in row blocks of
-    at most _PAIRING_BLOCK values; det[W; U] = +-det[U; W], so one product
-    answers both dimensions."""
+    """(first_u, first_w) for the RREF bases of dim-k and dim-(n-k)
+    subspaces, shapes (a, k, n) and (b, n - k, n): first_u[i] is the least
+    j with us[i] + ws[j] = GF(p)^n, or -1, and first_w[j] the least such i.
+    The pairings are taken in row blocks of at most _PAIRING_BLOCK values;
+    det[W; U] = +-det[U; W], so one product answers both dimensions."""
     first_u = np.full(len(us), -1, dtype=np.intp)
     first_w = np.full(len(ws), -1, dtype=np.intp)
-    if not us or not ws:
+    if not len(us) or not len(ws):
         return first_u, first_w
-    k = us[0].dim
-    pu, pw = (
-        plucker(_bases(subs, d, n), p) for subs, d in ((us, k), (ws, n - k))
-    )
+    k, n = us.shape[1:]
+    pu, pw = plucker(us, p), plucker(ws, p)
     step = max(1, _PAIRING_BLOCK // len(ws))
     for lo in range(0, len(us), step):
         hit = plucker_pairing(pu[lo : lo + step], pw, n, k, p) != 0
@@ -451,12 +529,6 @@ def _first_complements(
         new = hit.any(axis=0) & (first_w < 0)
         first_w[new] = lo + hit[:, new].argmax(axis=0)
     return first_u, first_w
-
-
-def _bases(subs: List[Subspace], d: int, n: int) -> np.ndarray:
-    """The RREF rows of dim-d subspaces as one (len(subs), d, n) array."""
-    flat = chain.from_iterable(chain.from_iterable(s.rows for s in subs))
-    return np.fromiter(flat, np.int64, len(subs) * d * n).reshape(len(subs), d, n)
 
 
 @lru_cache(maxsize=256)
@@ -595,18 +667,11 @@ def is_simple(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:
 # -- supersolvability --------------------------------------------------------
 
 
-def _line_reps(n: int, p: int):
-    """One canonical spanning vector per line (leading coefficient 1)."""
-    from itertools import product as iproduct
-
-    for lead in range(n):
-        for tail in iproduct(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
     """Chain-of-ideals criterion, computed recursively: true iff some
-    1-dimensional ideal has a supersolvable quotient."""
+    1-dimensional ideal has a supersolvable quotient.  The lines that are
+    ideals come from one ideal-mask product over every line, tried in
+    echelon order (leading coefficient 1, lexicographic tails)."""
     if _memo is None:
         _memo = {}
     got = _memo.get(L.key)
@@ -615,15 +680,13 @@ def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
     if L.dim == 0:
         return True
     n, p = L.dim, L.p
+    lines, piv = echelon_arrays(n, p, 1)
+    ideal = _closed_and_ideal_masks(L, lines, _parity_checks(n, p, 1))[1]
     result = False
-    for v in _line_reps(n, p):
-        line = Subspace.span([v], n, p)
-        if all(
-            line.member(L.bracket(L.basis_vector(i), v)) for i in range(n)
-        ):
-            q = L.quotient(line)
-            if is_supersolvable(q, _memo):
-                result = True
-                break
+    for row in np.flatnonzero(ideal):
+        line = Subspace(n, p, (tuple(lines[row, 0].tolist()),), (int(piv[row, 0]),))
+        if is_supersolvable(L.quotient(line), _memo):
+            result = True
+            break
     _memo[L.key] = result
     return result

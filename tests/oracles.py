@@ -6,6 +6,7 @@ changes basis in exact Python-int arithmetic, so that isomorphism invariants
 can be checked without trusting the code under test.
 """
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -14,9 +15,17 @@ from liesupp.census import CHECKERS, generate
 from liesupp.classify import Analyzer
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
-from liesupp.lattice import build_lattice, frattini, minimal_ideals
+from liesupp.lattice import (
+    _closed_and_ideal_masks,
+    _maximal_masks,
+    build_lattice,
+    frattini,
+    minimal_ideals,
+    plucker,
+    plucker_pairing,
+)
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
-from liesupp.subspace import Subspace, rref
+from liesupp.subspace import Subspace, _parity_checks, echelon_arrays, rref
 
 # (prime, left summand, right summand or None): the dim-5/6 algebras of the
 # benchmark's classify workload, inputs of several oracle tests
@@ -44,6 +53,66 @@ def maximal_subalgebras_all_pairs(subalgebras, n):
         for s in proper
         if not any(t.dim > s.dim and t.contains(s) for t in proper)
     ]
+
+
+class EagerLattice:
+    """The lattice of L with every dimension, the ideals and the maximal
+    subalgebras computed at once: the closure, ideal and maximal masks of
+    the batched kernels over every dimension in one loop, each list sorted
+    by Subspace.sort_key in Python.  Its first complements come from one
+    unblocked Plücker product per dimension and its subalgebra_phis from
+    the subalgebras' own lattices (subalgebra_phis_by_sublattices)."""
+
+    def __init__(self, L):
+        n, p = L.dim, L.p
+        self.algebra = L
+        self.by_dim, self.ideals, arrays = {}, [], {}
+        for k in range(n + 1):
+            bases, piv = echelon_arrays(n, p, k)
+            checks = _parity_checks(n, p, k)
+            closed, ideal = _closed_and_ideal_masks(L, bases, checks)
+            if not closed.any():
+                continue
+            found = sorted(
+                (
+                    (Subspace(n, p, tuple(map(tuple, rows)), tuple(q)), a)
+                    for a, (rows, q) in enumerate(zip(bases.tolist(), piv.tolist()))
+                    if closed[a]
+                ),
+                key=lambda sa: sa[0].sort_key(),
+            )
+            self.by_dim[k] = [s for s, _ in found]
+            self.ideals += [s for s, a in found if ideal[a]]
+            rows = [a for _, a in found]
+            arrays[k] = bases[rows], checks[rows]
+        self.subalgebras = [s for subs in self.by_dim.values() for s in subs]
+        masks = _maximal_masks(arrays, n, n, p)
+        self.maximals = [
+            s for k in sorted(masks) for s, m in zip(self.by_dim[k], masks[k]) if m
+        ]
+        self._bases = {k: a[0] for k, a in arrays.items()}
+        self.subspace_count = sum(len(echelon_arrays(n, p, k)[0]) for k in range(n + 1))
+
+    def stats(self):
+        return {
+            "subspaces": self.subspace_count,
+            "subalgebras": len(self.subalgebras),
+            "ideals": len(self.ideals),
+            "maximal_subalgebras": len(self.maximals),
+        }
+
+    def first_complements(self, k):
+        """For each subalgebra of dim k, the index of the first dim-(n-k)
+        one with a nonzero Plücker pairing, or -1."""
+        n, p = self.algebra.dim, self.algebra.p
+        us, ws = (self._bases.get(d, np.zeros((0, d, n), dtype=np.int64)) for d in (k, n - k))
+        if not len(us) or not len(ws):
+            return np.full(len(us), -1)
+        hit = plucker_pairing(plucker(us, p), plucker(ws, p), n, k, p) != 0
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    def subalgebra_phis(self, analyzer):
+        return subalgebra_phis_by_sublattices(self.algebra, self, analyzer)
 
 
 def core_by_enumeration(L, b, lattice):
@@ -149,6 +218,26 @@ def core_within_by_enumeration(L, b, c, lattice):
         if b.contains(x) and all(x.member(L.bracket(r, w)) for r in x.rows for w in c.rows):
             out = out.sum(x)
     return out
+
+
+def is_supersolvable_by_lines(L, memo=None):
+    """Chain-of-ideals recursion: some 1-dimensional ideal has a
+    supersolvable quotient.  Every line, spanned by its vector with leading
+    coefficient 1 in lexicographic order of the tails, is tested by n
+    bracket and member calls."""
+    memo = {} if memo is None else memo
+    if L.key not in memo:
+        n, p = L.dim, L.p
+        memo[L.key] = n == 0
+        for lead in range(n):
+            for tail in product(range(p), repeat=n - lead - 1):
+                v = (0,) * lead + (1,) + tail
+                line = Subspace.span([v], n, p)
+                if all(line.member(L.bracket(L.basis_vector(i), v)) for i in range(n)):
+                    if is_supersolvable_by_lines(L.quotient(line), memo):
+                        memo[L.key] = True
+                        return True
+    return memo[L.key]
 
 
 def random_conjugate(L, rng):

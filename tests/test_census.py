@@ -384,9 +384,17 @@ def test_class_pair_dedup_matches_canonical_forms(theorem, p, max_dim):
 def test_random_pair_dedup_matches_canonical_forms(theorem, p, max_dim, seed):
     spec = CensusSpec(p, max_dim, mode="random", count=30, seed=seed)
     doc = verify(theorem, spec).to_doc()
-    doc.pop("timing")
+    timing = doc.pop("timing")
     assert doc == verify_by_table(theorem, spec, ORACLE_AZ)
     assert 0 < doc["universe"]["members"] < 30
+    # each member is the representative of a class the sample found
+    assert timing["classes"] == doc["universe"]["members"]
+
+
+def test_random_pair_campaign_counts_its_classes():
+    doc = verify("ldsum", CensusSpec(3, 3, mode="random", count=30, seed=2)).to_doc()
+    assert doc["universe"]["members"] == 5
+    assert doc["timing"]["classes"] == 5
 
 
 class _Generated(Exception):

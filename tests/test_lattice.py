@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, classes, generate
-from liesupp.classify import complement_subalgebra
+from liesupp.classify import Analyzer, complement_subalgebra
 from liesupp.lattice import (
     _closed_and_ideal_masks,
     abelian_socle,
@@ -39,8 +39,10 @@ from liesupp.subspace import (
 )
 from oracles import (
     DIM56_SUMS,
+    EagerLattice,
     core_by_enumeration,
     core_within_by_enumeration,
+    is_supersolvable_by_lines,
     maximal_subalgebras_all_pairs,
     random_conjugate,
 )
@@ -160,6 +162,74 @@ def test_inside_matches_contains(p):
             for space in enumerate_subspaces(n, p):
                 expected = [s for s in lat.subalgebras if space.contains(s)]
                 assert list(lat.inside(space)) == expected
+
+
+# -- the lazy lattice ---------------------------------------------------------
+
+# shared by the subalgebra_phis oracle calls
+LAZY_ORACLE_AZ = Analyzer()
+
+
+def _assert_lazy_matches_eager(L, rng):
+    """Every query of a fresh lattice, in an order shuffled by rng, against
+    EagerLattice: each dimension of by_dim (and one past n), the first
+    complements of every dimension, the lists, stats() and
+    subalgebra_phis()."""
+    eager = EagerLattice(L)
+    lat = build_lattice(L)
+    n = L.dim
+    queries = [("by_dim", k) for k in range(n + 2)] + [("first", k) for k in range(n + 1)]
+    queries += [("list", name) for name in ("subalgebras", "ideals", "maximals")]
+    queries += [("stats", None), ("phis", None)]
+    for q in rng.permutation(len(queries)):
+        kind, arg = queries[q]
+        if kind == "by_dim":
+            assert lat.by_dim.get(arg) == eager.by_dim.get(arg)
+        elif kind == "first":
+            got = lat.first_complements(arg).tolist()
+            assert got == eager.first_complements(arg).tolist()
+        elif kind == "list":
+            assert getattr(lat, arg) == getattr(eager, arg)
+        elif kind == "stats":
+            assert lat.stats() == eager.stats()
+        else:
+            assert lat.subalgebra_phis() == eager.subalgebra_phis(LAZY_ORACLE_AZ)
+    assert list(lat.by_dim.items()) == list(eager.by_dim.items())
+    assert len(lat.by_dim) == len(eager.by_dim)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lazy_lattice_matches_eager_oracle_on_classes(p):
+    rng = np.random.default_rng(20071222 + p)
+    for n in (1, 2, 3):
+        for _, L, _ in classes(p, n):
+            _assert_lazy_matches_eager(L, rng)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_lazy_lattice_matches_eager_oracle_dim56(p, left, right):
+    _assert_lazy_matches_eager(_dim56(p, left, right), np.random.default_rng(20071223))
+
+
+def test_lattice_computes_only_what_is_asked(monkeypatch):
+    """Complete factorisability computes the lines and the hyperplanes and
+    nothing else; c-supplementation never runs the maximal scan."""
+    L = heisenberg(2).direct_sum(heisenberg(2))
+    tested = []
+    real = lattice_mod._closed_and_ideal_masks
+
+    def spy(L, bases, checks):
+        tested.append(bases.shape[1])
+        return real(L, bases, checks)
+
+    def refuse(*args):
+        raise AssertionError("maximal subalgebras computed")
+
+    monkeypatch.setattr(lattice_mod, "_closed_and_ideal_masks", spy)
+    assert not Analyzer().completely_factorisable(L)[0]
+    assert sorted(tested) == [1, 5]
+    monkeypatch.setattr(lattice_mod, "_maximal_masks", refuse)
+    assert Analyzer().c_supplemented(L) == (True, None)
 
 
 def test_abelian_everything_closed():
@@ -289,6 +359,32 @@ def test_supersolvable_examples():
     assert not is_supersolvable(sl2(3))
     assert is_supersolvable(abelian(5, 3))
     assert is_supersolvable(counterexample_L1(2))
+
+
+def _dim4_catalog(p):
+    out = [abelian(p, 4), catalog("nonabelian2", p).direct_sum(catalog("nonabelian2", p))]
+    for name in ("nonabelian2", "heisenberg", "counterexample_L1", "L1_gamma", "sl2"):
+        L = catalog(name, p)
+        out.append(L.direct_sum(abelian(p, 4 - L.dim)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_supersolvable_matches_per_line_oracle_on_census(p):
+    for L in _census(p):
+        assert is_supersolvable(L) == is_supersolvable_by_lines(L)
+
+
+def test_supersolvable_matches_per_line_oracle_dims_4_to_6():
+    rng = np.random.default_rng(20071224)
+    algebras = _dim4_catalog(2) + _dim4_catalog(3) + [_dim56(*case) for case in DIM56_SUMS]
+    verdicts = set()
+    for L in algebras:
+        for M in (L, random_conjugate(L, rng)):
+            expected = is_supersolvable_by_lines(M)
+            assert is_supersolvable(M) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def flag_search_supersolvable(L, lat):

@@ -24,7 +24,6 @@ from .lattice import (
     build_lattice,
     core,
     frattini,
-    is_semisimple,
     is_simple,
     is_supersolvable,
     minimal_ideals,
@@ -44,8 +43,7 @@ from .classify import (
     is_c_supplemented_algebra,
     is_completely_factorisable,
     is_elementary,
-    is_phi_free,
 )
 from .census import CensusSpec, VerdictLog, generate, verify
 
-__version__ = "0.1.0"
+from .formats import TOOL_VERSION as __version__

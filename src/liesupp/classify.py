@@ -11,7 +11,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -105,13 +105,11 @@ def _uncomplemented(lattice: LatticeCache) -> Iterator[Subspace]:
 
 
 def is_c_supplemented_algebra(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
+    L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """Conjunction over every subalgebra; on failure reports the canonically
     first subalgebra without a supplement.  A complement is a supplement,
     so only the subalgebras without one are searched further."""
-    if lattice is None:
-        lattice = build_lattice(L)
     for b in _uncomplemented(lattice):
         if c_supplement(L, lattice, b) is None:
             return False, b
@@ -119,7 +117,7 @@ def is_c_supplemented_algebra(
 
 
 def is_completely_factorisable(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
+    L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """Every subalgebra has a complement; on failure reports the canonically
     first one without.  The lines decide it: if every line has a complement
@@ -127,28 +125,18 @@ def is_completely_factorisable(
     inside a complement M of a line l has a complement in M, its
     intersection with a complement of l' in L), the zero subspace always has
     the complement L, and lines come first in lattice order."""
-    if lattice is None:
-        lattice = build_lattice(L)
     missing = np.flatnonzero(lattice.first_complements(1) < 0)
     if not len(missing):
         return True, None
     return False, lattice.by_dim[1][missing[0]]
 
 
-def is_phi_free(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:
-    return frattini(L, lattice)[1].dim == 0
-
-
 def is_elementary(
-    L: LieAlgebra,
-    lattice: Optional[LatticeCache] = None,
-    analyzer: Optional["Analyzer"] = None,
+    L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) = 0 for every subalgebra B (phi computed inside B's own
     algebra, see LatticeCache.subalgebra_phis).  Returns the first
     offending subalgebra otherwise."""
-    if lattice is None:
-        lattice = (analyzer if analyzer is not None else Analyzer()).lattice(L)
     phis = lattice.subalgebra_phis()
     for k, subs in lattice.by_dim.items():
         for b, phi_b in zip(subs, phis[k]):
@@ -158,14 +146,10 @@ def is_elementary(
 
 
 def is_E_algebra(
-    L: LieAlgebra,
-    lattice: Optional[LatticeCache] = None,
-    analyzer: Optional["Analyzer"] = None,
+    L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) <= phi(L) for every subalgebra B, phi(B) taken in the ambient
     coordinates.  Returns the first offending subalgebra otherwise."""
-    if lattice is None:
-        lattice = (analyzer if analyzer is not None else Analyzer()).lattice(L)
     phis = lattice.subalgebra_phis()
     phi_l = phis[L.dim][0]  # L is the one subalgebra of dimension n
     for k, subs in lattice.by_dim.items():
@@ -189,7 +173,7 @@ def first_non_ideal_inside(lattice: LatticeCache, space: Subspace) -> Optional[S
 
 
 def check_semisimple_shape(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
+    L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Dict]:
     """True iff p != 2, the radical is zero, and L is the direct sum of its
     minimal ideals, each 3-dimensional and isomorphic to sl2.
@@ -205,8 +189,6 @@ def check_semisimple_shape(
         return False, {"reason": "zero algebra"}
     if p == 2:
         return False, {"reason": "characteristic two"}
-    if lattice is None:
-        lattice = build_lattice(L)
     if radical(L, lattice).dim != 0:
         return False, {"reason": "nonzero radical"}
     mins = minimal_ideals(L, lattice)
@@ -227,21 +209,13 @@ def check_semisimple_shape(
     return True, {"summands": mins}
 
 
-def check_main_decomposition(
-    L: LieAlgebra,
-    lattice: Optional[LatticeCache] = None,
-    analyzer: Optional["Analyzer"] = None,
-) -> Tuple[bool, Dict]:
+def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]:
     """The full structural criterion: every bracket-closed subspace of phi(L)
     is an ideal of L, and L/phi(L) splits as R + S with R the (supersolvable,
-    phi-free) radical and S zero or an sl2 direct sum.
-
-    Every lattice comes from `analyzer` (a fresh Analyzer() when None), so a
-    caller that wants another cap passes Analyzer(cap)."""
-    az = analyzer if analyzer is not None else Analyzer()
-    if lattice is None:
-        lattice = az.lattice(L)
-    phi = az.frattini(L, lattice)[1]
+    phi-free) radical and S zero or an sl2 direct sum.  Every lattice, and
+    so the cap, comes from `az`."""
+    lattice = az.lattice(L)
+    phi = az.frattini(L)[1]
     out: Dict = {"phi": phi}
     witness = first_non_ideal_inside(lattice, phi)
     if witness is not None:
@@ -251,7 +225,7 @@ def check_main_decomposition(
     q = L.quotient(phi)
     out["quotient_dim"] = q.dim
     lat_q = az.lattice(q)
-    r = radical(q, lat_q)
+    r = az.radical(q)
     out["R"] = r
     if r.dim:
         r_alg = q.as_algebra(r)
@@ -280,20 +254,24 @@ def check_main_decomposition(
 
 # -- reports ----------------------------------------------------------------
 
-ALL_PREDICATES = (
-    "solvable",
-    "nilpotent",
-    "supersolvable",
-    "simple",
-    "semisimple",
-    "phi_free",
-    "c_supplemented",
-    "completely_factorisable",
-    "elementary",
-    "E_algebra",
-    "semisimple_shape",
-    "main_decomposition",
-)
+# name -> verdict of L through an Analyzer: a bool, or a pair (ok, detail)
+# whose detail is a dict of witnesses or the first failing subalgebra (None
+# when there is none).  Each entry looks its Analyzer method up when called.
+PREDICATES: Dict[str, Callable[["Analyzer", LieAlgebra], object]] = {
+    "solvable": lambda az, L: L.is_solvable(),
+    "nilpotent": lambda az, L: L.is_nilpotent(),
+    "supersolvable": lambda az, L: az.supersolvable(L),
+    "simple": lambda az, L: az.simple(L),
+    "semisimple": lambda az, L: L.dim > 0 and az.radical(L).dim == 0,
+    "phi_free": lambda az, L: az.frattini(L)[1].dim == 0,
+    "c_supplemented": lambda az, L: az.c_supplemented(L),
+    "completely_factorisable": lambda az, L: az.completely_factorisable(L),
+    "elementary": lambda az, L: az.elementary(L),
+    "E_algebra": lambda az, L: az.e_algebra(L),
+    "semisimple_shape": lambda az, L: az.semisimple_shape(L),
+    "main_decomposition": lambda az, L: az.main_decomposition(L),
+}
+ALL_PREDICATES = tuple(PREDICATES)
 
 
 @dataclass
@@ -310,76 +288,32 @@ class ClassificationReport:
 def classify_algebra(
     L: LieAlgebra,
     predicates: Optional[Tuple[str, ...]] = None,
-    cap: Optional[int] = None,
     analyzer: Optional["Analyzer"] = None,
 ) -> ClassificationReport:
-    """Evaluate the wanted predicates of L through one Analyzer, so the
-    lattice and Frattini ideal of each distinct quotient and summand table
-    are computed once; the Frattini ideals of L's subalgebras come from L's
-    own lattice (LatticeCache.subalgebra_phis).  Without an analyzer a fresh
-    Analyzer(cap) is used (default cap when cap is None); a given one brings
-    its own cap, which a different explicit `cap` may not contradict, and
-    may be shared across calls."""
+    """Evaluate the wanted predicates of L (all of PREDICATES by default)
+    through one Analyzer, so the lattice and Frattini ideal of each distinct
+    quotient and summand table are computed once; the Frattini ideals of L's
+    subalgebras come from L's own lattice (LatticeCache.subalgebra_phis).
+    Without an analyzer a fresh Analyzer() with the default cap is used; a
+    given one brings its own cap and may be shared across calls."""
     wanted = tuple(predicates) if predicates else ALL_PREDICATES
-    unknown = set(wanted) - set(ALL_PREDICATES)
+    unknown = set(wanted) - set(PREDICATES)
     if unknown:
         raise ValueError(f"unknown predicates: {sorted(unknown)}")
-    if analyzer is not None and cap is not None and cap != analyzer.cap:
-        raise ValueError(
-            f"cap {cap} contradicts the given analyzer's cap {analyzer.cap}"
-        )
     start = time.monotonic()
-    if analyzer is not None:
-        az = analyzer
-    else:
-        az = Analyzer(DEFAULT_SUBSPACE_CAP if cap is None else cap)
-    # held here and passed down, so the analyzer's LRU cannot force a rebuild
-    lattice = az.lattice(L)
+    az = analyzer if analyzer is not None else Analyzer()
     rep = ClassificationReport(p=L.p, dim=L.dim, degenerate=L.dim <= 1)
-    rep.lattice_stats = lattice.stats()
-    phi = az.frattini(L, lattice)[1]
-    rep.witnesses["phi"] = phi
+    rep.lattice_stats = az.lattice(L).stats()
+    rep.witnesses["phi"] = az.frattini(L)[1]
     for name in wanted:
-        if name == "solvable":
-            rep.predicates[name] = L.is_solvable()
-        elif name == "nilpotent":
-            rep.predicates[name] = L.is_nilpotent()
-        elif name == "supersolvable":
-            rep.predicates[name] = az.supersolvable(L)
-        elif name == "simple":
-            rep.predicates[name] = is_simple(L, lattice)
-        elif name == "semisimple":
-            rep.predicates[name] = radical(L, lattice).dim == 0 and L.dim > 0
-        elif name == "phi_free":
-            rep.predicates[name] = phi.dim == 0
-        elif name == "c_supplemented":
-            ok, failing = is_c_supplemented_algebra(L, lattice)
-            rep.predicates[name] = ok
-            if failing is not None:
-                rep.witnesses["c_supplemented_failing"] = failing
-        elif name == "completely_factorisable":
-            ok, failing = is_completely_factorisable(L, lattice)
-            rep.predicates[name] = ok
-            if failing is not None:
-                rep.witnesses["completely_factorisable_failing"] = failing
-        elif name == "elementary":
-            ok, failing = is_elementary(L, lattice, az)
-            rep.predicates[name] = ok
-            if failing is not None:
-                rep.witnesses["elementary_failing"] = failing
-        elif name == "E_algebra":
-            ok, failing = is_E_algebra(L, lattice, az)
-            rep.predicates[name] = ok
-            if failing is not None:
-                rep.witnesses["E_algebra_failing"] = failing
-        elif name == "semisimple_shape":
-            ok, info = check_semisimple_shape(L, lattice)
-            rep.predicates[name] = ok
-            rep.witnesses["semisimple_shape"] = info
-        elif name == "main_decomposition":
-            ok, info = check_main_decomposition(L, lattice, analyzer=az)
-            rep.predicates[name] = ok
-            rep.witnesses["main_decomposition"] = info
+        verdict = PREDICATES[name](az, L)
+        if isinstance(verdict, tuple):
+            verdict, detail = verdict
+            if isinstance(detail, dict):
+                rep.witnesses[name] = detail
+            elif detail is not None:
+                rep.witnesses[f"{name}_failing"] = detail
+        rep.predicates[name] = verdict
     rep.elapsed_s = time.monotonic() - start
     return rep
 
@@ -437,13 +371,9 @@ class Analyzer:
             got = self._memo[key] = fn()
         return got
 
-    def frattini(self, L, lattice: Optional[LatticeCache] = None):
-        """(F, phi) of L; `lattice`, when given, must be L's own lattice."""
-        return self._cached(
-            "frattini",
-            L,
-            lambda: frattini(L, lattice if lattice is not None else self.lattice(L)),
-        )
+    def frattini(self, L):
+        """(F, phi) of L."""
+        return self._cached("frattini", L, lambda: frattini(L, self.lattice(L)))
 
     def c_supplemented(self, L):
         return self._cached(
@@ -458,10 +388,11 @@ class Analyzer:
     def supersolvable(self, L):
         return is_supersolvable(L, self._ss_memo)
 
+    def elementary(self, L):
+        return self._cached("elem", L, lambda: is_elementary(L, self.lattice(L)))
+
     def e_algebra(self, L):
-        return self._cached(
-            "ealg", L, lambda: is_E_algebra(L, self.lattice(L), self)
-        )
+        return self._cached("ealg", L, lambda: is_E_algebra(L, self.lattice(L)))
 
     def radical(self, L):
         return self._cached("radical", L, lambda: radical(L, self.lattice(L)))
@@ -475,8 +406,4 @@ class Analyzer:
         )
 
     def main_decomposition(self, L):
-        return self._cached(
-            "main",
-            L,
-            lambda: check_main_decomposition(L, self.lattice(L), analyzer=self),
-        )
+        return self._cached("main", L, lambda: check_main_decomposition(L, self))

@@ -13,7 +13,7 @@ import sys
 from typing import Dict, Optional
 
 from . import census as census_mod
-from .classify import ALL_PREDICATES, c_supplement, classify_algebra
+from .classify import ALL_PREDICATES, Analyzer, c_supplement, classify_algebra
 from .formats import (
     DocumentError,
     TOOL_VERSION,
@@ -24,7 +24,7 @@ from .formats import (
     space_doc,
 )
 from .gfp import InternalError
-from .lattice import build_lattice, core
+from .lattice import core
 from .liealg import CATALOG, InvalidAlgebraError, JacobiError, LieAlgebra, catalog
 from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
 
@@ -34,20 +34,7 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-PROPERTY_NAMES = {
-    "c-supplemented": "c_supplemented",
-    "completely-factorisable": "completely_factorisable",
-    "phi-free": "phi_free",
-    "elementary": "elementary",
-    "e-algebra": "E_algebra",
-    "supersolvable": "supersolvable",
-    "solvable": "solvable",
-    "nilpotent": "nilpotent",
-    "simple": "simple",
-    "semisimple": "semisimple",
-    "semisimple-shape": "semisimple_shape",
-    "main-decomposition": "main_decomposition",
-}
+PROPERTY_NAMES = {n.lower().replace("_", "-"): n for n in ALL_PREDICATES}
 SUBSPACE_PROPERTIES = ("subalgebra", "ideal", "c-supplemented", "core")
 
 
@@ -103,7 +90,7 @@ def cmd_classify(args) -> int:
             PROPERTY_NAMES.get(name.strip(), name.strip())
             for name in args.predicates.split(",")
         )
-    report = classify_algebra(L, predicates=predicates, cap=args.cap)
+    report = classify_algebra(L, predicates=predicates, analyzer=Analyzer(args.cap))
     doc = algebra_to_doc(L)
     out = {
         "tool_version": TOOL_VERSION,
@@ -129,7 +116,7 @@ def cmd_check(args) -> int:
         raise DocumentError(
             f"unknown property {prop!r}; known: {sorted(PROPERTY_NAMES)}"
         )
-    report = classify_algebra(L, predicates=(key,), cap=args.cap)
+    report = classify_algebra(L, predicates=(key,), analyzer=Analyzer(args.cap))
     verdict = report.predicates[key]
     out = {
         "property": prop,
@@ -153,7 +140,7 @@ def _check_subspace(L: LieAlgebra, prop: str, args) -> int:
     elif prop == "c-supplemented":
         if not L.is_subalgebra(space):
             raise DocumentError("given subspace is not a subalgebra")
-        lattice = build_lattice(L, args.cap)
+        lattice = Analyzer(args.cap).lattice(L)
         witness = c_supplement(L, lattice, space)
         verdict = witness is not None
         if witness is not None:

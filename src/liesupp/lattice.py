@@ -588,9 +588,7 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
 # -- Frattini, socle, radical ----------------------------------------------
 
 
-def frattini(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
-) -> Tuple[Subspace, Subspace]:
+def frattini(L: LieAlgebra, lattice: LatticeCache) -> Tuple[Subspace, Subspace]:
     """(F, phi): F is the intersection of all maximal subalgebras, phi the
     largest ideal of L inside F.  An algebra with no proper subalgebra
     (dim 0) has F = L."""
@@ -598,19 +596,13 @@ def frattini(
     if n == 0:
         z = Subspace.zero(n, p)
         return z, z
-    if lattice is None:
-        lattice = build_lattice(L)
     f = Subspace.full(n, p)
     for m in lattice.maximals:
         f = f.intersect(m)
     return f, core(L, f)
 
 
-def minimal_ideals(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
-) -> List[Subspace]:
-    if lattice is None:
-        lattice = build_lattice(L)
+def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:
     nonzero = [i for i in lattice.ideals if i.dim > 0]
     out = []
     for i in nonzero:
@@ -619,9 +611,7 @@ def minimal_ideals(
     return out
 
 
-def abelian_socle(
-    L: LieAlgebra, lattice: Optional[LatticeCache] = None
-) -> Subspace:
+def abelian_socle(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
     out = Subspace.zero(L.dim, L.p)
     for i in minimal_ideals(L, lattice):
         if L.product_space(i, i).dim == 0:
@@ -639,10 +629,8 @@ def _space_solvable(L: LieAlgebra, u: Subspace) -> bool:
     return True
 
 
-def radical(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> Subspace:
+def radical(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
     """Sum of all solvable ideals, taken over the enumerated ideal list."""
-    if lattice is None:
-        lattice = build_lattice(L)
     out = Subspace.zero(L.dim, L.p)
     for i in lattice.ideals:
         if _space_solvable(L, i):
@@ -652,15 +640,9 @@ def radical(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> Subspace:
     return out
 
 
-def is_semisimple(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:
-    return L.dim > 0 and radical(L, lattice).dim == 0
-
-
-def is_simple(L: LieAlgebra, lattice: Optional[LatticeCache] = None) -> bool:
+def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
     if L.dim <= 1:
         return False
-    if lattice is None:
-        lattice = build_lattice(L)
     return len(lattice.ideals) == 2
 
 

@@ -145,9 +145,6 @@ class LieAlgebra:
 
     # -- basic bracket operations -------------------------------------------
 
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
-
     def bracket(self, u: Sequence[int], v: Sequence[int]) -> Vector:
         p = self.p
         w = np.einsum(
@@ -180,12 +177,8 @@ class LieAlgebra:
         return _in_span(prods, _coordinates(prods, u), u)
 
     def is_ideal(self, u: Subspace) -> bool:
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            for r in u.rows:
-                if not u.member(self.bracket(e, r)):
-                    return False
-        return True
+        prods = self._brackets(Subspace.full(self.dim, self.p), u)
+        return _in_span(prods, _coordinates(prods, u), u)
 
     # -- derived constructions ----------------------------------------------
 
@@ -194,17 +187,13 @@ class LieAlgebra:
         coordinates of the ideal's RREF."""
         if not self.is_ideal(ideal):
             raise NotIdealError(f"{ideal!r} is not an ideal")
-        n, p = self.dim, self.p
-        comp = [j for j in range(n) if j not in ideal.pivots]
-        m = len(comp)
-        brackets = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                w = ideal.reduce(
-                    self.bracket(self.basis_vector(comp[a]), self.basis_vector(comp[b]))
-                )
-                brackets[(a, b)] = tuple(w[j] for j in comp)
-        return LieAlgebra(self.field, m, brackets)
+        comp = [j for j in range(self.dim) if j not in ideal.pivots]
+        # [e_a, e_b] for the coset representatives, minus its part in the
+        # ideal (Subspace.reduce, at once), read at the coset coordinates
+        brackets = self.table[comp][:, comp]
+        rows = np.array(ideal.rows, dtype=np.int64).reshape(ideal.dim, self.dim)
+        brackets = (brackets - _coordinates(brackets, ideal) @ rows) % self.p
+        return LieAlgebra(self.field, len(comp), table=brackets[..., comp])
 
     def as_algebra(self, space: Subspace) -> "LieAlgebra":
         """The induced algebra on a bracket-closed subspace, in its RREF

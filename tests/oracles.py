@@ -233,7 +233,7 @@ def is_supersolvable_by_lines(L, memo=None):
             for tail in product(range(p), repeat=n - lead - 1):
                 v = (0,) * lead + (1,) + tail
                 line = Subspace.span([v], n, p)
-                if all(line.member(L.bracket(L.basis_vector(i), v)) for i in range(n)):
+                if all(line.member(L.bracket(e, v)) for e in np.eye(n, dtype=np.int64)):
                     if is_supersolvable_by_lines(L.quotient(line), memo):
                         memo[L.key] = True
                         return True

@@ -61,14 +61,14 @@ def test_criterion_2_counterexample_reproduction():
     start = time.monotonic()
     for p in (2, 3):
         l1 = counterexample_L1(p)
-        _, phi = frattini(l1)
+        _, phi = frattini(l1, build_lattice(l1))
         assert phi.rows == ((0, 0, 1),)  # span(z)
-        assert is_c_supplemented_algebra(l1)[0]
+        assert is_c_supplemented_algebra(l1, build_lattice(l1))[0]
         d = counterexample_double(p)
-        ok, failing = is_c_supplemented_algebra(d)
+        ok, failing = is_c_supplemented_algebra(d, build_lattice(d))
         assert not ok
         assert failing.rows == ((0, 0, 1, 0, 0, 1),)  # span(z + c)
-        ok, info = check_main_decomposition(d)
+        ok, info = check_main_decomposition(d, Analyzer())
         assert not ok and info["reason"] == "phi_subalgebra_not_ideal"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -82,13 +82,15 @@ def test_criterion_3_simple_semisimple():
         assert rep.predicates["simple"]
         assert rep.predicates["c_supplemented"]
         assert rep.predicates["completely_factorisable"]
-    assert not is_c_supplemented_algebra(L1_gamma(2, gamma0=0))[0]
+    g = L1_gamma(2, gamma0=0)
+    assert not is_c_supplemented_algebra(g, build_lattice(g))[0]
     gf3_elapsed = time.monotonic() - start
     assert gf3_elapsed < 60.0
     big = sl2(3).direct_sum(sl2(3))
-    ok, info = check_semisimple_shape(big)
+    lat = build_lattice(big)
+    ok, info = check_semisimple_shape(big, lat)
     assert ok and len(info["summands"]) == 2
-    assert is_c_supplemented_algebra(big)[0]
+    assert is_c_supplemented_algebra(big, lat)[0]
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(3, f"simple/semisimple classification incl. 6-dim sum in {elapsed:.2f}s")
@@ -126,12 +128,13 @@ def test_criterion_5_false_conjecture_detected():
     # every hit is replayable from its document
     for cx in log.counterexamples:
         d = algebra_from_doc(cx["algebra"])
-        assert not is_c_supplemented_algebra(d)[0]
+        assert not is_c_supplemented_algebra(d, build_lattice(d))[0]
     # the double-copy algebra is among the hits: both summands are in the
     # isomorphism class of its 3-dimensional building block
     target = algebra_to_doc(canonical_form_small(counterexample_L1(2)))
     assert any(cx["summands"] == [target, target] for cx in log.counterexamples)
-    assert not is_c_supplemented_algebra(counterexample_double(2))[0]
+    d = counterexample_double(2)
+    assert not is_c_supplemented_algebra(d, build_lattice(d))[0]
     _report(
         5,
         f"direct-sum conjecture refuted with {len(log.counterexamples)} "

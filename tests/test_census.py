@@ -225,11 +225,12 @@ def test_pair_campaign_csupp_dsum_refuted():
 def test_counterexamples_replayable():
     from liesupp.formats import algebra_from_doc
     from liesupp.classify import is_c_supplemented_algebra
+    from liesupp.lattice import build_lattice
 
     log = verify("csupp_dsum", CensusSpec(2, 3))
     for cx in log.counterexamples:
         d = algebra_from_doc(cx["algebra"])
-        assert not is_c_supplemented_algebra(d)[0]
+        assert not is_c_supplemented_algebra(d, build_lattice(d))[0]
 
 
 def test_theorem_registry_complete():

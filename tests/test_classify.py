@@ -16,6 +16,7 @@ from liesupp.classify import (
     c_supplement,
     check_main_decomposition,
     check_semisimple_shape,
+    PREDICATES,
     classify_algebra,
     complement_subalgebra,
     first_non_ideal_inside,
@@ -23,7 +24,6 @@ from liesupp.classify import (
     is_c_supplemented_algebra,
     is_completely_factorisable,
     is_elementary,
-    is_phi_free,
 )
 from liesupp.formats import jsonable
 from liesupp.gfp import PrimeField
@@ -82,15 +82,17 @@ def test_no_supplement_for_diagonal_line():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_c_supplemented_algebra_examples(p):
-    assert is_c_supplemented_algebra(heisenberg(p))[0]
-    ok, failing = is_c_supplemented_algebra(counterexample_double(p))
+    h, d = heisenberg(p), counterexample_double(p)
+    assert is_c_supplemented_algebra(h, build_lattice(h))[0]
+    ok, failing = is_c_supplemented_algebra(d, build_lattice(d))
     assert not ok
     # canonically first failing subalgebra is the diagonal line span(z + c)
     assert failing.rows == ((0, 0, 1, 0, 0, 1),)
 
 
 def test_char2_family_member_not_supplemented():
-    ok, failing = is_c_supplemented_algebra(L1_gamma(2, gamma0=0))
+    L = L1_gamma(2, gamma0=0)
+    ok, failing = is_c_supplemented_algebra(L, build_lattice(L))
     assert not ok
     # canonically first unsupplemented line
     assert failing.rows == ((0, 1, 0),)
@@ -99,15 +101,17 @@ def test_char2_family_member_not_supplemented():
 @pytest.mark.parametrize("p", [3, 5])
 def test_sl2_like_member_supplemented_odd_char(p):
     # gamma = 0, odd characteristic: the family member is c-supplemented
-    assert is_c_supplemented_algebra(L1_gamma(p, gamma0=0))[0]
+    L = L1_gamma(p, gamma0=0)
+    assert is_c_supplemented_algebra(L, build_lattice(L))[0]
 
 
 def test_completely_factorisable_examples():
-    assert is_completely_factorisable(abelian(2, 3))[0]
-    ok, failing = is_completely_factorisable(heisenberg(2))
+    for L in (abelian(2, 3), sl2(3)):
+        assert is_completely_factorisable(L, build_lattice(L))[0]
+    h = heisenberg(2)
+    ok, failing = is_completely_factorisable(h, build_lattice(h))
     assert not ok
     assert failing.rows == ((0, 0, 1),)  # span(z): inside every maximal
-    assert is_completely_factorisable(sl2(3))[0]
 
 
 def test_cf_implies_c_supplemented_on_census():
@@ -119,20 +123,23 @@ def test_cf_implies_c_supplemented_on_census():
 
 def test_heisenberg_c_supplemented_but_not_phi_free():
     h = heisenberg(2)
-    assert is_c_supplemented_algebra(h)[0]
-    assert not is_phi_free(h)
+    assert is_c_supplemented_algebra(h, build_lattice(h))[0]
+    assert not PREDICATES["phi_free"](Analyzer(), h)
 
 
 def test_elementary_and_E():
     for p in (2, 3):
         h = heisenberg(p)
-        assert not is_phi_free(h)
-        assert is_E_algebra(h)[0]
-        assert not is_elementary(h)[0]
-    assert is_elementary(abelian(3, 3))[0]
+        lat = build_lattice(h)
+        assert not PREDICATES["phi_free"](Analyzer(), h)
+        assert is_E_algebra(h, lat)[0]
+        assert not is_elementary(h, lat)[0]
+    a = abelian(3, 3)
+    assert is_elementary(a, build_lattice(a))[0]
     l1 = counterexample_L1(2)
-    assert not is_elementary(l1)[0]
-    assert is_E_algebra(l1)[0]
+    lat = build_lattice(l1)
+    assert not is_elementary(l1, lat)[0]
+    assert is_E_algebra(l1, lat)[0]
 
 
 def test_complement_search():
@@ -160,8 +167,9 @@ def test_isomorphism_witness():
 
     for i in range(3):
         for j in range(3):
-            lhs = apply(t, a.bracket(a.basis_vector(i), a.basis_vector(j)))
-            rhs = b.bracket(apply(t, a.basis_vector(i)), apply(t, a.basis_vector(j)))
+            e_i, e_j = np.eye(3, dtype=np.int64)[[i, j]]
+            lhs = apply(t, a.bracket(e_i, e_j))
+            rhs = b.bracket(apply(t, e_i), apply(t, e_j))
             assert lhs == rhs
 
 
@@ -189,24 +197,28 @@ def test_canonical_form_is_class_invariant():
     assert is_isomorphic_small(canonical_form_small(h), h) is not None
 
 
+def _shape(L):
+    return check_semisimple_shape(L, build_lattice(L))
+
+
 def test_semisimple_shape():
-    ok, info = check_semisimple_shape(sl2(3))
+    ok, info = _shape(sl2(3))
     assert ok and len(info["summands"]) == 1
-    ok, info = check_semisimple_shape(heisenberg(3))
+    ok, info = _shape(heisenberg(3))
     assert not ok and info["reason"] == "nonzero radical"
-    ok, info = check_semisimple_shape(sl2(5))
+    ok, info = _shape(sl2(5))
     assert ok
     # characteristic-2 policy: refused outright
-    ok, info = check_semisimple_shape(L1_gamma(2, gamma0=0))
+    ok, info = _shape(L1_gamma(2, gamma0=0))
     assert not ok and info["reason"] == "characteristic two"
 
 
 def test_main_decomposition():
-    ok, info = check_main_decomposition(heisenberg(3))
+    ok, info = check_main_decomposition(heisenberg(3), Analyzer())
     assert ok and info["R"].dim == 2 and info["S"].dim == 0
-    ok, info = check_main_decomposition(sl2(3))
+    ok, info = check_main_decomposition(sl2(3), Analyzer())
     assert ok and info["R"].dim == 0 and info["S"].dim == 3
-    ok, info = check_main_decomposition(counterexample_double(2))
+    ok, info = check_main_decomposition(counterexample_double(2), Analyzer())
     assert not ok
     assert info["reason"] == "phi_subalgebra_not_ideal"
     assert info["witness"].rows == ((0, 0, 1, 0, 0, 1),)
@@ -231,13 +243,9 @@ def test_classification_report_unknown_predicate():
 
 def test_classify_cap_and_analyzer():
     L = heisenberg(2)  # 16 subspaces
-    with pytest.raises(ValueError):
-        classify_algebra(L, cap=100, analyzer=Analyzer())
     with pytest.raises(CapExceededError):
         classify_algebra(L, analyzer=Analyzer(cap=10))
-    with pytest.raises(CapExceededError):
-        classify_algebra(L, cap=10)
-    assert classify_algebra(L, cap=100, analyzer=Analyzer(cap=100)).predicates
+    assert classify_algebra(L, analyzer=Analyzer(cap=100)).predicates
 
 
 def _report_doc(rep):
@@ -276,6 +284,35 @@ def test_classify_report_independent_of_analyzer():
         _report_doc(classify_algebra(L, analyzer=shared)),
     ]
     assert docs[0] == docs[1] == docs[2]
+
+
+@pytest.mark.parametrize(
+    "L", [heisenberg(3), sl2(3).direct_sum(abelian(3, 1)), counterexample_double(2)]
+)
+def test_classify_evaluates_through_the_analyzer_memo(L, monkeypatch):
+    az = Analyzer()
+    report = classify_algebra(L, analyzer=az)
+    underlying = {
+        "frattini": "frattini",
+        "c_supplemented": "is_c_supplemented_algebra",
+        "completely_factorisable": "is_completely_factorisable",
+        "elementary": "is_elementary",
+        "e_algebra": "is_E_algebra",
+        "radical": "radical",
+        "simple": "is_simple",
+        "semisimple_shape": "check_semisimple_shape",
+        "main_decomposition": "check_main_decomposition",
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a predicate was evaluated outside the memo")
+
+    for fn in underlying.values():
+        monkeypatch.setattr(classify_mod, fn, refuse)
+    for method in underlying:
+        getattr(az, method)(L)  # a memo hit, or the refusal above
+    assert report.predicates["c_supplemented"] == az.c_supplemented(L)[0]
+    assert report.predicates["semisimple"] == (az.radical(L).dim == 0)
 
 
 def test_lru_keeps_the_newest_entries():
@@ -435,7 +472,7 @@ def test_semisimple_shape_agrees_with_brute_force(base):
     ],
 )
 def test_semisimple_shape_refusals_unchanged(L):
-    ok, info = check_semisimple_shape(L)
+    ok, info = _shape(L)
     assert not ok
     if L.p == 2:
         assert info["reason"] == "characteristic two"
@@ -450,7 +487,7 @@ def test_semisimple_shape_makes_no_isomorphism_search():
     for mod in [liesupp] + [importlib.import_module(f"liesupp.{n}") for n in names]:
         assert not hasattr(mod, "is_isomorphic_small")
         assert not hasattr(mod, "canonical_form_small")
-    assert check_semisimple_shape(sl2(7))[0]
+    assert _shape(sl2(7))[0]
     assert classify_algebra(sl2(3).direct_sum(sl2(3))).predicates["semisimple_shape"]
 
 

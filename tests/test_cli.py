@@ -1,11 +1,13 @@
 import json
+from functools import lru_cache
 
 import pytest
 
 import liesupp.lattice as lattice_mod
+from liesupp.classify import ALL_PREDICATES, classify_algebra
 from liesupp.cli import EXIT_INTERNAL, main
 from liesupp.formats import algebra_to_doc
-from liesupp.liealg import abelian, counterexample_double, heisenberg
+from liesupp.liealg import abelian, catalog, counterexample_double, heisenberg
 
 
 def write_doc(tmp_path, doc, name="alg.json"):
@@ -66,6 +68,22 @@ def test_check_property_exit_codes(tmp_path, capsys):
     assert doc["witnesses"]["c_supplemented_failing"]["rows"] == [[0, 0, 1, 0, 0, 1]]
 
 
+@lru_cache(maxsize=None)
+def _predicates(name, p):
+    return classify_algebra(catalog(name, p)).predicates
+
+
+@pytest.mark.parametrize("algebra", [("counterexample_double", 2), ("sl2", 3)])
+@pytest.mark.parametrize("name", ALL_PREDICATES)
+def test_check_every_property(tmp_path, capsys, algebra, name):
+    path = write_doc(tmp_path, algebra_to_doc(catalog(*algebra)))
+    prop = name.lower().replace("_", "-")
+    code, out, _ = run(capsys, ["check", path, "--property", prop])
+    holds = json.loads(out)["holds"]
+    assert code == (0 if holds else 1)
+    assert holds == _predicates(*algebra)[name]
+
+
 def test_check_subspace_level(tmp_path, capsys):
     bad = write_doc(tmp_path, algebra_to_doc(counterexample_double(2)))
     code, out, _ = run(
@@ -118,6 +136,12 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
 def test_cap_exceeded_exit_3(tmp_path, capsys):
     code, _, err = run(
         capsys, ["census", "-p", "3", "-n", "3", "--table-cap", "100"]
+    )
+    assert code == 3 and "cap exceeded" in err
+    path = write_doc(tmp_path, algebra_to_doc(heisenberg(2)))  # 16 subspaces
+    code, _, err = run(
+        capsys,
+        ["check", path, "--property", "c-supplemented", "--subspace", "0 0 1", "--cap", "10"],
     )
     assert code == 3 and "cap exceeded" in err
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, classes, generate
-from liesupp.classify import Analyzer, complement_subalgebra
+from liesupp.classify import PREDICATES, Analyzer, complement_subalgebra
 from liesupp.lattice import (
     _closed_and_ideal_masks,
     abelian_socle,
     build_lattice,
     core,
     frattini,
-    is_semisimple,
     is_simple,
     is_supersolvable,
     minimal_ideals,
@@ -300,18 +299,20 @@ def test_core_fixpoint_matches_enumeration_oracle_dim56(p, left, right):
 def test_frattini_examples():
     for p in (2, 3, 5):
         h = heisenberg(p)
-        _, phi = frattini(h)
+        _, phi = frattini(h, build_lattice(h))
         assert phi.rows == ((0, 0, 1),)  # phi = L^2 = span(z)
-    _, phi1 = frattini(counterexample_L1(2))
+    l1, d = counterexample_L1(2), counterexample_double(2)
+    _, phi1 = frattini(l1, build_lattice(l1))
     assert phi1.rows == ((0, 0, 1),)
-    _, phid = frattini(counterexample_double(2))
+    _, phid = frattini(d, build_lattice(d))
     assert phid.rows == ((0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1))  # span(z, c)
 
 
 def test_frattini_degenerate_dims():
-    _, phi0 = frattini(abelian(2, 0))
+    a0, a1 = abelian(2, 0), abelian(2, 1)
+    _, phi0 = frattini(a0, build_lattice(a0))
     assert phi0.dim == 0
-    _, phi1 = frattini(abelian(2, 1))
+    _, phi1 = frattini(a1, build_lattice(a1))
     assert phi1.dim == 0  # only maximal subalgebra is 0
 
 
@@ -325,23 +326,27 @@ def test_frattini_is_ideal_inside_all_maximals():
 
 def test_minimal_ideals_and_socle():
     h = heisenberg(2)
-    mins = minimal_ideals(h)
+    lat = build_lattice(h)
+    mins = minimal_ideals(h, lat)
     assert [m.rows for m in mins] == [((0, 0, 1),)]
-    assert abelian_socle(h).rows == ((0, 0, 1),)
+    assert abelian_socle(h, lat).rows == ((0, 0, 1),)
     s = sl2(3)
-    assert [m.dim for m in minimal_ideals(s)] == [3]
-    assert abelian_socle(s).dim == 0
+    lat = build_lattice(s)
+    assert [m.dim for m in minimal_ideals(s, lat)] == [3]
+    assert abelian_socle(s, lat).dim == 0
     a = abelian(2, 2)
-    assert abelian_socle(a).dim == 2
+    assert abelian_socle(a, build_lattice(a)).dim == 2
 
 
 def test_radical_examples():
-    assert radical(sl2(3)).dim == 0
-    assert is_simple(sl2(3)) and is_semisimple(sl2(3))
-    assert radical(heisenberg(3)).dim == 3
+    s, h, a = sl2(3), heisenberg(3), abelian(2, 1)
+    lat = build_lattice(s)
+    assert radical(s, lat).dim == 0
+    assert is_simple(s, lat) and PREDICATES["semisimple"](Analyzer(), s)
+    assert radical(h, build_lattice(h)).dim == 3
     mixed = sl2(3).direct_sum(abelian(3, 1))
-    assert radical(mixed).rows == ((0, 0, 0, 1),)
-    assert not is_simple(abelian(2, 1))  # 1-dim algebras are not simple
+    assert radical(mixed, build_lattice(mixed)).rows == ((0, 0, 0, 1),)
+    assert not is_simple(a, build_lattice(a))  # 1-dim algebras are not simple
 
 
 def test_radical_quotient_is_semisimple():
@@ -351,7 +356,7 @@ def test_radical_quotient_is_semisimple():
         r = radical(L, lat)
         q = L.quotient(r)
         if q.dim:
-            assert radical(q).dim == 0
+            assert radical(q, build_lattice(q)).dim == 0
 
 
 def test_supersolvable_examples():

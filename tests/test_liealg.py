@@ -11,6 +11,7 @@ from liesupp.liealg import (
     InvalidAlgebraError,
     JacobiError,
     LieAlgebra,
+    NotIdealError,
     NotSubalgebraError,
     abelian,
     catalog,
@@ -84,18 +85,31 @@ def test_product_space():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_brackets_on_bases_match_pairwise_brackets(p):
-    """product_space, is_subalgebra and as_algebra against one bracket call
-    per basis pair, on every subspace (and pair of subspaces) of every
-    class representative of dims 1..3."""
+    """product_space, is_subalgebra, as_algebra, is_ideal and quotient
+    against one bracket call per basis pair, on every subspace (and pair of
+    subspaces) of every class representative of dims 1..3."""
     algebras = [rep for n in (1, 2, 3) for _, rep, _ in classes(p, n)]
     for L in algebras:
         spaces = list(enumerate_subspaces(L.dim, p))
+        units = [tuple(e) for e in np.eye(L.dim, dtype=int).tolist()]
         for u in spaces:
             for v in spaces:
                 prods = [L.bracket(x, y) for x in u.rows for y in v.rows]
                 assert L.product_space(u, v) == Subspace.span(prods, L.dim, p)
             closed = all(u.member(L.bracket(x, y)) for x in u.rows for y in u.rows)
             assert L.is_subalgebra(u) == closed
+            ideal = all(u.member(L.bracket(e, y)) for e in units for y in u.rows)
+            assert L.is_ideal(u) == ideal
+            if ideal:
+                comp = [j for j in range(L.dim) if j not in u.pivots]
+                q = L.quotient(u)
+                for a, s in enumerate(comp):
+                    for b, t in enumerate(comp):
+                        w = u.reduce(L.bracket(units[s], units[t]))
+                        assert tuple(q.table[a, b]) == tuple(w[c] for c in comp)
+            else:
+                with pytest.raises(NotIdealError):
+                    L.quotient(u)
             if not closed:
                 with pytest.raises(NotSubalgebraError):
                     L.as_algebra(u)
@@ -129,8 +143,6 @@ def test_quotient():
 
 def test_quotient_requires_ideal():
     h = heisenberg(2)
-    from liesupp.liealg import NotIdealError
-
     with pytest.raises(NotIdealError):
         h.quotient(Subspace.span([(1, 0, 0)], 3, 2))
 

@@ -447,10 +447,12 @@ class VerdictLog:
     examined: int
     counterexamples: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
-    # representatives checked, member tables re-checked, class-build seconds
+    # representatives checked, member tables re-checked, class-build seconds,
+    # pair sums whose conclusion was computed
     classes: int = 0
     members_rerun: int = 0
     classes_s: float = 0.0
+    sums_tested: int = 0
 
     @property
     def confirmed(self) -> bool:
@@ -468,6 +470,7 @@ class VerdictLog:
                 "classes": self.classes,
                 "members_rerun": self.members_rerun,
                 "classes_s": round(self.classes_s, 3),
+                "sums_tested": self.sums_tested,
             },
         }
 
@@ -556,12 +559,19 @@ def _verify_pairs(
     analyzer: Optional[Analyzer],
 ) -> VerdictLog:
     """Pair campaigns: filter the universe by the hypothesis predicate,
-    optionally deduplicate by isomorphism class, then test every ordered
-    direct sum.  An exhaustive universe dedups through its class
-    representatives.  A random one keeps, per class, the representative in
-    place of the first sample that satisfies the hypothesis, finding classes
-    by orbit in a bitset of the whole census of each dimension; so it is
-    refused wherever that census would be."""
+    optionally deduplicate by isomorphism class, then examine every ordered
+    direct sum of the members.  Swapping the summands is an isomorphism of
+    A + B onto B + A, and both conclusions are isomorphism invariants, so
+    the conclusion is tested once per unordered pair of member positions
+    i <= j and its verdict reused for (j, i).  Every ordered pair still
+    counts as examined, and a failing one is reported in order with its own
+    summands and the table of its own sum.
+
+    An exhaustive universe dedups through its class representatives.  A
+    random one keeps, per class, the representative in place of the first
+    sample that satisfies the hypothesis, finding classes by orbit in a
+    bitset of the whole census of each dimension; so it is refused wherever
+    that census would be."""
     require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
     random_dedup = dedup and spec.mode != "exhaustive"
     if random_dedup:
@@ -597,19 +607,28 @@ def _verify_pairs(
                     continue
                 log.classes += 1
             members.append((entry.index, alg))
-    for idx_a, a in members:
-        for idx_b, b in members:
+    failed = set()  # (i, j), i <= j, whose sum fails the conclusion
+    for i, (idx_a, a) in enumerate(members):
+        for j, (idx_b, b) in enumerate(members):
             log.examined += 1
-            d = a.direct_sum(b)
-            if not conclusion(d):
-                log.counterexamples.append(
-                    {
-                        "index": [list(idx_a), list(idx_b)],
-                        "summands": [algebra_to_doc(a), algebra_to_doc(b)],
-                        "algebra": algebra_to_doc(d),
-                        "violation": {"kind": f"{theorem_id}_conclusion_fails"},
-                    }
-                )
+            if i <= j:
+                log.sums_tested += 1
+                d = a.direct_sum(b)
+                if conclusion(d):
+                    continue
+                failed.add((i, j))
+            elif (j, i) in failed:
+                d = a.direct_sum(b)  # the table of this pair's own sum
+            else:
+                continue
+            log.counterexamples.append(
+                {
+                    "index": [list(idx_a), list(idx_b)],
+                    "summands": [algebra_to_doc(a), algebra_to_doc(b)],
+                    "algebra": algebra_to_doc(d),
+                    "violation": {"kind": f"{theorem_id}_conclusion_fails"},
+                }
+            )
     log.universe["pairs"] = True
     log.universe["dedup_by_isomorphism"] = dedup
     log.universe["members"] = len(members)

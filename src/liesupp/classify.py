@@ -29,7 +29,7 @@ from .lattice import (
 from .subspace import DEFAULT_SUBSPACE_CAP, Subspace
 
 # entries in each of an Analyzer's two verdict memos: with one check per
-# isomorphism class the benchmark campaigns peak at 65 (csupp_dsum over
+# isomorphism class the benchmark campaigns peak at 41 (csupp_dsum over
 # GF(2) dims <= 3), and a random universe, checked table by table, at 1,324
 # for 1,441 GF(3) tables of dims <= 3 (tsupp), so none of them evicts
 MEMO_SLOTS = 8192

@@ -190,6 +190,8 @@ class LatticeCache:
         got = self._first.get(k)
         if got is None:
             n = self.algebra.dim
+            if k > n:  # no dim-k subspace, and no dimension n - k
+                return np.empty(0, dtype=np.intp)
             got, self._first[n - k] = _first_complements(
                 self._dim(k).bases, self._dim(n - k).bases, self.algebra.p
             )

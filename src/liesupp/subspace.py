@@ -216,8 +216,9 @@ def echelon_arrays(n: int, p: int, k: int):
     """All dim-k subspaces of GF(p)^n as numpy arrays, for batch computations.
 
     Returns (bases, pivots): bases has shape (m, k, n) with each slice a RREF
-    basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p).  The
-    arrays may be shared between calls, so they are read-only.
+    basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p), which is
+    0 when k > n.  The arrays may be shared between calls, so they are
+    read-only.
     """
     return _shape_cached(_cached_echelon_arrays, n, p, k)
 
@@ -243,9 +244,11 @@ def _shape_cached(cached, n: int, p: int, k: int):
 
 
 def _build_echelon_arrays(n: int, p: int, k: int):
-    if k == 0:
+    if k == 0 or k > n:
+        # one zero subspace, or no subspace at all past the ambient dimension
+        m = int(k == 0)
         return _read_only(
-            np.zeros((1, 0, n), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+            np.zeros((m, k, n), dtype=np.int64), np.zeros((m, k), dtype=np.int64)
         )
     blocks = []
     pivs = []
@@ -267,6 +270,8 @@ def _build_echelon_arrays(n: int, p: int, k: int):
 
 
 def _build_parity_checks(n: int, p: int, k: int) -> np.ndarray:
+    if k > n:
+        return _read_only(np.zeros((0, n, 0), dtype=np.int64))[0]
     return _read_only(_checks(*_shape_cached(_cached_echelon_arrays, n, p, k), p))[0]
 
 

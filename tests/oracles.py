@@ -500,13 +500,13 @@ def c_supplement_by_sums(L, lattice, b):
     return None
 
 
-def verify_by_table(theorem_id, spec, analyzer=None):
+def verify_by_table(theorem_id, spec, analyzer=None, dedup=True):
     """The verify document, timing left out, from a check of every table of
     the universe in census order.  A per-algebra statement runs
     census.CHECKERS[theorem_id] (looked up at call time) on each table; a
-    pair statement keeps, per isomorphism class, the canonical form of the
-    first table that satisfies its hypothesis, and tests every ordered
-    direct sum of those."""
+    pair statement keeps every table that satisfies its hypothesis, or with
+    dedup, per isomorphism class, the canonical form of the first such
+    table, and tests every ordered direct sum of those."""
     az = analyzer or Analyzer()
     universe = spec.describe()
     counterexamples = []
@@ -514,7 +514,11 @@ def verify_by_table(theorem_id, spec, analyzer=None):
         holds = az.completely_factorisable if theorem_id == "ldsum" else az.c_supplemented
         members, seen = [], set()
         for entry in generate(spec):
-            if holds(entry.algebra)[0]:
+            if not holds(entry.algebra)[0]:
+                continue
+            if not dedup:
+                members.append((list(entry.index), entry.algebra))
+            else:
                 canon = canonical_form_small(entry.algebra)
                 if canon.key not in seen:
                     seen.add(canon.key)
@@ -532,7 +536,7 @@ def verify_by_table(theorem_id, spec, analyzer=None):
                         }
                     )
         examined = len(members) ** 2
-        universe.update(pairs=True, dedup_by_isomorphism=True, members=len(members))
+        universe.update(pairs=True, dedup_by_isomorphism=dedup, members=len(members))
     else:
         checker = CHECKERS[theorem_id]
         examined = 0

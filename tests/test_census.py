@@ -24,6 +24,7 @@ from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.liealg import (
     L1_gamma,
+    LieAlgebra,
     abelian,
     counterexample_L1,
     counterexample_double,
@@ -390,6 +391,47 @@ def test_random_pair_dedup_matches_canonical_forms(theorem, p, max_dim, seed):
     assert 0 < doc["universe"]["members"] < 30
     # each member is the representative of a class the sample found
     assert timing["classes"] == doc["universe"]["members"]
+
+
+@pytest.mark.parametrize("theorem", PAIR_THEOREMS)
+@pytest.mark.parametrize(
+    "spec",
+    [CensusSpec(3, 2), CensusSpec(2, 3, mode="random", count=30, seed=1)],
+    ids=["GF(3) dims<=2", "GF(2) dims<=3 random"],
+)
+def test_pair_campaign_without_dedup_matches_oracle(theorem, spec):
+    """Members repeat classes, and in the random universe tables; csupp_dsum
+    fails there on both orders of some pairs of distinct members."""
+    doc = verify(theorem, spec, dedup=False).to_doc()
+    doc.pop("timing")
+    assert doc == verify_by_table(theorem, spec, ORACLE_AZ, dedup=False)
+
+
+@pytest.mark.parametrize("theorem", PAIR_THEOREMS)
+def test_pair_campaign_tests_each_unordered_sum_once(theorem, monkeypatch):
+    sums, tested = [], []
+    real_sum = LieAlgebra.direct_sum
+    name = "completely_factorisable" if theorem == "ldsum" else "c_supplemented"
+    real_conclusion = getattr(Analyzer, name)
+
+    def recording_sum(self, other):
+        sums.append(real_sum(self, other))
+        return sums[-1]
+
+    def recording_conclusion(self, L):
+        if any(L is d for d in sums):
+            tested.append(L)
+        return real_conclusion(self, L)
+
+    monkeypatch.setattr(LieAlgebra, "direct_sum", recording_sum)
+    monkeypatch.setattr(Analyzer, name, recording_conclusion)
+    doc = verify(theorem, CensusSpec(2, 3)).to_doc()
+    m = doc["universe"]["members"]
+    assert m == {"ldsum": 6, "csupp_dsum": 8}[theorem]
+    # m(m+1)/2 < m^2, so a campaign testing every ordered sum fails here
+    assert len(tested) == m * (m + 1) // 2
+    assert doc["timing"]["sums_tested"] == len(tested)
+    assert doc["examined"] == m * m
 
 
 def test_random_pair_campaign_counts_its_classes():

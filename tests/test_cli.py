@@ -5,7 +5,7 @@ import pytest
 
 import liesupp.lattice as lattice_mod
 from liesupp.classify import ALL_PREDICATES, classify_algebra
-from liesupp.cli import EXIT_INTERNAL, main
+from liesupp.cli import EXIT_INTERNAL, PROPERTY_NAMES, main
 from liesupp.formats import algebra_to_doc
 from liesupp.liealg import abelian, catalog, counterexample_double, heisenberg
 
@@ -82,6 +82,18 @@ def test_check_every_property(tmp_path, capsys, algebra, name):
     holds = json.loads(out)["holds"]
     assert code == (0 if holds else 1)
     assert holds == _predicates(*algebra)[name]
+
+
+def test_zero_algebra(tmp_path, capsys):
+    path = write_doc(tmp_path, {"field": {"prime": 2}, "dim": 0, "brackets": []})
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 0
+    predicates = json.loads(out)["predicates"]
+    assert predicates["completely_factorisable"] is True
+    assert predicates["c_supplemented"] is True
+    for prop in PROPERTY_NAMES:
+        code, _, _ = run(capsys, ["check", path, "--property", prop])
+        assert code in (0, 1), prop
 
 
 def test_check_subspace_level(tmp_path, capsys):

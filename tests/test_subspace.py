@@ -115,6 +115,13 @@ def test_echelon_arrays_counts(n, p):
                 assert (bases[idx, r, piv[:, r]] == 1).all()
 
 
+@pytest.mark.parametrize("n,k", [(0, 1), (2, 3)])
+def test_no_subspace_past_the_ambient_dimension(n, k):
+    bases, piv = echelon_arrays(n, 2, k)
+    assert bases.shape == (0, k, n) and piv.shape == (0, k)
+    assert len(_parity_checks(n, 2, k)) == 0
+
+
 def test_echelon_arrays_shared_and_read_only():
     import inspect
 

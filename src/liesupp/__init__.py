@@ -33,7 +33,6 @@ from .lattice import (
 from .classify import (
     Analyzer,
     ClassificationReport,
-    SupplementWitness,
     c_supplement,
     check_main_decomposition,
     check_semisimple_shape,

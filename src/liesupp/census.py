@@ -28,7 +28,7 @@ from .classify import Analyzer, _LRU, c_supplement, first_non_ideal_inside
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
-from .subspace import CapExceededError, DEFAULT_SUBSPACE_CAP, Subspace
+from .subspace import CapExceededError, Subspace
 
 DEFAULT_TABLE_CAP = 2**25
 # tables decoded and Jacobi-filtered together: the int64 residuals of one
@@ -54,7 +54,6 @@ class CensusSpec:
     count: int = 0  # random mode: number of accepted algebras
     seed: int = 0
     table_cap: int = DEFAULT_TABLE_CAP
-    dim4_opt_in: bool = False
 
     def __post_init__(self):
         # refuse a bad modulus before any cap is consulted
@@ -82,17 +81,14 @@ def table_digit_count(n: int) -> int:
     return n * (n * (n - 1) // 2)
 
 
-def _check_exhaustive_caps(spec: CensusSpec, n: int, use: str = "") -> int:
-    """The number of dim-n tables, after refusing a census of them past the
-    spec's caps; `use` names what the census is wanted for."""
-    total = spec.p ** table_digit_count(n)
-    if total > spec.table_cap:
-        raise CapExceededError(total, spec.table_cap, f"candidate tables{use}")
-    if n >= 4 and not spec.dim4_opt_in:
-        raise CapExceededError(
-            total, 0, f"dim-{n} exhaustive tables{use} (enable dim4_opt_in)"
-        )
-    return total
+def _check_exhaustive_caps(spec: CensusSpec, use: str = "") -> None:
+    """Refuse, before any table is made, the exhaustive census of a spec
+    with a dimension past its table cap, the one guard on census size;
+    `use` names what the census is wanted for."""
+    for n in spec.dims():
+        total = spec.p ** table_digit_count(n)
+        if total > spec.table_cap:
+            raise CapExceededError(total, spec.table_cap, f"candidate tables{use}")
 
 
 def _tables_from_digits(digits: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -283,8 +279,9 @@ def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
     count // max_dim algebras of each dimension (the remainder going to the
     lowest dimensions); at most spec.table_cap tables are drawn."""
     if spec.mode == "exhaustive":
+        _check_exhaustive_caps(spec)
         for n in spec.dims():
-            total = _check_exhaustive_caps(spec, n)
+            total = spec.p ** table_digit_count(n)
             for t, alg in _exhaustive_algebras(spec.p, n, 0, total):
                 yield CensusEntry(("e", n, t), alg)
     elif spec.mode == "random":
@@ -295,7 +292,7 @@ def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
         while accepted < spec.count:
             if counter >= spec.table_cap:
                 raise CapExceededError(counter + 1, spec.table_cap, "random tables")
-            # counter-based generator: workers can partition counter ranges
+            # counter-based generator: a sample is reproducible from (seed, counter)
             gen = np.random.Generator(np.random.Philox(key=[spec.seed, counter]))
             n = dims[accepted % len(dims)]
             digits = gen.integers(0, spec.p, size=table_digit_count(n))
@@ -343,7 +340,7 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 
 def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
-    phi_l = az.frattini(L)[1]
+    phi_l = az.frattini(L)
     phis = lat.subalgebra_phis()
     for k, subs in lat.by_dim.items():
         for d, phi_d in zip(subs, phis[k]):
@@ -371,7 +368,7 @@ def _check_cE(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 
 
 def _check_pequ(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
-    phi = az.frattini(L)[1]
+    phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
     q = L.quotient(phi)
     rhs = (
@@ -386,7 +383,7 @@ def _check_pequ(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 def _check_tsolv(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     if not L.is_solvable():
         return None
-    phi = az.frattini(L)[1]
+    phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
     rhs = az.supersolvable(L) and first_non_ideal_inside(az.lattice(L), phi) is None
     if lhs != rhs:
@@ -476,9 +473,8 @@ class VerdictLog:
 
 
 def _timed_classes(spec: CensusSpec, n: int, log: VerdictLog):
-    """classes(spec.p, n) after the spec's caps, its build time added to
-    log.classes_s (0 on a cache hit)."""
-    _check_exhaustive_caps(spec, n)
+    """classes(spec.p, n), its build time added to log.classes_s (0 on a
+    cache hit); the caller has checked the spec's table cap."""
     t0 = time.monotonic()
     out = classes(spec.p, n)
     log.classes_s += time.monotonic() - t0
@@ -492,7 +488,6 @@ def _counterexample(index: Tuple, alg: LieAlgebra, violation: Dict) -> Dict:
 def verify(
     theorem_id: str,
     spec: CensusSpec,
-    subspace_cap: int = DEFAULT_SUBSPACE_CAP,
     dedup: bool = True,
     analyzer: Optional[Analyzer] = None,
 ) -> VerdictLog:
@@ -503,17 +498,20 @@ def verify(
     A class whose representative fails is checked again table by table, in
     index order, because a violation's details are written in the table's
     own basis; so the document is the one a check of every table would
-    give.  A random universe is checked table by table."""
+    give.  A random universe is checked table by table.  Every lattice comes
+    from `analyzer` (a fresh Analyzer() with the default subspace cap unless
+    one is passed), so its cap is the campaign's one guard on lattice size;
+    the spec's table cap guards the census."""
     start_time = time.monotonic()
     if theorem_id in PAIR_THEOREMS:
-        log = _verify_pairs(theorem_id, spec, subspace_cap, dedup, analyzer)
+        log = _verify_pairs(theorem_id, spec, dedup, analyzer)
     elif theorem_id not in CHECKERS:
         raise KeyError(
             f"unknown theorem id {theorem_id!r}; known: "
             f"{sorted(CHECKERS) + list(PAIR_THEOREMS)}"
         )
     else:
-        az = analyzer or Analyzer(cap=subspace_cap)
+        az = analyzer or Analyzer()
         log = VerdictLog(theorem_id, spec.describe(), 0)
         if spec.mode == "exhaustive":
             _check_classes(CHECKERS[theorem_id], spec, az, log)
@@ -532,6 +530,7 @@ def _check_tables(checker, spec: CensusSpec, az: Analyzer, log: VerdictLog):
 
 
 def _check_classes(checker, spec: CensusSpec, az: Analyzer, log: VerdictLog):
+    _check_exhaustive_caps(spec)
     found = []  # (dim, index, algebra, violation)
     for n in spec.dims():
         for t, rep, size in _timed_classes(spec, n, log):
@@ -554,7 +553,6 @@ def _check_classes(checker, spec: CensusSpec, az: Analyzer, log: VerdictLog):
 def _verify_pairs(
     theorem_id: str,
     spec: CensusSpec,
-    subspace_cap: int,
     dedup: bool,
     analyzer: Optional[Analyzer],
 ) -> VerdictLog:
@@ -575,12 +573,10 @@ def _verify_pairs(
     require_int64_safe(spec.p, 2 * spec.max_dim)  # the sums double the dimension
     random_dedup = dedup and spec.mode != "exhaustive"
     if random_dedup:
-        # refuse before generating anything
-        for n in spec.dims():
-            _check_exhaustive_caps(
-                spec, n, " for the dedup of a random universe (--no-dedup skips it)"
-            )
-    az = analyzer or Analyzer(cap=subspace_cap)
+        _check_exhaustive_caps(
+            spec, " for the dedup of a random universe (--no-dedup skips it)"
+        )
+    az = analyzer or Analyzer()
     if theorem_id == "ldsum":
         hypothesis = lambda a: az.completely_factorisable(a)[0]
         conclusion = lambda d: az.completely_factorisable(d)[0]
@@ -590,6 +586,7 @@ def _verify_pairs(
     log = VerdictLog(theorem_id, spec.describe(), 0)
     members: List[Tuple[Tuple, LieAlgebra]] = []
     if dedup and not random_dedup:
+        _check_exhaustive_caps(spec)
         for n in spec.dims():
             for t, rep, _size in _timed_classes(spec, n, log):
                 log.classes += 1

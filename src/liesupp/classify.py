@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -37,27 +36,9 @@ MEMO_SLOTS = 8192
 LATTICE_SLOTS = 256
 
 
-@dataclass
-class SupplementWitness:
-    """A pair (B, C) certifying that B is c-supplemented: B + C is the whole
-    algebra and B intersect C lies in the core of B.  The core is computed
-    on first access, since a C meeting B trivially needs no core to certify
-    it."""
-
-    algebra: LieAlgebra
-    subalgebra: Subspace
-    supplement: Subspace
-    meets_in: Subspace
-
-    @cached_property
-    def core_of_subalgebra(self) -> Subspace:
-        return core(self.algebra, self.subalgebra)
-
-
-def c_supplement(
-    L: LieAlgebra, lattice: LatticeCache, b: Subspace
-) -> Optional[SupplementWitness]:
-    """First supplement of b in canonical search order, or None.
+def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[Subspace]:
+    """First supplement C of b in canonical search order, or None: b + C is
+    the whole algebra and b meet C lies in the core of b.
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
     sum is everything; the first of them is looked up in
@@ -70,17 +51,12 @@ def c_supplement(
     d0 = n - b.dim
     c_ = complement_subalgebra(L, lattice, b)
     if c_ is not None:
-        return SupplementWitness(L, b, c_, Subspace.zero(n, L.p))
+        return c_
     core_b = core(L, b)
     for d in range(d0 + 1, d0 + core_b.dim + 1):
         for c_ in lattice.by_dim.get(d, []):
-            if b.sum(c_).dim != n:
-                continue
-            meet = b.intersect(c_)
-            if core_b.contains(meet):
-                witness = SupplementWitness(L, b, c_, meet)
-                witness.core_of_subalgebra = core_b
-                return witness
+            if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
+                return c_
     return None
 
 
@@ -215,7 +191,7 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
     phi-free) radical and S zero or an sl2 direct sum.  Every lattice, and
     so the cap, comes from `az`."""
     lattice = az.lattice(L)
-    phi = az.frattini(L)[1]
+    phi = az.frattini(L)
     out: Dict = {"phi": phi}
     witness = first_non_ideal_inside(lattice, phi)
     if witness is not None:
@@ -232,7 +208,7 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
         if not az.supersolvable(r_alg):
             out["reason"] = "radical_not_supersolvable"
             return False, out
-        if az.frattini(r_alg)[1].dim:
+        if az.frattini(r_alg).dim:
             out["reason"] = "radical_not_phi_free"
             return False, out
     for s in lat_q.ideals:
@@ -263,7 +239,7 @@ PREDICATES: Dict[str, Callable[["Analyzer", LieAlgebra], object]] = {
     "supersolvable": lambda az, L: az.supersolvable(L),
     "simple": lambda az, L: az.simple(L),
     "semisimple": lambda az, L: L.dim > 0 and az.radical(L).dim == 0,
-    "phi_free": lambda az, L: az.frattini(L)[1].dim == 0,
+    "phi_free": lambda az, L: az.frattini(L).dim == 0,
     "c_supplemented": lambda az, L: az.c_supplemented(L),
     "completely_factorisable": lambda az, L: az.completely_factorisable(L),
     "elementary": lambda az, L: az.elementary(L),
@@ -304,7 +280,7 @@ def classify_algebra(
     az = analyzer if analyzer is not None else Analyzer()
     rep = ClassificationReport(p=L.p, dim=L.dim, degenerate=L.dim <= 1)
     rep.lattice_stats = az.lattice(L).stats()
-    rep.witnesses["phi"] = az.frattini(L)[1]
+    rep.witnesses["phi"] = az.frattini(L)
     for name in wanted:
         verdict = PREDICATES[name](az, L)
         if isinstance(verdict, tuple):
@@ -372,7 +348,7 @@ class Analyzer:
         return got
 
     def frattini(self, L):
-        """(F, phi) of L."""
+        """phi(L)."""
         return self._cached("frattini", L, lambda: frattini(L, self.lattice(L)))
 
     def c_supplemented(self, L):

@@ -141,12 +141,12 @@ def _check_subspace(L: LieAlgebra, prop: str, args) -> int:
         if not L.is_subalgebra(space):
             raise DocumentError("given subspace is not a subalgebra")
         lattice = Analyzer(args.cap).lattice(L)
-        witness = c_supplement(L, lattice, space)
-        verdict = witness is not None
-        if witness is not None:
-            out["supplement"] = space_doc(witness.supplement)
-            out["meets_in"] = space_doc(witness.meets_in)
-            out["core"] = space_doc(witness.core_of_subalgebra)
+        supplement = c_supplement(L, lattice, space)
+        verdict = supplement is not None
+        if verdict:
+            out["supplement"] = space_doc(supplement)
+            out["meets_in"] = space_doc(space.intersect(supplement))
+            out["core"] = space_doc(core(L, space))
     else:
         raise DocumentError(
             f"property {prop!r} does not take a subspace; subspace-level "
@@ -182,7 +182,6 @@ def _spec_from_args(args) -> census_mod.CensusSpec:
         count=args.samples or 0,
         seed=args.seed,
         table_cap=args.table_cap,
-        dim4_opt_in=args.dim4_opt_in,
     )
 
 
@@ -213,10 +212,7 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     log = census_mod.verify(
-        args.theorem,
-        spec,
-        subspace_cap=args.cap,
-        dedup=not args.no_dedup,
+        args.theorem, spec, dedup=not args.no_dedup, analyzer=Analyzer(args.cap)
     )
     _emit(log.to_doc(), args.out)
     return EXIT_OK if log.confirmed else EXIT_PROPERTY_FALSE
@@ -236,7 +232,6 @@ def _add_census_flags(sp):
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--table-cap", type=int, default=census_mod.DEFAULT_TABLE_CAP)
-    sp.add_argument("--dim4-opt-in", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -590,18 +590,16 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
 # -- Frattini, socle, radical ----------------------------------------------
 
 
-def frattini(L: LieAlgebra, lattice: LatticeCache) -> Tuple[Subspace, Subspace]:
-    """(F, phi): F is the intersection of all maximal subalgebras, phi the
-    largest ideal of L inside F.  An algebra with no proper subalgebra
-    (dim 0) has F = L."""
+def frattini(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
+    """phi(L), the largest ideal of L inside the intersection of all maximal
+    subalgebras; 0 for the zero algebra."""
     n, p = L.dim, L.p
     if n == 0:
-        z = Subspace.zero(n, p)
-        return z, z
+        return Subspace.zero(n, p)
     f = Subspace.full(n, p)
     for m in lattice.maximals:
         f = f.intersect(m)
-    return f, core(L, f)
+    return core(L, f)
 
 
 def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:

@@ -144,7 +144,7 @@ def subalgebra_phis_by_sublattices(L, lattice, analyzer):
         out[k] = []
         for b in subs:
             sub = L.as_algebra(b)
-            out[k].append(lift_space(b, analyzer.frattini(sub)[1]))
+            out[k].append(lift_space(b, analyzer.frattini(sub)))
     return out
 
 
@@ -163,7 +163,7 @@ def phi_subalgebra_not_ideal_by_sublattice(L, phi, analyzer):
 def check_pfrat_by_sublattices(L, az):
     """census pfrat checker with phi(D) from D's own lattice."""
     lat = az.lattice(L)
-    phi_l = frattini(L, lat)[1]
+    phi_l = frattini(L, lat)
     phis = subalgebra_phis_by_sublattices(L, lat, az)
     for k, subs in lat.by_dim.items():
         for d, lifted in zip(subs, phis[k]):
@@ -184,7 +184,7 @@ def check_pfrat_by_sublattices(L, az):
 def check_pequ_by_sublattice(L, az):
     """census pequ checker with the subalgebras of phi(L) from phi's own
     lattice."""
-    phi = az.frattini(L)[1]
+    phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
     q = L.quotient(phi)
     rhs = (
@@ -201,7 +201,7 @@ def check_tsolv_by_sublattice(L, az):
     lattice."""
     if not L.is_solvable():
         return None
-    phi = az.frattini(L)[1]
+    phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
     rhs = az.supersolvable(L) and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
     if lhs != rhs:

@@ -61,7 +61,7 @@ def test_criterion_2_counterexample_reproduction():
     start = time.monotonic()
     for p in (2, 3):
         l1 = counterexample_L1(p)
-        _, phi = frattini(l1, build_lattice(l1))
+        phi = frattini(l1, build_lattice(l1))
         assert phi.rows == ((0, 0, 1),)  # span(z)
         assert is_c_supplemented_algebra(l1, build_lattice(l1))[0]
         d = counterexample_double(p)

@@ -112,10 +112,24 @@ def test_dim2_count_matches_brute_force_oracle():
 
 
 def test_caps_refused():
-    with pytest.raises(CapExceededError):
-        list(generate(CensusSpec(2, 4)))  # dim 4 needs opt-in
+    # 3^24 dim-4 and 2^50 dim-5 tables lie past the default table cap of
+    # 2^25; the refusal comes before any table of a lower dimension is made
+    for spec in (CensusSpec(3, 4), CensusSpec(2, 5)):
+        with pytest.raises(CapExceededError):
+            next(generate(spec))
     with pytest.raises(CapExceededError):
         list(generate(CensusSpec(3, 3, table_cap=100)))
+
+
+def test_campaigns_refused_before_any_class_is_built(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError("classes built before the table cap check")
+
+    monkeypatch.setattr(census_mod, "classes", refuse)
+    for spec in (CensusSpec(3, 4), CensusSpec(2, 5)):
+        for theorem in ("pequ", "ldsum"):
+            with pytest.raises(CapExceededError):
+                verify(theorem, spec)
 
 
 @pytest.mark.parametrize("p,max_dim", [(2, 3), (3, 3), (5, 2)])
@@ -147,7 +161,8 @@ def test_pair_dedup_refused_before_any_generation(monkeypatch):
         raise AssertionError("census generated before the dedup limit check")
 
     monkeypatch.setattr(census_mod, "generate", refuse)
-    spec = CensusSpec(2, 4, mode="random", count=8, seed=0)
+    # 2^50 dim-5 tables lie past the default table cap of 2^25
+    spec = CensusSpec(2, 5, mode="random", count=8, seed=0)
     with pytest.raises(CapExceededError, match="--no-dedup"):
         verify("ldsum", spec)
 
@@ -454,7 +469,7 @@ def test_random_pair_dedup_admitted_where_the_census_is(monkeypatch):
         verify("ldsum", CensusSpec(7, 3, mode="random", count=8, seed=0))
     for spec in (
         CensusSpec(7, 3, mode="random", count=8, seed=0, table_cap=7**9),
-        CensusSpec(2, 4, mode="random", count=8, seed=0, dim4_opt_in=True),
+        CensusSpec(2, 4, mode="random", count=8, seed=0),
     ):
         with pytest.raises(_Generated):
             verify("ldsum", spec)
@@ -511,7 +526,7 @@ def test_dim4_gf2_campaigns():
     found = census_mod.classes(2, 4)
     assert len(found) == 23
     assert sum(size for _, _, size in found) == 34336
-    spec = CensusSpec(2, 4, dim4_opt_in=True)
+    spec = CensusSpec(2, 4)
     for theorem in sorted(CHECKERS):
         log = verify(theorem, spec)
         assert log.examined == 1 + 4 + 120 + 34336

@@ -27,7 +27,7 @@ from liesupp.classify import (
 )
 from liesupp.formats import jsonable
 from liesupp.gfp import PrimeField
-from liesupp.lattice import build_lattice, frattini
+from liesupp.lattice import build_lattice, core, frattini
 from liesupp.liealg import (
     LieAlgebra,
     abelian,
@@ -58,19 +58,19 @@ def test_ideal_always_supplemented():
     h = heisenberg(2)
     lat = build_lattice(h)
     z = Subspace.span([(0, 0, 1)], 3, 2)
-    w = c_supplement(h, lat, z)
-    assert w is not None
-    assert z.sum(w.supplement).dim == 3
-    assert w.core_of_subalgebra.contains(w.meets_in)
+    c = c_supplement(h, lat, z)
+    assert c is not None
+    assert z.sum(c).dim == 3
+    assert core(h, z).contains(z.intersect(c))
 
 
 def test_line_supplement_in_heisenberg():
     h = heisenberg(2)
     lat = build_lattice(h)
     x = Subspace.span([(1, 0, 0)], 3, 2)
-    w = c_supplement(h, lat, x)
-    assert w is not None
-    assert w.meets_in.dim == 0 and w.supplement.dim == 2
+    c = c_supplement(h, lat, x)
+    assert c is not None
+    assert x.intersect(c).dim == 0 and c.dim == 2
 
 
 def test_no_supplement_for_diagonal_line():
@@ -256,7 +256,7 @@ def test_classify_builds_each_subalgebra_lattice_once(monkeypatch):
     real = lattice_mod.build_lattice
     phi_free = counterexample_double(3)
     L = heisenberg(2).direct_sum(abelian(2, 2))
-    quotient = L.quotient(frattini(L, real(L))[1])
+    quotient = L.quotient(frattini(L, real(L)))
     built = []
 
     def counting(L, *args, **kwargs):
@@ -512,13 +512,17 @@ def test_c_supplemented_matches_oracle_on_examples():
 
 
 def test_supplement_witness_core_is_the_core():
+    """The witness `liesupp check --subspace` reports for a supplement C of
+    b: b meet C and core(b), which holds the meet."""
     L = counterexample_double(3)
     lat = build_lattice(L)
     for b in lat.subalgebras:
-        w = c_supplement(L, lat, b)
-        if w is not None:
-            assert w.core_of_subalgebra == core_by_enumeration(L, b, lat)
-            assert w.core_of_subalgebra.contains(w.meets_in)
+        c = c_supplement(L, lat, b)
+        if c is not None:
+            core_b = core(L, b)
+            assert b.sum(c).dim == L.dim
+            assert core_b == core_by_enumeration(L, b, lat)
+            assert core_b.contains(b.intersect(c))
 
 
 # -- supplement search by Plücker pairing -----------------------------------
@@ -531,9 +535,9 @@ def assert_supplements_match_oracles(L):
     lat = build_lattice(L)
     unsupplemented, uncomplemented = [], []
     for b in lat.subalgebras:
-        w = c_supplement(L, lat, b)
+        c = c_supplement(L, lat, b)
         expected = c_supplement_by_sums(L, lat, b)
-        assert (None if w is None else (w.supplement, w.meets_in)) == expected
+        assert (None if c is None else (c, b.intersect(c))) == expected
         # c_supplement_by_sums returns complement_by_sums when it finds one,
         # so its answer gives the complement without a second scan
         if expected is not None and expected[0].dim == L.dim - b.dim:
@@ -647,7 +651,7 @@ def assert_phis_match_oracles(L):
     pairs = [(b, phi_b) for k, subs in lat.by_dim.items() for b, phi_b in zip(subs, expected[k])]
     first = next((b for b, phi_b in pairs if phi_b.dim), None)
     assert is_elementary(L, lat) == (first is None, first)
-    phi_l = frattini(L, lat)[1]
+    phi_l = frattini(L, lat)
     first = next((b for b, phi_b in pairs if not phi_l.contains(phi_b)), None)
     assert is_E_algebra(L, lat) == (first is None, first)
     assert first_non_ideal_inside(lat, phi_l) == phi_subalgebra_not_ideal_by_sublattice(

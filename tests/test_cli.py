@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -146,10 +149,16 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_3(tmp_path, capsys):
-    code, _, err = run(
-        capsys, ["census", "-p", "3", "-n", "3", "--table-cap", "100"]
-    )
-    assert code == 3 and "cap exceeded" in err
+    for argv in (
+        ["census", "-p", "3", "-n", "3", "--table-cap", "100"],
+        # 3^24 dim-4 and 2^50 dim-5 tables lie past the default table cap
+        ["census", "-p", "3", "-n", "4"],
+        ["verify", "pequ", "-p", "2", "-n", "5"],
+        # every lattice of a campaign comes from an Analyzer under --cap
+        ["verify", "pequ", "-p", "2", "-n", "3", "--cap", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == "" and "cap exceeded" in err, argv
     path = write_doc(tmp_path, algebra_to_doc(heisenberg(2)))  # 16 subspaces
     code, _, err = run(
         capsys,
@@ -214,9 +223,30 @@ def test_modulus_beyond_int64_exit_2(tmp_path, capsys):
 
 def test_pair_dedup_dimension_limit_exit_3(capsys):
     code, _, err = run(
-        capsys, ["verify", "ldsum", "-p", "2", "-n", "4", "--samples", "40"]
+        capsys, ["verify", "ldsum", "-p", "2", "-n", "5", "--samples", "40"]
     )
     assert code == 3 and "--no-dedup" in err
+
+
+@pytest.mark.parametrize("command", ["census", "verify pequ"])
+def test_dim4_opt_in_flag_removed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["-p", "2", "-n", "2", "--dim4-opt-in"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim4-opt-in" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("liesupp ")]
+    refuted = [line for line in lines if line.startswith("liesupp verify csupp_dsum")]
+    assert len(lines) == 9 and len(refuted) == 1
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        expected = 1 if line in refuted else 0
+        assert main(shlex.split(line)[1:]) == expected, line
+        capsys.readouterr()
 
 
 def test_unsolvable_radical_exit_4(tmp_path, capsys, monkeypatch):

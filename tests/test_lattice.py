@@ -299,27 +299,27 @@ def test_core_fixpoint_matches_enumeration_oracle_dim56(p, left, right):
 def test_frattini_examples():
     for p in (2, 3, 5):
         h = heisenberg(p)
-        _, phi = frattini(h, build_lattice(h))
+        phi = frattini(h, build_lattice(h))
         assert phi.rows == ((0, 0, 1),)  # phi = L^2 = span(z)
     l1, d = counterexample_L1(2), counterexample_double(2)
-    _, phi1 = frattini(l1, build_lattice(l1))
+    phi1 = frattini(l1, build_lattice(l1))
     assert phi1.rows == ((0, 0, 1),)
-    _, phid = frattini(d, build_lattice(d))
+    phid = frattini(d, build_lattice(d))
     assert phid.rows == ((0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1))  # span(z, c)
 
 
 def test_frattini_degenerate_dims():
     a0, a1 = abelian(2, 0), abelian(2, 1)
-    _, phi0 = frattini(a0, build_lattice(a0))
+    phi0 = frattini(a0, build_lattice(a0))
     assert phi0.dim == 0
-    _, phi1 = frattini(a1, build_lattice(a1))
+    phi1 = frattini(a1, build_lattice(a1))
     assert phi1.dim == 0  # only maximal subalgebra is 0
 
 
 def test_frattini_is_ideal_inside_all_maximals():
     for L in (heisenberg(3), counterexample_L1(3), sl2(3)):
         lat = build_lattice(L)
-        _, phi = frattini(L, lat)
+        phi = frattini(L, lat)
         assert L.is_ideal(phi)
         assert all(m.contains(phi) for m in lat.maximals)
 

@@ -1,12 +1,7 @@
 """Exact structure analysis of finite-dimensional Lie algebras over GF(p)."""
 
 from .gfp import PrimeField
-from .subspace import (
-    CapExceededError,
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
+from .subspace import CapExceededError, Subspace, gaussian_binomial
 from .liealg import (
     InvalidAlgebraError,
     JacobiError,
@@ -27,7 +22,6 @@ from .lattice import (
     is_simple,
     is_supersolvable,
     minimal_ideals,
-    abelian_socle,
     radical,
 )
 from .classify import (

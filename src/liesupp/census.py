@@ -498,10 +498,11 @@ def verify(
     A class whose representative fails is checked again table by table, in
     index order, because a violation's details are written in the table's
     own basis; so the document is the one a check of every table would
-    give.  A random universe is checked table by table.  Every lattice comes
-    from `analyzer` (a fresh Analyzer() with the default subspace cap unless
-    one is passed), so its cap is the campaign's one guard on lattice size;
-    the spec's table cap guards the census."""
+    give.  A random universe, and any universe when dedup is false, is
+    checked table by table.  Every lattice comes from `analyzer` (a fresh
+    Analyzer() with the default subspace cap unless one is passed), so its
+    cap is the campaign's one guard on lattice size; the spec's table cap
+    guards the census."""
     start_time = time.monotonic()
     if theorem_id in PAIR_THEOREMS:
         log = _verify_pairs(theorem_id, spec, dedup, analyzer)
@@ -513,7 +514,7 @@ def verify(
     else:
         az = analyzer or Analyzer()
         log = VerdictLog(theorem_id, spec.describe(), 0)
-        if spec.mode == "exhaustive":
+        if spec.mode == "exhaustive" and dedup:
             _check_classes(CHECKERS[theorem_id], spec, az, log)
         else:
             _check_tables(CHECKERS[theorem_id], spec, az, log)

@@ -42,10 +42,12 @@ def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
     sum is everything; the first of them is looked up in
-    lattice.first_complements.  Only when none fits is the core computed and
-    larger candidates scanned: a C with b + C = L meets b in
+    lattice.first_complements.  Only when none fits is the core K of b
+    computed and larger candidates scanned: a C with b + C = L meets b in
     dim C - codim(b) dimensions, so no C of dimension above
-    codim(b) + dim core(b) can meet b inside the core.
+    codim(b) + dim K can meet b inside K.  Since K lies in b, b meet C
+    lies in K exactly when it is K meet C, that is when
+    dim(K + C) = dim K + codim(b); so each candidate costs two sums.
     """
     n = L.dim
     d0 = n - b.dim
@@ -55,7 +57,7 @@ def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[
     core_b = core(L, b)
     for d in range(d0 + 1, d0 + core_b.dim + 1):
         for c_ in lattice.by_dim.get(d, []):
-            if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
+            if b.sum(c_).dim == n and core_b.sum(c_).dim == d0 + core_b.dim:
                 return c_
     return None
 
@@ -170,13 +172,12 @@ def check_semisimple_shape(
     mins = minimal_ideals(L, lattice)
     if sum(m.dim for m in mins) != n:
         return False, {"reason": "minimal ideals do not sum directly to L"}
+    # with dimensions adding up to n, no overlap means the sum is L
     s = Subspace.zero(n, p)
     for m in mins:
         if s.intersect(m).dim:
             return False, {"reason": "minimal ideals overlap"}
         s = s.sum(m)
-    if s.dim != n:
-        return False, {"reason": "minimal ideals do not span"}
     for m in mins:
         if m.dim != 3:
             return False, {"reason": f"summand of dimension {m.dim}"}

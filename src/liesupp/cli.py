@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_census_flags(sp)
     sp.add_argument("--cap", type=int, default=DEFAULT_SUBSPACE_CAP)
     sp.add_argument("--no-dedup", action="store_true",
-                    help="pair universes: keep isomorphic duplicates")
+                    help="check every table instead of one per isomorphism "
+                    "class; pair universes keep isomorphic duplicates")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
     return ap

@@ -67,10 +67,7 @@ def primitive_root(p: int) -> int:
 
 
 class PrimeField:
-    """The field GF(p) for a prime p.
-
-    All operations take and return ints reduced mod p.
-    """
+    """The field GF(p) for a prime p; its scalars are ints reduced mod p."""
 
     __slots__ = ("p",)
 
@@ -82,29 +79,6 @@ class PrimeField:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
-
-    def is_square(self, a: int) -> bool:
-        """Euler's criterion; every element of GF(2) is a square."""
-        a %= self.p
-        return a == 0 or self.p == 2 or pow(a, (self.p - 1) // 2, self.p) == 1
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

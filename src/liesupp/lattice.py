@@ -6,15 +6,16 @@ a batched closure (and ideal) test with numpy over every dim-k subspace of
 echelon generation.  A computed dimension is kept as an index vector into
 the shared, read-only echelon_arrays and _parity_checks arrays; its
 Subspace list is made when first read.  The ideals and the maximal
-subalgebras are found on first access.  Everything downstream (core, Frattini ideal, minimal ideals,
-socle, radical, supersolvability) works from exact linear algebra on those
-lists.  Complements are found per dimension: LatticeCache.first_complements(k)
-pairs the Plücker coordinates of every dim-k subalgebra with those of every
-dim-(n-k) one in blocked matrix products and keeps, for each subalgebra, its
-first complement, so a complement query is a row lookup; it computes only
-dimensions k and n - k.  LatticeCache.subalgebra_phis() gives the Frattini
-ideal of every subalgebra B from the members of the lattice that lie in B,
-once per distinct induced table, without a lattice of B.
+subalgebras are found on first access.  Everything downstream (core,
+Frattini ideal, minimal ideals, radical, supersolvability) works from exact
+linear algebra on those lists.  Complements are found per dimension:
+LatticeCache.first_complements(k) pairs the Plücker coordinates of every
+dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
+products and keeps, for each subalgebra, its first complement, so a
+complement query is a row lookup; it computes only dimensions k and n - k.
+LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
+B from the members of the lattice that lie in B, once per distinct induced
+table, without a lattice of B.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs, whatever order the dimensions were computed in.
@@ -587,7 +588,7 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
     return basis
 
 
-# -- Frattini, socle, radical ----------------------------------------------
+# -- Frattini, minimal ideals, radical ---------------------------------------
 
 
 def frattini(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
@@ -608,14 +609,6 @@ def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:
     for i in nonzero:
         if not any(j.dim < i.dim and i.contains(j) for j in nonzero):
             out.append(i)
-    return out
-
-
-def abelian_socle(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
-    out = Subspace.zero(L.dim, L.p)
-    for i in minimal_ideals(L, lattice):
-        if L.product_space(i, i).dim == 0:
-            out = out.sum(i)
     return out
 
 
@@ -652,8 +645,8 @@ def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
 def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
     """Chain-of-ideals criterion, computed recursively: true iff some
     1-dimensional ideal has a supersolvable quotient.  The lines that are
-    ideals come from one ideal-mask product over every line, tried in
-    echelon order (leading coefficient 1, lexicographic tails)."""
+    ideals are read from the ideal mask of the lattice's dimension 1
+    (_Dim(L, 1)) and tried in lattice order."""
     if _memo is None:
         _memo = {}
     got = _memo.get(L.key)
@@ -661,14 +654,10 @@ def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
         return got
     if L.dim == 0:
         return True
-    n, p = L.dim, L.p
-    lines, piv = echelon_arrays(n, p, 1)
-    ideal = _closed_and_ideal_masks(L, lines, _parity_checks(n, p, 1))[1]
-    result = False
-    for row in np.flatnonzero(ideal):
-        line = Subspace(n, p, (tuple(lines[row, 0].tolist()),), (int(piv[row, 0]),))
-        if is_supersolvable(L.quotient(line), _memo):
-            result = True
-            break
+    lines = _Dim(L, 1)
+    result = any(
+        is_supersolvable(L.quotient(lines.subs[row]), _memo)
+        for row in np.flatnonzero(lines.ideal)
+    )
     _memo[L.key] = result
     return result

@@ -4,7 +4,7 @@ Subspaces are stored in reduced row echelon form (RREF), which is the one
 canonical representation used everywhere: two subspaces are equal iff their
 RREF matrices coincide, so they can be deduplicated and sorted reliably.
 
-The module also enumerates the full subspace lattice of GF(p)^n by direct
+echelon_arrays enumerates every dim-k subspace of GF(p)^n by direct
 generation of echelon pivot patterns, so the per-dimension counts are the
 Gaussian binomials by construction rather than by filtering.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -167,10 +167,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def count_subspaces(n: int, p: int, dims: Optional[Iterable[int]] = None) -> int:
-    if dims is None:
-        dims = range(n + 1)
-    return sum(gaussian_binomial(n, k, p) for k in dims)
+def count_subspaces(n: int, p: int) -> int:
+    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
 def _free_positions(pivots: Sequence[int], n: int):
@@ -183,33 +181,6 @@ def _free_positions(pivots: Sequence[int], n: int):
         for j in range(pivots[i] + 1, n)
         if j not in pivset
     ]
-
-
-def enumerate_subspaces(
-    n: int,
-    p: int,
-    dim_filter: Optional[int] = None,
-    cap: int = DEFAULT_SUBSPACE_CAP,
-) -> Iterator[Subspace]:
-    """Every subspace of GF(p)^n exactly once, grouped by dimension then by
-    pivot pattern.  Refuses (CapExceededError) if the total exceeds cap."""
-    dims = range(n + 1) if dim_filter is None else [dim_filter]
-    total = count_subspaces(n, p, dims)
-    if total > cap:
-        raise CapExceededError(total, cap)
-    for k in dims:
-        if k == 0:
-            yield Subspace.zero(n, p)
-            continue
-        for pivots in combinations(range(n), k):
-            free = _free_positions(pivots, n)
-            for filling in product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for i, c in enumerate(pivots):
-                    rows[i][c] = 1
-                for (i, j), val in zip(free, filling):
-                    rows[i][j] = val
-                yield Subspace(n, p, tuple(tuple(r) for r in rows), pivots)
 
 
 def echelon_arrays(n: int, p: int, k: int):

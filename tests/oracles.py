@@ -6,7 +6,7 @@ changes basis in exact Python-int arithmetic, so that isomorphism invariants
 can be checked without trusting the code under test.
 """
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,7 +25,13 @@ from liesupp.lattice import (
     plucker_pairing,
 )
 from liesupp.liealg import InvalidAlgebraError, LieAlgebra, sl2
-from liesupp.subspace import Subspace, _parity_checks, echelon_arrays, rref
+from liesupp.subspace import (
+    Subspace,
+    _free_positions,
+    _parity_checks,
+    echelon_arrays,
+    rref,
+)
 
 # (prime, left summand, right summand or None): the dim-5/6 algebras of the
 # benchmark's classify workload, inputs of several oracle tests
@@ -42,6 +48,26 @@ DIM56_SUMS = (
 # the brute-force isomorphism routines scan all p^(n*n) basis changes
 ISO_DIM_LIMIT = 3
 _ISO_CHUNK = 200_000
+
+
+def enumerate_subspaces(n, p, dim_filter=None):
+    """Every subspace of GF(p)^n exactly once (those of dimension dim_filter
+    only, when given), grouped by dimension then by pivot pattern, one
+    echelon matrix at a time."""
+    dims = range(n + 1) if dim_filter is None else [dim_filter]
+    for k in dims:
+        if k == 0:
+            yield Subspace.zero(n, p)
+            continue
+        for pivots in combinations(range(n), k):
+            free = _free_positions(pivots, n)
+            for filling in product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
+                for i, c in enumerate(pivots):
+                    rows[i][c] = 1
+                for (i, j), val in zip(free, filling):
+                    rows[i][j] = val
+                yield Subspace(n, p, tuple(tuple(r) for r in rows), pivots)
 
 
 def maximal_subalgebras_all_pairs(subalgebras, n):

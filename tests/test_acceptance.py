@@ -28,8 +28,8 @@ from liesupp.liealg import (
     heisenberg,
     sl2,
 )
-from liesupp.subspace import Subspace, enumerate_subspaces, gaussian_binomial
-from oracles import canonical_form_small, core_by_enumeration
+from liesupp.subspace import Subspace, gaussian_binomial
+from oracles import canonical_form_small, core_by_enumeration, enumerate_subspaces
 
 AZ = Analyzer()
 

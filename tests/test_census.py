@@ -508,6 +508,17 @@ def test_random_campaign_checks_every_table(monkeypatch):
     assert doc["counterexamples"]
 
 
+@pytest.mark.parametrize("theorem", sorted(CHECKERS))
+def test_exhaustive_campaign_without_dedup_checks_every_table(theorem):
+    spec = CensusSpec(2, 3)
+    doc = verify(theorem, spec, dedup=False).to_doc()
+    timing = doc.pop("timing")
+    default = verify(theorem, spec).to_doc()
+    default.pop("timing")
+    assert doc == default
+    assert timing["classes"] == 0
+
+
 def test_pair_dedup_past_dim3_through_classes(monkeypatch):
     def refuse(spec):
         raise AssertionError("per-table census used for an exhaustive dedup")

@@ -11,7 +11,6 @@ from liesupp.census import CensusSpec, classes, generate
 from liesupp.classify import PREDICATES, Analyzer, complement_subalgebra
 from liesupp.lattice import (
     _closed_and_ideal_masks,
-    abelian_socle,
     build_lattice,
     core,
     frattini,
@@ -30,17 +29,13 @@ from liesupp.liealg import (
     heisenberg,
     sl2,
 )
-from liesupp.subspace import (
-    Subspace,
-    _parity_checks,
-    echelon_arrays,
-    enumerate_subspaces,
-)
+from liesupp.subspace import Subspace, _parity_checks, echelon_arrays
 from oracles import (
     DIM56_SUMS,
     EagerLattice,
     core_by_enumeration,
     core_within_by_enumeration,
+    enumerate_subspaces,
     is_supersolvable_by_lines,
     maximal_subalgebras_all_pairs,
     random_conjugate,
@@ -324,18 +319,17 @@ def test_frattini_is_ideal_inside_all_maximals():
         assert all(m.contains(phi) for m in lat.maximals)
 
 
-def test_minimal_ideals_and_socle():
+def test_minimal_ideals():
     h = heisenberg(2)
     lat = build_lattice(h)
     mins = minimal_ideals(h, lat)
     assert [m.rows for m in mins] == [((0, 0, 1),)]
-    assert abelian_socle(h, lat).rows == ((0, 0, 1),)
     s = sl2(3)
     lat = build_lattice(s)
     assert [m.dim for m in minimal_ideals(s, lat)] == [3]
-    assert abelian_socle(s, lat).dim == 0
     a = abelian(2, 2)
-    assert abelian_socle(a, build_lattice(a)).dim == 2
+    # every line of an abelian algebra is a minimal ideal
+    assert [m.dim for m in minimal_ideals(a, build_lattice(a))] == [1, 1, 1]
 
 
 def test_radical_examples():

@@ -23,8 +23,13 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.census import classes
-from liesupp.subspace import Subspace, enumerate_subspaces
-from oracles import jacobi_residuals_full, lift_space, random_conjugate
+from liesupp.subspace import Subspace
+from oracles import (
+    enumerate_subspaces,
+    jacobi_residuals_full,
+    lift_space,
+    random_conjugate,
+)
 
 # the largest prime p with 3^2 (p - 1)^3 < 2^63, and the next prime
 LARGEST_DIM3_PRIME = 1_008_199

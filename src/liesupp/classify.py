@@ -17,6 +17,7 @@ import numpy as np
 from .liealg import LieAlgebra
 from .lattice import (
     LatticeCache,
+    _Dim,
     build_lattice,
     core,
     frattini,
@@ -334,11 +335,29 @@ class Analyzer:
         self._lattices = _LRU(LATTICE_SLOTS)
         self._memo = _LRU(MEMO_SLOTS)
         self._ss_memo = _LRU(MEMO_SLOTS)
+        # dimension 1 of the algebras that supersolvability reached without
+        # a lattice, until a lattice of the same table takes it over
+        self._lines = _LRU(LATTICE_SLOTS)
 
     def lattice(self, L: LieAlgebra) -> LatticeCache:
         got = self._lattices.get(L.key)
         if got is None:
             got = self._lattices[L.key] = build_lattice(L, self.cap)
+            lines = self._lines.pop(L.key, None)
+            if lines is not None:
+                got._dims[1] = lines
+        return got
+
+    def _line_ideals(self, L: LieAlgebra) -> _Dim:
+        """Dimension 1 of L's lattice, for is_supersolvable: that of the
+        lattice held for L, else one kept in _lines.  No lattice is built
+        for it, so supersolvability adds no cap refusal."""
+        held = self._lattices.get(L.key)
+        if held is not None:
+            return held._dim(1)
+        got = self._lines.get(L.key)
+        if got is None:
+            got = self._lines[L.key] = _Dim(L, 1)
         return got
 
     def _cached(self, name, L, fn):
@@ -363,7 +382,7 @@ class Analyzer:
         )
 
     def supersolvable(self, L):
-        return is_supersolvable(L, self._ss_memo)
+        return is_supersolvable(L, self._ss_memo, self._line_ideals)
 
     def elementary(self, L):
         return self._cached("elem", L, lambda: is_elementary(L, self.lattice(L)))

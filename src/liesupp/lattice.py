@@ -6,16 +6,20 @@ a batched closure (and ideal) test with numpy over every dim-k subspace of
 echelon generation.  A computed dimension is kept as an index vector into
 the shared, read-only echelon_arrays and _parity_checks arrays; its
 Subspace list is made when first read.  The ideals and the maximal
-subalgebras are found on first access.  Everything downstream (core,
-Frattini ideal, minimal ideals, radical, supersolvability) works from exact
-linear algebra on those lists.  Complements are found per dimension:
+subalgebras are found on first access, by a top-down scan
+(_maximal_masks) whose containment tests are exact float64 matrix
+products.  Everything downstream (core, Frattini ideal, minimal ideals,
+radical, supersolvability) works from exact linear algebra on those lists.
+Complements are found per dimension:
 LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
 products and keeps, for each subalgebra, its first complement, so a
 complement query is a row lookup; it computes only dimensions k and n - k.
 LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
 B from the members of the lattice that lie in B, once per distinct induced
-table, without a lattice of B.
+table, without a lattice of B: one maximal scan per dimension, with one B
+per table as its tops, finds their maximal subalgebras and F(B), the
+intersection of those.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs, whatever order the dimensions were computed in.
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, groupby
 from math import comb
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,11 +172,19 @@ class LatticeCache:
 
     @cached_property
     def maximals(self) -> List[Subspace]:
+        return self._top_scan[0]
+
+    @cached_property
+    def _top_scan(self) -> Tuple[List[Subspace], Subspace]:
+        """The maximal subalgebras and F(L), their intersection, from one
+        _maximal_masks scan with the top L."""
         n = self.algebra.dim
         dims = self._computed()
         arrays = {k: (dim.bases, dim.checks) for k, dim in dims.items()}
-        masks = _maximal_masks(arrays, n, n, self.algebra.p)
-        return [s for k in sorted(masks) for s, m in zip(dims[k].subs, masks[k]) if m]
+        masks, meets = _maximal_masks(arrays, dims[n].checks, n, self.algebra.p)
+        maximals = [s for k in sorted(masks) for s, m in zip(dims[k].subs, masks[k][:, 0]) if m]
+        d, row = meets[0]
+        return maximals, dims[d].subs[row]
 
     def row(self, b: Subspace) -> int:
         """Index of b in by_dim[dim b]; b must be a subalgebra of this
@@ -212,11 +224,10 @@ class LatticeCache:
     def inside(self, space: Subspace) -> Iterator[Subspace]:
         """The subalgebras of this lattice contained in `space`, in lattice
         order; computes the dimensions up to dim space only."""
-        check = _parity_check(space)
+        check = _parity_check(space)[None]
         for d in range(space.dim + 1):
             dim = self._dim(d)
-            resid = dim.bases @ check % space.p
-            for row in np.flatnonzero(~resid.any(axis=(1, 2))):
+            for row in np.flatnonzero(_contained(dim.bases, check, space.p)[:, 0]):
                 yield dim.subs[row]
 
     def stats(self) -> Dict[str, int]:
@@ -235,10 +246,16 @@ class LatticeCache:
 # products below multiply residues below p, sum n terms and are reduced mod p
 # before they enter the next product; the one exception, the unreduced
 # brackets of the closure test, leaves sums below n^2 (p - 1)^3, the bound
-# LieAlgebra enforces (gfp.int64_safe).  So all of it is int64-exact.
+# LieAlgebra enforces (gfp.int64_safe).  So all of it is int64-exact, and the
+# containment products of the maximal scan, below n (p - 1)^2 < 2^42, are
+# exact in float64 too, where they run through BLAS (see _contained).
 
-# upper bound on the int64 values of one residual block of the maximal test
-_MAXIMAL_BLOCK = 2**18
+# upper bound on the int64 values of one row block of [b_s, e_j] in the
+# closure and ideal test
+_CLOSURE_BLOCK = 2**18
+# upper bound on the float64 values of one block of containment residues in
+# the maximal scan
+_MAXIMAL_BLOCK = 2**15
 # upper bound on the float64 values of one block of Plücker pairings
 _PAIRING_BLOCK = 2**18
 
@@ -280,24 +297,30 @@ def _pair_brackets(L: LieAlgebra, bases: np.ndarray):
 
 
 def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
-    """Batch closure/ideal tests for all dim-k subspaces at once.  Only a
-    subalgebra can be an ideal, so the ideal test runs on the closed ones."""
+    """Batch closure/ideal tests for all dim-k subspaces at once, in row
+    blocks whose [b_s, e_j] arrays hold at most _CLOSURE_BLOCK values.  Only
+    a subalgebra can be an ideal, so the ideal test runs on the closed
+    ones."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
     if k == 0:
         ones = np.ones(m, dtype=bool)
         return ones, ones
-    ad, brackets = _pair_brackets(L, bases)
-    outside = brackets @ checks
-    outside %= p
-    closed = ~outside.any(axis=(1, 2))
-
-    sub = np.flatnonzero(closed)
-    # ideal: every [b_s, e_j] (= -[e_j, b_s]) stays inside
-    outside = ad[sub].reshape(len(sub), k * n, n) @ checks[sub]
-    outside %= p
+    closed = np.empty(m, dtype=bool)
     ideal = np.zeros(m, dtype=bool)
-    ideal[sub] = ~outside.any(axis=(1, 2))
+    step = max(1, _CLOSURE_BLOCK // (k * n * n))
+    for lo in range(0, m, step):
+        block = checks[lo : lo + step]
+        ad, brackets = _pair_brackets(L, bases[lo : lo + step])
+        outside = brackets @ block
+        outside %= p
+        shut = ~outside.any(axis=(1, 2))
+        closed[lo : lo + step] = shut
+        sub = np.flatnonzero(shut)
+        # ideal: every [b_s, e_j] (= -[e_j, b_s]) stays inside
+        outside = ad[sub].reshape(len(sub), k * n, n) @ block[sub]
+        outside %= p
+        ideal[lo + sub] = ~outside.any(axis=(1, 2))
     return closed, ideal
 
 
@@ -311,41 +334,91 @@ def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCach
 
 
 def _maximal_masks(
-    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]], top: int, n: int, p: int
-) -> Dict[int, np.ndarray]:
-    """Top-down scan over the subalgebras of a subalgebra B of dim `top`
-    (arrays[d] holds the bases and parity checks of those of dim d): every
-    proper subalgebra of B lies in a maximal one, so going from the highest
-    dimension below `top` down, s is maximal in B exactly when no maximal
-    subalgebra kept so far contains it.  Each dimension is tested at once
-    against the kept parity checks, zero-padded to the widest one, in blocks
-    of at most _MAXIMAL_BLOCK residues.  Returns the mask of the maximal
-    ones per dimension; with every subalgebra of L and top = n, those of
-    L."""
-    masks: Dict[int, np.ndarray] = {}
-    kept: List[np.ndarray] = []
-    for d in sorted((d for d in arrays if d < top), reverse=True):
-        bases, checks = arrays[d]
-        keep = np.ones(len(bases), dtype=bool)
-        if kept:
-            width = max(h.shape[2] for h in kept)
-            count = sum(len(h) for h in kept)
-            padded = np.zeros((count, n, width), dtype=np.int64)
-            at = 0
-            for h in kept:
-                padded[at : at + len(h), :, : h.shape[2]] = h
-                at += len(h)
-            flat = padded.transpose(1, 0, 2).reshape(n, count * width)
-            step = max(1, _MAXIMAL_BLOCK // max(1, d * count * width))
-            for lo in range(0, len(bases), step):
-                block = bases[lo : lo + step]
-                resid = block.reshape(len(block) * d, n) @ flat
-                resid %= p
-                inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
-                keep[lo : lo + step] = ~inside.any(axis=1)
-        masks[d] = keep
-        kept.append(checks[keep])
-    return masks
+    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]], tops: np.ndarray, n: int, p: int
+) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+    """Top-down scan for the maximal subalgebras of a batch of T subalgebras
+    B_t of one dimension k (the tops, given by their parity checks, shape
+    (T, n, n - k)); arrays[d] holds the bases and parity checks of the
+    subalgebras of L of each dim d, 0 included.  From dim k - 1 down, a
+    member inside B_t is maximal in B_t iff its cover count, the number of
+    maximal subalgebras of B_t kept so far that contain it, is 0.  Tops go
+    in chunks and containment tests (_contained) in row blocks, each of
+    about _MAXIMAL_BLOCK residues at most.
+
+    Returns (masks, meets): masks[d] (d < k) is the (len(arrays[d][0]), T)
+    mask of the members maximal in each top, and F(B_t), the intersection of
+    the maximal subalgebras of B_t, is row meets[t, 1] of arrays[meets[t, 0]].
+    F is 0 when k < 2.  For k >= 2, B_t has at least two maximal subalgebras
+    (each line lies in one), so F(B_t) lies strictly inside each and is the
+    largest member whose cover count is their number, or the zero member
+    when no other has that count."""
+    count, width = len(tops), tops.shape[2]
+    k = n - width
+    below = sorted((d for d in arrays if 0 < d < k), reverse=True)
+    masks = {d: np.zeros((len(arrays[d][0]), count), dtype=bool) for d in below}
+    if k:  # the zero member lies in everything: maximal only in a line
+        masks[0] = np.full((1, count), k == 1)
+    meets = np.zeros((count, 2), dtype=np.intp)
+    per = max(1, _MAXIMAL_BLOCK // max(1, n * n))
+    for lo in range(0, count, per):
+        chunk = tops[lo : lo + per]
+        found = np.zeros(len(chunk))  # maximal subalgebras of each top so far
+        kept = []  # (parity checks, mask over the chunk) of those
+        candidates = []  # (d, rows, tops, found then) under every one so far
+        for d in below:
+            bases, checks = arrays[d]
+            if width:
+                inside = _contained(bases, chunk, p)
+                rows = np.flatnonzero(inside.any(axis=1))
+                inside, bases = inside[rows], bases[rows]
+            else:  # the top is L: every member is inside
+                inside = np.ones((len(bases), len(chunk)), dtype=bool)
+                rows = np.arange(len(bases))
+            covers = sum(_contained(bases, held, p) @ mask for held, mask in kept)
+            maximal = inside & (covers == 0)
+            masks[d][rows, lo : lo + per] = maximal
+            at, top = np.nonzero(inside & (covers == found) & (found > 0))
+            if len(top):
+                candidates.append((d, rows[at], top, found[top]))
+            some = maximal.any(axis=1)
+            if some.any():
+                kept.append((checks[rows[some]], maximal[some].astype(np.float64)))
+                found = found + maximal.sum(axis=0)
+        for d, rows, top, then in candidates:  # highest dimension first
+            new = (then == found[top]) & (meets[lo + top, 0] == 0)
+            meets[lo + top[new]] = np.stack([np.full(new.sum(), d), rows[new]], axis=1)
+    return masks, meets
+
+
+def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
+    """(len(bases), len(checks)) mask: span(bases[r]) lies in the subspace
+    with parity check checks[t].  The residues are exact float64 BLAS
+    products (below n (p - 1)^2 < 2^42 under gfp.int64_safe) reduced by
+    _reduce, and are all 0 when their sum is; row blocks of about
+    _MAXIMAL_BLOCK residues at most."""
+    m, d, n = bases.shape
+    count, width = checks.shape[0], checks.shape[2]
+    # columns (j, t): the residues of (r, t) are the middle axis, a fast sum
+    flat = np.ascontiguousarray(checks.transpose(1, 2, 0), dtype=np.float64)
+    flat = flat.reshape(n, width * count)
+    out = np.empty((m, count), dtype=bool)
+    step = max(1, _MAXIMAL_BLOCK // max(1, d * width * count))
+    for lo in range(0, m, step):
+        block = bases[lo : lo + step]
+        resid = _reduce(block.reshape(len(block) * d, n).astype(np.float64) @ flat, p)
+        out[lo : lo + step] = resid.reshape(len(block), d * width, count).sum(axis=1) == 0
+    return out
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of whole numbers below 2^53 in
+    absolute value: x / p rounds to a whole number only when it is one, and
+    its floor is exact, so x - p * floor(x / p) is x mod p."""
+    quotient = x / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    x -= quotient
+    return x
 
 
 # -- Frattini ideals of subalgebras ------------------------------------------
@@ -370,33 +443,36 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
 def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     """See LatticeCache.subalgebra_phis.  Subalgebras of dimension k >= 2
     are grouped by their induced tables; a zero table (abelian B) has
-    phi = 0.  For each other table the first subalgebra B with it gives
-    phi(B), whose RREF rows read at B's pivot columns are its RREF
-    coordinates Phi; a subalgebra B' with the same table has
-    phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
-    leading columns of Phi."""
+    phi = 0.  The first subalgebras B with each other table are the tops of
+    one _maximal_masks scan per dimension, which gives F(B); where F(B) is
+    not 0, phi(B) = core(L, F(B), B), whose RREF rows read at B's pivot
+    columns are its RREF coordinates Phi.  A subalgebra B' with the same
+    table has phi(B') = Phi . rows(B'), again in RREF, with pivots those of
+    B' at the leading columns of Phi."""
     L = lattice.algebra
     n, p = L.dim, L.p
     zero = Subspace.zero(n, p)
-    # dim d -> (bases, pivots, parity checks) of by_dim[d]
-    arrays = {
-        d: (dim.bases, dim.piv, dim.checks) for d, dim in lattice._computed().items()
-    }
+    dims = lattice._computed()
+    arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
     out: Dict[int, List[Subspace]] = {}
-    for k, subs in lattice.by_dim.items():
+    for k, dim in dims.items():
+        subs = dim.subs
         phis = out[k] = [zero] * len(subs)
         if k < 2:
             continue
-        bases, piv, _ = arrays[k]
+        bases, piv = arrays[k][0], dim.piv
         tables = _induced_tables(L, bases, piv)
         groups: Dict[bytes, List[int]] = {}
-        for a, table in enumerate(map(bytes, tables)):
-            groups.setdefault(table, []).append(a)
-        for members in groups.values():
-            rep = members[0]
-            if not tables[rep].any():
+        for a in np.flatnonzero(tables.any(axis=1)):
+            groups.setdefault(tables[a].tobytes(), []).append(a)
+        if not groups:
+            continue
+        reps = [members[0] for members in groups.values()]
+        meets = _maximal_masks(arrays, arrays[k][1][reps], n, p)[1]
+        for rep, members, (d, row) in zip(reps, groups.values(), meets.tolist()):
+            if not d:
                 continue
-            phi = _phi_of_member(L, arrays, subs[rep], rep)
+            phi = core(L, dims[d].subs[row], subs[rep])
             if not phi.dim:
                 continue
             coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
@@ -406,38 +482,6 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
             for a, r, q in zip(members, rows.tolist(), pivots.tolist()):
                 phis[a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
     return out
-
-
-def _phi_of_member(L: LieAlgebra, arrays, b: Subspace, row: int) -> Subspace:
-    """phi(B) for the subalgebra B = b of dim k >= 2, row `row` of
-    arrays[k] (see _subalgebra_phis), from the lattice members inside B:
-    one parity-check product per lower dimension finds them and
-    the top-down scan of _maximal_masks picks the maximal ones.  F(B) is
-    the x = a . rows(B) with x . H = 0 for the parity check H of every
-    maximal one, a nullspace in the k coordinates a, and
-    phi(B) = core(L, F(B), B)."""
-    n, p, k = L.dim, L.p, b.dim
-    rows, _, checks = arrays[k]
-    rows, check = rows[row], checks[row]
-    below = {}  # dim d -> (bases, checks) of the members of dim d inside B
-    for d in range(1, k):
-        if d not in arrays:
-            continue
-        bases, _, checks = arrays[d]
-        resid = bases.reshape(len(bases) * d, n) @ check
-        resid %= p
-        inside = ~resid.reshape(len(bases), -1).any(axis=1)
-        below[d] = bases[inside], checks[inside]
-    equations = [
-        (rows @ below[d][1][mask]).transpose(0, 2, 1).reshape(-1, k)
-        for d, mask in _maximal_masks(below, k, n, p).items()
-    ]
-    equations = set(map(tuple, (np.concatenate(equations) % p).tolist()))
-    coords = _nullspace(list(equations), k, p)
-    if not coords:
-        return Subspace.zero(n, p)
-    f = Subspace.span((np.array(coords, dtype=np.int64) @ rows % p).tolist(), n, p)
-    return core(L, f, b)
 
 
 # -- Plücker coordinates ----------------------------------------------------
@@ -500,14 +544,7 @@ def plucker_pairing(
             "the exact integers of float64"
         )
     dual, signs = _pairing_dual(n, k)
-    det = (pu[:, dual] * signs) @ pw.T.astype(np.float64)
-    # |det| < 2^53, so det / p rounds to a whole number only when it is one,
-    # and its floor is exact: det - p * floor(det / p) is det mod p
-    quotient = det / p
-    np.floor(quotient, out=quotient)
-    quotient *= p
-    det -= quotient
-    return det
+    return _reduce((pu[:, dual] * signs) @ pw.T.astype(np.float64), p)
 
 
 def _first_complements(
@@ -592,15 +629,10 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
 
 
 def frattini(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
-    """phi(L), the largest ideal of L inside the intersection of all maximal
-    subalgebras; 0 for the zero algebra."""
-    n, p = L.dim, L.p
-    if n == 0:
-        return Subspace.zero(n, p)
-    f = Subspace.full(n, p)
-    for m in lattice.maximals:
-        f = f.intersect(m)
-    return core(L, f)
+    """phi(L), the largest ideal of L inside F(L), the intersection of all
+    maximal subalgebras, which the maximal scan reads from its cover
+    counts."""
+    return core(L, lattice._top_scan[1])
 
 
 def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:
@@ -623,11 +655,16 @@ def _space_solvable(L: LieAlgebra, u: Subspace) -> bool:
 
 
 def radical(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
-    """Sum of all solvable ideals, taken over the enumerated ideal list."""
-    out = Subspace.zero(L.dim, L.p)
-    for i in lattice.ideals:
-        if _space_solvable(L, i):
-            out = out.sum(i)
+    """The radical: the largest solvable ideal, which contains every
+    solvable ideal and so is the only one of its dimension.  The ideals are
+    scanned by decreasing dimension, and the solvable ones of the first
+    dimension that has any (0 always does) are summed; InternalError when
+    that sum is not solvable."""
+    for _, same_dim in groupby(reversed(lattice.ideals), key=attrgetter("dim")):
+        solvable = [i for i in same_dim if _space_solvable(L, i)]
+        if solvable:
+            break
+    out = reduce(Subspace.sum, solvable)
     if not _space_solvable(L, out):
         raise InternalError("radical is not solvable")
     return out
@@ -642,11 +679,18 @@ def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
 # -- supersolvability --------------------------------------------------------
 
 
-def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
+def is_supersolvable(
+    L: LieAlgebra,
+    _memo: Optional[dict] = None,
+    lines: Optional[Callable[[LieAlgebra], _Dim]] = None,
+) -> bool:
     """Chain-of-ideals criterion, computed recursively: true iff some
     1-dimensional ideal has a supersolvable quotient.  The lines that are
-    ideals are read from the ideal mask of the lattice's dimension 1
-    (_Dim(L, 1)) and tried in lattice order."""
+    ideals are read from the ideal mask of dimension 1 of the lattice of L
+    and of each quotient, tried in lattice order.  lines(M) gives that
+    dimension of M when passed (Analyzer.supersolvable passes the one it
+    holds, so that no dimension is computed twice); else _Dim(M, 1) is
+    built."""
     if _memo is None:
         _memo = {}
     got = _memo.get(L.key)
@@ -654,10 +698,10 @@ def is_supersolvable(L: LieAlgebra, _memo: Optional[dict] = None) -> bool:
         return got
     if L.dim == 0:
         return True
-    lines = _Dim(L, 1)
+    dim = lines(L) if lines is not None else _Dim(L, 1)
     result = any(
-        is_supersolvable(L.quotient(lines.subs[row]), _memo)
-        for row in np.flatnonzero(lines.ideal)
+        is_supersolvable(L.quotient(dim.subs[row]), _memo, lines)
+        for row in np.flatnonzero(dim.ideal)
     )
     _memo[L.key] = result
     return result

@@ -7,7 +7,7 @@ can be checked without trusting the code under test.
 """
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
 from liesupp.lattice import (
     _closed_and_ideal_masks,
-    _maximal_masks,
     build_lattice,
     frattini,
     minimal_ideals,
@@ -45,6 +44,9 @@ DIM56_SUMS = (
     (2, "heisenberg", "heisenberg"),
     (2, "L1_gamma", "L1_gamma"),
 )
+# upper bound on the int64 values of one residual block of
+# maximal_masks_one_top
+ONE_TOP_BLOCK = 2**18
 # the brute-force isomorphism routines scan all p^(n*n) basis changes
 ISO_DIM_LIMIT = 3
 _ISO_CHUNK = 200_000
@@ -81,6 +83,44 @@ def maximal_subalgebras_all_pairs(subalgebras, n):
     ]
 
 
+def maximal_masks_one_top(
+    arrays: Dict[int, Tuple[np.ndarray, np.ndarray]], top: int, n: int, p: int
+) -> Dict[int, np.ndarray]:
+    """Top-down scan over the subalgebras of a subalgebra B of dim `top`
+    (arrays[d] holds the bases and parity checks of those of dim d): every
+    proper subalgebra of B lies in a maximal one, so going from the highest
+    dimension below `top` down, s is maximal in B exactly when no maximal
+    subalgebra kept so far contains it.  Each dimension is tested at once
+    against the kept parity checks, zero-padded to the widest one, in blocks
+    of at most ONE_TOP_BLOCK residues.  Returns the mask of the maximal
+    ones per dimension; with every subalgebra of L and top = n, those of
+    L."""
+    masks: Dict[int, np.ndarray] = {}
+    kept: List[np.ndarray] = []
+    for d in sorted((d for d in arrays if d < top), reverse=True):
+        bases, checks = arrays[d]
+        keep = np.ones(len(bases), dtype=bool)
+        if kept:
+            width = max(h.shape[2] for h in kept)
+            count = sum(len(h) for h in kept)
+            padded = np.zeros((count, n, width), dtype=np.int64)
+            at = 0
+            for h in kept:
+                padded[at : at + len(h), :, : h.shape[2]] = h
+                at += len(h)
+            flat = padded.transpose(1, 0, 2).reshape(n, count * width)
+            step = max(1, ONE_TOP_BLOCK // max(1, d * count * width))
+            for lo in range(0, len(bases), step):
+                block = bases[lo : lo + step]
+                resid = block.reshape(len(block) * d, n) @ flat
+                resid %= p
+                inside = ~resid.reshape(len(block), d, count, width).any(axis=(1, 3))
+                keep[lo : lo + step] = ~inside.any(axis=1)
+        masks[d] = keep
+        kept.append(checks[keep])
+    return masks
+
+
 class EagerLattice:
     """The lattice of L with every dimension, the ideals and the maximal
     subalgebras computed at once: the closure, ideal and maximal masks of
@@ -112,7 +152,7 @@ class EagerLattice:
             rows = [a for _, a in found]
             arrays[k] = bases[rows], checks[rows]
         self.subalgebras = [s for subs in self.by_dim.values() for s in subs]
-        masks = _maximal_masks(arrays, n, n, p)
+        masks = maximal_masks_one_top(arrays, n, n, p)
         self.maximals = [
             s for k in sorted(masks) for s, m in zip(self.by_dim[k], masks[k]) if m
         ]

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -677,6 +678,42 @@ def test_subalgebra_phis_match_sublattice_oracle_dim56(p, left, right):
 def test_subalgebra_phis_match_sublattice_oracle_heisenberg_sum():
     # 9,564 subalgebras, of which 1,837 have phi(B) != 0
     assert_phis_match_oracles(heisenberg(2).direct_sum(abelian(2, 4)))
+
+
+def test_subalgebra_phis_match_sublattice_oracle_in_blocks_of_one(monkeypatch):
+    """One top and one member row per block of the maximal scan."""
+    monkeypatch.setattr(lattice_mod, "_MAXIMAL_BLOCK", 1)
+    L = catalog("L1_gamma", 2).direct_sum(catalog("L1_gamma", 2))
+    assert_phis_match_oracles(random_conjugate(L, np.random.default_rng(20071227)))
+
+
+def test_subalgebra_phis_scan_once_per_dimension(monkeypatch):
+    """subalgebra_phis runs one maximal scan per dimension that has a
+    subalgebra with a nonzero induced table, with those of that dimension
+    as its tops, and calls core at most once per distinct nonzero table."""
+    L = random_conjugate(catalog("counterexample_double", 3), np.random.default_rng(20071228))
+    lat = build_lattice(L)
+    tables = {}  # dim k -> the distinct nonzero tables of the dim-k subalgebras
+    for b in lat.subalgebras:
+        table = L.as_algebra(b).table
+        if table.any():
+            tables.setdefault(b.dim, set()).add(table.tobytes())
+    scans, cores = [], Counter()
+    real_scan, real_core = lattice_mod._maximal_masks, lattice_mod.core
+
+    def scan(arrays, tops, n, p):
+        scans.append((n - tops.shape[2], len(tops)))
+        return real_scan(arrays, tops, n, p)
+
+    def spy_core(L, b, within=None):
+        cores[within.dim] += 1
+        return real_core(L, b, within)
+
+    monkeypatch.setattr(lattice_mod, "_maximal_masks", scan)
+    monkeypatch.setattr(lattice_mod, "core", spy_core)
+    lat.subalgebra_phis()
+    assert sorted(scans) == sorted((k, len(distinct)) for k, distinct in tables.items())
+    assert cores and all(cores[k] <= len(tables[k]) for k in cores)
 
 
 def test_abelian_gf2_7_is_elementary_and_E():

@@ -1,4 +1,6 @@
 """Lattice-level computations checked against independent brute-force oracles."""
+import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -8,9 +10,13 @@ from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
 from liesupp.census import CensusSpec, classes, generate
-from liesupp.classify import PREDICATES, Analyzer, complement_subalgebra
+from liesupp.classify import PREDICATES, Analyzer, classify_algebra, complement_subalgebra
+from liesupp.gfp import int64_safe, is_prime
 from liesupp.lattice import (
+    _Dim,
     _closed_and_ideal_masks,
+    _contained,
+    _maximal_masks,
     build_lattice,
     core,
     frattini,
@@ -29,7 +35,7 @@ from liesupp.liealg import (
     heisenberg,
     sl2,
 )
-from liesupp.subspace import Subspace, _parity_checks, echelon_arrays
+from liesupp.subspace import Subspace, _parity_check, _parity_checks, echelon_arrays
 from oracles import (
     DIM56_SUMS,
     EagerLattice,
@@ -37,6 +43,7 @@ from oracles import (
     core_within_by_enumeration,
     enumerate_subspaces,
     is_supersolvable_by_lines,
+    maximal_masks_one_top,
     maximal_subalgebras_all_pairs,
     random_conjugate,
 )
@@ -145,6 +152,72 @@ def test_maximals_in_blocks_of_one_match_all_pairs_oracle(monkeypatch):
         assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, L.dim)
 
 
+def _assert_scan_matches_one_top_oracle(L):
+    """_maximal_masks with all subalgebras of one dimension k as its tops,
+    for every k, against maximal_masks_one_top on the members inside each
+    top (found by int64 residues), and F(B) against the intersection of
+    the oracle's maximal subalgebras of B."""
+    n, p = L.dim, L.p
+    dims = build_lattice(L)._computed()
+    arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
+    for k, top_dim in dims.items():
+        masks, meets = _maximal_masks(arrays, top_dim.checks, n, p)
+        assert sorted(masks) == [d for d in sorted(dims) if d < k]
+        for t, (top, check) in enumerate(zip(top_dim.subs, top_dim.checks)):
+            inside, below = {}, {}
+            for d in masks:
+                bases, checks = arrays[d]
+                resid = bases @ check % p
+                inside[d] = np.flatnonzero(~resid.any(axis=(1, 2)))
+                below[d] = bases[inside[d]], checks[inside[d]]
+            expected = maximal_masks_one_top(below, k, n, p)
+            maximals = []
+            for d, mask in masks.items():
+                assert np.flatnonzero(mask[:, t]).tolist() == inside[d][expected[d]].tolist()
+                maximals += [dims[d].subs[row] for row in inside[d][expected[d]]]
+            f = top
+            for m in maximals:
+                f = f.intersect(m)
+            d, row = meets[t]
+            assert dims[d].subs[row] == f
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_maximal_scan_matches_one_top_oracle_on_classes(p):
+    for n in (1, 2, 3):
+        for _, L, _ in classes(p, n):
+            _assert_scan_matches_one_top_oracle(L)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_maximal_scan_matches_one_top_oracle_dim56(p, left, right):
+    L = _dim56(p, left, right)
+    for M in (L, random_conjugate(L, np.random.default_rng(20071225))):
+        _assert_scan_matches_one_top_oracle(M)
+
+
+def test_float_containment_exact_near_the_int64_limit():
+    """_contained against Subspace.contains over the largest prime p that
+    gfp.int64_safe admits in dimension 6, where its float64 products come
+    within a factor of 2 of their 2^42 bound; the spans are given by raw
+    random rows, not RREF ones."""
+    n = 6
+    p = int((2**63 / n**2) ** (1 / 3)) + 2
+    while not (is_prime(p) and int64_safe(p, n)):
+        p -= 1
+    assert n * (p - 1) ** 2 > 2**41
+    rng = np.random.default_rng(20071226)
+    for dim_w in range(n + 1):
+        w = Subspace.span(rng.integers(0, p, (dim_w, n)).tolist(), n, p)
+        rows_w = np.array(w.rows, dtype=np.int64).reshape(w.dim, n)
+        for d in range(n + 1):
+            bases = [rng.integers(0, p, (d, n)) for _ in range(3)]
+            if d <= w.dim:  # spans inside w
+                bases += [rng.integers(0, p, (d, w.dim)) @ rows_w % p for _ in range(3)]
+            got = _contained(np.array(bases).reshape(len(bases), d, n), _parity_check(w)[None], p)
+            assert got[:, 0].tolist() == [w.contains(Subspace.span(b.tolist(), n, p)) for b in bases]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_inside_matches_contains(p):
     """LatticeCache.inside(space) lists the subalgebras contained in space,
@@ -224,6 +297,41 @@ def test_lattice_computes_only_what_is_asked(monkeypatch):
     assert sorted(tested) == [1, 5]
     monkeypatch.setattr(lattice_mod, "_maximal_masks", refuse)
     assert Analyzer().c_supplemented(L) == (True, None)
+
+
+def test_closure_test_memory_is_bounded_by_its_block():
+    """The closure and ideal test of one large dimension, the 33,880
+    3-dimensional subspaces of GF(3)^6, peaks at a few row blocks of
+    _CLOSURE_BLOCK values and some bytes per subspace; unblocked, the
+    [b_s, e_j] array alone would take 29 MB."""
+    L = sl2(3).direct_sum(sl2(3))
+    n, p, k = L.dim, L.p, 3
+    m = len(echelon_arrays(n, p, k)[0])  # the shared arrays, built outside the trace
+    _parity_checks(n, p, k)
+    tracemalloc.start()
+    try:
+        dim = _Dim(L, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dim.idx) and m * k * n * n * 8 > 29 * 10**6
+    assert peak < 4 * 8 * lattice_mod._CLOSURE_BLOCK + 32 * m
+
+
+def test_classify_computes_each_lattice_dimension_once(monkeypatch):
+    """Supersolvability reads the line ideals of L and of its quotients
+    from the Analyzer's lattices, or keeps them for a lattice built later,
+    so no (table, dimension) is tested twice."""
+    built = Counter()
+    real = _Dim.__init__
+
+    def spy(self, L, k):
+        built[L.key, k] += 1
+        real(self, L, k)
+
+    monkeypatch.setattr(_Dim, "__init__", spy)
+    classify_algebra(heisenberg(3))
+    assert built and max(built.values()) == 1
 
 
 def test_abelian_everything_closed():

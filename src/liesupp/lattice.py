@@ -3,10 +3,12 @@
 build_lattice returns a LatticeCache that computes the subalgebras of GF(p)^n
 one dimension at a time, the first time anything asks for that dimension:
 a batched closure (and ideal) test with numpy over every dim-k subspace of
-echelon generation.  A computed dimension is kept as an index vector into
-the shared, read-only echelon_arrays and _parity_checks arrays; its
-Subspace list is made when first read.  The ideals and the maximal
-subalgebras are found on first access, by a top-down scan
+echelon generation, which brackets one pair of basis rows of every
+subspace first and the other pairs only for the few that pass
+(_closed_and_ideal_masks).  A computed dimension is kept as an index
+vector into the shared, read-only echelon_arrays and _parity_checks
+arrays; its Subspace list is made when first read.  The ideals and the
+maximal subalgebras are found on first access, by a top-down scan
 (_maximal_masks) whose containment tests are exact float64 matrix
 products.  Everything downstream (core, Frattini ideal, minimal ideals,
 radical, supersolvability) works from exact linear algebra on those lists.
@@ -19,7 +21,9 @@ LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
 B from the members of the lattice that lie in B, once per distinct induced
 table, without a lattice of B: one maximal scan per dimension, with one B
 per table as its tops, finds their maximal subalgebras and F(B), the
-intersection of those.
+intersection of those, and one batched test per dimension of F(B) finds
+where F(B) is already an ideal of B, and so phi(B); the core fixpoint runs
+only where it is not.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs, whatever order the dimensions were computed in.
@@ -186,6 +190,11 @@ class LatticeCache:
         d, row = meets[0]
         return maximals, dims[d].subs[row]
 
+    @cached_property
+    def _phi(self) -> Subspace:
+        """phi(L), see frattini."""
+        return core(self.algebra, self._top_scan[1])
+
     def row(self, b: Subspace) -> int:
         """Index of b in by_dim[dim b]; b must be a subalgebra of this
         lattice."""
@@ -245,10 +254,11 @@ class LatticeCache:
 # (subspace._parity_checks): v lies in it iff v @ checks[a] == 0 mod p.  The
 # products below multiply residues below p, sum n terms and are reduced mod p
 # before they enter the next product; the one exception, the unreduced
-# brackets of the closure test, leaves sums below n^2 (p - 1)^3, the bound
-# LieAlgebra enforces (gfp.int64_safe).  So all of it is int64-exact, and the
-# containment products of the maximal scan, below n (p - 1)^2 < 2^42, are
-# exact in float64 too, where they run through BLAS (see _contained).
+# brackets that _inside tests in the closure test and in _ideal_of, leaves
+# sums below n^2 (p - 1)^3, the bound LieAlgebra enforces (gfp.int64_safe).
+# So all of it is int64-exact, and the containment products of the maximal
+# scan, below n (p - 1)^2 < 2^42, are exact in float64 too, where they run
+# through BLAS (see _contained).
 
 # upper bound on the int64 values of one row block of [b_s, e_j] in the
 # closure and ideal test
@@ -260,20 +270,29 @@ _MAXIMAL_BLOCK = 2**15
 _PAIRING_BLOCK = 2**18
 
 
-def _ad_rows(L: LieAlgebra, rows: np.ndarray) -> np.ndarray:
-    """[r, e_j] mod p, shape (len(rows), n, n), for each row r of rows.  When
-    GF(p)^n has fewer vectors than there are rows, it brackets every vector
-    once and looks the rows up by their base-p digits."""
+def _vector_table(L: LieAlgebra) -> np.ndarray:
+    """[v, e_j] mod p for every vector v of GF(p)^n, shape (p^n, n, n), row
+    index the base-p digits of v (see _ad_rows)."""
     p, n = L.p, L.dim
-    flat = L.table.reshape(n, n * n)
-    if p**n < len(rows):
-        vectors = np.indices((p,) * n).reshape(n, p**n).T  # index = digits
-        table = vectors @ flat
-        table %= p
-        ad = table.take(rows @ p ** np.arange(n - 1, -1, -1), axis=0)
-    else:
-        ad = rows @ flat
-        ad %= p
+    vectors = np.indices((p,) * n).reshape(n, p**n).T  # index = digits
+    table = vectors @ L.table.reshape(n, n * n)
+    table %= p
+    return table.reshape(p**n, n, n)
+
+
+def _ad_rows(
+    L: LieAlgebra, rows: np.ndarray, table: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """[r, e_j] mod p, shape (len(rows), n, n), for each row r of rows.  With
+    a _vector_table, or when GF(p)^n has fewer vectors than there are rows
+    (then it builds one), the rows are looked up by their base-p digits."""
+    p, n = L.p, L.dim
+    if table is None and p**n < len(rows):
+        table = _vector_table(L)
+    if table is not None:
+        return table.take(rows @ p ** np.arange(n - 1, -1, -1), axis=0)
+    ad = rows @ L.table.reshape(n, n * n)
+    ad %= p
     return ad.reshape(len(rows), n, n)
 
 
@@ -283,45 +302,53 @@ def _pairs(k: int):
     return _read_only(*np.triu_indices(k, 1))
 
 
-def _pair_brackets(L: LieAlgebra, bases: np.ndarray):
-    """(ad, brackets) for a batch of bases of shape (m, k, n): ad[a, s, j] is
-    [b_s, e_j] mod p for basis row b_s of bases[a], and brackets[a, u] is
-    [b_s, b_t], not reduced mod p, for the u-th pair s < t of _pairs(k);
-    the other pairs follow by antisymmetry."""
-    m, k, n = bases.shape
-    ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
-    # [b_s, b_t] = sum_j b_t[j] [b_s, e_j]
-    s, t = _pairs(k)
-    brackets = bases[:, t, None, :] @ ad[:, s]
-    return ad, brackets.reshape(m, len(s), n)
-
-
 def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
-    """Batch closure/ideal tests for all dim-k subspaces at once, in row
-    blocks whose [b_s, e_j] arrays hold at most _CLOSURE_BLOCK values.  Only
-    a subalgebra can be an ideal, so the ideal test runs on the closed
-    ones."""
+    """Batch closure/ideal tests for all dim-k subspaces U at once, in row
+    blocks whose [b_s, e_j] arrays hold at most _CLOSURE_BLOCK values.  The
+    closure test goes one basis row at a time: stage t brackets b_t with
+    b_0 .. b_{t-1} and keeps the rows whose brackets lie in U, so that only
+    the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
+    abelian) reach the dearer stages; for k = 2 that first stage is the
+    whole test.  Only a subalgebra can be an ideal, so the ideal test runs
+    on the closed ones.  The [v, e_j] table of _ad_rows is built once per
+    call."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
     if k == 0:
         ones = np.ones(m, dtype=bool)
         return ones, ones
-    closed = np.empty(m, dtype=bool)
+    closed = np.zeros(m, dtype=bool)
     ideal = np.zeros(m, dtype=bool)
+    table = _vector_table(L) if p**n < m else None
     step = max(1, _CLOSURE_BLOCK // (k * n * n))
     for lo in range(0, m, step):
-        block = checks[lo : lo + step]
-        ad, brackets = _pair_brackets(L, bases[lo : lo + step])
-        outside = brackets @ block
-        outside %= p
-        shut = ~outside.any(axis=(1, 2))
-        closed[lo : lo + step] = shut
-        sub = np.flatnonzero(shut)
+        rows = np.arange(lo, min(lo + step, m))
+        block, held = bases[lo : lo + step], checks[lo : lo + step]
+        ads = []  # ads[s][a, j] = [b_s, e_j] mod p, for the rows still in
+        for t in range(1, k):
+            ads.append(_ad_rows(L, block[:, t - 1], table))
+            # [b_s, b_t] = sum_j b_t[j] [b_s, e_j]
+            brackets = np.concatenate([block[:, t, None] @ ad for ad in ads], axis=1)
+            keep = _inside(brackets, held, p)
+            if not keep.all():
+                keep = np.flatnonzero(keep)
+                rows, block, held = rows[keep], block.take(keep, 0), held.take(keep, 0)
+                ads = [ad.take(keep, 0) for ad in ads]
+        if not len(rows):
+            continue
+        closed[rows] = True
         # ideal: every [b_s, e_j] (= -[e_j, b_s]) stays inside
-        outside = ad[sub].reshape(len(sub), k * n, n) @ block[sub]
-        outside %= p
-        ideal[lo + sub] = ~outside.any(axis=(1, 2))
+        ads.append(_ad_rows(L, block[:, k - 1], table))
+        ideal[rows] = _inside(np.concatenate(ads, axis=1), held, p)
     return closed, ideal
+
+
+def _inside(vectors: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
+    """Mask over a batch: every row of vectors[a] lies in the subspace with
+    parity check checks[a]."""
+    resid = vectors @ checks
+    resid %= p
+    return ~resid.any(axis=(1, 2))
 
 
 def build_lattice(L: LieAlgebra, cap: int = DEFAULT_SUBSPACE_CAP) -> LatticeCache:
@@ -436,52 +463,77 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
     """The structure constants of a batch of subalgebras in their RREF
     bases: (m, C(k, 2) * k), row a holding the coordinates of [b_s, b_t],
     its entries at the pivot columns, for the pairs s < t of _pairs(k)."""
-    brackets = _pair_brackets(L, bases)[1] % L.p
-    return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(len(piv), -1)
+    m, k, n = bases.shape
+    ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
+    # [b_s, b_t] = sum_j b_t[j] [b_s, e_j]
+    s, t = _pairs(k)
+    brackets = (bases[:, t, None, :] @ ad[:, s]).reshape(m, len(s), n) % L.p
+    return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(m, -1)
 
 
 def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
-    """See LatticeCache.subalgebra_phis.  Subalgebras of dimension k >= 2
-    are grouped by their induced tables; a zero table (abelian B) has
-    phi = 0.  The first subalgebras B with each other table are the tops of
-    one _maximal_masks scan per dimension, which gives F(B); where F(B) is
-    not 0, phi(B) = core(L, F(B), B), whose RREF rows read at B's pivot
-    columns are its RREF coordinates Phi.  A subalgebra B' with the same
-    table has phi(B') = Phi . rows(B'), again in RREF, with pivots those of
-    B' at the leading columns of Phi."""
+    """See LatticeCache.subalgebra_phis.  phi(L) is frattini's, and a
+    subalgebra B of dimension k <= 2 has phi(B) = 0 (for k = 2 the p + 1
+    lines of B are its maximal subalgebras, and meet in 0).  For
+    3 <= k < n, the subalgebras are grouped by their induced tables; a zero
+    table (abelian B) has phi = 0.  The first subalgebras B with each other
+    table are the tops of one _maximal_masks scan per dimension, which
+    gives F(B).  Where F(B) is an ideal of B, tested in one batch per
+    dim F (_ideal_of), phi(B) = F(B); elsewhere phi(B) = core(L, F(B), B).
+    The RREF rows of phi(B) read at B's pivot columns are its RREF
+    coordinates Phi; a subalgebra B' with the same table has
+    phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
+    leading columns of Phi."""
     L = lattice.algebra
     n, p = L.dim, L.p
     zero = Subspace.zero(n, p)
     dims = lattice._computed()
     arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
-    out: Dict[int, List[Subspace]] = {}
-    for k, dim in dims.items():
-        subs = dim.subs
-        phis = out[k] = [zero] * len(subs)
-        if k < 2:
+    out = {k: [zero] * len(dim.idx) for k, dim in dims.items()}
+    out[n] = [frattini(L, lattice)]
+    for k in range(3, n):
+        if k not in dims:
             continue
-        bases, piv = arrays[k][0], dim.piv
+        bases, piv = arrays[k][0], dims[k].piv
         tables = _induced_tables(L, bases, piv)
         groups: Dict[bytes, List[int]] = {}
         for a in np.flatnonzero(tables.any(axis=1)):
             groups.setdefault(tables[a].tobytes(), []).append(a)
         if not groups:
             continue
-        reps = [members[0] for members in groups.values()]
+        alike = list(groups.values())
+        reps = np.array([members[0] for members in alike])
         meets = _maximal_masks(arrays, arrays[k][1][reps], n, p)[1]
-        for rep, members, (d, row) in zip(reps, groups.values(), meets.tolist()):
+        for d in np.unique(meets[:, 0]):
             if not d:
                 continue
-            phi = core(L, dims[d].subs[row], subs[rep])
-            if not phi.dim:
-                continue
-            coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
-            lead = (coords != 0).argmax(axis=1)
-            rows = coords @ bases[members] % p
-            pivots = piv[members][:, lead]
-            for a, r, q in zip(members, rows.tolist(), pivots.tolist()):
-                phis[a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
+            at = np.flatnonzero(meets[:, 0] == d)
+            rows = meets[at, 1]
+            ideal = _ideal_of(L, arrays[d][0][rows], arrays[d][1][rows], bases[reps[at]])
+            for t, row, is_ideal in zip(at.tolist(), rows.tolist(), ideal.tolist()):
+                meet, rep = dims[d].subs[row], reps[t]
+                phi = meet if is_ideal else core(L, meet, dims[k].subs[rep])
+                if not phi.dim:
+                    continue
+                members = alike[t]
+                coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
+                lead = (coords != 0).argmax(axis=1)
+                images = coords @ bases[members] % p
+                pivots = piv[members][:, lead]
+                for a, r, q in zip(members, images.tolist(), pivots.tolist()):
+                    out[k][a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
     return out
+
+
+def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.ndarray):
+    """Mask over a batch of subspaces F_a (bases and parity checks) inside
+    subalgebras B_a (bases within): F_a is an ideal of B_a, that is every
+    [f_s, w_u] lies in F_a."""
+    m, d, n = bases.shape
+    ad = _ad_rows(L, bases.reshape(m * d, n)).reshape(m, d, n, n)
+    # [f_s, w_u] = sum_j w_u[j] [f_s, e_j]
+    brackets = within[:, None] @ ad
+    return _inside(brackets.reshape(m, -1, n), checks, L.p)
 
 
 # -- Plücker coordinates ----------------------------------------------------
@@ -631,8 +683,8 @@ def _nullspace(mat: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]
 def frattini(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
     """phi(L), the largest ideal of L inside F(L), the intersection of all
     maximal subalgebras, which the maximal scan reads from its cover
-    counts."""
-    return core(L, lattice._top_scan[1])
+    counts; computed once per lattice."""
+    return lattice._phi
 
 
 def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:

@@ -48,6 +48,7 @@ from oracles import (
     first_complements_by_sums,
     first_unsupplemented,
     is_isomorphic_small,
+    maximal_subalgebras_all_pairs,
     phi_subalgebra_not_ideal_by_sublattice,
     random_conjugate,
     sl2_summands_by_isomorphism,
@@ -687,17 +688,37 @@ def test_subalgebra_phis_match_sublattice_oracle_in_blocks_of_one(monkeypatch):
     assert_phis_match_oracles(random_conjugate(L, np.random.default_rng(20071227)))
 
 
+def _meet_of_maximals(lat, b):
+    """Oracle F(B): the intersection of the maximal subalgebras of b, found
+    by comparing all pairs of the members of lat inside b."""
+    f = b
+    for m in maximal_subalgebras_all_pairs(list(lat.inside(b)), b.dim):
+        f = f.intersect(m)
+    return f
+
+
 def test_subalgebra_phis_scan_once_per_dimension(monkeypatch):
-    """subalgebra_phis runs one maximal scan per dimension that has a
-    subalgebra with a nonzero induced table, with those of that dimension
-    as its tops, and calls core at most once per distinct nonzero table."""
+    """subalgebra_phis runs one maximal scan per dimension 3 <= k < n that
+    has a subalgebra with a nonzero induced table, with the first
+    subalgebra of each distinct table as its tops, and takes phi(L) from
+    the one scan with the top L that maximals and frattini share.  It calls
+    core within a top B exactly where F(B) is neither 0 nor an ideal of B,
+    and core on L once, for frattini, however often phi(L) is read."""
     L = random_conjugate(catalog("counterexample_double", 3), np.random.default_rng(20071228))
+    n = L.dim
     lat = build_lattice(L)
-    tables = {}  # dim k -> the distinct nonzero tables of the dim-k subalgebras
+    firsts = {}  # dim k -> {nonzero table: first dim-k subalgebra with it}
     for b in lat.subalgebras:
         table = L.as_algebra(b).table
         if table.any():
-            tables.setdefault(b.dim, set()).add(table.tobytes())
+            firsts.setdefault(b.dim, {}).setdefault(table.tobytes(), b)
+    scanned = [k for k in firsts if 2 < k < n]
+    expected_scans = [(n, 1)] + [(k, len(firsts[k])) for k in scanned]
+    expected_cores = Counter({(_meet_of_maximals(lat, lat.by_dim[n][0]), None): 1})
+    for b in (b for k in scanned for b in firsts[k].values()):
+        f = _meet_of_maximals(lat, b)
+        if f.dim and not all(f.member(L.bracket(x, y)) for x in f.rows for y in b.rows):
+            expected_cores[f, b] += 1
     scans, cores = [], Counter()
     real_scan, real_core = lattice_mod._maximal_masks, lattice_mod.core
 
@@ -706,14 +727,40 @@ def test_subalgebra_phis_scan_once_per_dimension(monkeypatch):
         return real_scan(arrays, tops, n, p)
 
     def spy_core(L, b, within=None):
-        cores[within.dim] += 1
+        cores[b, within] += 1
         return real_core(L, b, within)
 
     monkeypatch.setattr(lattice_mod, "_maximal_masks", scan)
     monkeypatch.setattr(lattice_mod, "core", spy_core)
-    lat.subalgebra_phis()
-    assert sorted(scans) == sorted((k, len(distinct)) for k, distinct in tables.items())
-    assert cores and all(cores[k] <= len(tables[k]) for k in cores)
+    phis = lat.subalgebra_phis()
+    assert phis[n] == [frattini(L, lat)]
+    assert lat.maximals and frattini(L, lat) == phis[n][0]
+    assert sorted(scans) == sorted(expected_scans)
+    assert cores == expected_cores
+
+
+def test_subalgebra_phis_take_both_branches_of_the_ideal_test(monkeypatch):
+    """Over DIM56_SUMS, F(B) of some tops B is an ideal of B and is phi(B)
+    with no core call, and that of others is not and goes through core;
+    assert_phis_match_oracles checks the answers of both."""
+    taken = Counter()
+    real_ideal, real_core = lattice_mod._ideal_of, lattice_mod.core
+
+    def spy_ideal(L, bases, checks, within):
+        out = real_ideal(L, bases, checks, within)
+        taken["shortcut"] += int(out.sum())
+        return out
+
+    def spy_core(L, b, within=None):
+        taken["fallback"] += within is not None
+        return real_core(L, b, within)
+
+    monkeypatch.setattr(lattice_mod, "_ideal_of", spy_ideal)
+    monkeypatch.setattr(lattice_mod, "core", spy_core)
+    for p, left, right in DIM56_SUMS:
+        L = catalog(left, p)
+        build_lattice(L if right is None else L.direct_sum(catalog(right, p))).subalgebra_phis()
+    assert taken["shortcut"] and taken["fallback"]
 
 
 def test_abelian_gf2_7_is_elementary_and_E():

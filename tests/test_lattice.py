@@ -126,6 +126,61 @@ def test_masks_match_naive_dim56(p, left, right):
     )
 
 
+@pytest.mark.parametrize(
+    "block,algebras",
+    [
+        (40, lambda: _census(2) + _census(3)),
+        (400, lambda: [_dim56(2, "heisenberg", "heisenberg")]),
+    ],
+    ids=["census", "heisenberg+heisenberg/GF(2)"],
+)
+def test_masks_match_naive_in_small_blocks(monkeypatch, block, algebras):
+    """Blocks of a few rows, so that the rows that pass the one-bracket
+    stage of a block, and the closed ones of the ideal test, sit at every
+    offset of a block and on either side of its boundaries."""
+    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", block)
+    for L in algebras():
+        _assert_masks_match_naive(L)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_masks_match_naive_abelian_gf3(monkeypatch, n):
+    """Every subspace of an abelian algebra passes every stage of the
+    closure test and is an ideal; in whole blocks and in blocks of a few
+    rows."""
+    L = abelian(3, n)
+    _assert_masks_match_naive(L)
+    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", 3 * n * n)
+    for k in range(n + 1):
+        bases, _ = echelon_arrays(n, 3, k)
+        closed, ideal = _closed_and_ideal_masks(L, bases, _parity_checks(n, 3, k))
+        assert closed.all() and ideal.all()
+
+
+def test_closure_prefilter_leaves_few_subspaces_to_the_all_pairs_stage(monkeypatch):
+    """On the 33,880 3-dimensional subspaces of sl2+sl2 over GF(3), every
+    subspace gets the one-bracket test [b_0, b_1] in U, fewer than a tenth
+    of them the test of the two other pairs, and only the subalgebras the
+    ideal test."""
+    L = sl2(3).direct_sum(sl2(3))
+    n, p, k = L.dim, L.p, 3
+    tested = Counter()  # vectors tested per subspace -> subspaces tested
+    real = lattice_mod._inside
+
+    def spy(vectors, checks, p):
+        tested[vectors.shape[1]] += len(vectors)
+        return real(vectors, checks, p)
+
+    monkeypatch.setattr(lattice_mod, "_inside", spy)
+    bases, _ = echelon_arrays(n, p, k)
+    closed, _ = _closed_and_ideal_masks(L, bases, _parity_checks(n, p, k))
+    m = len(bases)
+    assert sorted(tested) == [1, 2, k * n]  # [b_s, e_j] for every s and j
+    assert tested[1] == m
+    assert closed.sum() <= tested[2] < m / 10
+    assert tested[k * n] == closed.sum()
+
+
 def _assert_lattice_order(lat):
     for subs in (lat.subalgebras, lat.ideals, lat.maximals, *lat.by_dim.values()):
         assert subs == sorted(subs, key=Subspace.sort_key)
@@ -299,12 +354,11 @@ def test_lattice_computes_only_what_is_asked(monkeypatch):
     assert Analyzer().c_supplemented(L) == (True, None)
 
 
-def test_closure_test_memory_is_bounded_by_its_block():
-    """The closure and ideal test of one large dimension, the 33,880
-    3-dimensional subspaces of GF(3)^6, peaks at a few row blocks of
-    _CLOSURE_BLOCK values and some bytes per subspace; unblocked, the
-    [b_s, e_j] array alone would take 29 MB."""
-    L = sl2(3).direct_sum(sl2(3))
+def _assert_closure_memory_bounded(L):
+    """The closure and ideal test of the 3-dimensional subspaces of L,
+    through _Dim, peaks at a few row blocks of _CLOSURE_BLOCK values and
+    some bytes per subspace, while an unblocked [b_s, e_j] array would take
+    29 MB."""
     n, p, k = L.dim, L.p, 3
     m = len(echelon_arrays(n, p, k)[0])  # the shared arrays, built outside the trace
     _parity_checks(n, p, k)
@@ -316,6 +370,18 @@ def test_closure_test_memory_is_bounded_by_its_block():
         tracemalloc.stop()
     assert len(dim.idx) and m * k * n * n * 8 > 29 * 10**6
     assert peak < 4 * 8 * lattice_mod._CLOSURE_BLOCK + 32 * m
+
+
+def test_closure_test_memory_is_bounded_by_its_block():
+    """The 33,880 3-dimensional subspaces of GF(3)^6 in sl2+sl2."""
+    _assert_closure_memory_bounded(sl2(3).direct_sum(sl2(3)))
+
+
+def test_closure_test_memory_is_bounded_by_its_block_abelian():
+    """The same subspaces in abelian(6) over GF(3): every one passes every
+    stage of the closure test and the ideal test, so the later stages hold
+    whole blocks too."""
+    _assert_closure_memory_bounded(abelian(3, 6))
 
 
 def test_classify_computes_each_lattice_dimension_once(monkeypatch):

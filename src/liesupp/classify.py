@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,9 @@ LATTICE_SLOTS = 256
 
 def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[Subspace]:
     """First supplement C of b in canonical search order, or None: b + C is
-    the whole algebra and b meet C lies in the core of b.
+    the whole algebra and b meet C lies in the core of b.  This is the
+    witness of one subalgebra (check --subspace, the pfrat campaign);
+    is_c_supplemented_algebra decides every subalgebra without it.
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
     sum is everything; the first of them is looked up in
@@ -74,24 +76,18 @@ def complement_subalgebra(
     return lattice.by_dim[L.dim - b.dim][first] if first >= 0 else None
 
 
-def _uncomplemented(lattice: LatticeCache) -> Iterator[Subspace]:
-    """The subalgebras without a complement, in lattice order.  The
-    Subspace list of a dimension is made only when one of its rows has
-    none."""
-    for k in range(lattice.algebra.dim + 1):
-        for row in np.flatnonzero(lattice.first_complements(k) < 0):
-            yield lattice.by_dim[k][row]
-
-
 def is_c_supplemented_algebra(
     L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """Conjunction over every subalgebra; on failure reports the canonically
-    first subalgebra without a supplement.  A complement is a supplement,
-    so only the subalgebras without one are searched further."""
-    for b in _uncomplemented(lattice):
-        if c_supplement(L, lattice, b) is None:
-            return False, b
+    first subalgebra without a supplement.  The dimensions are decided one
+    at a time, in increasing order, each by LatticeCache.unsupplemented
+    (array tests by core, without c_supplement or core), and the first
+    one with a failing row ends the search."""
+    for k in range(L.dim + 1):
+        rows = lattice.unsupplemented(k)
+        if len(rows):
+            return False, lattice.by_dim[k][rows[0]]
     return True, None
 
 

@@ -17,6 +17,9 @@ LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
 products and keeps, for each subalgebra, its first complement, so a
 complement query is a row lookup; it computes only dimensions k and n - k.
+LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
+subalgebra at once: it reads the cores from the ideal masks and tests the
+candidates that contain each core by the rank of one product.
 LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
 B from the members of the lattice that lie in B, once per distinct induced
 table, without a lattice of B: one maximal scan per dimension, with one B
@@ -220,6 +223,13 @@ class LatticeCache:
             self._first[k] = got
         return got
 
+    def unsupplemented(self, k: int) -> np.ndarray:
+        """The rows of by_dim[k], ascending, of the subalgebras B without a
+        c-supplement: no subalgebra C with B + C = L and B meet C inside
+        the core of B.  Computes the dimensions up to k, n - k and the
+        dimensions of the candidates it tests (see _unsupplemented)."""
+        return _unsupplemented(self, k)
+
     def subalgebra_phis(self) -> Dict[int, List[Subspace]]:
         """phi(B), the Frattini ideal of B's own algebra, for every
         subalgebra B, in ambient coordinates: a list per dimension k, row
@@ -270,14 +280,22 @@ _MAXIMAL_BLOCK = 2**15
 _PAIRING_BLOCK = 2**18
 
 
+# algebras whose _vector_table is kept: every dimension of a lattice and
+# _induced_tables share one table, and no lattice holds one (GF(5)^6 alone
+# takes 4.5 MB)
+_VECTOR_TABLE_SLOTS = 4
+
+
+@lru_cache(maxsize=_VECTOR_TABLE_SLOTS)
 def _vector_table(L: LieAlgebra) -> np.ndarray:
     """[v, e_j] mod p for every vector v of GF(p)^n, shape (p^n, n, n), row
-    index the base-p digits of v (see _ad_rows)."""
+    index the base-p digits of v (see _ad_rows).  Cached by L's table for
+    the last _VECTOR_TABLE_SLOTS algebras, and read-only."""
     p, n = L.p, L.dim
     vectors = np.indices((p,) * n).reshape(n, p**n).T  # index = digits
     table = vectors @ L.table.reshape(n, n * n)
     table %= p
-    return table.reshape(p**n, n, n)
+    return _read_only(table.reshape(p**n, n, n))[0]
 
 
 def _ad_rows(
@@ -285,7 +303,7 @@ def _ad_rows(
 ) -> np.ndarray:
     """[r, e_j] mod p, shape (len(rows), n, n), for each row r of rows.  With
     a _vector_table, or when GF(p)^n has fewer vectors than there are rows
-    (then it builds one), the rows are looked up by their base-p digits."""
+    (then it takes L's), the rows are looked up by their base-p digits."""
     p, n = L.p, L.dim
     if table is None and p**n < len(rows):
         table = _vector_table(L)
@@ -310,8 +328,8 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
     abelian) reach the dearer stages; for k = 2 that first stage is the
     whole test.  Only a subalgebra can be an ideal, so the ideal test runs
-    on the closed ones.  The [v, e_j] table of _ad_rows is built once per
-    call."""
+    on the closed ones.  The [v, e_j] table of _ad_rows is L's cached
+    _vector_table."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
     if k == 0:
@@ -621,6 +639,69 @@ def _first_complements(
         new = hit.any(axis=0) & (first_w < 0)
         first_w[new] = lo + hit[:, new].argmax(axis=0)
     return first_u, first_w
+
+
+def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
+    """See LatticeCache.unsupplemented.  A complement is a supplement, and
+    an ideal B has the supplement L (B meet L = B is its own core), so only
+    the other rows without a first complement are tested.  The core K of B
+    is the sum of the ideals of L inside B, so it is the one ideal of
+    largest dimension inside B: one _contained test of the ideals of
+    dims 1 .. k - 1, padded with zero rows to k - 1 rows, against the
+    parity checks of those rows finds every core.  With K = 0 a supplement
+    would be a complement, so B has none.  With K != 0 a supplement C may
+    be replaced by C + K (a subalgebra, as K is an ideal), which meets B
+    in K by the modular law; so B has a supplement exactly when some
+    subalgebra C containing K, of dimension n - k + dim K, has B + C = L
+    (_spanning).  The rows are grouped by core, and the candidates of
+    each group are found by one _contained test of its core."""
+    L = lattice.algebra
+    n, p = L.dim, L.p
+    dim = lattice._dim(k)
+    rows = np.flatnonzero((lattice.first_complements(k) < 0) & ~dim.ideal)
+    if not len(rows):
+        return rows
+    below = [(d, lattice._dim(d)) for d in range(1, k)]
+    padded = [np.pad(b.bases[b.ideal], ((0, 0), (0, k - 1 - d), (0, 0))) for d, b in below]
+    sizes = np.repeat([d for d, _ in below], [len(ideals) for ideals in padded])
+    if not len(sizes):
+        return rows
+    padded = np.concatenate(padded)
+    checks = dim._checks[dim.idx[rows]]
+    inside = _contained(padded, checks, p) * sizes[:, None]
+    cores, core_dims = inside.argmax(axis=0), inside.max(axis=0)
+    supplemented = np.zeros(len(rows), dtype=bool)
+    for j in np.unique(cores[core_dims > 0]).tolist():
+        group = np.flatnonzero((cores == j) & (core_dims > 0))
+        c = int(sizes[j])
+        candidates = lattice._dim(n - k + c)
+        containing = _contained(padded[j : j + 1, :c], candidates.checks, p)[0]
+        supplemented[group] = _spanning(candidates.bases[containing], checks[group], p)
+    return rows[~supplemented]
+
+
+def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
+    """Mask over a batch of subspaces B_g of GF(p)^n (parity checks of
+    shape (g, n, w)): some span(bases[c]) (bases of shape (m, d, n),
+    d >= w) has B_g + C = GF(p)^n.  v -> v @ H_g maps GF(p)^n onto GF(p)^w
+    with kernel B_g, so B_g + C is everything exactly when bases[c] @ H_g
+    has rank w, that is when one of its w x w minors is nonzero: the
+    Plücker coordinates of its transpose, reduced mod p first.  The pairs
+    (g, c) go in blocks whose products and minors hold about
+    _PAIRING_BLOCK values at most, and stop once every B_g has one."""
+    count, m = len(checks), len(bases)
+    out = np.zeros(count, dtype=bool)
+    d, w = bases.shape[1], checks.shape[2]
+    # plucker's arrays for r rows hold C(d, r) r <= C(d, d // 2) w values
+    step = max(1, _PAIRING_BLOCK // (comb(d, d // 2) * w))
+    for lo in range(0, count * m, step):
+        at, c = np.divmod(np.arange(lo, min(lo + step, count * m)), m)
+        images = bases[c] @ checks[at]
+        images %= p
+        out[at[plucker(images.transpose(0, 2, 1), p).any(axis=1)]] = True
+        if out.all():
+            break
+    return out
 
 
 @lru_cache(maxsize=256)

@@ -636,6 +636,96 @@ def test_first_complements_match_sums(universe, block, monkeypatch):
         assert is_completely_factorisable(L, lat) == (first is None, first)
 
 
+# -- c-supplementation by core, one dimension at a time -----------------------
+
+
+def _with_conjugates(algebras, seed):
+    rng = np.random.default_rng(seed)
+    return [M for L in algebras for M in (L, random_conjugate(L, rng))]
+
+
+UNSUPPLEMENTED_UNIVERSES = {
+    "census_gf2": lambda: _with_conjugates(_census_algebras(2), 20071301),
+    "census_gf3": lambda: _with_conjugates(_census_algebras(3), 20071302),
+    "gf2_pair_sums": lambda: _with_conjugates(gf2_pair_sums(), 20071303),
+    "dim56": _dim56_both_bases,
+}
+
+
+def assert_unsupplemented_rows_match(L, oracle=True):
+    """LatticeCache.unsupplemented(k) lists exactly the rows of by_dim[k]
+    for which c_supplement finds nothing, and (with oracle) for which the
+    per-candidate row-reduction oracle finds nothing either."""
+    lat = build_lattice(L)
+    for k, subs in lat.by_dim.items():
+        missing = [r for r, b in enumerate(subs) if c_supplement(L, lat, b) is None]
+        assert lat.unsupplemented(k).tolist() == missing
+        if oracle:
+            assert missing == [
+                r for r, b in enumerate(subs) if c_supplement_by_sums(L, lat, b) is None
+            ]
+
+
+@pytest.mark.parametrize("universe", sorted(UNSUPPLEMENTED_UNIVERSES))
+def test_unsupplemented_rows_match_oracles(universe):
+    for L in UNSUPPLEMENTED_UNIVERSES[universe]():
+        assert_unsupplemented_rows_match(L)
+
+
+def test_unsupplemented_rows_in_small_blocks(monkeypatch):
+    """Pairing blocks of one (subalgebra, candidate) pair and of a few
+    pairs: with 200 values the candidates of 22 of the 26 core groups of
+    these algebras span several blocks, and in 14 some block holds pairs
+    of two subalgebras."""
+    for block in (1, 200):
+        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
+        for L in _dim56_both_bases():
+            assert_unsupplemented_rows_match(L, oracle=False)
+
+
+def test_unsupplemented_takes_all_three_branches(monkeypatch):
+    """Over DIM56_SUMS and the GF(2) pair sums, some non-ideal subalgebras
+    without a complement have core 0 (no supplement, no rank test), and of
+    those with a nonzero core the rank test finds a supplement for some and
+    none for others."""
+    taken = Counter()
+    real = lattice_mod._spanning
+
+    def spy(bases, checks, p):
+        out = real(bases, checks, p)
+        taken["supplemented"] += int(out.sum())
+        taken["unsupplemented"] += int((~out).sum())
+        return out
+
+    monkeypatch.setattr(lattice_mod, "_spanning", spy)
+    tested = 0
+    for L in _dim56_both_bases() + list(gf2_pair_sums()):
+        lat = build_lattice(L)
+        for k in lat.by_dim:
+            lat.unsupplemented(k)
+            tested += int(((lat.first_complements(k) < 0) & ~lat._dim(k).ideal).sum())
+    assert taken["supplemented"] and taken["unsupplemented"]
+    assert tested > taken["supplemented"] + taken["unsupplemented"]  # core 0
+
+
+def test_c_supplemented_calls_neither_c_supplement_nor_core(monkeypatch):
+    """The verdict comes from LatticeCache.unsupplemented alone, on a
+    c-supplemented algebra and on a sum that fails csupp_dsum over GF(2)
+    (T + T, T: [e0, e2] = e1, [e1, e2] = e0)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("c_supplement or core called")
+
+    t = LieAlgebra(PrimeField(2), 3, {(0, 2): (0, 1, 0), (1, 2): (1, 0, 0)})
+    cases = [heisenberg(2).direct_sum(heisenberg(2)), t.direct_sum(t)]
+    expected = [is_c_supplemented_algebra(L, build_lattice(L)) for L in cases]
+    assert expected[0] == (True, None) and not expected[1][0]
+    monkeypatch.setattr(classify_mod, "c_supplement", refuse)
+    monkeypatch.setattr(classify_mod, "core", refuse)
+    monkeypatch.setattr(lattice_mod, "core", refuse)
+    assert [Analyzer().c_supplemented(L) for L in cases] == expected
+
+
 # -- Frattini ideals of subalgebras from the ambient lattice ------------------
 
 # shared by the oracle calls, so that each distinct subalgebra table has its

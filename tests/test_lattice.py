@@ -354,6 +354,29 @@ def test_lattice_computes_only_what_is_asked(monkeypatch):
     assert Analyzer().c_supplemented(L) == (True, None)
 
 
+def test_vector_table_built_once_per_algebra(monkeypatch):
+    """Every dimension of the lattice of sl2 + sl2 over GF(3) with more
+    subspaces than GF(3)^6 has vectors, and the induced tables of
+    subalgebra_phis, share one read-only [v, e_j] table."""
+    L = sl2(3).direct_sum(sl2(3))
+    built = []
+    build = lattice_mod._vector_table.__wrapped__
+
+    def counting(M):
+        built.append(M.key)
+        return build(M)
+
+    monkeypatch.setattr(
+        lattice_mod,
+        "_vector_table",
+        lattice_mod.lru_cache(maxsize=lattice_mod._VECTOR_TABLE_SLOTS)(counting),
+    )
+    lat = build_lattice(L)
+    lat.subalgebra_phis()
+    assert built == [L.key]
+    assert not lattice_mod._vector_table(L).flags.writeable
+
+
 def _assert_closure_memory_bounded(L):
     """The closure and ideal test of the 3-dimensional subspaces of L,
     through _Dim, peaks at a few row blocks of _CLOSURE_BLOCK values and
@@ -664,6 +687,25 @@ def test_plucker_pairing_is_the_determinant_mod_p():
                     [det_by_permutations(np.concatenate([u, w]).tolist(), p) for w in ws]
                     for u in us
                 ]
+
+
+@pytest.mark.parametrize("block", [None, 1, 200])
+def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
+    """_spanning with one candidate C, against every dim-k subspace B of
+    GF(3)^4 at once, is B + C = GF(3)^4 by row reduction, for every
+    dim C >= 4 - k (some C larger than codim B, as for a nonzero core);
+    also with blocks of one pair and of a few pairs."""
+    if block is not None:
+        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
+    n, p = 4, 3
+    for k in range(1, n):
+        bs = list(enumerate_subspaces(n, p, dim_filter=k))
+        checks = np.array([_parity_check(b) for b in bs])
+        for d in range(n - k, n + 1):
+            for c in list(enumerate_subspaces(n, p, dim_filter=d))[::7]:
+                basis = np.array(c.rows, dtype=np.int64).reshape(1, d, n)
+                got = lattice_mod._spanning(basis, checks, p)
+                assert got.tolist() == [b.sum(c).dim == n for b in bs]
 
 
 def test_complements_refuses_a_subspace_outside_the_lattice():

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import Analyzer, _LRU, c_supplement, first_non_ideal_inside
+from .classify import Analyzer, _LRU, first_non_ideal_inside
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
@@ -342,12 +342,18 @@ def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
     phi_l = az.frattini(L)
     phis = lat.subalgebra_phis()
+    # LatticeCache.unsupplemented(k), for each k on first use
+    unsupplemented: Dict[int, np.ndarray] = {}
     for k, subs in lat.by_dim.items():
         for d, phi_d in zip(subs, phis[k]):
             if phi_d.dim == 0:
                 continue
             for b in lat.inside(phi_d):
-                if b.dim == 0 or c_supplement(L, lat, b) is None:
+                if b.dim == 0:
+                    continue
+                if b.dim not in unsupplemented:
+                    unsupplemented[b.dim] = lat.unsupplemented(b.dim)
+                if lat.row(b) in unsupplemented[b.dim]:
                     continue
                 if not (L.is_ideal(b) and phi_l.contains(b)):
                     return {

@@ -40,8 +40,9 @@ LATTICE_SLOTS = 256
 def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[Subspace]:
     """First supplement C of b in canonical search order, or None: b + C is
     the whole algebra and b meet C lies in the core of b.  This is the
-    witness of one subalgebra (check --subspace, the pfrat campaign);
-    is_c_supplemented_algebra decides every subalgebra without it.
+    witness of one subalgebra (check --subspace); is_c_supplemented_algebra
+    and the pfrat campaign decide every subalgebra without it
+    (LatticeCache.unsupplemented).
 
     Candidates of dimension exactly codim(b) meet b trivially whenever the
     sum is everything; the first of them is looked up in
@@ -73,7 +74,7 @@ def complement_subalgebra(
     lattice order is returned.  b must be a subalgebra of the lattice
     (ValueError otherwise)."""
     first = lattice.first_complements(b.dim)[lattice.row(b)]
-    return lattice.by_dim[L.dim - b.dim][first] if first >= 0 else None
+    return lattice.member(L.dim - b.dim, first) if first >= 0 else None
 
 
 def is_c_supplemented_algebra(
@@ -87,7 +88,7 @@ def is_c_supplemented_algebra(
     for k in range(L.dim + 1):
         rows = lattice.unsupplemented(k)
         if len(rows):
-            return False, lattice.by_dim[k][rows[0]]
+            return False, lattice.member(k, rows[0])
     return True, None
 
 
@@ -103,7 +104,7 @@ def is_completely_factorisable(
     missing = np.flatnonzero(lattice.first_complements(1) < 0)
     if not len(missing):
         return True, None
-    return False, lattice.by_dim[1][missing[0]]
+    return False, lattice.member(1, missing[0])
 
 
 def is_elementary(
@@ -112,11 +113,10 @@ def is_elementary(
     """phi(B) = 0 for every subalgebra B (phi computed inside B's own
     algebra, see LatticeCache.subalgebra_phis).  Returns the first
     offending subalgebra otherwise."""
-    phis = lattice.subalgebra_phis()
-    for k, subs in lattice.by_dim.items():
-        for b, phi_b in zip(subs, phis[k]):
+    for k, phis in lattice.subalgebra_phis().items():
+        for row, phi_b in enumerate(phis):
             if phi_b.dim:
-                return False, b
+                return False, lattice.member(k, row)
     return True, None
 
 
@@ -127,10 +127,10 @@ def is_E_algebra(
     coordinates.  Returns the first offending subalgebra otherwise."""
     phis = lattice.subalgebra_phis()
     phi_l = phis[L.dim][0]  # L is the one subalgebra of dimension n
-    for k, subs in lattice.by_dim.items():
-        for b, phi_b in zip(subs, phis[k]):
+    for k, phis_k in phis.items():
+        for row, phi_b in enumerate(phis_k):
             if phi_b.dim and not phi_l.contains(phi_b):
-                return False, b
+                return False, lattice.member(k, row)
     return True, None
 
 

@@ -7,11 +7,15 @@ echelon generation, which brackets one pair of basis rows of every
 subspace first and the other pairs only for the few that pass
 (_closed_and_ideal_masks).  A computed dimension is kept as an index
 vector into the shared, read-only echelon_arrays and _parity_checks
-arrays; its Subspace list is made when first read.  The ideals and the
-maximal subalgebras are found on first access, by a top-down scan
-(_maximal_masks) whose containment tests are exact float64 matrix
-products.  Everything downstream (core, Frattini ideal, minimal ideals,
-radical, supersolvability) works from exact linear algebra on those lists.
+arrays.  Its whole Subspace list is made only when by_dim or subalgebras
+reads it; the other queries make Subspaces of the rows they return
+alone, and stats counts from the arrays.  The ideals and the maximal
+subalgebras are found on first access, by a top-down scan
+(_maximal_masks) whose containment tests and cover counts are float
+matrix products, in float32 where the integer bound of the product is
+below 2^24 and in float64 otherwise, exact either way.  Everything
+downstream (core, Frattini ideal, minimal ideals, radical,
+supersolvability) works from exact linear algebra on those lists.
 Complements are found per dimension:
 LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
@@ -62,8 +66,9 @@ from .subspace import (
 class _Dim:
     """The subalgebras of one dimension k: rows idx of the arrays
     (bases, pivots, checks) of echelon_arrays and _parity_checks, in
-    Subspace.sort_key order, and which of them are ideals.  Their Subspace
-    list is made on first use."""
+    Subspace.sort_key order, and which of them are ideals.  subs, the
+    Subspace list of them all, is made on first use; sub and subs_at make
+    the Subspaces of the rows asked for alone."""
 
     __slots__ = ("_p", "_bases", "_piv", "_checks", "idx", "ideal", "_subs")
 
@@ -91,12 +96,22 @@ class _Dim:
     @property
     def subs(self) -> List[Subspace]:
         if self._subs is None:
-            n, p = self._bases.shape[2], self._p
-            self._subs = [
-                Subspace(n, p, tuple(map(tuple, rows)), tuple(pivots))
-                for rows, pivots in zip(self.bases.tolist(), self.piv.tolist())
-            ]
+            self._subs = self.subs_at(slice(None))
         return self._subs
+
+    def subs_at(self, rows) -> List[Subspace]:
+        """The Subspaces of the given rows (an index array, a boolean mask
+        or a slice)."""
+        n, p = self._bases.shape[2], self._p
+        at = self.idx[rows]
+        return [
+            Subspace(n, p, tuple(map(tuple, basis)), tuple(pivots))
+            for basis, pivots in zip(self._bases[at].tolist(), self._piv[at].tolist())
+        ]
+
+    def sub(self, row: int) -> Subspace:
+        """The Subspace of one row."""
+        return self.subs_at([row])[0]
 
     # copies of the rows in idx, for one computation at a time
     @property
@@ -171,10 +186,7 @@ class LatticeCache:
     @cached_property
     def ideals(self) -> List[Subspace]:
         return [
-            s
-            for dim in self._computed().values()
-            for s, ideal in zip(dim.subs, dim.ideal)
-            if ideal
+            s for dim in self._computed().values() for s in dim.subs_at(dim.ideal)
         ]
 
     @cached_property
@@ -189,14 +201,18 @@ class LatticeCache:
         dims = self._computed()
         arrays = {k: (dim.bases, dim.checks) for k, dim in dims.items()}
         masks, meets = _maximal_masks(arrays, dims[n].checks, n, self.algebra.p)
-        maximals = [s for k in sorted(masks) for s, m in zip(dims[k].subs, masks[k][:, 0]) if m]
+        maximals = [s for k in sorted(masks) for s in dims[k].subs_at(masks[k][:, 0])]
         d, row = meets[0]
-        return maximals, dims[d].subs[row]
+        return maximals, dims[d].sub(row)
 
     @cached_property
     def _phi(self) -> Subspace:
         """phi(L), see frattini."""
         return core(self.algebra, self._top_scan[1])
+
+    def member(self, k: int, row: int) -> Subspace:
+        """Row `row` of by_dim[k], made alone: by_dim[k] is not built."""
+        return self._dim(k).sub(row)
 
     def row(self, b: Subspace) -> int:
         """Index of b in by_dim[dim b]; b must be a subalgebra of this
@@ -246,14 +262,14 @@ class LatticeCache:
         check = _parity_check(space)[None]
         for d in range(space.dim + 1):
             dim = self._dim(d)
-            for row in np.flatnonzero(_contained(dim.bases, check, space.p)[:, 0]):
-                yield dim.subs[row]
+            yield from dim.subs_at(_contained(dim.bases, check, space.p)[:, 0])
 
     def stats(self) -> Dict[str, int]:
+        dims = self._computed().values()
         return {
             "subspaces": self.subspace_count,
-            "subalgebras": len(self.subalgebras),
-            "ideals": len(self.ideals),
+            "subalgebras": sum(len(dim.idx) for dim in dims),
+            "ideals": sum(int(dim.ideal.sum()) for dim in dims),
             "maximal_subalgebras": len(self.maximals),
         }
 
@@ -266,17 +282,20 @@ class LatticeCache:
 # before they enter the next product; the one exception, the unreduced
 # brackets that _inside tests in the closure test and in _ideal_of, leaves
 # sums below n^2 (p - 1)^3, the bound LieAlgebra enforces (gfp.int64_safe).
-# So all of it is int64-exact, and the containment products of the maximal
-# scan, below n (p - 1)^2 < 2^42, are exact in float64 too, where they run
-# through BLAS (see _contained).
+# So all of it is int64-exact.  The containment products (_contained), below
+# n (p - 1)^2 < 2^42, the cover counts of the maximal scan, below the number
+# of members, and the Plücker pairings (plucker_pairing), below
+# C(n, k) (p - 1)^2, run through BLAS in floats instead: in float32 when the
+# bound (plus p, for _reduce) is at most 2^24, else in float64, exact up to
+# 2^53 (_exact_float).
 
 # upper bound on the int64 values of one row block of [b_s, e_j] in the
 # closure and ideal test
 _CLOSURE_BLOCK = 2**18
-# upper bound on the float64 values of one block of containment residues in
+# upper bound on the float values of one block of containment residues in
 # the maximal scan
 _MAXIMAL_BLOCK = 2**15
-# upper bound on the float64 values of one block of Plücker pairings
+# upper bound on the float values of one block of Plücker pairings
 _PAIRING_BLOCK = 2**18
 
 
@@ -404,6 +423,8 @@ def _maximal_masks(
     if k:  # the zero member lies in everything: maximal only in a line
         masks[0] = np.full((1, count), k == 1)
     meets = np.zeros((count, 2), dtype=np.intp)
+    # a cover count is at most the number of members below k
+    counts = _exact_float(sum(len(arrays[d][0]) for d in below))
     per = max(1, _MAXIMAL_BLOCK // max(1, n * n))
     for lo in range(0, count, per):
         chunk = tops[lo : lo + per]
@@ -427,7 +448,7 @@ def _maximal_masks(
                 candidates.append((d, rows[at], top, found[top]))
             some = maximal.any(axis=1)
             if some.any():
-                kept.append((checks[rows[some]], maximal[some].astype(np.float64)))
+                kept.append((checks[rows[some]], maximal[some].astype(counts)))
                 found = found + maximal.sum(axis=0)
         for d, rows, top, then in candidates:  # highest dimension first
             new = (then == found[top]) & (meets[lo + top, 0] == 0)
@@ -437,33 +458,48 @@ def _maximal_masks(
 
 def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     """(len(bases), len(checks)) mask: span(bases[r]) lies in the subspace
-    with parity check checks[t].  The residues are exact float64 BLAS
-    products (below n (p - 1)^2 < 2^42 under gfp.int64_safe) reduced by
-    _reduce, and are all 0 when their sum is; row blocks of about
-    _MAXIMAL_BLOCK residues at most."""
+    with parity check checks[t].  The residues are BLAS products below
+    n (p - 1)^2, exact in the float type _exact_float picks for that bound
+    (float32 up to 2^24, else float64: below 2^42 under gfp.int64_safe),
+    reduced by _reduce; row blocks of about _MAXIMAL_BLOCK residues at
+    most."""
     m, d, n = bases.shape
     count, width = checks.shape[0], checks.shape[2]
-    # columns (j, t): the residues of (r, t) are the middle axis, a fast sum
-    flat = np.ascontiguousarray(checks.transpose(1, 2, 0), dtype=np.float64)
+    dtype = _exact_float(n * (p - 1) ** 2, p)
+    # columns (j, t): the residues of (r, t) are the middle axis
+    flat = np.ascontiguousarray(checks.transpose(1, 2, 0), dtype=dtype)
     flat = flat.reshape(n, width * count)
     out = np.empty((m, count), dtype=bool)
     step = max(1, _MAXIMAL_BLOCK // max(1, d * width * count))
     for lo in range(0, m, step):
         block = bases[lo : lo + step]
-        resid = _reduce(block.reshape(len(block) * d, n).astype(np.float64) @ flat, p)
-        out[lo : lo + step] = resid.reshape(len(block), d * width, count).sum(axis=1) == 0
+        resid = _reduce(block.reshape(len(block) * d, n).astype(dtype) @ flat, p)
+        out[lo : lo + step] = ~resid.reshape(len(block), d * width, count).any(axis=1)
     return out
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for a float64 array of whole numbers below 2^53 in
-    absolute value: x / p rounds to a whole number only when it is one, and
-    its floor is exact, so x - p * floor(x / p) is x mod p."""
+    """x mod p in place, for a float32 or float64 array of whole numbers
+    with |x| + p at most 2^24 or 2^53, the whole numbers the type holds
+    exactly: x / p rounds to a whole number only when it is one, so its
+    floor is exact, and so are p * floor(x / p), below |x| + p, and
+    x - p * floor(x / p), which is x mod p."""
     quotient = x / p
     np.floor(quotient, out=quotient)
     quotient *= p
     x -= quotient
     return x
+
+
+def _exact_float(bound: int, p: int = 0) -> type:
+    """The float type for a BLAS product of whole numbers whose terms'
+    absolute values sum to at most bound, so that every partial sum is a
+    whole number of absolute value at most bound, then reduced by _reduce
+    mod p (p = 0 when it is not): float32 when bound + p <= 2^24, where
+    both steps are exact in it, else float64, exact up to 2^53, which the
+    callers keep below.  Like plucker's np.min_scalar_type(p - 1), the
+    choice depends on the input alone."""
+    return np.float32 if bound + p <= 2**24 else np.float64
 
 
 # -- Frattini ideals of subalgebras ------------------------------------------
@@ -529,8 +565,8 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
             rows = meets[at, 1]
             ideal = _ideal_of(L, arrays[d][0][rows], arrays[d][1][rows], bases[reps[at]])
             for t, row, is_ideal in zip(at.tolist(), rows.tolist(), ideal.tolist()):
-                meet, rep = dims[d].subs[row], reps[t]
-                phi = meet if is_ideal else core(L, meet, dims[k].subs[rep])
+                meet, rep = dims[d].sub(row), reps[t]
+                phi = meet if is_ideal else core(L, meet, dims[k].sub(rep))
                 if not phi.dim:
                     continue
                 members = alike[t]
@@ -562,8 +598,9 @@ def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.n
 # S' the complement of S and sign(S) = (-1)^(k(k-1)/2 + sum S) (0-based).
 # The minors are the Plücker coordinates of U and W; reduced mod p they are
 # below p, so each of the C(n, k) products is below p^2 and the sum is below
-# C(n, k) p^2.  plucker_pairing refuses sums that could reach 2^53, so its
-# float64 products are exact integers.
+# C(n, k) p^2.  plucker_pairing takes them in float32 when the sum stays
+# below 2^24 and in float64 otherwise, and refuses sums that could reach
+# 2^53, so its float products are exact integers.
 
 _rows = attrgetter("rows")
 
@@ -606,15 +643,19 @@ def plucker_pairing(
     """det[U; W] mod p for every pair of a batch of dim-k subspaces U of
     GF(p)^n (rows of their Plücker coordinates pu) and a batch of
     dim-(n-k) subspaces W (rows of pw): a (len(pu), len(pw)) array of exact
-    residues, held in float64 so that the product runs through BLAS."""
-    if comb(n, k) * (p - 1) ** 2 >= 2**53:
+    residues, held in the float type that _exact_float picks for the bound
+    C(n, k) (p - 1)^2 of the pairing, so that the product runs through
+    BLAS: float32 below 2^24, else float64."""
+    bound = comb(n, k) * (p - 1) ** 2
+    if bound >= 2**53:
         # PrimeField and the subspace cap keep every caller far below this
         raise InternalError(
             f"GF({p})^{n}: Plücker pairings of dim {k} would overflow "
             "the exact integers of float64"
         )
+    dtype = _exact_float(bound, p)
     dual, signs = _pairing_dual(n, k)
-    return _reduce((pu[:, dual] * signs) @ pw.T.astype(np.float64), p)
+    return _reduce(np.multiply(pu[:, dual], signs, dtype=dtype) @ pw.T.astype(dtype), p)
 
 
 def _first_complements(
@@ -833,7 +874,7 @@ def is_supersolvable(
         return True
     dim = lines(L) if lines is not None else _Dim(L, 1)
     result = any(
-        is_supersolvable(L.quotient(dim.subs[row]), _memo, lines)
+        is_supersolvable(L.quotient(dim.sub(row)), _memo, lines)
         for row in np.flatnonzero(dim.ideal)
     )
     _memo[L.key] = result

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import liesupp.census as census_mod
+import liesupp.classify as classify_mod
 from liesupp.census import (
     CHECKERS,
     CensusSpec,
@@ -22,6 +23,7 @@ from liesupp.census import (
 from liesupp.classify import Analyzer, _LRU
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
+from liesupp.lattice import LatticeCache
 from liesupp.liealg import (
     L1_gamma,
     LieAlgebra,
@@ -326,6 +328,17 @@ def test_class_cache_is_lazy_and_bounded(monkeypatch):
 ORACLE_AZ = Analyzer()
 
 
+def _forbid_c_supplement(monkeypatch):
+    """Make every call of classify.c_supplement, also through a name that
+    census imports, fail."""
+
+    def forbidden(L, lattice, b):
+        raise AssertionError("c_supplement called")
+
+    monkeypatch.setattr(classify_mod, "c_supplement", forbidden)
+    monkeypatch.setattr(census_mod, "c_supplement", forbidden, raising=False)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("theorem", sorted(CHECKERS))
 def test_class_campaign_matches_per_table_oracle(theorem, p):
@@ -348,8 +361,10 @@ def test_class_campaign_matches_per_table_oracle(theorem, p):
 def test_phi_campaigns_match_sublattice_oracles(theorem, oracle, p, monkeypatch):
     """The campaigns that read phi of subalgebras from the ambient lattice
     give the documents of a per-table run of checkers that build the
-    lattice of each subalgebra or of phi(L)."""
+    lattice of each subalgebra or of phi(L), and search supplements by
+    sums (pfrat).  The campaigns themselves call no c_supplement."""
     spec = CensusSpec(p, 3)
+    _forbid_c_supplement(monkeypatch)
     doc = verify(theorem, spec).to_doc()
     doc.pop("timing")
     monkeypatch.setitem(CHECKERS, theorem, oracle)
@@ -363,16 +378,18 @@ def test_phi_campaigns_match_sublattice_oracles(theorem, oracle, p, monkeypatch)
 )
 def test_pfrat_examines_each_subalgebra_of_each_phi(L, monkeypatch):
     """pfrat tests c-supplementation on the nonzero subalgebras inside
-    phi(D), for every subalgebra D in lattice order; with no violation it
-    reaches every such pair."""
+    phi(D), for every subalgebra D in lattice order, each by looking its
+    row up in LatticeCache.unsupplemented, with no c_supplement call; with
+    no violation it reaches every such pair."""
     seen = []
-    real = census_mod.c_supplement
+    real = LatticeCache.row
 
-    def recording(L, lattice, b):
+    def recording(self, b):
         seen.append(b)
-        return real(L, lattice, b)
+        return real(self, b)
 
-    monkeypatch.setattr(census_mod, "c_supplement", recording)
+    monkeypatch.setattr(LatticeCache, "row", recording)
+    _forbid_c_supplement(monkeypatch)
     az = Analyzer()
     lat = az.lattice(L)
     assert CHECKERS["pfrat"](L, az) is None

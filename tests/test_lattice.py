@@ -2,6 +2,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -251,26 +252,49 @@ def test_maximal_scan_matches_one_top_oracle_dim56(p, left, right):
         _assert_scan_matches_one_top_oracle(M)
 
 
+def float32_edge(bound):
+    """(p, q): the largest prime p with bound(p) < 2^24, for bound
+    increasing in p, and the next prime q."""
+    p = 2**12 + 1
+    while not (is_prime(p) and bound(p) < 2**24):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
 def test_float_containment_exact_near_the_int64_limit():
     """_contained against Subspace.contains over the largest prime p that
     gfp.int64_safe admits in dimension 6, where its float64 products come
-    within a factor of 2 of their 2^42 bound; the spans are given by raw
-    random rows, not RREF ones."""
+    within a factor of 2 of their 2^42 bound, and, for n = 3..6, over the
+    largest prime with n (p - 1)^2 < 2^24, the last one in float32, and the
+    next prime, the first one in float64 (asserted of _exact_float); the
+    spans are given by raw random rows, not RREF ones, and by rows of
+    p - 1 alone."""
     n = 6
     p = int((2**63 / n**2) ** (1 / 3)) + 2
     while not (is_prime(p) and int64_safe(p, n)):
         p -= 1
     assert n * (p - 1) ** 2 > 2**41
+    cases = [(n, p, np.float64)]
+    for n in range(3, 7):
+        last, first = float32_edge(lambda p: n * (p - 1) ** 2)
+        cases += [(n, last, np.float32), (n, first, np.float64)]
     rng = np.random.default_rng(20071226)
-    for dim_w in range(n + 1):
-        w = Subspace.span(rng.integers(0, p, (dim_w, n)).tolist(), n, p)
-        rows_w = np.array(w.rows, dtype=np.int64).reshape(w.dim, n)
-        for d in range(n + 1):
-            bases = [rng.integers(0, p, (d, n)) for _ in range(3)]
-            if d <= w.dim:  # spans inside w
-                bases += [rng.integers(0, p, (d, w.dim)) @ rows_w % p for _ in range(3)]
-            got = _contained(np.array(bases).reshape(len(bases), d, n), _parity_check(w)[None], p)
-            assert got[:, 0].tolist() == [w.contains(Subspace.span(b.tolist(), n, p)) for b in bases]
+    for n, p, dtype in cases:
+        assert lattice_mod._exact_float(n * (p - 1) ** 2, p) is dtype
+        for dim_w in range(n + 1):
+            w = Subspace.span(rng.integers(0, p, (dim_w, n)).tolist(), n, p)
+            rows_w = np.array(w.rows, dtype=np.int64).reshape(w.dim, n)
+            for d in range(n + 1):
+                bases = [rng.integers(0, p, (d, n)) for _ in range(3)]
+                bases.append(np.full((d, n), p - 1))
+                if d <= w.dim:  # spans inside w
+                    bases += [rng.integers(0, p, (d, w.dim)) @ rows_w % p for _ in range(3)]
+                bases = np.array(bases).reshape(len(bases), d, n)
+                got = _contained(bases, _parity_check(w)[None], p)[:, 0]
+                assert got.tolist() == [w.contains(Subspace.span(b.tolist(), n, p)) for b in bases]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -421,6 +445,25 @@ def test_classify_computes_each_lattice_dimension_once(monkeypatch):
     monkeypatch.setattr(_Dim, "__init__", spy)
     classify_algebra(heisenberg(3))
     assert built and max(built.values()) == 1
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_classify_makes_no_whole_dimension_list(p, left, right, monkeypatch):
+    """classify_algebra, in the catalog basis and in one random conjugate,
+    makes Subspaces of the rows it reads alone: _Dim.subs, the list of a
+    whole dimension, is never read.  Its lattice stats, counted from the
+    arrays, are those of EagerLattice."""
+
+    def refuse(dim):
+        raise AssertionError("a whole dimension made into Subspaces")
+
+    L = _dim56(p, left, right)
+    for M in (L, random_conjugate(L, np.random.default_rng(20071224))):
+        eager = EagerLattice(M).stats()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Dim, "subs", property(refuse))
+            report = classify_algebra(M)
+        assert report.lattice_stats == eager
 
 
 def test_abelian_everything_closed():
@@ -675,7 +718,32 @@ def test_plucker_pairing_nonzero_iff_sum_is_everything(case):
     assert (det != 0).tolist() == full
 
 
+def det_by_elimination(rows, p):
+    """Determinant mod p by row reduction, Python ints."""
+    mat = [[x % p for x in r] for r in rows]
+    det = 1
+    for c in range(len(mat)):
+        pivot = next((r for r in range(c, len(mat)) if mat[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det = det * mat[c][c] % p
+        inv = pow(mat[c][c], p - 2, p)
+        for r in range(c + 1, len(mat)):
+            f = mat[r][c] * inv % p
+            mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[c])]
+    return det % p
+
+
 def test_plucker_pairing_is_the_determinant_mod_p():
+    """Against the Leibniz determinant over four fields, and, for n = 3..6
+    and every k, over the largest prime with C(n, k) (p - 1)^2 < 2^24, the
+    last one paired in float32, and the next prime, the first one in
+    float64 (asserted of _exact_float and of the result): against a
+    determinant by row reduction, and on coordinates whose C(n, k) terms
+    are all (p - 1)^2 or 0 with one sign, the largest sums of each sign."""
     rng = np.random.default_rng(20071220)
     for p in (2, 3, 5, 1008199):
         for n in range(1, 6):
@@ -687,6 +755,28 @@ def test_plucker_pairing_is_the_determinant_mod_p():
                     [det_by_permutations(np.concatenate([u, w]).tolist(), p) for w in ws]
                     for u in us
                 ]
+    for n in range(3, 7):
+        for k in range(n + 1):
+            terms = comb(n, k)
+            edge = float32_edge(lambda p: terms * (p - 1) ** 2)
+            for p, dtype in zip(edge, (np.float32, np.float64)):
+                assert lattice_mod._exact_float(terms * (p - 1) ** 2, p) is dtype
+                us = rng.integers(0, p, size=(3, k, n))
+                ws = rng.integers(0, p, size=(4, n - k, n))
+                det = plucker_pairing(plucker(us, p), plucker(ws, p), n, k, p)
+                assert det.dtype == dtype
+                assert det.tolist() == [
+                    [det_by_elimination(np.concatenate([u, w]).tolist(), p) for w in ws]
+                    for u in us
+                ]
+                dual, signs = lattice_mod._pairing_dual(n, k)
+                pw = np.full((1, terms), p - 1, dtype=np.min_scalar_type(p - 1))
+                for sign in (1, -1):
+                    pu = np.zeros((1, terms), dtype=pw.dtype)
+                    pu[0, dual[signs == sign]] = p - 1
+                    det = plucker_pairing(pu, pw, n, k, p)
+                    # (p - 1)^2 = 1 mod p
+                    assert det.tolist() == [[sign * int((signs == sign).sum()) % p]]
 
 
 @pytest.mark.parametrize("block", [None, 1, 200])

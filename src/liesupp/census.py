@@ -344,8 +344,8 @@ def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     phis = lat.subalgebra_phis()
     # LatticeCache.unsupplemented(k), for each k on first use
     unsupplemented: Dict[int, np.ndarray] = {}
-    for k, subs in lat.by_dim.items():
-        for d, phi_d in zip(subs, phis[k]):
+    for k, phis_k in phis.items():
+        for row, phi_d in enumerate(phis_k):
             if phi_d.dim == 0:
                 continue
             for b in lat.inside(phi_d):
@@ -358,7 +358,7 @@ def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
                 if not (L.is_ideal(b) and phi_l.contains(b)):
                     return {
                         "kind": "frattini_subalgebra_not_promoted",
-                        "D": _rows(d),
+                        "D": _rows(lat.member(k, row)),
                         "B": _rows(b),
                     }
     return None

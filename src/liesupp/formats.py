@@ -62,12 +62,19 @@ def algebra_from_doc(doc: Dict) -> LieAlgebra:
             raise DocumentError(f"malformed bracket entry {entry!r}") from None
         if not 0 <= i < j < n:
             raise DocumentError(f"bracket indices ({i},{j}) out of range for dim {n}")
+        if not isinstance(coeffs_map, dict):
+            raise DocumentError(f"coeffs of bracket ({i},{j}) must be an object")
         coeffs = [0] * n
         for k, c in coeffs_map.items():
-            k = int(k)
+            try:
+                k, c = int(k), int(c)
+            except (TypeError, ValueError):
+                raise DocumentError(
+                    f"malformed coefficient {k!r}: {c!r} in bracket ({i},{j})"
+                ) from None
             if not 0 <= k < n:
                 raise DocumentError(f"coefficient index {k} out of range for dim {n}")
-            coeffs[k] = int(c) % p
+            coeffs[k] = c % p
         if (i, j) in brackets:
             raise DocumentError(f"duplicate bracket entry ({i},{j})")
         brackets[(i, j)] = tuple(coeffs)

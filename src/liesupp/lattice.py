@@ -13,9 +13,10 @@ alone, and stats counts from the arrays.  The ideals and the maximal
 subalgebras are found on first access, by a top-down scan
 (_maximal_masks) whose containment tests and cover counts are float
 matrix products, in float32 where the integer bound of the product is
-below 2^24 and in float64 otherwise, exact either way.  Everything
-downstream (core, Frattini ideal, minimal ideals, radical,
-supersolvability) works from exact linear algebra on those lists.
+below 2^24 and in float64 otherwise, exact either way.  Core, Frattini
+ideal, minimal ideals and radical work from exact linear algebra on those
+lists; supersolvability walks a chain of ideals up the ideal masks, one
+containment test per dimension, and builds no quotient.
 Complements are found per dimension:
 LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
@@ -37,13 +38,12 @@ byte-stable across runs, whatever order the dimensions were computed in.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, groupby
 from math import comb
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -215,13 +215,16 @@ class LatticeCache:
         return self._dim(k).sub(row)
 
     def row(self, b: Subspace) -> int:
-        """Index of b in by_dim[dim b]; b must be a subalgebra of this
-        lattice."""
-        same_dim = self.by_dim.get(b.dim, [])
-        row = bisect_left(same_dim, b.rows, key=_rows)
-        if row == len(same_dim) or same_dim[row] != b:
-            raise ValueError(f"{b} is not a subalgebra of this lattice")
-        return row
+        """Index of b in by_dim[dim b], found in the arrays of that
+        dimension: by_dim[dim b] is not built.  ValueError when b is not a
+        subalgebra of this lattice."""
+        n, p = self.algebra.dim, self.algebra.p
+        if (b.n, b.p) == (n, p) and b.dim <= n:
+            target = np.array(b.rows, dtype=np.int64).reshape(b.dim, n)
+            hit = np.flatnonzero((self._dim(b.dim).bases == target).all(axis=(1, 2)))
+            if len(hit):
+                return int(hit[0])
+        raise ValueError(f"{b} is not a subalgebra of this lattice")
 
     def first_complements(self, k: int) -> np.ndarray:
         """For each row of by_dim[k], the index in by_dim[n - k] of its first
@@ -602,9 +605,6 @@ def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.n
 # below 2^24 and in float64 otherwise, and refuses sums that could reach
 # 2^53, so its float products are exact integers.
 
-_rows = attrgetter("rows")
-
-
 def plucker(bases: np.ndarray, p: int) -> np.ndarray:
     """Plücker coordinates of a batch of subspaces: for bases of shape
     (m, d, n), the (m, C(n, d)) array of d x d minors mod p, columns in
@@ -853,29 +853,18 @@ def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
 # -- supersolvability --------------------------------------------------------
 
 
-def is_supersolvable(
-    L: LieAlgebra,
-    _memo: Optional[dict] = None,
-    lines: Optional[Callable[[LieAlgebra], _Dim]] = None,
-) -> bool:
-    """Chain-of-ideals criterion, computed recursively: true iff some
-    1-dimensional ideal has a supersolvable quotient.  The lines that are
-    ideals are read from the ideal mask of dimension 1 of the lattice of L
-    and of each quotient, tried in lattice order.  lines(M) gives that
-    dimension of M when passed (Analyzer.supersolvable passes the one it
-    holds, so that no dimension is computed twice); else _Dim(M, 1) is
-    built."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(L.key)
-    if got is not None:
-        return got
-    if L.dim == 0:
-        return True
-    dim = lines(L) if lines is not None else _Dim(L, 1)
-    result = any(
-        is_supersolvable(L.quotient(dim.sub(row)), _memo, lines)
-        for row in np.flatnonzero(dim.ideal)
-    )
-    _memo[L.key] = result
-    return result
+def is_supersolvable(L: LieAlgebra, lattice: LatticeCache) -> bool:
+    """L has ideals 0 = I_0 < I_1 < ... < I_n = L with dim I_d = d.  The
+    walk goes d = 1 .. n over the ideal masks of the lattice and keeps the
+    dim-d ideals that contain a dim-(d - 1) ideal reached so far, one
+    _contained test per dimension; it stops at the first dimension where
+    none is reached.  No quotient is built."""
+    reached = lattice._dim(0).bases  # the zero ideal
+    for d in range(1, L.dim + 1):
+        dim = lattice._dim(d)
+        rows = dim.idx[dim.ideal]
+        hit = _contained(reached, dim._checks[rows], L.p).any(axis=0)
+        if not hit.any():
+            return False
+        reached = dim._bases[rows[hit]]
+    return True

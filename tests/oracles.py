@@ -306,6 +306,25 @@ def is_supersolvable_by_lines(L, memo=None):
     return memo[L.key]
 
 
+def flag_search_supersolvable(L, lat):
+    """DFS for a chain of ideals of L with dims 0, 1, ..., n, over the
+    Subspace list of the ideals of lat, one contains call per step."""
+    by_dim = {}
+    for i in lat.ideals:
+        by_dim.setdefault(i.dim, []).append(i)
+
+    def extend(chain):
+        d = chain[-1].dim
+        if d == L.dim:
+            return True
+        return any(
+            i.contains(chain[-1]) and extend(chain + [i])
+            for i in by_dim.get(d + 1, [])
+        )
+
+    return extend([Subspace.zero(L.dim, L.p)])
+
+
 def random_conjugate(L, rng):
     """L in the basis f_i = sum_a t[i, a] e_a for a random t in GL(n, p)."""
     n, p = L.dim, L.p

@@ -29,7 +29,12 @@ from liesupp.liealg import (
     sl2,
 )
 from liesupp.subspace import Subspace, gaussian_binomial
-from oracles import canonical_form_small, core_by_enumeration, enumerate_subspaces
+from oracles import (
+    canonical_form_small,
+    core_by_enumeration,
+    enumerate_subspaces,
+    flag_search_supersolvable,
+)
 
 AZ = Analyzer()
 
@@ -143,25 +148,8 @@ def test_criterion_5_false_conjecture_detected():
 
 
 def test_criterion_6_oracle_equivalences():
-    # (a) fixpoint core == enumeration core; (b) recursion == flag search;
+    # (a) fixpoint core == enumeration core; (b) chain walk == flag search;
     # (c) radical is the unique maximal solvable ideal
-
-    def flag_search_supersolvable(L, lat):
-        by_dim = {}
-        for i in lat.ideals:
-            by_dim.setdefault(i.dim, []).append(i)
-
-        def extend(chain):
-            d = chain[-1].dim
-            if d == L.dim:
-                return True
-            return any(
-                i.contains(chain[-1]) and extend(chain + [i])
-                for i in by_dim.get(d + 1, [])
-            )
-
-        return extend([Subspace.zero(L.dim, L.p)])
-
     checked = 0
     for entry in generate(CensusSpec(2, 3)):
         L = entry.algebra
@@ -169,7 +157,7 @@ def test_criterion_6_oracle_equivalences():
         for b in lat.subalgebras:
             assert core(L, b) == core_by_enumeration(L, b, lat)
             checked += 1
-        assert is_supersolvable(L) == flag_search_supersolvable(L, lat)
+        assert is_supersolvable(L, lat) == flag_search_supersolvable(L, lat)
         r = radical(L, lat)
         assert L.is_ideal(r)
         sub = L.as_algebra(r)

@@ -355,7 +355,7 @@ def test_memo_bound_keeps_verdicts(monkeypatch):
     assert _verify_docs(small) == default
     assert all(size <= slots for size, slots in sizes)
     for az in analyzers:
-        assert az._memo.slots == az._ss_memo.slots == 4
+        assert az._memo.slots == 4
     # the bound was reached, so entries really were dropped
     assert max(len(az._memo) for az in analyzers) == 4
 

@@ -146,6 +146,13 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     good = write_doc(tmp_path, algebra_to_doc(heisenberg(2)), "h.json")
     code, _, err = run(capsys, ["check", good, "--property", "frobby"])
     assert code == 2 and "unknown property" in err
+    # coeffs must map indices to integers: a list or a null is malformed
+    # input (exit 2), not a false property (exit 1)
+    for coeffs in ([0, 1], {"1": None}):
+        entry = {"i": 0, "j": 1, "coeffs": coeffs}
+        doc = {"field": {"prime": 2}, "dim": 2, "brackets": [entry]}
+        code, _, err = run(capsys, ["validate", write_doc(tmp_path, doc, "coeffs.json")])
+        assert code == 2 and "(0,1)" in err
 
 
 def test_cap_exceeded_exit_3(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
-from liesupp.census import CensusSpec, classes, generate
+from liesupp.census import CensusSpec, classes, generate, verify
 from liesupp.classify import PREDICATES, Analyzer, classify_algebra, complement_subalgebra
 from liesupp.gfp import int64_safe, is_prime
 from liesupp.lattice import (
@@ -29,6 +29,7 @@ from liesupp.lattice import (
     radical,
 )
 from liesupp.liealg import (
+    LieAlgebra,
     abelian,
     catalog,
     counterexample_L1,
@@ -40,9 +41,11 @@ from liesupp.subspace import Subspace, _parity_check, _parity_checks, echelon_ar
 from oracles import (
     DIM56_SUMS,
     EagerLattice,
+    complement_by_sums,
     core_by_enumeration,
     core_within_by_enumeration,
     enumerate_subspaces,
+    flag_search_supersolvable,
     is_supersolvable_by_lines,
     maximal_masks_one_top,
     maximal_subalgebras_all_pairs,
@@ -432,9 +435,9 @@ def test_closure_test_memory_is_bounded_by_its_block_abelian():
 
 
 def test_classify_computes_each_lattice_dimension_once(monkeypatch):
-    """Supersolvability reads the line ideals of L and of its quotients
-    from the Analyzer's lattices, or keeps them for a lattice built later,
-    so no (table, dimension) is tested twice."""
+    """Every predicate, supersolvability included, reads the dimensions it
+    needs from the Analyzer's one lattice of its algebra, so no
+    (table, dimension) is tested twice."""
     built = Counter()
     real = _Dim.__init__
 
@@ -464,6 +467,31 @@ def test_classify_makes_no_whole_dimension_list(p, left, right, monkeypatch):
             patch.setattr(_Dim, "subs", property(refuse))
             report = classify_algebra(M)
         assert report.lattice_stats == eager
+
+
+def test_pfrat_and_complements_make_no_whole_dimension_list(monkeypatch):
+    """The pfrat campaign over GF(2) dims <= 3, and complement_subalgebra
+    with LatticeCache.row on every subalgebra of heisenberg(2), never read
+    _Dim.subs: rows are found in the arrays, and D is made for the witness
+    alone.  The campaign document is that of an unpatched run, and the
+    complements those of the oracle complement_by_sums."""
+    expected = verify("pfrat", CensusSpec(2, 3)).to_doc()
+    L = heisenberg(2)
+    eager = EagerLattice(L)
+    complements = [complement_by_sums(L, eager, b) for b in eager.subalgebras]
+
+    def refuse(dim):
+        raise AssertionError("a whole dimension made into Subspaces")
+
+    monkeypatch.setattr(_Dim, "subs", property(refuse))
+    got = verify("pfrat", CensusSpec(2, 3)).to_doc()
+    for doc in (expected, got):
+        doc.pop("timing")
+    assert got == expected
+    lat = build_lattice(L)
+    for b, c in zip(eager.subalgebras, complements):
+        assert complement_subalgebra(L, lat, b) == c
+        assert lat.member(b.dim, lat.row(b)) == b
 
 
 def test_abelian_everything_closed():
@@ -593,11 +621,20 @@ def test_radical_quotient_is_semisimple():
             assert radical(q, build_lattice(q)).dim == 0
 
 
+def _supersolvable(L):
+    return is_supersolvable(L, build_lattice(L))
+
+
 def test_supersolvable_examples():
-    assert is_supersolvable(heisenberg(3))
-    assert not is_supersolvable(sl2(3))
-    assert is_supersolvable(abelian(5, 3))
-    assert is_supersolvable(counterexample_L1(2))
+    assert _supersolvable(heisenberg(3))
+    assert not _supersolvable(sl2(3))
+    assert _supersolvable(abelian(5, 3))
+    assert _supersolvable(counterexample_L1(2))
+    # the zero algebra has the empty chain; for a line, the first step
+    # tests the one line against the zero ideal, a basis of no rows
+    for p in (2, 3):
+        assert _supersolvable(abelian(p, 0))
+        assert _supersolvable(abelian(p, 1))
 
 
 def _dim4_catalog(p):
@@ -611,7 +648,7 @@ def _dim4_catalog(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_supersolvable_matches_per_line_oracle_on_census(p):
     for L in _census(p):
-        assert is_supersolvable(L) == is_supersolvable_by_lines(L)
+        assert _supersolvable(L) == is_supersolvable_by_lines(L)
 
 
 def test_supersolvable_matches_per_line_oracle_dims_4_to_6():
@@ -621,36 +658,39 @@ def test_supersolvable_matches_per_line_oracle_dims_4_to_6():
     for L in algebras:
         for M in (L, random_conjugate(L, rng)):
             expected = is_supersolvable_by_lines(M)
-            assert is_supersolvable(M) == expected
+            assert _supersolvable(M) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
 
-def flag_search_supersolvable(L, lat):
-    """Oracle: DFS for a chain of ideals of L with dims 0, 1, ..., n."""
-    by_dim = {}
-    for i in lat.ideals:
-        by_dim.setdefault(i.dim, []).append(i)
-
-    def extend(chain):
-        d = chain[-1].dim
-        if d == L.dim:
-            return True
-        return any(
-            i.contains(chain[-1]) and extend(chain + [i])
-            for i in by_dim.get(d + 1, [])
-        )
-
-    return extend([Subspace.zero(L.dim, L.p)])
-
-
-def test_supersolvable_recursion_matches_flag_oracle():
+def test_supersolvable_chain_matches_flag_oracle():
     for entry in generate(CensusSpec(2, 3)):
         L = entry.algebra
         lat = build_lattice(L)
-        assert is_supersolvable(L) == flag_search_supersolvable(L, lat)
-        if is_supersolvable(L):
+        assert is_supersolvable(L, lat) == flag_search_supersolvable(L, lat)
+        if is_supersolvable(L, lat):
             assert L.is_solvable()
+
+
+def test_analyzer_supersolvable_builds_no_quotient(monkeypatch):
+    """Analyzer.supersolvable walks the ideals of L's own lattice: over
+    DIM56_SUMS, in the catalog basis and in one random conjugate, it makes
+    no LieAlgebra.quotient call, and agrees with the per-line oracle."""
+
+    def refuse(L, ideal):
+        raise AssertionError("a quotient algebra built")
+
+    rng = np.random.default_rng(20071224)
+    verdicts = set()
+    for case in DIM56_SUMS:
+        L = _dim56(*case)
+        for M in (L, random_conjugate(L, rng)):
+            with monkeypatch.context() as patch:
+                patch.setattr(LieAlgebra, "quotient", refuse)
+                got = Analyzer().supersolvable(M)
+            assert got == is_supersolvable_by_lines(M)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # -- Plücker coordinates ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 An algebra document stores the prime, the dimension, optional basis names
 and the sparse bracket list (only i < j, only nonzero coefficient maps).
+The prime, the dimension, the bracket indices and the coefficients must be
+JSON integers (a float or a boolean is refused, never truncated).
 Coefficients are reduced mod p on load; a document whose table violates the
 Jacobi identity is rejected with the offending basis triple.
 """
@@ -39,12 +41,21 @@ def algebra_to_doc(L: LieAlgebra) -> Dict:
     return doc
 
 
+def _integer(value) -> int:
+    """value when it is a JSON integer; TypeError for anything else,
+    true and false and whole-valued floats included, rather than a
+    truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def algebra_from_doc(doc: Dict) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
     try:
-        p = int(doc["field"]["prime"])
-        n = int(doc["dim"])
+        p = _integer(doc["field"]["prime"])
+        n = _integer(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"missing/invalid field.prime or dim: {exc}") from None
     if n < 0:
@@ -56,7 +67,7 @@ def algebra_from_doc(doc: Dict) -> LieAlgebra:
     brackets = {}
     for entry in doc.get("brackets", []):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _integer(entry["i"]), _integer(entry["j"])
             coeffs_map = entry["coeffs"]
         except (KeyError, TypeError, ValueError):
             raise DocumentError(f"malformed bracket entry {entry!r}") from None
@@ -67,7 +78,7 @@ def algebra_from_doc(doc: Dict) -> LieAlgebra:
         coeffs = [0] * n
         for k, c in coeffs_map.items():
             try:
-                k, c = int(k), int(c)
+                k, c = int(k), _integer(c)
             except (TypeError, ValueError):
                 raise DocumentError(
                     f"malformed coefficient {k!r}: {c!r} in bracket ({i},{j})"

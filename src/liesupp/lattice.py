@@ -5,8 +5,9 @@ one dimension at a time, the first time anything asks for that dimension:
 a batched closure (and ideal) test with numpy over every dim-k subspace of
 echelon generation, which brackets one pair of basis rows of every
 subspace first and the other pairs only for the few that pass
-(_closed_and_ideal_masks).  A computed dimension is kept as an index
-vector into the shared, read-only echelon_arrays and _parity_checks
+(_closed_and_ideal_masks); an abelian algebra (a zero table) makes every
+subspace an ideal without a bracket.  A computed dimension is kept as an
+index vector into the shared, read-only echelon_arrays and _parity_checks
 arrays.  Its whole Subspace list is made only when by_dim or subalgebras
 reads it; the other queries make Subspaces of the rows they return
 alone, and stats counts from the arrays.  The ideals and the maximal
@@ -22,9 +23,16 @@ LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
 products and keeps, for each subalgebra, its first complement, so a
 complement query is a row lookup; it computes only dimensions k and n - k.
+The coordinates of an echelon row depend on its shape (n, p, k) alone, not
+on the algebra, so they are computed once per shape, in row blocks, into a
+read-only table (_plucker_table) that the echelon bounds govern like the
+echelon arrays (ECHELON_CACHE_ROWS, ECHELON_CACHE_SLOTS); a dimension of a
+larger shape takes plucker of its subalgebra rows alone.
 LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
-subalgebra at once: it reads the cores from the ideal masks and tests the
-candidates that contain each core by the rank of one product.
+subalgebra at once: ideals are supplemented, so a dimension of ideals alone
+needs no pairing; for the other rows it reads the cores from the ideal
+masks and tests the candidates that contain each core by the rank of one
+product.
 LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
 B from the members of the lattice that lie in B, once per distinct induced
 table, without a lattice of B: one maximal scan per dimension, with one B
@@ -50,13 +58,14 @@ import numpy as np
 from .gfp import InternalError
 from .liealg import LieAlgebra
 from .subspace import (
-    ECHELON_CACHE_ROWS,
+    ECHELON_CACHE_SLOTS,
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
     _parity_check,
     _parity_checks,
     _read_only,
+    _shape_kept,
     count_subspaces,
     echelon_arrays,
     rref,
@@ -70,7 +79,7 @@ class _Dim:
     Subspace list of them all, is made on first use; sub and subs_at make
     the Subspaces of the rows asked for alone."""
 
-    __slots__ = ("_p", "_bases", "_piv", "_checks", "idx", "ideal", "_subs")
+    __slots__ = ("_p", "_kept", "_bases", "_piv", "_checks", "idx", "ideal", "_subs")
 
     def __init__(self, L: LieAlgebra, k: int):
         n, p = L.dim, L.p
@@ -82,7 +91,8 @@ class _Dim:
             # lexsort's last key is its primary one, so this is lexicographic
             # order of the flattened rows: Subspace.sort_key order
             idx = idx[np.lexsort(bases[idx].reshape(len(idx), k * n).T[::-1])]
-        if len(bases) > ECHELON_CACHE_ROWS:
+        self._kept = _shape_kept(n, p, k)
+        if not self._kept:
             # arrays the shape cache does not keep: hold the subalgebra rows
             # only, so that a lattice never pins a whole Grassmannian
             bases, piv, checks = bases[idx], piv[idx], checks[idx]
@@ -102,8 +112,10 @@ class _Dim:
     def subs_at(self, rows) -> List[Subspace]:
         """The Subspaces of the given rows (an index array, a boolean mask
         or a slice)."""
-        n, p = self._bases.shape[2], self._p
         at = self.idx[rows]
+        if not len(at):
+            return []
+        n, p = self._bases.shape[2], self._p
         return [
             Subspace(n, p, tuple(map(tuple, basis)), tuple(pivots))
             for basis, pivots in zip(self._bases[at].tolist(), self._piv[at].tolist())
@@ -111,7 +123,9 @@ class _Dim:
 
     def sub(self, row: int) -> Subspace:
         """The Subspace of one row."""
-        return self.subs_at([row])[0]
+        n, at = self._bases.shape[2], self.idx[row]
+        rows, pivots = self._bases[at].tolist(), self._piv[at].tolist()
+        return Subspace(n, self._p, tuple(map(tuple, rows)), tuple(pivots))
 
     # copies of the rows in idx, for one computation at a time
     @property
@@ -125,6 +139,17 @@ class _Dim:
     @property
     def checks(self) -> np.ndarray:
         return self._checks[self.idx]
+
+    @property
+    def pluckers(self) -> np.ndarray:
+        """The Plücker coordinates of the rows in idx: rows of the shape's
+        _plucker_table where the shape caches keep the arrays, else plucker
+        of the subalgebra rows held, so that no whole-Grassmannian table is
+        built past ECHELON_CACHE_ROWS."""
+        if self._kept:
+            _, k, n = self._bases.shape
+            return _plucker_table(n, self._p, k)[self.idx]
+        return plucker(self.bases, self._p)
 
 
 class _ByDim(Mapping):
@@ -237,7 +262,7 @@ class LatticeCache:
             if k > n:  # no dim-k subspace, and no dimension n - k
                 return np.empty(0, dtype=np.intp)
             got, self._first[n - k] = _first_complements(
-                self._dim(k).bases, self._dim(n - k).bases, self.algebra.p
+                self._dim(k).pluckers, self._dim(n - k).pluckers, n, k, self.algebra.p
             )
             self._first[k] = got
         return got
@@ -350,11 +375,12 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
     abelian) reach the dearer stages; for k = 2 that first stage is the
     whole test.  Only a subalgebra can be an ideal, so the ideal test runs
-    on the closed ones.  The [v, e_j] table of _ad_rows is L's cached
-    _vector_table."""
+    on the closed ones.  For k = 0, and for an abelian L (a zero table),
+    every subspace is an ideal, and nothing is bracketed.  The [v, e_j]
+    table of _ad_rows is L's cached _vector_table."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
-    if k == 0:
+    if k == 0 or not L.table.any():
         ones = np.ones(m, dtype=bool)
         return ones, ones
     closed = np.zeros(m, dtype=bool)
@@ -620,6 +646,24 @@ def plucker(bases: np.ndarray, p: int) -> np.ndarray:
     return minors.astype(np.min_scalar_type(p - 1))
 
 
+@lru_cache(maxsize=ECHELON_CACHE_SLOTS)
+def _plucker_table(n: int, p: int, k: int) -> np.ndarray:
+    """plucker of every row of echelon_arrays(n, p, k), in that order.  The
+    coordinates of a RREF basis depend on the shape alone, not on the
+    algebra, so the table is cached and read-only like echelon_arrays, for
+    the shapes _shape_kept admits: _Dim.pluckers asks for no other.  Built
+    in row blocks: each Laplace step of plucker holds about four int64
+    arrays (gathered entries, gathered minors, their products, the signed
+    products) of C(n, r) r <= C(n, n // 2) k values a row, so a block keeps
+    them at about _PAIRING_BLOCK values together."""
+    bases = echelon_arrays(n, p, k)[0]
+    table = np.empty((len(bases), comb(n, k)), dtype=np.min_scalar_type(p - 1))
+    step = max(1, _PAIRING_BLOCK // (4 * comb(n, n // 2) * max(k, 1)))
+    for lo in range(0, len(bases), step):
+        table[lo : lo + step] = plucker(bases[lo : lo + step], p)
+    return _read_only(table)[0]
+
+
 @lru_cache(maxsize=256)
 def _laplace_step(n: int, r: int):
     """Index arrays expanding every r x r minor along its last row: for
@@ -659,21 +703,22 @@ def plucker_pairing(
 
 
 def _first_complements(
-    us: np.ndarray, ws: np.ndarray, p: int
+    pu: np.ndarray, pw: np.ndarray, n: int, k: int, p: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(first_u, first_w) for the RREF bases of dim-k and dim-(n-k)
-    subspaces, shapes (a, k, n) and (b, n - k, n): first_u[i] is the least
-    j with us[i] + ws[j] = GF(p)^n, or -1, and first_w[j] the least such i.
+    """(first_u, first_w) for the Plücker coordinates (plucker) of dim-k
+    subspaces U_i and dim-(n-k) subspaces W_j of GF(p)^n: first_u[i] is the
+    least j with U_i + W_j = GF(p)^n, or -1, and first_w[j] the least such
+    i.  A lattice passes the rows of its dimensions' _Dim.pluckers: rows of
+    the per-shape _plucker_table, computed once for every algebra of that
+    shape, or, past ECHELON_CACHE_ROWS, plucker of its subalgebras alone.
     The pairings are taken in row blocks of at most _PAIRING_BLOCK values;
     det[W; U] = +-det[U; W], so one product answers both dimensions."""
-    first_u = np.full(len(us), -1, dtype=np.intp)
-    first_w = np.full(len(ws), -1, dtype=np.intp)
-    if not len(us) or not len(ws):
+    first_u = np.full(len(pu), -1, dtype=np.intp)
+    first_w = np.full(len(pw), -1, dtype=np.intp)
+    if not len(pu) or not len(pw):
         return first_u, first_w
-    k, n = us.shape[1:]
-    pu, pw = plucker(us, p), plucker(ws, p)
-    step = max(1, _PAIRING_BLOCK // len(ws))
-    for lo in range(0, len(us), step):
+    step = max(1, _PAIRING_BLOCK // len(pw))
+    for lo in range(0, len(pu), step):
         hit = plucker_pairing(pu[lo : lo + step], pw, n, k, p) != 0
         found = hit.any(axis=1)
         first_u[lo : lo + step][found] = hit[found].argmax(axis=1)
@@ -683,11 +728,14 @@ def _first_complements(
 
 
 def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
-    """See LatticeCache.unsupplemented.  A complement is a supplement, and
-    an ideal B has the supplement L (B meet L = B is its own core), so only
-    the other rows without a first complement are tested.  The core K of B
-    is the sum of the ideals of L inside B, so it is the one ideal of
-    largest dimension inside B: one _contained test of the ideals of
+    """See LatticeCache.unsupplemented.  An ideal B has the supplement L
+    (B meet L = B is its own core), so the ideal masks come first: a
+    dimension of ideals alone (always k = 0 and k = n, every k for an
+    abelian L) is answered without first_complements.  A complement is a
+    supplement, so only the other rows without a first complement are
+    tested.  The core K of B is the sum of the ideals of L inside B, so it
+    is the one ideal of largest dimension inside B: one _contained test of
+    the ideals of
     dims 1 .. k - 1, padded with zero rows to k - 1 rows, against the
     parity checks of those rows finds every core.  With K = 0 a supplement
     would be a complement, so B has none.  With K != 0 a supplement C may
@@ -699,7 +747,10 @@ def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
     L = lattice.algebra
     n, p = L.dim, L.p
     dim = lattice._dim(k)
-    rows = np.flatnonzero((lattice.first_complements(k) < 0) & ~dim.ideal)
+    rows = np.flatnonzero(~dim.ideal)
+    if not len(rows):
+        return rows
+    rows = rows[lattice.first_complements(k)[rows] < 0]
     if not len(rows):
         return rows
     below = [(d, lattice._dim(d)) for d in range(1, k)]

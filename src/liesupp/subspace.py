@@ -17,10 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
-# echelon_arrays and _parity_checks each keep the arrays of the last
-# ECHELON_CACHE_SLOTS (n, p, k) (every 1 <= k <= n <= 6 over three fields
-# fits) that have at most ECHELON_CACHE_ROWS subspaces (all of GF(3)^6 fits),
-# so one large lattice cannot pin its arrays
+# echelon_arrays, _parity_checks and lattice._plucker_table each keep the
+# arrays of the last ECHELON_CACHE_SLOTS (n, p, k) (every 1 <= k <= n <= 6
+# over three fields fits) that have at most ECHELON_CACHE_ROWS subspaces (all
+# of GF(3)^6 fits), so one large lattice cannot pin its arrays
 ECHELON_CACHE_SLOTS = 64
 ECHELON_CACHE_ROWS = 2**16
 
@@ -205,11 +205,16 @@ def _parity_checks(n: int, p: int, k: int) -> np.ndarray:
     return _shape_cached(_cached_parity_checks, n, p, k)
 
 
+def _shape_kept(n: int, p: int, k: int) -> bool:
+    """The shape caches keep the arrays of (n, p, k): it has at most
+    ECHELON_CACHE_ROWS subspaces."""
+    return gaussian_binomial(n, k, p) <= ECHELON_CACHE_ROWS
+
+
 def _shape_cached(cached, n: int, p: int, k: int):
-    """cached(n, p, k) for shapes of at most ECHELON_CACHE_ROWS subspaces;
-    past that the uncached builder, so one large lattice cannot pin its
-    arrays."""
-    if gaussian_binomial(n, k, p) > ECHELON_CACHE_ROWS:
+    """cached(n, p, k) for the shapes _shape_kept admits; past that the
+    uncached builder, so one large lattice cannot pin its arrays."""
+    if not _shape_kept(n, p, k):
         return cached.__wrapped__(n, p, k)
     return cached(n, p, k)
 

@@ -11,6 +11,8 @@ import pytest
 
 import liesupp.census as census_mod
 import liesupp.classify as classify_mod
+import liesupp.lattice as lattice_mod
+import liesupp.subspace as subspace_mod
 from liesupp.census import (
     CHECKERS,
     CensusSpec,
@@ -20,7 +22,7 @@ from liesupp.census import (
     table_digit_count,
     verify,
 )
-from liesupp.classify import Analyzer, _LRU
+from liesupp.classify import Analyzer, _LRU, classify_algebra
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.lattice import LatticeCache
@@ -41,6 +43,7 @@ from oracles import (
     check_pfrat_by_sublattices,
     check_tsolv_by_sublattice,
     gl_orbit,
+    random_conjugate,
     subalgebra_phis_by_sublattices,
     verify_by_table,
 )
@@ -217,6 +220,32 @@ def test_verify_deterministic_modulo_timing():
     d1.pop("timing")
     d2.pop("timing")
     assert d1 == d2
+
+
+def test_pair_campaigns_agree_with_cold_and_warm_shape_caches():
+    """ldsum and csupp_dsum over GF(2) dims <= 3 write the same documents,
+    timing aside, with every per-shape cache (echelon rows, parity checks,
+    Plücker tables, Laplace and pairing indices) cleared first, and again
+    with those caches warm."""
+
+    def docs():
+        out = []
+        for theorem in ("ldsum", "csupp_dsum"):
+            doc = verify(theorem, CensusSpec(2, 3)).to_doc()
+            doc.pop("timing")
+            out.append(doc)
+        return out
+
+    for cache in (
+        subspace_mod._cached_echelon_arrays,
+        subspace_mod._cached_parity_checks,
+        lattice_mod._plucker_table,
+        lattice_mod._laplace_step,
+        lattice_mod._pairing_dual,
+    ):
+        cache.cache_clear()
+    cold = docs()
+    assert docs() == cold
 
 
 def test_pair_campaign_ldsum_confirmed():
@@ -561,3 +590,11 @@ def test_dim4_gf2_campaigns():
     elapsed = time.monotonic() - start
     print(f"dim-4 GF(2): classes and eight campaigns in {elapsed:.1f}s")
     assert elapsed < 300
+    # classify is invariant under a change of basis past dim 3 too: one
+    # random conjugate of each class
+    rng = np.random.default_rng(20071225)
+    for _, L, _ in found:
+        before, after = classify_algebra(L), classify_algebra(random_conjugate(L, rng))
+        assert after.predicates == before.predicates
+        assert after.lattice_stats == before.lattice_stats
+        assert after.witnesses["phi"].dim == before.witnesses["phi"].dim

@@ -153,6 +153,31 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         doc = {"field": {"prime": 2}, "dim": 2, "brackets": [entry]}
         code, _, err = run(capsys, ["validate", write_doc(tmp_path, doc, "coeffs.json")])
         assert code == 2 and "(0,1)" in err
+    # prime, dim, i, j and the coefficient values must be JSON integers: a
+    # float or a boolean is refused, not truncated or read as 0 or 1
+    entry = {"i": 0, "j": 1, "coeffs": {"1": 1}}
+    base = {"field": {"prime": 2}, "dim": 2, "brackets": [entry]}
+    bad = [
+        {
+            "field": {"prime": 2.9},
+            "dim": 2.2,
+            "brackets": [{"i": 0.5, "j": 1, "coeffs": {"1": 1.5}}],
+        },
+        {**base, "field": {"prime": 2.9}},
+        {**base, "field": {"prime": 2.0}},
+        {**base, "field": {"prime": True}},
+        {**base, "dim": 2.2},
+        {**base, "dim": True},
+    ]
+    for key, value in (("i", 0.5), ("i", False), ("j", 1.0), ("j", True)):
+        bad.append({**base, "brackets": [{**entry, key: value}]})
+    for value in (1.5, 1.0, True):
+        bad.append({**base, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": value}}]})
+    for doc in bad:
+        code, out, _ = run(capsys, ["validate", write_doc(tmp_path, doc, "nonint.json")])
+        assert (code, out) == (2, ""), doc
+    code, _, _ = run(capsys, ["validate", write_doc(tmp_path, base, "int.json")])
+    assert code == 0
 
 
 def test_cap_exceeded_exit_3(tmp_path, capsys):

@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp.lattice as lattice_mod
+import liesupp.subspace as subspace_mod
 from liesupp.census import CensusSpec, classes, generate, verify
-from liesupp.classify import PREDICATES, Analyzer, classify_algebra, complement_subalgebra
-from liesupp.gfp import int64_safe, is_prime
+from liesupp.classify import (
+    PREDICATES,
+    Analyzer,
+    classify_algebra,
+    complement_subalgebra,
+    is_c_supplemented_algebra,
+)
+from liesupp.gfp import PrimeField, int64_safe, is_prime
 from liesupp.lattice import (
     _Dim,
     _closed_and_ideal_masks,
@@ -35,6 +42,7 @@ from liesupp.liealg import (
     counterexample_L1,
     counterexample_double,
     heisenberg,
+    nonabelian2,
     sl2,
 )
 from liesupp.subspace import Subspace, _parity_check, _parity_checks, echelon_arrays
@@ -45,6 +53,7 @@ from oracles import (
     core_by_enumeration,
     core_within_by_enumeration,
     enumerate_subspaces,
+    first_complements_by_sums,
     flag_search_supersolvable,
     is_supersolvable_by_lines,
     maximal_masks_one_top,
@@ -149,9 +158,8 @@ def test_masks_match_naive_in_small_blocks(monkeypatch, block, algebras):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_masks_match_naive_abelian_gf3(monkeypatch, n):
-    """Every subspace of an abelian algebra passes every stage of the
-    closure test and is an ideal; in whole blocks and in blocks of a few
-    rows."""
+    """Every subspace of an abelian algebra is a subalgebra and an ideal,
+    with the closure test in whole blocks and in blocks of a few rows."""
     L = abelian(3, n)
     _assert_masks_match_naive(L)
     monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", 3 * n * n)
@@ -159,6 +167,28 @@ def test_masks_match_naive_abelian_gf3(monkeypatch, n):
         bases, _ = echelon_arrays(n, 3, k)
         closed, ideal = _closed_and_ideal_masks(L, bases, _parity_checks(n, 3, k))
         assert closed.all() and ideal.all()
+
+
+ABELIAN_SHAPES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", ABELIAN_SHAPES)
+def test_abelian_masks_bracket_nothing(monkeypatch, p, n):
+    """A zero table makes every subspace an ideal: the masks of abelian(p, n)
+    agree with the naive oracle, and no [b_s, e_j] row is computed and no
+    bracket tested."""
+    L = abelian(p, n)
+    _assert_masks_match_naive(L)
+
+    def refuse(*args):
+        raise AssertionError("an abelian algebra bracketed")
+
+    monkeypatch.setattr(lattice_mod, "_ad_rows", refuse)
+    monkeypatch.setattr(lattice_mod, "_inside", refuse)
+    for k in range(n + 1):
+        bases, _ = echelon_arrays(n, p, k)
+        closed, ideal = _closed_and_ideal_masks(L, bases, _parity_checks(n, p, k))
+        assert closed.all() and ideal.all() and len(closed) == len(bases)
 
 
 def test_closure_prefilter_leaves_few_subspaces_to_the_all_pairs_stage(monkeypatch):
@@ -428,10 +458,21 @@ def test_closure_test_memory_is_bounded_by_its_block():
 
 
 def test_closure_test_memory_is_bounded_by_its_block_abelian():
-    """The same subspaces in abelian(6) over GF(3): every one passes every
-    stage of the closure test and the ideal test, so the later stages hold
-    whole blocks too."""
+    """The same subspaces in abelian(6) over GF(3), which the zero table
+    decides without a bracket."""
     _assert_closure_memory_bounded(abelian(3, 6))
+
+
+def test_closure_test_memory_is_bounded_by_its_block_every_subspace_closed():
+    """The same subspaces in the algebra with [e_0, e_j] = e_j for j > 0,
+    where every subspace is a subalgebra ([u, w] = a w - b u for u, w with
+    e_0-coordinates a, b): every one passes every stage of the closure test
+    and reaches the ideal test, so the later stages hold whole blocks."""
+    brackets = {(0, j): tuple(int(i == j) for i in range(6)) for j in range(1, 6)}
+    L = LieAlgebra(PrimeField(3), 6, brackets)
+    bases, _ = echelon_arrays(6, 3, 3)
+    assert _closed_and_ideal_masks(L, bases, _parity_checks(6, 3, 3))[0].all()
+    _assert_closure_memory_bounded(L)
 
 
 def test_classify_computes_each_lattice_dimension_once(monkeypatch):
@@ -817,6 +858,127 @@ def test_plucker_pairing_is_the_determinant_mod_p():
                     det = plucker_pairing(pu, pw, n, k, p)
                     # (p - 1)^2 = 1 mod p
                     assert det.tolist() == [[sign * int((signs == sign).sum()) % p]]
+
+
+# every GF(p)^n, n >= 1, of the shape tables pinned below
+TABLE_SHAPES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 6)]
+TABLE_SHAPES += [(5, n) for n in range(1, 5)]
+
+
+def test_plucker_table_is_plucker_of_the_echelon_rows():
+    """_plucker_table(n, p, k) is plucker of every row of echelon_arrays, in
+    plucker's dtype, for every k; cached and read-only."""
+    for p, n in TABLE_SHAPES:
+        for k in range(n + 1):
+            table = lattice_mod._plucker_table(n, p, k)
+            expected = plucker(echelon_arrays(n, p, k)[0], p)
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)
+            assert lattice_mod._plucker_table(n, p, k) is table
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+
+def test_plucker_table_built_in_blocks(monkeypatch):
+    """The table of the 33,880 3-dimensional subspaces of GF(3)^6 is built
+    in row blocks whose four Laplace arrays hold at most _PAIRING_BLOCK
+    values together, not in one plucker call."""
+    sizes = []
+    real = lattice_mod.plucker
+
+    def spy(bases, p):
+        sizes.append(len(bases))
+        return real(bases, p)
+
+    monkeypatch.setattr(lattice_mod, "plucker", spy)
+    table = lattice_mod._plucker_table.__wrapped__(6, 3, 3)
+    assert sum(sizes) == len(table) == 33880
+    assert 4 * max(sizes) * comb(6, 3) * 3 <= lattice_mod._PAIRING_BLOCK
+    assert np.array_equal(table, real(echelon_arrays(6, 3, 3)[0], 3))
+
+
+def _first_complement_algebras():
+    algebras = [L for p in (2, 3) for n in (1, 2, 3) for _, L, _ in classes(p, n)]
+    return algebras + [_dim56(2, "heisenberg", "heisenberg"), _dim56(3, "heisenberg", "nonabelian2")]
+
+
+def test_first_complements_past_the_cache_rows_build_no_table(monkeypatch):
+    """With ECHELON_CACHE_ROWS at 0 no shape is kept: the first complements
+    still match the oracle by sums, plucker runs on the subalgebra rows of
+    each dimension alone, and no Plücker table is asked for, so none is
+    built or cached."""
+    algebras = _first_complement_algebras()
+    expected = [first_complements_by_sums(L) for L in algebras]
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_ROWS", 0)
+
+    def refuse(*args):
+        raise AssertionError("a Plücker table built past ECHELON_CACHE_ROWS")
+
+    monkeypatch.setattr(lattice_mod, "_plucker_table", refuse)
+    calls = []
+    real = lattice_mod.plucker
+
+    def spy(bases, p):
+        calls.append(bases.shape[:2])
+        return real(bases, p)
+
+    monkeypatch.setattr(lattice_mod, "plucker", spy)
+    for L, want in zip(algebras, expected):
+        lat = build_lattice(L)
+        del calls[:]
+        got = {k: lat.first_complements(k).tolist() for k in lat.by_dim}
+        assert got == want
+        assert calls and all(m == len(lat._dim(d).idx) for m, d in calls)
+
+
+def test_warm_shape_makes_no_plucker_call(monkeypatch):
+    """Once one lattice of GF(p)^n has paired its dimensions, the tables of
+    that shape are kept: a lattice of another algebra of the same shape
+    takes its Plücker rows from them and calls plucker on no echelon basis.
+    Its first complements match the oracle by sums."""
+    for first, second in (
+        (sl2(3), counterexample_L1(3)),
+        (_dim56(2, "heisenberg", "heisenberg"), _dim56(2, "L1_gamma", "L1_gamma")),
+    ):
+        assert (first.dim, first.p) == (second.dim, second.p)
+        warm = build_lattice(first)
+        for k in range(first.dim + 1):
+            warm.first_complements(k)
+        expected = first_complements_by_sums(second)
+        lat = build_lattice(second)
+        with monkeypatch.context() as patch:
+
+            def refuse(*args):
+                raise AssertionError("plucker called on a warm shape")
+
+            patch.setattr(lattice_mod, "plucker", refuse)
+            got = {k: lat.first_complements(k).tolist() for k in lat.by_dim}
+        assert got == expected
+
+
+def test_abelian_c_supplementation_pairs_nothing(monkeypatch):
+    """Every subalgebra of abelian(6) over GF(2) is an ideal, so each
+    dimension is decided by its ideal mask without a Plücker pairing."""
+
+    def refuse(*args):
+        raise AssertionError("_first_complements called")
+
+    monkeypatch.setattr(lattice_mod, "_first_complements", refuse)
+    L = abelian(2, 6)
+    assert is_c_supplemented_algebra(L, build_lattice(L)) == (True, None)
+
+
+def test_dim_rows_made_alone_match_the_whole_list():
+    """_Dim.sub(row) and _Dim.subs_at (index arrays, masks, slices, none)
+    give the Subspaces of the whole list subs."""
+    lat = build_lattice(sl2(3).direct_sum(nonabelian2(3)))
+    for k in range(6):
+        dim = lat._dim(k)
+        whole = dim.subs_at(slice(None))
+        assert [dim.sub(row) for row in range(len(whole))] == whole
+        assert dim.subs_at([]) == dim.subs_at(np.zeros(len(whole), dtype=bool)) == []
+        assert dim.subs_at(dim.ideal) == [s for s, i in zip(whole, dim.ideal) if i]
+        assert dim.subs_at(slice(1, None, 2)) == whole[1::2]
 
 
 @pytest.mark.parametrize("block", [None, 1, 200])

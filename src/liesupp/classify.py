@@ -18,7 +18,6 @@ from .liealg import LieAlgebra
 from .lattice import (
     LatticeCache,
     build_lattice,
-    core,
     frattini,
     is_simple,
     is_supersolvable,
@@ -38,32 +37,16 @@ LATTICE_SLOTS = 256
 
 
 def c_supplement(L: LieAlgebra, lattice: LatticeCache, b: Subspace) -> Optional[Subspace]:
-    """First supplement C of b in canonical search order, or None: b + C is
-    the whole algebra and b meet C lies in the core of b.  This is the
-    witness of one subalgebra (check --subspace); is_c_supplemented_algebra
-    and the pfrat campaign decide every subalgebra without it
-    (LatticeCache.unsupplemented).
-
-    Candidates of dimension exactly codim(b) meet b trivially whenever the
-    sum is everything; the first of them is looked up in
-    lattice.first_complements.  Only when none fits is the core K of b
-    computed and larger candidates scanned: a C with b + C = L meets b in
-    dim C - codim(b) dimensions, so no C of dimension above
-    codim(b) + dim K can meet b inside K.  Since K lies in b, b meet C
-    lies in K exactly when it is K meet C, that is when
-    dim(K + C) = dim K + codim(b); so each candidate costs two sums.
-    """
-    n = L.dim
-    d0 = n - b.dim
+    """A supplement C of b (b + C = L, b meet C inside the core K of b), or
+    None: the witness of one subalgebra (check --subspace).  It is b's first
+    complement where b has one, else LatticeCache.core_supplement, from the
+    core test that decides every subalgebra for is_c_supplemented_algebra
+    and pfrat (LatticeCache.unsupplemented): the first C in lattice order
+    of dimension codim(b) + dim K that contains K and spans L with b."""
     c_ = complement_subalgebra(L, lattice, b)
     if c_ is not None:
         return c_
-    core_b = core(L, b)
-    for d in range(d0 + 1, d0 + core_b.dim + 1):
-        for c_ in lattice.by_dim.get(d, []):
-            if b.sum(c_).dim == n and core_b.sum(c_).dim == d0 + core_b.dim:
-                return c_
-    return None
+    return lattice.core_supplement(b.dim, lattice.row(b))
 
 
 def complement_subalgebra(

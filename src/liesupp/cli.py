@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / property holds / statement confirmed; 1 property
 false or counterexamples found (report still emitted); 2 invalid input;
-3 cap exceeded; 4 internal error (a fault in liesupp, not in the input).
+3 cap exceeded, or out of memory (MemoryError: the input is under the caps
+but its arrays do not fit); 4 internal error (a fault in liesupp, not in
+the input).
 Diagnostics go to stderr, reports to stdout or --out.
 """
 from __future__ import annotations
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -8,10 +8,11 @@ subspace first and the other pairs only for the few that pass
 (_closed_and_ideal_masks); an abelian algebra (a zero table) makes every
 subspace an ideal without a bracket.  A computed dimension is kept as an
 index vector into the shared, read-only echelon_arrays and _parity_checks
-arrays.  Its whole Subspace list is made only when by_dim or subalgebras
-reads it; the other queries make Subspaces of the rows they return
-alone, and stats counts from the arrays.  The ideals and the maximal
-subalgebras are found on first access, by a top-down scan
+arrays, and no whole dimension is made into Subspaces: the queries
+(member(k, row), ideals, maximals, inside, the witnesses) make Subspaces
+of the rows they return alone, and stats counts from the arrays.  The
+ideals and the maximal subalgebras are found on first access, by a
+top-down scan
 (_maximal_masks) whose containment tests and cover counts are float
 matrix products, in float32 where the integer bound of the product is
 below 2^24 and in float64 otherwise, exact either way.  Core, Frattini
@@ -32,7 +33,9 @@ LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
 subalgebra at once: ideals are supplemented, so a dimension of ideals alone
 needs no pairing; for the other rows it reads the cores from the ideal
 masks and tests the candidates that contain each core by the rank of one
-product.
+product.  LatticeCache.core_supplement(k, row) runs the same core test on
+one row and returns its first such candidate, the witness of
+classify.c_supplement where no complement exists.
 LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
 B from the members of the lattice that lie in B, once per distinct induced
 table, without a lattice of B: one maximal scan per dimension, with one B
@@ -46,7 +49,6 @@ byte-stable across runs, whatever order the dimensions were computed in.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, groupby
 from math import comb
@@ -75,11 +77,10 @@ from .subspace import (
 class _Dim:
     """The subalgebras of one dimension k: rows idx of the arrays
     (bases, pivots, checks) of echelon_arrays and _parity_checks, in
-    Subspace.sort_key order, and which of them are ideals.  subs, the
-    Subspace list of them all, is made on first use; sub and subs_at make
-    the Subspaces of the rows asked for alone."""
+    Subspace.sort_key order, and which of them are ideals.  sub and
+    subs_at make the Subspaces of the rows asked for alone."""
 
-    __slots__ = ("_p", "_kept", "_bases", "_piv", "_checks", "idx", "ideal", "_subs")
+    __slots__ = ("_p", "_kept", "_bases", "_piv", "_checks", "idx", "ideal")
 
     def __init__(self, L: LieAlgebra, k: int):
         n, p = L.dim, L.p
@@ -101,13 +102,6 @@ class _Dim:
             ideal = ideal[idx]
         self._p, self._bases, self._piv, self._checks = p, bases, piv, checks
         self.idx, self.ideal = idx, ideal
-        self._subs: Optional[List[Subspace]] = None
-
-    @property
-    def subs(self) -> List[Subspace]:
-        if self._subs is None:
-            self._subs = self.subs_at(slice(None))
-        return self._subs
 
     def subs_at(self, rows) -> List[Subspace]:
         """The Subspaces of the given rows (an index array, a boolean mask
@@ -152,42 +146,17 @@ class _Dim:
         return plucker(self.bases, self._p)
 
 
-class _ByDim(Mapping):
-    """LatticeCache.by_dim: each dimension that holds a subalgebra, in
-    increasing order, to its subalgebras in Subspace.sort_key order.  A
-    dimension is computed when it is first looked up or iterated over."""
-
-    __slots__ = ("_lattice",)
-
-    def __init__(self, lattice: "LatticeCache"):
-        self._lattice = lattice
-
-    def __getitem__(self, k: int) -> List[Subspace]:
-        if not 0 <= k <= self._lattice.algebra.dim:
-            raise KeyError(k)
-        dim = self._lattice._dim(k)
-        if not len(dim.idx):
-            raise KeyError(k)
-        return dim.subs
-
-    def __iter__(self) -> Iterator[int]:
-        lat = self._lattice
-        return (k for k in range(lat.algebra.dim + 1) if len(lat._dim(k).idx))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 class LatticeCache:
     """The subalgebra lattice of one algebra, computed on demand: each
-    dimension of by_dim, the ideals and the maximal subalgebras the first
-    time they are asked for.  subspace_count is the number of subspaces of
-    GF(p)^n, all of which the dimensions together test."""
+    dimension, the ideals and the maximal subalgebras the first time they
+    are asked for.  The subalgebras of dimension k are numbered by row,
+    0, 1, ... in Subspace.sort_key order; member(k, row) makes one of them.
+    subspace_count is the number of subspaces of GF(p)^n, all of which the
+    dimensions together test."""
 
     def __init__(self, algebra: LieAlgebra, subspace_count: int):
         self.algebra = algebra
         self.subspace_count = subspace_count
-        self.by_dim: Mapping[int, List[Subspace]] = _ByDim(self)
         self._dims: Dict[int, _Dim] = {}
         # first_complements(d) per dimension d, built on first use
         self._first: Dict[int, np.ndarray] = {}
@@ -201,12 +170,9 @@ class LatticeCache:
         return got
 
     def _computed(self) -> Dict[int, _Dim]:
-        """Every dimension that holds a subalgebra, computed."""
-        return {k: self._dim(k) for k in self.by_dim}
-
-    @cached_property
-    def subalgebras(self) -> List[Subspace]:
-        return [s for subs in self.by_dim.values() for s in subs]
+        """Every dimension 0 .. n that holds a subalgebra, computed."""
+        dims = {k: self._dim(k) for k in range(self.algebra.dim + 1)}
+        return {k: dim for k, dim in dims.items() if len(dim.idx)}
 
     @cached_property
     def ideals(self) -> List[Subspace]:
@@ -236,13 +202,13 @@ class LatticeCache:
         return core(self.algebra, self._top_scan[1])
 
     def member(self, k: int, row: int) -> Subspace:
-        """Row `row` of by_dim[k], made alone: by_dim[k] is not built."""
+        """The subalgebra in row `row` of dimension k, made alone."""
         return self._dim(k).sub(row)
 
     def row(self, b: Subspace) -> int:
-        """Index of b in by_dim[dim b], found in the arrays of that
-        dimension: by_dim[dim b] is not built.  ValueError when b is not a
-        subalgebra of this lattice."""
+        """The row of b in dimension dim b, found in the arrays of that
+        dimension.  ValueError when b is not a subalgebra of this
+        lattice."""
         n, p = self.algebra.dim, self.algebra.p
         if (b.n, b.p) == (n, p) and b.dim <= n:
             target = np.array(b.rows, dtype=np.int64).reshape(b.dim, n)
@@ -252,8 +218,8 @@ class LatticeCache:
         raise ValueError(f"{b} is not a subalgebra of this lattice")
 
     def first_complements(self, k: int) -> np.ndarray:
-        """For each row of by_dim[k], the index in by_dim[n - k] of its first
-        complement C (b + C = L, so b meets C in 0), or -1 when it has
+        """For each row of dimension k, the row in dimension n - k of its
+        first complement C (b + C = L, so b meets C in 0), or -1 when it has
         none.  Computes dimensions k and n - k only, and answers both by
         one blocked Plücker product (see _first_complements)."""
         got = self._first.get(k)
@@ -268,21 +234,41 @@ class LatticeCache:
         return got
 
     def unsupplemented(self, k: int) -> np.ndarray:
-        """The rows of by_dim[k], ascending, of the subalgebras B without a
-        c-supplement: no subalgebra C with B + C = L and B meet C inside
+        """The rows of dimension k, ascending, of the subalgebras B without
+        a c-supplement: no subalgebra C with B + C = L and B meet C inside
         the core of B.  Computes the dimensions up to k, n - k and the
         dimensions of the candidates it tests (see _unsupplemented)."""
         return _unsupplemented(self, k)
 
+    def core_supplement(self, k: int, row: int) -> Optional[Subspace]:
+        """For the subalgebra B in row `row` of dimension k, which has no
+        complement: the first C of _core_supplements, which meets B in
+        exactly its core and exists exactly when B has a c-supplement, or
+        None.  For an ideal B it is L."""
+        core_dims, firsts = _core_supplements(self, k, np.array([row]))
+        if firsts[0] < 0:
+            return None
+        return self.member(self.algebra.dim - k + int(core_dims[0]), int(firsts[0]))
+
     def subalgebra_phis(self) -> Dict[int, List[Subspace]]:
         """phi(B), the Frattini ideal of B's own algebra, for every
-        subalgebra B, in ambient coordinates: a list per dimension k, row
-        for row with by_dim[k].  Built on first use, once per distinct
-        induced table (see _subalgebra_phis); no lattice of a subalgebra is
-        built."""
+        subalgebra B, in ambient coordinates: a list per dimension k that
+        holds a subalgebra, one entry per row.  Built on first use, once
+        per distinct induced table (see _subalgebra_phis); no lattice of a
+        subalgebra is built."""
         if self._phis is None:
             self._phis = _subalgebra_phis(self)
         return self._phis
+
+    def table_groups(self, k: int) -> Dict[bytes, List[int]]:
+        """The rows of dimension k grouped by induced table (_induced_tables,
+        the table LieAlgebra.as_algebra gives): the bytes of each table to
+        its rows, ascending, the tables in the order of their first rows."""
+        dim = self._dim(k)
+        groups: Dict[bytes, List[int]] = {}
+        for a, table in enumerate(_induced_tables(self.algebra, dim.bases, dim.piv)):
+            groups.setdefault(table.tobytes(), []).append(a)
+        return groups
 
     def inside(self, space: Subspace) -> Iterator[Subspace]:
         """The subalgebras of this lattice contained in `space`, in lattice
@@ -578,13 +564,9 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
         if k not in dims:
             continue
         bases, piv = arrays[k][0], dims[k].piv
-        tables = _induced_tables(L, bases, piv)
-        groups: Dict[bytes, List[int]] = {}
-        for a in np.flatnonzero(tables.any(axis=1)):
-            groups.setdefault(tables[a].tobytes(), []).append(a)
-        if not groups:
+        alike = [rows for table, rows in lattice.table_groups(k).items() if any(table)]
+        if not alike:
             continue
-        alike = list(groups.values())
         reps = np.array([members[0] for members in alike])
         meets = _maximal_masks(arrays, arrays[k][1][reps], n, p)[1]
         for d in np.unique(meets[:, 0]):
@@ -733,19 +715,7 @@ def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
     dimension of ideals alone (always k = 0 and k = n, every k for an
     abelian L) is answered without first_complements.  A complement is a
     supplement, so only the other rows without a first complement are
-    tested.  The core K of B is the sum of the ideals of L inside B, so it
-    is the one ideal of largest dimension inside B: one _contained test of
-    the ideals of
-    dims 1 .. k - 1, padded with zero rows to k - 1 rows, against the
-    parity checks of those rows finds every core.  With K = 0 a supplement
-    would be a complement, so B has none.  With K != 0 a supplement C may
-    be replaced by C + K (a subalgebra, as K is an ideal), which meets B
-    in K by the modular law; so B has a supplement exactly when some
-    subalgebra C containing K, of dimension n - k + dim K, has B + C = L
-    (_spanning).  The rows are grouped by core, and the candidates of
-    each group are found by one _contained test of its core."""
-    L = lattice.algebra
-    n, p = L.dim, L.p
+    tested, by _core_supplements."""
     dim = lattice._dim(k)
     rows = np.flatnonzero(~dim.ideal)
     if not len(rows):
@@ -753,36 +723,62 @@ def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
     rows = rows[lattice.first_complements(k)[rows] < 0]
     if not len(rows):
         return rows
-    below = [(d, lattice._dim(d)) for d in range(1, k)]
-    padded = [np.pad(b.bases[b.ideal], ((0, 0), (0, k - 1 - d), (0, 0))) for d, b in below]
+    return rows[_core_supplements(lattice, k, rows)[1] < 0]
+
+
+def _core_supplements(
+    lattice: LatticeCache, k: int, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(core_dims, firsts) for the subalgebras B in the given rows of
+    dimension k, which have no complement: the dimension c of the core K of
+    B, and the row of the first C of dimension n - k + c, in lattice order,
+    with K <= C and B + C = L, or -1.  K, the sum of the ideals of L inside
+    B, is the one ideal of largest dimension inside B (B for an ideal): one
+    _contained test of the ideals of dims 1 .. k, padded to k rows, finds
+    every core.  As K is an ideal, a supplement C may be replaced by the
+    subalgebra C + K, of dimension n - k + c, and B meet (C + K) =
+    (B meet C) + K = K (modular law); so such a C exists exactly when B has
+    a supplement, and meets B in exactly K.  For K = 0 it would be a
+    complement, so none is sought.  The rows are grouped by core, the
+    candidates of a group found by one _contained test of its core, and
+    _spanning finds each row's first."""
+    L = lattice.algebra
+    n, p = L.dim, L.p
+    dim = lattice._dim(k)
+    core_dims = np.zeros(len(rows), dtype=np.intp)
+    firsts = np.full(len(rows), -1, dtype=np.intp)
+    below = [(d, lattice._dim(d)) for d in range(1, k + 1)]
+    padded = [np.pad(b.bases[b.ideal], ((0, 0), (0, k - d), (0, 0))) for d, b in below]
     sizes = np.repeat([d for d, _ in below], [len(ideals) for ideals in padded])
     if not len(sizes):
-        return rows
+        return core_dims, firsts
     padded = np.concatenate(padded)
     checks = dim._checks[dim.idx[rows]]
     inside = _contained(padded, checks, p) * sizes[:, None]
     cores, core_dims = inside.argmax(axis=0), inside.max(axis=0)
-    supplemented = np.zeros(len(rows), dtype=bool)
     for j in np.unique(cores[core_dims > 0]).tolist():
         group = np.flatnonzero((cores == j) & (core_dims > 0))
         c = int(sizes[j])
         candidates = lattice._dim(n - k + c)
-        containing = _contained(padded[j : j + 1, :c], candidates.checks, p)[0]
-        supplemented[group] = _spanning(candidates.bases[containing], checks[group], p)
-    return rows[~supplemented]
+        containing = np.flatnonzero(_contained(padded[j : j + 1, :c], candidates.checks, p)[0])
+        found = _spanning(candidates.bases[containing], checks[group], p)
+        hit = found >= 0
+        firsts[group[hit]] = containing[found[hit]]
+    return core_dims, firsts
 
 
 def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
-    """Mask over a batch of subspaces B_g of GF(p)^n (parity checks of
-    shape (g, n, w)): some span(bases[c]) (bases of shape (m, d, n),
-    d >= w) has B_g + C = GF(p)^n.  v -> v @ H_g maps GF(p)^n onto GF(p)^w
-    with kernel B_g, so B_g + C is everything exactly when bases[c] @ H_g
-    has rank w, that is when one of its w x w minors is nonzero: the
-    Plücker coordinates of its transpose, reduced mod p first.  The pairs
-    (g, c) go in blocks whose products and minors hold about
-    _PAIRING_BLOCK values at most, and stop once every B_g has one."""
+    """For each of a batch of subspaces B_g of GF(p)^n (parity checks of
+    shape (g, n, w)), the least c with B_g + span(bases[c]) = GF(p)^n
+    (bases of shape (m, d, n), d >= w), or -1.  v -> v @ H_g maps GF(p)^n
+    onto GF(p)^w with kernel B_g, so B_g + C is everything exactly when
+    bases[c] @ H_g has rank w, that is when one of its w x w minors is
+    nonzero: the Plücker coordinates of its transpose, reduced mod p first.
+    The pairs (g, c) go g by g, c ascending, in blocks whose products and
+    minors hold about _PAIRING_BLOCK values at most, and stop once every
+    B_g has one."""
     count, m = len(checks), len(bases)
-    out = np.zeros(count, dtype=bool)
+    out = np.full(count, -1, dtype=np.intp)
     d, w = bases.shape[1], checks.shape[2]
     # plucker's arrays for r rows hold C(d, r) r <= C(d, d // 2) w values
     step = max(1, _PAIRING_BLOCK // (comb(d, d // 2) * w))
@@ -790,8 +786,12 @@ def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
         at, c = np.divmod(np.arange(lo, min(lo + step, count * m)), m)
         images = bases[c] @ checks[at]
         images %= p
-        out[at[plucker(images.transpose(0, 2, 1), p).any(axis=1)]] = True
-        if out.all():
+        hit = plucker(images.transpose(0, 2, 1), p).any(axis=1)
+        # the first hit of each g in the block is its least c there
+        g, first = np.unique(at[hit], return_index=True)
+        new = out[g] < 0
+        out[g[new]] = c[hit][first[new]]
+        if (out >= 0).all():
             break
     return out
 
@@ -906,16 +906,19 @@ def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
 
 def is_supersolvable(L: LieAlgebra, lattice: LatticeCache) -> bool:
     """L has ideals 0 = I_0 < I_1 < ... < I_n = L with dim I_d = d.  The
-    walk goes d = 1 .. n over the ideal masks of the lattice and keeps the
-    dim-d ideals that contain a dim-(d - 1) ideal reached so far, one
-    _contained test per dimension; it stops at the first dimension where
-    none is reached.  No quotient is built."""
+    walk goes d = 1 .. n over the ideal masks of the lattice and keeps one
+    reached ideal per dimension: I_d is the first dim-d ideal that contains
+    I_{d - 1}, found by one _contained test; the walk stops at the first
+    dimension where there is none.  One ideal is enough: a quotient of a
+    supersolvable algebra is supersolvable, so if L is, L/I_d has a 1-dim
+    ideal for d < n, and its preimage extends any chain I_0 < ... < I_d
+    with dim I_j = j.  No quotient is built."""
     reached = lattice._dim(0).bases  # the zero ideal
     for d in range(1, L.dim + 1):
         dim = lattice._dim(d)
         rows = dim.idx[dim.ideal]
-        hit = _contained(reached, dim._checks[rows], L.p).any(axis=0)
+        hit = _contained(reached, dim._checks[rows], L.p)[0]
         if not hit.any():
             return False
-        reached = dim._bases[rows[hit]]
+        reached = dim._bases[rows[hit.argmax()]][None]
     return True

@@ -17,8 +17,6 @@ from liesupp.formats import algebra_to_doc
 from liesupp.gfp import PrimeField
 from liesupp.lattice import (
     _closed_and_ideal_masks,
-    build_lattice,
-    frattini,
     minimal_ideals,
     plucker,
     plucker_pairing,
@@ -214,12 +212,12 @@ def subalgebra_phis_by_sublattices(L, lattice, analyzer):
     return out
 
 
-def phi_subalgebra_not_ideal_by_sublattice(L, phi, analyzer):
-    """The first subalgebra of phi's own algebra, in its lattice order and
-    lifted to L, that is not an ideal of L (tested bracket by bracket), or
-    None."""
+def phi_subalgebra_not_ideal_by_sublattice(L, phi):
+    """The first subalgebra of phi's own algebra, in its lattice order
+    (EagerLattice) and lifted to L, that is not an ideal of L (tested
+    bracket by bracket), or None."""
     phi_alg = L.as_algebra(phi)
-    for s in analyzer.lattice(phi_alg).subalgebras:
+    for s in EagerLattice(phi_alg).subalgebras:
         lifted = lift_space(phi, s)
         if not L.is_ideal(lifted):
             return lifted
@@ -227,9 +225,10 @@ def phi_subalgebra_not_ideal_by_sublattice(L, phi, analyzer):
 
 
 def check_pfrat_by_sublattices(L, az):
-    """census pfrat checker with phi(D) from D's own lattice."""
-    lat = az.lattice(L)
-    phi_l = frattini(L, lat)
+    """census pfrat checker with phi(D) from D's own lattice, over the
+    subalgebras of EagerLattice."""
+    lat = EagerLattice(L)
+    phi_l = az.frattini(L)
     phis = subalgebra_phis_by_sublattices(L, lat, az)
     for k, subs in lat.by_dim.items():
         for d, lifted in zip(subs, phis[k]):
@@ -247,6 +246,25 @@ def check_pfrat_by_sublattices(L, az):
     return None
 
 
+def check_lsupp_closure_by_subalgebras(L, az):
+    """census lsupp_closure checker that makes every proper subalgebra of
+    EagerLattice an algebra of its own (as_algebra) and tests it, in
+    lattice order, then the quotient by every proper ideal."""
+    if not az.c_supplemented(L)[0]:
+        return None
+    lat = EagerLattice(L)
+    for b in lat.subalgebras:
+        if 0 < b.dim < L.dim and not az.c_supplemented(L.as_algebra(b))[0]:
+            return {
+                "kind": "subalgebra_not_c_supplemented",
+                "subalgebra": [list(r) for r in b.rows],
+            }
+    for i in lat.ideals:
+        if 0 < i.dim < L.dim and not az.c_supplemented(L.quotient(i))[0]:
+            return {"kind": "quotient_not_c_supplemented", "ideal": [list(r) for r in i.rows]}
+    return None
+
+
 def check_pequ_by_sublattice(L, az):
     """census pequ checker with the subalgebras of phi(L) from phi's own
     lattice."""
@@ -255,7 +273,7 @@ def check_pequ_by_sublattice(L, az):
     q = L.quotient(phi)
     rhs = (
         az.completely_factorisable(q)[0]
-        and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
+        and phi_subalgebra_not_ideal_by_sublattice(L, phi) is None
     )
     if lhs != rhs:
         return {"kind": "equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
@@ -269,7 +287,7 @@ def check_tsolv_by_sublattice(L, az):
         return None
     phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
-    rhs = az.supersolvable(L) and phi_subalgebra_not_ideal_by_sublattice(L, phi, az) is None
+    rhs = az.supersolvable(L) and phi_subalgebra_not_ideal_by_sublattice(L, phi) is None
     if lhs != rhs:
         return {"kind": "solvable_equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
     return None
@@ -558,8 +576,8 @@ def complement_by_sums(L, lattice, b):
 @lru_cache(maxsize=4096)
 def first_complements_by_sums(L):
     """{k: [index in by_dim[n - k] of complement_by_sums(B), or -1, for each
-    B in by_dim[k]]} over the lattice of L."""
-    lattice = build_lattice(L)
+    B in by_dim[k]]} over the EagerLattice of L."""
+    lattice = EagerLattice(L)
     out = {}
     for k, subs in lattice.by_dim.items():
         index = {c_: i for i, c_ in enumerate(lattice.by_dim.get(L.dim - k, []))}
@@ -582,6 +600,22 @@ def c_supplement_by_sums(L, lattice, b):
         for c_ in lattice.by_dim.get(d, []):
             if b.sum(c_).dim == n and core_b.contains(b.intersect(c_)):
                 return c_, b.intersect(c_)
+    return None
+
+
+def core_supplement_by_sums(L, lattice, b):
+    """The witness of c_supplement: complement_by_sums(B) when B has a
+    complement, else the first subalgebra C, in lattice order, of dimension
+    codim(B) + dim K that contains the core K of B (taken by enumeration)
+    and has B + C = L, or None.  Each candidate costs one containment test
+    and one row reduction of B + C."""
+    c_ = complement_by_sums(L, lattice, b)
+    if c_ is not None:
+        return c_
+    core_b = core_by_enumeration(L, b, lattice)
+    for c_ in lattice.by_dim.get(L.dim - b.dim + core_b.dim, []):
+        if c_.contains(core_b) and b.sum(c_).dim == L.dim:
+            return c_
     return None
 
 

@@ -30,6 +30,7 @@ from liesupp.liealg import (
 )
 from liesupp.subspace import Subspace, gaussian_binomial
 from oracles import (
+    EagerLattice,
     canonical_form_small,
     core_by_enumeration,
     enumerate_subspaces,
@@ -154,8 +155,9 @@ def test_criterion_6_oracle_equivalences():
     for entry in generate(CensusSpec(2, 3)):
         L = entry.algebra
         lat = build_lattice(L)
-        for b in lat.subalgebras:
-            assert core(L, b) == core_by_enumeration(L, b, lat)
+        eager = EagerLattice(L)
+        for b in eager.subalgebras:
+            assert core(L, b) == core_by_enumeration(L, b, eager)
             checked += 1
         assert is_supersolvable(L, lat) == flag_search_supersolvable(L, lat)
         r = radical(L, lat)

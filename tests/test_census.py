@@ -37,8 +37,10 @@ from liesupp.liealg import (
 )
 from liesupp.subspace import CapExceededError
 from oracles import (
+    EagerLattice,
     canonical_form_small,
     census_by_index,
+    check_lsupp_closure_by_subalgebras,
     check_pequ_by_sublattice,
     check_pfrat_by_sublattices,
     check_tsolv_by_sublattice,
@@ -400,6 +402,49 @@ def test_phi_campaigns_match_sublattice_oracles(theorem, oracle, p, monkeypatch)
     assert doc == verify_by_table(theorem, spec, Analyzer())
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_lsupp_closure_matches_per_subalgebra_oracle(p, monkeypatch):
+    """The lsupp_closure campaign, which tests one subalgebra per distinct
+    induced table, gives the document of a per-table run of the checker
+    that makes every proper subalgebra an algebra of its own."""
+    spec = CensusSpec(p, 3)
+    doc = verify("lsupp_closure", spec).to_doc()
+    doc.pop("timing")
+    monkeypatch.setitem(CHECKERS, "lsupp_closure", check_lsupp_closure_by_subalgebras)
+    assert doc == verify_by_table("lsupp_closure", spec, Analyzer())
+
+
+def test_lsupp_closure_makes_one_algebra_per_induced_table(monkeypatch):
+    """On heisenberg + heisenberg over GF(2), c-supplemented and of dim 6,
+    lsupp_closure makes at most as many as_algebra and quotient calls as
+    its proper subalgebras have distinct induced tables and it has proper
+    ideals: 15 tables for 623 proper subalgebras.  The verdict is the
+    oracle's, which makes every proper subalgebra an algebra."""
+    L = heisenberg(2).direct_sum(heisenberg(2))
+    eager = EagerLattice(L)
+    proper = [b for b in eager.subalgebras if 0 < b.dim < L.dim]
+    tables = {(b.dim, L.as_algebra(b).table.tobytes()) for b in proper}
+    ideals = [i for i in eager.ideals if 0 < i.dim < L.dim]
+    assert Analyzer().c_supplemented(L)[0]
+    expected = check_lsupp_closure_by_subalgebras(L, Analyzer())
+    calls = Counter()
+    real_sub, real_quotient = LieAlgebra.as_algebra, LieAlgebra.quotient
+
+    def as_algebra(self, space):
+        calls["as_algebra"] += 1
+        return real_sub(self, space)
+
+    def quotient(self, ideal):
+        calls["quotient"] += 1
+        return real_quotient(self, ideal)
+
+    monkeypatch.setattr(LieAlgebra, "as_algebra", as_algebra)
+    monkeypatch.setattr(LieAlgebra, "quotient", quotient)
+    assert CHECKERS["lsupp_closure"](L, Analyzer()) == expected
+    assert calls["as_algebra"] + calls["quotient"] <= len(tables) + len(ideals)
+    assert len(tables) < len(proper)
+
+
 @pytest.mark.parametrize(
     "L",
     [counterexample_double(2), heisenberg(2).direct_sum(heisenberg(2))],
@@ -420,14 +465,14 @@ def test_pfrat_examines_each_subalgebra_of_each_phi(L, monkeypatch):
     monkeypatch.setattr(LatticeCache, "row", recording)
     _forbid_c_supplement(monkeypatch)
     az = Analyzer()
-    lat = az.lattice(L)
     assert CHECKERS["pfrat"](L, az) is None
-    phis = subalgebra_phis_by_sublattices(L, lat, Analyzer())
+    eager = EagerLattice(L)
+    phis = subalgebra_phis_by_sublattices(L, eager, Analyzer())
     expected = [
         b
-        for k in lat.by_dim
+        for k in eager.by_dim
         for phi_d in phis[k]
-        for b in lat.subalgebras
+        for b in eager.subalgebras
         if b.dim and phi_d.contains(b)
     ]
     assert expected and seen == expected

@@ -42,9 +42,11 @@ from liesupp.liealg import (
 from liesupp.subspace import CapExceededError, Subspace
 from oracles import (
     DIM56_SUMS,
+    EagerLattice,
     c_supplement_by_sums,
     canonical_form_small,
     core_by_enumeration,
+    core_supplement_by_sums,
     first_complements_by_sums,
     first_unsupplemented,
     is_isomorphic_small,
@@ -502,7 +504,7 @@ def test_c_supplemented_matches_oracle_on_census(p, max_dim):
         L = entry.algebra
         lat = build_lattice(L)
         ok, failing = is_c_supplemented_algebra(L, lat)
-        expected = first_unsupplemented(L, lat)
+        expected = first_unsupplemented(L, EagerLattice(L))
         assert ok == (expected is None)
         assert failing == expected
 
@@ -510,21 +512,37 @@ def test_c_supplemented_matches_oracle_on_census(p, max_dim):
 def test_c_supplemented_matches_oracle_on_examples():
     for L in (counterexample_double(2), L1_gamma(2, gamma0=0), sl2(3)):
         lat = build_lattice(L)
-        assert is_c_supplemented_algebra(L, lat)[1] == first_unsupplemented(L, lat)
+        assert is_c_supplemented_algebra(L, lat)[1] == first_unsupplemented(L, EagerLattice(L))
 
 
-def test_supplement_witness_core_is_the_core():
+def test_supplement_witness_core_is_the_core(monkeypatch):
     """The witness `liesupp check --subspace` reports for a supplement C of
-    b: b meet C and core(b), which holds the meet."""
+    b: b meet C and core(b), which holds the meet, and is the meet where C
+    is not a complement.  c_supplement runs with core refused in lattice
+    and classify: it reads the core from the ideal masks."""
     L = counterexample_double(3)
+    eager = EagerLattice(L)
+    cores = {}
+    for b in eager.subalgebras:
+        cores[b] = core(L, b)
+        assert cores[b] == core_by_enumeration(L, b, eager)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("core called")
+
+    monkeypatch.setattr(lattice_mod, "core", refuse)
+    monkeypatch.setattr(classify_mod, "core", refuse, raising=False)
     lat = build_lattice(L)
-    for b in lat.subalgebras:
+    found = Counter()
+    for b in eager.subalgebras:
         c = c_supplement(L, lat, b)
         if c is not None:
-            core_b = core(L, b)
             assert b.sum(c).dim == L.dim
-            assert core_b == core_by_enumeration(L, b, lat)
-            assert core_b.contains(b.intersect(c))
+            assert cores[b].contains(b.intersect(c))
+            if c.dim > L.dim - b.dim:
+                assert b.intersect(c) == cores[b]
+            found[c.dim > L.dim - b.dim] += 1
+    assert found[True] and found[False]
 
 
 # -- supplement search by Plücker pairing -----------------------------------
@@ -533,21 +551,24 @@ def test_supplement_witness_core_is_the_core():
 def assert_supplements_match_oracles(L):
     """c_supplement and complement_subalgebra on every subalgebra, and the
     witnesses of is_c_supplemented_algebra and is_completely_factorisable,
-    against the per-candidate row-reduction oracles."""
+    against the per-candidate row-reduction oracles: the witness against
+    core_supplement_by_sums, its existence against c_supplement_by_sums,
+    which tries every candidate of every dimension.  A witness that is not
+    a complement meets b in exactly the core of b."""
     lat = build_lattice(L)
+    eager = EagerLattice(L)
     unsupplemented, uncomplemented = [], []
-    for b in lat.subalgebras:
+    for b in eager.subalgebras:
         c = c_supplement(L, lat, b)
-        expected = c_supplement_by_sums(L, lat, b)
-        assert (None if c is None else (c, b.intersect(c))) == expected
-        # c_supplement_by_sums returns complement_by_sums when it finds one,
-        # so its answer gives the complement without a second scan
-        if expected is not None and expected[0].dim == L.dim - b.dim:
-            complement = expected[0]
-        else:
-            complement = None
+        assert c == core_supplement_by_sums(L, eager, b)
+        assert (c is None) == (c_supplement_by_sums(L, eager, b) is None)
+        # core_supplement_by_sums returns complement_by_sums when it finds
+        # one, and a larger subalgebra otherwise
+        complement = c if c is not None and c.dim == L.dim - b.dim else None
+        if complement is None and c is not None:
+            assert b.intersect(c) == core_by_enumeration(L, b, eager)
         assert complement_subalgebra(L, lat, b) == complement
-        if expected is None:
+        if c is None:
             unsupplemented.append(b)
         if complement is None:
             uncomplemented.append(b)
@@ -630,8 +651,10 @@ def test_first_complements_match_sums(universe, block, monkeypatch):
     for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
         lat = build_lattice(L)
         expected = first_complements_by_sums(L)
-        assert {k: lat.first_complements(k).tolist() for k in lat.by_dim} == expected
-        missing = [lat.by_dim[k][r] for k, c in expected.items() for r, j in enumerate(c) if j < 0]
+        dims = range(L.dim + 1)
+        got = [lat.first_complements(k).tolist() for k in dims]
+        assert got == [expected.get(k, []) for k in dims]
+        missing = [lat.member(k, r) for k, c in expected.items() for r, j in enumerate(c) if j < 0]
         first = missing[0] if missing else None
         assert is_completely_factorisable(L, lat) == (first is None, first)
 
@@ -653,16 +676,17 @@ UNSUPPLEMENTED_UNIVERSES = {
 
 
 def assert_unsupplemented_rows_match(L, oracle=True):
-    """LatticeCache.unsupplemented(k) lists exactly the rows of by_dim[k]
+    """LatticeCache.unsupplemented(k) lists exactly the rows of dimension k
     for which c_supplement finds nothing, and (with oracle) for which the
     per-candidate row-reduction oracle finds nothing either."""
     lat = build_lattice(L)
-    for k, subs in lat.by_dim.items():
+    eager = EagerLattice(L)
+    for k, subs in eager.by_dim.items():
         missing = [r for r, b in enumerate(subs) if c_supplement(L, lat, b) is None]
         assert lat.unsupplemented(k).tolist() == missing
         if oracle:
             assert missing == [
-                r for r, b in enumerate(subs) if c_supplement_by_sums(L, lat, b) is None
+                r for r, b in enumerate(subs) if c_supplement_by_sums(L, eager, b) is None
             ]
 
 
@@ -693,15 +717,16 @@ def test_unsupplemented_takes_all_three_branches(monkeypatch):
 
     def spy(bases, checks, p):
         out = real(bases, checks, p)
-        taken["supplemented"] += int(out.sum())
-        taken["unsupplemented"] += int((~out).sum())
+        assert ((-1 <= out) & (out < len(bases))).all()
+        taken["supplemented"] += int((out >= 0).sum())
+        taken["unsupplemented"] += int((out < 0).sum())
         return out
 
     monkeypatch.setattr(lattice_mod, "_spanning", spy)
     tested = 0
     for L in _dim56_both_bases() + list(gf2_pair_sums()):
         lat = build_lattice(L)
-        for k in lat.by_dim:
+        for k in range(L.dim + 1):
             lat.unsupplemented(k)
             tested += int(((lat.first_complements(k) < 0) & ~lat._dim(k).ideal).sum())
     assert taken["supplemented"] and taken["unsupplemented"]
@@ -721,7 +746,7 @@ def test_c_supplemented_calls_neither_c_supplement_nor_core(monkeypatch):
     expected = [is_c_supplemented_algebra(L, build_lattice(L)) for L in cases]
     assert expected[0] == (True, None) and not expected[1][0]
     monkeypatch.setattr(classify_mod, "c_supplement", refuse)
-    monkeypatch.setattr(classify_mod, "core", refuse)
+    monkeypatch.setattr(classify_mod, "core", refuse, raising=False)
     monkeypatch.setattr(lattice_mod, "core", refuse)
     assert [Analyzer().c_supplemented(L) for L in cases] == expected
 
@@ -738,17 +763,16 @@ def assert_phis_match_oracles(L):
     every subalgebra; the witnesses of is_elementary and is_E_algebra and
     the phi-subalgebra witness against loops over the oracle's answers."""
     lat = build_lattice(L)
-    expected = subalgebra_phis_by_sublattices(L, lat, PHI_ORACLE_AZ)
+    eager = EagerLattice(L)
+    expected = subalgebra_phis_by_sublattices(L, eager, PHI_ORACLE_AZ)
     assert lat.subalgebra_phis() == expected
-    pairs = [(b, phi_b) for k, subs in lat.by_dim.items() for b, phi_b in zip(subs, expected[k])]
+    pairs = [(b, phi_b) for k, subs in eager.by_dim.items() for b, phi_b in zip(subs, expected[k])]
     first = next((b for b, phi_b in pairs if phi_b.dim), None)
     assert is_elementary(L, lat) == (first is None, first)
     phi_l = frattini(L, lat)
     first = next((b for b, phi_b in pairs if not phi_l.contains(phi_b)), None)
     assert is_E_algebra(L, lat) == (first is None, first)
-    assert first_non_ideal_inside(lat, phi_l) == phi_subalgebra_not_ideal_by_sublattice(
-        L, phi_l, PHI_ORACLE_AZ
-    )
+    assert first_non_ideal_inside(lat, phi_l) == phi_subalgebra_not_ideal_by_sublattice(L, phi_l)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -798,13 +822,13 @@ def test_subalgebra_phis_scan_once_per_dimension(monkeypatch):
     n = L.dim
     lat = build_lattice(L)
     firsts = {}  # dim k -> {nonzero table: first dim-k subalgebra with it}
-    for b in lat.subalgebras:
+    for b in EagerLattice(L).subalgebras:
         table = L.as_algebra(b).table
         if table.any():
             firsts.setdefault(b.dim, {}).setdefault(table.tobytes(), b)
     scanned = [k for k in firsts if 2 < k < n]
     expected_scans = [(n, 1)] + [(k, len(firsts[k])) for k in scanned]
-    expected_cores = Counter({(_meet_of_maximals(lat, lat.by_dim[n][0]), None): 1})
+    expected_cores = Counter({(_meet_of_maximals(lat, lat.member(n, 0)), None): 1})
     for b in (b for k in scanned for b in firsts[k].values()):
         f = _meet_of_maximals(lat, b)
         if f.dim and not all(f.member(L.bracket(x, y)) for x in f.rows for y in b.rows):
@@ -864,7 +888,7 @@ def test_abelian_gf2_7_is_elementary_and_E():
 def test_subalgebra_phis_build_no_subalgebra_lattice(monkeypatch):
     L = counterexample_double(3)
     lat = build_lattice(L)
-    expected = subalgebra_phis_by_sublattices(L, lat, Analyzer())
+    expected = subalgebra_phis_by_sublattices(L, EagerLattice(L), Analyzer())
 
     def refuse(*args, **kwargs):
         raise AssertionError("a subalgebra lattice was built")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import liesupp.cli as cli_mod
 import liesupp.lattice as lattice_mod
 from liesupp.classify import ALL_PREDICATES, classify_algebra
 from liesupp.cli import EXIT_INTERNAL, PROPERTY_NAMES, main
@@ -178,6 +179,47 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert (code, out) == (2, ""), doc
     code, _, _ = run(capsys, ["validate", write_doc(tmp_path, base, "int.json")])
     assert code == 0
+
+
+def test_check_subspace_supplement_witness(tmp_path, capsys):
+    """The witness of check --subspace is the first complement where there
+    is one, and otherwise the first subalgebra of dimension codim + dim core
+    that contains the core and spans L with the subspace, which meets it in
+    exactly the core.  Here the ideal b = <e2, e3> of heisenberg + GF(2),
+    with no complement, gets L."""
+    path = write_doc(tmp_path, algebra_to_doc(heisenberg(2).direct_sum(abelian(2, 1))))
+    code, out, _ = run(
+        capsys, ["check", path, "--property", "c-supplemented", "--subspace", "1 0 0 0"]
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["supplement"]["dim"] == 3 and doc["meets_in"]["dim"] == 0
+    code, out, _ = run(
+        capsys, ["check", path, "--property", "c-supplemented", "--subspace", "0 0 1 0; 0 0 0 1"]
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["holds"] is True
+    assert doc["supplement"]["rows"] == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert doc["meets_in"] == doc["core"] == doc["subspace"]
+
+
+def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
+    """A MemoryError (numpy's allocation failures are one) exits 3 with
+    "out of memory" on stderr and no report, not 1, the code of a false
+    verdict."""
+
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 18.2 GiB for an array")
+
+    path = write_doc(tmp_path, algebra_to_doc(heisenberg(2)))
+    for name, argv in (
+        ("classify_algebra", ["classify", path]),
+        ("c_supplement", ["check", path, "--property", "c-supplemented", "--subspace", "1 0 0"]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, name, allocate)
+            code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("out of memory: ") and "18.2 GiB" in err
 
 
 def test_cap_exceeded_exit_3(tmp_path, capsys):

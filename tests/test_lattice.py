@@ -71,12 +71,25 @@ def naive_subalgebras(L):
     return out
 
 
+def lattice_members(lat):
+    """{k: [lat.member(k, row) for every row of dimension k]} over the
+    dimensions that hold a subalgebra: the rows of the lattice, each made
+    alone."""
+    out = {}
+    for k in range(lat.algebra.dim + 1):
+        rows = len(lat._dim(k).idx)
+        if rows:
+            out[k] = [lat.member(k, row) for row in range(rows)]
+    return out
+
+
 def test_heisenberg_lattice_counts_vs_oracle():
     h = heisenberg(2)
     lat = build_lattice(h)
     naive = naive_subalgebras(h)
-    assert sorted(s.rows for s in lat.subalgebras) == sorted(s.rows for s in naive)
-    assert len(lat.subalgebras) == 12
+    members = [s for subs in lattice_members(lat).values() for s in subs]
+    assert sorted(s.rows for s in members) == sorted(s.rows for s in naive)
+    assert len(members) == lat.stats()["subalgebras"] == 12
     assert len(lat.ideals) == 6
     assert len(lat.maximals) == 3
 
@@ -95,7 +108,7 @@ def test_maximals_match_all_pairs_oracle_on_census(p):
     for entry in generate(CensusSpec(p, 3)):
         lat = build_lattice(entry.algebra)
         assert lat.maximals == maximal_subalgebras_all_pairs(
-            lat.subalgebras, entry.algebra.dim
+            EagerLattice(entry.algebra).subalgebras, entry.algebra.dim
         )
 
 
@@ -106,7 +119,8 @@ def test_maximals_match_all_pairs_oracle_dim56(p, left, right):
     stats = []
     for M in (L, random_conjugate(L, rng)):
         lat = build_lattice(M)
-        assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, M.dim)
+        subalgebras = EagerLattice(M).subalgebras
+        assert lat.maximals == maximal_subalgebras_all_pairs(subalgebras, M.dim)
         stats.append(lat.stats())
     assert stats[0] == stats[1]  # the lattice is an isomorphism invariant
 
@@ -216,10 +230,13 @@ def test_closure_prefilter_leaves_few_subspaces_to_the_all_pairs_stage(monkeypat
 
 
 def _assert_lattice_order(lat):
-    for subs in (lat.subalgebras, lat.ideals, lat.maximals, *lat.by_dim.values()):
+    """The rows of each dimension, the ideals and the maximal subalgebras
+    come in Subspace.sort_key order, and row k of the lattice holds
+    subalgebras of dimension k."""
+    members = lattice_members(lat)
+    for subs in (lat.ideals, lat.maximals, *members.values()):
         assert subs == sorted(subs, key=Subspace.sort_key)
-    assert all(s.dim == d for d, subs in lat.by_dim.items() for s in subs)
-    assert [s for d in sorted(lat.by_dim) for s in lat.by_dim[d]] == lat.subalgebras
+    assert all(s.dim == d for d, subs in members.items() for s in subs)
 
 
 def test_lattice_lists_in_sort_key_order():
@@ -238,7 +255,8 @@ def test_maximals_in_blocks_of_one_match_all_pairs_oracle(monkeypatch):
     algebras += [_dim56(*case) for case in DIM56_SUMS if case[0] == 2]
     for L in algebras:
         lat = build_lattice(L)
-        assert lat.maximals == maximal_subalgebras_all_pairs(lat.subalgebras, L.dim)
+        subalgebras = EagerLattice(L).subalgebras
+        assert lat.maximals == maximal_subalgebras_all_pairs(subalgebras, L.dim)
 
 
 def _assert_scan_matches_one_top_oracle(L):
@@ -252,7 +270,8 @@ def _assert_scan_matches_one_top_oracle(L):
     for k, top_dim in dims.items():
         masks, meets = _maximal_masks(arrays, top_dim.checks, n, p)
         assert sorted(masks) == [d for d in sorted(dims) if d < k]
-        for t, (top, check) in enumerate(zip(top_dim.subs, top_dim.checks)):
+        tops = top_dim.subs_at(slice(None))
+        for t, (top, check) in enumerate(zip(tops, top_dim.checks)):
             inside, below = {}, {}
             for d in masks:
                 bases, checks = arrays[d]
@@ -263,12 +282,12 @@ def _assert_scan_matches_one_top_oracle(L):
             maximals = []
             for d, mask in masks.items():
                 assert np.flatnonzero(mask[:, t]).tolist() == inside[d][expected[d]].tolist()
-                maximals += [dims[d].subs[row] for row in inside[d][expected[d]]]
+                maximals += [dims[d].sub(row) for row in inside[d][expected[d]]]
             f = top
             for m in maximals:
                 f = f.intersect(m)
             d, row = meets[t]
-            assert dims[d].subs[row] == f
+            assert dims[d].sub(row) == f
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -338,8 +357,9 @@ def test_inside_matches_contains(p):
     for n in (1, 2, 3):
         for _, L, _ in classes(p, n):
             lat = build_lattice(L)
+            subalgebras = EagerLattice(L).subalgebras
             for space in enumerate_subspaces(n, p):
-                expected = [s for s in lat.subalgebras if space.contains(s)]
+                expected = [s for s in subalgebras if space.contains(s)]
                 assert list(lat.inside(space)) == expected
 
 
@@ -351,19 +371,20 @@ LAZY_ORACLE_AZ = Analyzer()
 
 def _assert_lazy_matches_eager(L, rng):
     """Every query of a fresh lattice, in an order shuffled by rng, against
-    EagerLattice: each dimension of by_dim (and one past n), the first
-    complements of every dimension, the lists, stats() and
+    EagerLattice: the rows of each dimension, made one at a time by member,
+    the first complements of every dimension, the lists, stats() and
     subalgebra_phis()."""
     eager = EagerLattice(L)
     lat = build_lattice(L)
     n = L.dim
-    queries = [("by_dim", k) for k in range(n + 2)] + [("first", k) for k in range(n + 1)]
-    queries += [("list", name) for name in ("subalgebras", "ideals", "maximals")]
+    queries = [("rows", k) for k in range(n + 1)] + [("first", k) for k in range(n + 1)]
+    queries += [("list", name) for name in ("ideals", "maximals")]
     queries += [("stats", None), ("phis", None)]
     for q in rng.permutation(len(queries)):
         kind, arg = queries[q]
-        if kind == "by_dim":
-            assert lat.by_dim.get(arg) == eager.by_dim.get(arg)
+        if kind == "rows":
+            rows = len(lat._dim(arg).idx)
+            assert [lat.member(arg, row) for row in range(rows)] == eager.by_dim.get(arg, [])
         elif kind == "first":
             got = lat.first_complements(arg).tolist()
             assert got == eager.first_complements(arg).tolist()
@@ -373,8 +394,7 @@ def _assert_lazy_matches_eager(L, rng):
             assert lat.stats() == eager.stats()
         else:
             assert lat.subalgebra_phis() == eager.subalgebra_phis(LAZY_ORACLE_AZ)
-    assert list(lat.by_dim.items()) == list(eager.by_dim.items())
-    assert len(lat.by_dim) == len(eager.by_dim)
+    assert lattice_members(lat) == eager.by_dim
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -491,58 +511,92 @@ def test_classify_computes_each_lattice_dimension_once(monkeypatch):
     assert built and max(built.values()) == 1
 
 
+def _spy_rows_made(patch):
+    """Record, for each _Dim, the rows that sub and subs_at make into
+    Subspaces: {_Dim: set of rows}."""
+    made = {}
+    real_at, real_one = _Dim.subs_at, _Dim.sub
+
+    def subs_at(self, rows):
+        made.setdefault(self, set()).update(np.arange(len(self.idx))[rows].tolist())
+        return real_at(self, rows)
+
+    def sub(self, row):
+        made.setdefault(self, set()).add(int(row))
+        return real_one(self, row)
+
+    patch.setattr(_Dim, "subs_at", subs_at)
+    patch.setattr(_Dim, "sub", sub)
+    return made
+
+
+def _assert_no_whole_dimension_made(lat, made):
+    """In no dimension of lat were all the rows that are neither ideals nor
+    maximal subalgebras (the lists that ideals and maximals return whole)
+    made into Subspaces; the rows are those of EagerLattice."""
+    eager = EagerLattice(lat.algebra)
+    listed = set(eager.ideals) | set(eager.maximals)
+    for k, subs in eager.by_dim.items():
+        others = {row for row, s in enumerate(subs) if s not in listed}
+        assert not others or not others <= made.get(lat._dim(k), set()), (lat.algebra, k)
+
+
 @pytest.mark.parametrize("p,left,right", DIM56_SUMS)
 def test_classify_makes_no_whole_dimension_list(p, left, right, monkeypatch):
     """classify_algebra, in the catalog basis and in one random conjugate,
-    makes Subspaces of the rows it reads alone: _Dim.subs, the list of a
-    whole dimension, is never read.  Its lattice stats, counted from the
-    arrays, are those of EagerLattice."""
-
-    def refuse(dim):
-        raise AssertionError("a whole dimension made into Subspaces")
-
+    makes Subspaces of the rows it reads alone: no dimension of the
+    algebra's lattice has all its rows made, apart from the ideals and the
+    maximal subalgebras, which it lists.  Its lattice stats, counted from
+    the arrays, are those of EagerLattice."""
     L = _dim56(p, left, right)
     for M in (L, random_conjugate(L, np.random.default_rng(20071224))):
-        eager = EagerLattice(M).stats()
+        az = Analyzer()
         with monkeypatch.context() as patch:
-            patch.setattr(_Dim, "subs", property(refuse))
-            report = classify_algebra(M)
-        assert report.lattice_stats == eager
+            made = _spy_rows_made(patch)
+            report = classify_algebra(M, analyzer=az)
+        assert made
+        _assert_no_whole_dimension_made(az.lattice(M), made)
+        assert report.lattice_stats == EagerLattice(M).stats()
 
 
 def test_pfrat_and_complements_make_no_whole_dimension_list(monkeypatch):
-    """The pfrat campaign over GF(2) dims <= 3, and complement_subalgebra
-    with LatticeCache.row on every subalgebra of heisenberg(2), never read
-    _Dim.subs: rows are found in the arrays, and D is made for the witness
-    alone.  The campaign document is that of an unpatched run, and the
-    complements those of the oracle complement_by_sums."""
+    """The pfrat campaign over GF(2) dims <= 3 makes no whole dimension
+    into Subspaces (as above, on every lattice of its Analyzer), and
+    complement_subalgebra with LatticeCache.row on every subalgebra of
+    heisenberg(2) makes the row of the complement alone: rows are found in
+    the arrays.  The campaign document is that of an unpatched run, and
+    the complements those of the oracle complement_by_sums."""
     expected = verify("pfrat", CensusSpec(2, 3)).to_doc()
     L = heisenberg(2)
     eager = EagerLattice(L)
     complements = [complement_by_sums(L, eager, b) for b in eager.subalgebras]
-
-    def refuse(dim):
-        raise AssertionError("a whole dimension made into Subspaces")
-
-    monkeypatch.setattr(_Dim, "subs", property(refuse))
-    got = verify("pfrat", CensusSpec(2, 3)).to_doc()
+    made = _spy_rows_made(monkeypatch)
+    az = Analyzer()
+    got = verify("pfrat", CensusSpec(2, 3), analyzer=az).to_doc()
     for doc in (expected, got):
         doc.pop("timing")
     assert got == expected
+    assert az._lattices
+    for lat in az._lattices.values():
+        _assert_no_whole_dimension_made(lat, made)
     lat = build_lattice(L)
     for b, c in zip(eager.subalgebras, complements):
+        made.clear()
+        row = lat.row(b)
+        assert not made
         assert complement_subalgebra(L, lat, b) == c
-        assert lat.member(b.dim, lat.row(b)) == b
+        assert sum(map(len, made.values())) == (c is not None)
+        assert lat.member(b.dim, row) == b
 
 
 def test_abelian_everything_closed():
     lat = build_lattice(abelian(2, 2))
-    assert len(lat.subalgebras) == 5  # all subspaces of GF(2)^2
+    assert lat.stats()["subalgebras"] == 5  # all subspaces of GF(2)^2
 
 
 def test_sl2_lines_are_subalgebras():
     lat = build_lattice(sl2(3))
-    assert len(lat.by_dim[1]) == 13  # all lines: alternating product
+    assert len(lattice_members(lat)[1]) == 13  # all lines: alternating product
 
 
 def test_core_examples():
@@ -557,11 +611,11 @@ def test_core_examples():
 
 def test_core_monotone_idempotent():
     h = heisenberg(2)
-    lat = build_lattice(h)
-    for b in lat.subalgebras:
+    subalgebras = EagerLattice(h).subalgebras
+    for b in subalgebras:
         cb = core(h, b)
         assert core(h, cb) == cb
-        for b2 in lat.subalgebras:
+        for b2 in subalgebras:
             if b2.contains(b):
                 assert core(h, b2).contains(cb)
 
@@ -571,9 +625,9 @@ def test_core_fixpoint_matches_enumeration_oracle(p):
     # every subalgebra of every algebra in the small exhaustive universe
     for entry in generate(CensusSpec(p, 3)):
         L = entry.algebra
-        lat = build_lattice(L)
-        for b in lat.subalgebras:
-            assert core(L, b) == core_by_enumeration(L, b, lat)
+        eager = EagerLattice(L)
+        for b in eager.subalgebras:
+            assert core(L, b) == core_by_enumeration(L, b, eager)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -586,18 +640,19 @@ def test_core_within_a_subalgebra_matches_enumeration_oracle(p):
         algebras.append(heisenberg(2).direct_sum(catalog("nonabelian2", 2)))
     for L in algebras:
         lat = build_lattice(L)
-        for c in lat.subalgebras:
+        eager = EagerLattice(L)
+        for c in eager.subalgebras:
             for b in lat.inside(c):
-                assert core(L, b, c) == core_within_by_enumeration(L, b, c, lat)
+                assert core(L, b, c) == core_within_by_enumeration(L, b, c, eager)
 
 
 @pytest.mark.parametrize("p,left,right", DIM56_SUMS)
 def test_core_fixpoint_matches_enumeration_oracle_dim56(p, left, right):
     L = _dim56(p, left, right)
     for M in (L, random_conjugate(L, np.random.default_rng(20071221))):
-        lat = build_lattice(M)
-        for b in lat.subalgebras:
-            assert core(M, b) == core_by_enumeration(M, b, lat)
+        eager = EagerLattice(M)
+        for b in eager.subalgebras:
+            assert core(M, b) == core_by_enumeration(M, b, eager)
 
 
 def test_frattini_examples():
@@ -705,12 +760,41 @@ def test_supersolvable_matches_per_line_oracle_dims_4_to_6():
 
 
 def test_supersolvable_chain_matches_flag_oracle():
-    for entry in generate(CensusSpec(2, 3)):
-        L = entry.algebra
+    """The walk that keeps one reached ideal per dimension against the
+    depth-first search over every chain of ideals, on the GF(2) and GF(3)
+    dims <= 3 censuses, the dim-4 catalog algebras and DIM56_SUMS, the
+    last two also in one random basis."""
+    rng = np.random.default_rng(20071229)
+    algebras = _census(2) + _census(3)
+    for L in _dim4_catalog(2) + _dim4_catalog(3) + [_dim56(*case) for case in DIM56_SUMS]:
+        algebras += [L, random_conjugate(L, rng)]
+    verdicts = set()
+    for L in algebras:
         lat = build_lattice(L)
-        assert is_supersolvable(L, lat) == flag_search_supersolvable(L, lat)
-        if is_supersolvable(L, lat):
+        got = is_supersolvable(L, lat)
+        assert got == flag_search_supersolvable(L, lat)
+        if got:
             assert L.is_solvable()
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_supersolvable_memory_is_one_ideal_per_dimension():
+    """In abelian(7) over GF(2) every one of the 29,212 subspaces is an
+    ideal.  With the dimensions built, the walk keeps one reached ideal per
+    dimension, so its containment test has one row per dimension: it peaks
+    under 16 MB (keeping every reached ideal, it took 146 MB)."""
+    L = abelian(2, 7)
+    lat = build_lattice(L)
+    for k in range(L.dim + 1):
+        lat._dim(k)
+    tracemalloc.start()
+    try:
+        assert is_supersolvable(L, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
 
 
 def test_analyzer_supersolvable_builds_no_quotient(monkeypatch):
@@ -926,7 +1010,7 @@ def test_first_complements_past_the_cache_rows_build_no_table(monkeypatch):
     for L, want in zip(algebras, expected):
         lat = build_lattice(L)
         del calls[:]
-        got = {k: lat.first_complements(k).tolist() for k in lat.by_dim}
+        got = {k: lat.first_complements(k).tolist() for k in want}
         assert got == want
         assert calls and all(m == len(lat._dim(d).idx) for m, d in calls)
 
@@ -952,7 +1036,7 @@ def test_warm_shape_makes_no_plucker_call(monkeypatch):
                 raise AssertionError("plucker called on a warm shape")
 
             patch.setattr(lattice_mod, "plucker", refuse)
-            got = {k: lat.first_complements(k).tolist() for k in lat.by_dim}
+            got = {k: lat.first_complements(k).tolist() for k in expected}
         assert got == expected
 
 
@@ -970,12 +1054,14 @@ def test_abelian_c_supplementation_pairs_nothing(monkeypatch):
 
 def test_dim_rows_made_alone_match_the_whole_list():
     """_Dim.sub(row) and _Dim.subs_at (index arrays, masks, slices, none)
-    give the Subspaces of the whole list subs."""
-    lat = build_lattice(sl2(3).direct_sum(nonabelian2(3)))
+    give the Subspaces of the rows of EagerLattice's whole list."""
+    L = sl2(3).direct_sum(nonabelian2(3))
+    lat, eager = build_lattice(L), EagerLattice(L)
     for k in range(6):
         dim = lat._dim(k)
-        whole = dim.subs_at(slice(None))
-        assert [dim.sub(row) for row in range(len(whole))] == whole
+        whole = eager.by_dim.get(k, [])
+        assert [dim.sub(row) for row in range(len(dim.idx))] == whole
+        assert dim.subs_at(slice(None)) == whole
         assert dim.subs_at([]) == dim.subs_at(np.zeros(len(whole), dtype=bool)) == []
         assert dim.subs_at(dim.ideal) == [s for s, i in zip(whole, dim.ideal) if i]
         assert dim.subs_at(slice(1, None, 2)) == whole[1::2]
@@ -984,9 +1070,11 @@ def test_dim_rows_made_alone_match_the_whole_list():
 @pytest.mark.parametrize("block", [None, 1, 200])
 def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
     """_spanning with one candidate C, against every dim-k subspace B of
-    GF(3)^4 at once, is B + C = GF(3)^4 by row reduction, for every
-    dim C >= 4 - k (some C larger than codim B, as for a nonzero core);
-    also with blocks of one pair and of a few pairs."""
+    GF(3)^4 at once, is 0 where B + C = GF(3)^4 by row reduction and -1
+    elsewhere, for every dim C >= 4 - k (some C larger than codim B, as for
+    a nonzero core); with all those candidates of one dimension at once it
+    is the index of the first such C.  Also with blocks of one pair and of
+    a few pairs."""
     if block is not None:
         monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
     n, p = 4, 3
@@ -994,26 +1082,30 @@ def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
         bs = list(enumerate_subspaces(n, p, dim_filter=k))
         checks = np.array([_parity_check(b) for b in bs])
         for d in range(n - k, n + 1):
-            for c in list(enumerate_subspaces(n, p, dim_filter=d))[::7]:
-                basis = np.array(c.rows, dtype=np.int64).reshape(1, d, n)
-                got = lattice_mod._spanning(basis, checks, p)
-                assert got.tolist() == [b.sum(c).dim == n for b in bs]
+            cs = list(enumerate_subspaces(n, p, dim_filter=d))[::7]
+            bases = np.array([c.rows for c in cs], dtype=np.int64).reshape(len(cs), d, n)
+            spans = [[b.sum(c).dim == n for c in cs] for b in bs]
+            for i in range(len(cs)):
+                got = lattice_mod._spanning(bases[i : i + 1], checks, p)
+                assert got.tolist() == [0 if hits[i] else -1 for hits in spans]
+            got = lattice_mod._spanning(bases, checks, p)
+            assert got.tolist() == [hits.index(True) if any(hits) else -1 for hits in spans]
 
 
 def test_complements_refuses_a_subspace_outside_the_lattice():
     L = sl2(3)
-    lat = build_lattice(L)
+    lat, eager = build_lattice(L), EagerLattice(L)
     plane = next(
-        s for s in enumerate_subspaces(3, 3, dim_filter=2) if s not in lat.subalgebras
+        s for s in enumerate_subspaces(3, 3, dim_filter=2) if s not in eager.subalgebras
     )
     for outside in (plane, Subspace.zero(4, 3)):
         with pytest.raises(ValueError, match="not a subalgebra"):
             lat.row(outside)
         with pytest.raises(ValueError, match="not a subalgebra"):
             complement_subalgebra(L, lat, outside)
-    for k, subs in lat.by_dim.items():
+    for k, subs in eager.by_dim.items():
         assert [lat.row(b) for b in subs] == list(range(len(subs)))
-    line = lat.by_dim[1][0]
+    line = lat.member(1, 0)
     first = lat.first_complements(1)[lat.row(line)]
-    hits = [line.sum(c).dim == 3 for c in lat.by_dim[2]]
+    hits = [line.sum(c).dim == 3 for c in eager.by_dim[2]]
     assert first == hits.index(True)

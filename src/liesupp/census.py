@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import Analyzer, _LRU, first_non_ideal_inside
+from .classify import Analyzer, _LRU
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
@@ -333,10 +333,9 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
             b = lat.member(k, rows[0])
             if not az.c_supplemented(L.as_algebra(b))[0]:
                 return {"kind": "subalgebra_not_c_supplemented", "subalgebra": _rows(b)}
-    for i in lat.ideals:
-        if 0 < i.dim < L.dim:
-            q = L.quotient(i)
-            if not az.c_supplemented(q)[0]:
+    for k in range(1, L.dim):
+        for i in lat.ideals(k):
+            if not az.c_supplemented(L.quotient(i))[0]:
                 return {"kind": "quotient_not_c_supplemented", "ideal": _rows(i)}
     return None
 
@@ -382,7 +381,7 @@ def _check_pequ(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     q = L.quotient(phi)
     rhs = (
         az.completely_factorisable(q)[0]
-        and first_non_ideal_inside(az.lattice(L), phi) is None
+        and az.lattice(L).first_non_ideal_inside(phi) is None
     )
     if lhs != rhs:
         return {"kind": "equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
@@ -394,7 +393,7 @@ def _check_tsolv(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
         return None
     phi = az.frattini(L)
     lhs = az.c_supplemented(L)[0]
-    rhs = az.supersolvable(L) and first_non_ideal_inside(az.lattice(L), phi) is None
+    rhs = az.supersolvable(L) and az.lattice(L).first_non_ideal_inside(phi) is None
     if lhs != rhs:
         return {"kind": "solvable_equivalence_fails", "c_supplemented": lhs, "criterion": rhs}
     return None

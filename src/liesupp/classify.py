@@ -117,16 +117,6 @@ def is_E_algebra(
     return True, None
 
 
-def first_non_ideal_inside(lattice: LatticeCache, space: Subspace) -> Optional[Subspace]:
-    """The first subalgebra of the lattice, in lattice order, that lies in
-    `space` and is not an ideal, or None.  For space = phi(L) this is the
-    first subalgebra of phi(L)'s own algebra whose image is not an ideal:
-    the RREF rows of a subspace of phi read at phi's pivot columns are its
-    RREF in phi's coordinates, and that map keeps lexicographic order."""
-    ideals = {i for i in lattice.ideals if i.dim <= space.dim}
-    return next((s for s in lattice.inside(space) if s not in ideals), None)
-
-
 # -- structure-theorem shapes -----------------------------------------------
 
 
@@ -171,10 +161,9 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
     is an ideal of L, and L/phi(L) splits as R + S with R the (supersolvable,
     phi-free) radical and S zero or an sl2 direct sum.  Every lattice, and
     so the cap, comes from `az`."""
-    lattice = az.lattice(L)
     phi = az.frattini(L)
     out: Dict = {"phi": phi}
-    witness = first_non_ideal_inside(lattice, phi)
+    witness = az.lattice(L).first_non_ideal_inside(phi)
     if witness is not None:
         out["reason"] = "phi_subalgebra_not_ideal"
         out["witness"] = witness
@@ -192,10 +181,9 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
         if az.frattini(r_alg).dim:
             out["reason"] = "radical_not_phi_free"
             return False, out
-    for s in lat_q.ideals:
-        if r.intersect(s).dim or r.sum(s).dim != q.dim:
-            continue
-        if q.product_space(r, s).dim:
+    # R meet S = 0 and R + S = q iff dim S = dim q - dim R and R meet S = 0
+    for s in lat_q.ideals(q.dim - r.dim):
+        if r.intersect(s).dim or q.product_space(r, s).dim:
             continue
         if s.dim == 0:
             out["S"] = s

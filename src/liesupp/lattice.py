@@ -9,16 +9,16 @@ subspace first and the other pairs only for the few that pass
 subspace an ideal without a bracket.  A computed dimension is kept as an
 index vector into the shared, read-only echelon_arrays and _parity_checks
 arrays, and no whole dimension is made into Subspaces: the queries
-(member(k, row), ideals, maximals, inside, the witnesses) make Subspaces
-of the rows they return alone, and stats counts from the arrays.  The
-ideals and the maximal subalgebras are found on first access, by a
-top-down scan
+(member(k, row), ideals(k), maximals, inside, the witnesses) make
+Subspaces of the rows they return alone, and stats counts from the arrays.
+The maximal subalgebras are found on first access, by a top-down scan
 (_maximal_masks) whose containment tests and cover counts are float
 matrix products, in float32 where the integer bound of the product is
-below 2^24 and in float64 otherwise, exact either way.  Core, Frattini
-ideal, minimal ideals and radical work from exact linear algebra on those
-lists; supersolvability walks a chain of ideals up the ideal masks, one
-containment test per dimension, and builds no quotient.
+below 2^24 and in float64 otherwise, exact either way.  Core and Frattini
+ideal work from exact linear algebra; radical, minimal ideals and
+simplicity read the ideals one dimension at a time; supersolvability walks
+a chain of ideals up the ideal masks, one containment test per dimension,
+and builds no quotient.
 Complements are found per dimension:
 LatticeCache.first_complements(k) pairs the Plücker coordinates of every
 dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
@@ -50,9 +50,8 @@ byte-stable across runs, whatever order the dimensions were computed in.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -148,8 +147,8 @@ class _Dim:
 
 class LatticeCache:
     """The subalgebra lattice of one algebra, computed on demand: each
-    dimension, the ideals and the maximal subalgebras the first time they
-    are asked for.  The subalgebras of dimension k are numbered by row,
+    dimension and the maximal subalgebras the first time they are asked
+    for.  The subalgebras of dimension k are numbered by row,
     0, 1, ... in Subspace.sort_key order; member(k, row) makes one of them.
     subspace_count is the number of subspaces of GF(p)^n, all of which the
     dimensions together test."""
@@ -174,11 +173,10 @@ class LatticeCache:
         dims = {k: self._dim(k) for k in range(self.algebra.dim + 1)}
         return {k: dim for k, dim in dims.items() if len(dim.idx)}
 
-    @cached_property
-    def ideals(self) -> List[Subspace]:
-        return [
-            s for dim in self._computed().values() for s in dim.subs_at(dim.ideal)
-        ]
+    def ideals(self, k: int) -> List[Subspace]:
+        """The ideals of dimension k, in lattice order."""
+        dim = self._dim(k)
+        return dim.subs_at(dim.ideal)
 
     @cached_property
     def maximals(self) -> List[Subspace]:
@@ -264,10 +262,15 @@ class LatticeCache:
         """The rows of dimension k grouped by induced table (_induced_tables,
         the table LieAlgebra.as_algebra gives): the bytes of each table to
         its rows, ascending, the tables in the order of their first rows."""
-        dim = self._dim(k)
+        dim, n = self._dim(k), self.algebra.dim
         groups: Dict[bytes, List[int]] = {}
-        for a, table in enumerate(_induced_tables(self.algebra, dim.bases, dim.piv)):
-            groups.setdefault(table.tobytes(), []).append(a)
+        # the [b_s, e_j] array of _induced_tables holds k n^2 values a row
+        step = max(1, _CLOSURE_BLOCK // max(1, k * n * n))
+        for lo in range(0, len(dim.idx), step):
+            at = dim.idx[lo : lo + step]
+            tables = _induced_tables(self.algebra, dim._bases[at], dim._piv[at])
+            for a, table in enumerate(tables, lo):
+                groups.setdefault(table.tobytes(), []).append(a)
         return groups
 
     def inside(self, space: Subspace) -> Iterator[Subspace]:
@@ -277,6 +280,20 @@ class LatticeCache:
         for d in range(space.dim + 1):
             dim = self._dim(d)
             yield from dim.subs_at(_contained(dim.bases, check, space.p)[:, 0])
+
+    def first_non_ideal_inside(self, space: Subspace) -> Optional[Subspace]:
+        """The first subalgebra in lattice order that lies in `space` and is
+        not an ideal, or None, from one containment test per dimension.  For
+        space = phi(L) it is the first subalgebra of phi's own algebra whose
+        image is not an ideal: RREF rows read at phi's pivot columns are the
+        RREF in phi's coordinates, in the same order."""
+        check = _parity_check(space)[None]
+        for d in range(space.dim + 1):
+            dim = self._dim(d)
+            hit = np.flatnonzero(_contained(dim.bases, check, space.p)[:, 0] & ~dim.ideal)
+            if len(hit):
+                return dim.sub(hit[0])
+        return None
 
     def stats(self) -> Dict[str, int]:
         dims = self._computed().values()
@@ -861,11 +878,11 @@ def frattini(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
 
 
 def minimal_ideals(L: LieAlgebra, lattice: LatticeCache) -> List[Subspace]:
-    nonzero = [i for i in lattice.ideals if i.dim > 0]
-    out = []
-    for i in nonzero:
-        if not any(j.dim < i.dim and i.contains(j) for j in nonzero):
-            out.append(i)
+    """The nonzero ideals that contain no smaller nonzero ideal, in lattice
+    order: each contains a minimal one, so the ones of lower dims suffice."""
+    out: List[Subspace] = []
+    for d in range(1, L.dim + 1):
+        out += [i for i in lattice.ideals(d) if not any(i.contains(m) for m in out)]
     return out
 
 
@@ -882,11 +899,11 @@ def _space_solvable(L: LieAlgebra, u: Subspace) -> bool:
 def radical(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
     """The radical: the largest solvable ideal, which contains every
     solvable ideal and so is the only one of its dimension.  The ideals are
-    scanned by decreasing dimension, and the solvable ones of the first
-    dimension that has any (0 always does) are summed; InternalError when
-    that sum is not solvable."""
-    for _, same_dim in groupby(reversed(lattice.ideals), key=attrgetter("dim")):
-        solvable = [i for i in same_dim if _space_solvable(L, i)]
+    read one dimension at a time, d = n .. 0, and the solvable ones of the
+    first dimension that has any (0 always does) are summed, so a solvable
+    L reads one row; InternalError when that sum is not solvable."""
+    for d in range(L.dim, -1, -1):
+        solvable = [i for i in lattice.ideals(d) if _space_solvable(L, i)]
         if solvable:
             break
     out = reduce(Subspace.sum, solvable)
@@ -896,9 +913,8 @@ def radical(L: LieAlgebra, lattice: LatticeCache) -> Subspace:
 
 
 def is_simple(L: LieAlgebra, lattice: LatticeCache) -> bool:
-    if L.dim <= 1:
-        return False
-    return len(lattice.ideals) == 2
+    """n > 1 and no ideal of dims 1 .. n - 1 in the ideal masks."""
+    return L.dim > 1 and not any(lattice._dim(d).ideal.any() for d in range(1, L.dim))
 
 
 # -- supersolvability --------------------------------------------------------
@@ -908,17 +924,24 @@ def is_supersolvable(L: LieAlgebra, lattice: LatticeCache) -> bool:
     """L has ideals 0 = I_0 < I_1 < ... < I_n = L with dim I_d = d.  The
     walk goes d = 1 .. n over the ideal masks of the lattice and keeps one
     reached ideal per dimension: I_d is the first dim-d ideal that contains
-    I_{d - 1}, found by one _contained test; the walk stops at the first
-    dimension where there is none.  One ideal is enough: a quotient of a
-    supersolvable algebra is supersolvable, so if L is, L/I_d has a 1-dim
-    ideal for d < n, and its preimage extends any chain I_0 < ... < I_d
-    with dim I_j = j.  No quotient is built."""
+    I_{d - 1}, found by _contained tests of the dim-d ideals in blocks of
+    about _MAXIMAL_BLOCK parity-check values, up to the first hit; the walk
+    stops at the first dimension where there is none.  One ideal is
+    enough: a quotient of a supersolvable algebra is supersolvable, so if L
+    is, L/I_d has a 1-dim ideal for d < n, and its preimage extends any
+    chain I_0 < ... < I_d with dim I_j = j.  No quotient is built."""
+    n = L.dim
     reached = lattice._dim(0).bases  # the zero ideal
-    for d in range(1, L.dim + 1):
+    for d in range(1, n + 1):
         dim = lattice._dim(d)
         rows = dim.idx[dim.ideal]
-        hit = _contained(reached, dim._checks[rows], L.p)[0]
-        if not hit.any():
+        step = max(1, _MAXIMAL_BLOCK // max(1, n * (n - d)))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            hit = _contained(reached, dim._checks[block], L.p)[0]
+            if hit.any():
+                reached = dim._bases[block[hit.argmax()]][None]
+                break
+        else:
             return False
-        reached = dim._bases[rows[hit.argmax()]][None]
     return True

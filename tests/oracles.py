@@ -5,8 +5,9 @@ function here is the direct definition, with no shortcut.  random_conjugate
 changes basis in exact Python-int arithmetic, so that isomorphism invariants
 can be checked without trusting the code under test.
 """
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import combinations, groupby, product
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -324,11 +325,12 @@ def is_supersolvable_by_lines(L, memo=None):
     return memo[L.key]
 
 
-def flag_search_supersolvable(L, lat):
+def flag_search_supersolvable(L, eager):
     """DFS for a chain of ideals of L with dims 0, 1, ..., n, over the
-    Subspace list of the ideals of lat, one contains call per step."""
+    Subspace list of the ideals of an EagerLattice, one contains call per
+    step."""
     by_dim = {}
-    for i in lat.ideals:
+    for i in eager.ideals:
         by_dim.setdefault(i.dim, []).append(i)
 
     def extend(chain):
@@ -341,6 +343,76 @@ def flag_search_supersolvable(L, lat):
         )
 
     return extend([Subspace.zero(L.dim, L.p)])
+
+
+def radical_by_ideal_list(L, eager):
+    """The radical from the whole ideal list of an EagerLattice: the
+    solvable ideals (as_algebra, is_solvable) of the largest dimension
+    that has any, summed."""
+    for _, same_dim in groupby(reversed(eager.ideals), key=attrgetter("dim")):
+        solvable = [i for i in same_dim if L.as_algebra(i).is_solvable()]
+        if solvable:
+            return reduce(Subspace.sum, solvable)
+
+
+def is_simple_by_ideal_list(L, eager):
+    """n > 1 and 0 and L are the only ideals of the EagerLattice."""
+    return L.dim > 1 and len(eager.ideals) == 2
+
+
+def minimal_ideals_by_ideal_list(eager):
+    """The nonzero ideals of the EagerLattice that contain no nonzero ideal
+    of lower dimension, compared pair by pair."""
+    nonzero = [i for i in eager.ideals if i.dim > 0]
+    return [i for i in nonzero if not any(j.dim < i.dim and i.contains(j) for j in nonzero)]
+
+
+def first_non_ideal_inside_by_ideal_list(eager, space):
+    """The first subalgebra of the EagerLattice in `space` that is not in
+    its ideal list, or None."""
+    ideals = {i for i in eager.ideals if i.dim <= space.dim}
+    return next(
+        (
+            s
+            for s in eager.subalgebras
+            if s.dim <= space.dim and s not in ideals and space.contains(s)
+        ),
+        None,
+    )
+
+
+def main_decomposition_by_all_ideals(L, az):
+    """check_main_decomposition over EagerLattices: the phi witness from
+    first_non_ideal_inside_by_ideal_list, R from radical_by_ideal_list,
+    and S the first ideal of the whole ideal list of L/phi(L) with
+    R meet S = 0, R + S = L/phi(L), [R, S] = 0 and S zero or of semisimple
+    shape.  Frattini ideals, supersolvability and shapes come from `az`."""
+    phi = az.frattini(L)
+    out = {"phi": phi}
+    witness = first_non_ideal_inside_by_ideal_list(EagerLattice(L), phi)
+    if witness is not None:
+        out.update(reason="phi_subalgebra_not_ideal", witness=witness)
+        return False, out
+    q = L.quotient(phi)
+    out["quotient_dim"] = q.dim
+    eager_q = EagerLattice(q)
+    r = out["R"] = radical_by_ideal_list(q, eager_q)
+    if r.dim:
+        r_alg = q.as_algebra(r)
+        if not az.supersolvable(r_alg):
+            out["reason"] = "radical_not_supersolvable"
+            return False, out
+        if az.frattini(r_alg).dim:
+            out["reason"] = "radical_not_phi_free"
+            return False, out
+    for s in eager_q.ideals:
+        if r.intersect(s).dim or r.sum(s).dim != q.dim or q.product_space(r, s).dim:
+            continue
+        if s.dim == 0 or az.semisimple_shape(q.as_algebra(s))[0]:
+            out["S"] = s
+            return True, out
+    out["reason"] = "no_semisimple_complement"
+    return False, out
 
 
 def random_conjugate(L, rng):

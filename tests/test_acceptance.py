@@ -159,12 +159,12 @@ def test_criterion_6_oracle_equivalences():
         for b in eager.subalgebras:
             assert core(L, b) == core_by_enumeration(L, b, eager)
             checked += 1
-        assert is_supersolvable(L, lat) == flag_search_supersolvable(L, lat)
+        assert is_supersolvable(L, lat) == flag_search_supersolvable(L, eager)
         r = radical(L, lat)
         assert L.is_ideal(r)
         sub = L.as_algebra(r)
         assert sub.is_solvable()
-        for i in lat.ideals:
+        for i in eager.ideals:
             isub = L.as_algebra(i)
             if isub.is_solvable():
                 assert r.contains(i)

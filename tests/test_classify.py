@@ -20,7 +20,6 @@ from liesupp.classify import (
     PREDICATES,
     classify_algebra,
     complement_subalgebra,
-    first_non_ideal_inside,
     is_E_algebra,
     is_c_supplemented_algebra,
     is_completely_factorisable,
@@ -28,7 +27,14 @@ from liesupp.classify import (
 )
 from liesupp.formats import jsonable
 from liesupp.gfp import PrimeField
-from liesupp.lattice import build_lattice, core, frattini
+from liesupp.lattice import (
+    build_lattice,
+    core,
+    frattini,
+    is_simple,
+    minimal_ideals,
+    radical,
+)
 from liesupp.liealg import (
     LieAlgebra,
     abelian,
@@ -48,10 +54,15 @@ from oracles import (
     core_by_enumeration,
     core_supplement_by_sums,
     first_complements_by_sums,
+    first_non_ideal_inside_by_ideal_list,
     first_unsupplemented,
     is_isomorphic_small,
+    is_simple_by_ideal_list,
+    main_decomposition_by_all_ideals,
     maximal_subalgebras_all_pairs,
+    minimal_ideals_by_ideal_list,
     phi_subalgebra_not_ideal_by_sublattice,
+    radical_by_ideal_list,
     random_conjugate,
     sl2_summands_by_isomorphism,
     subalgebra_phis_by_sublattices,
@@ -226,6 +237,43 @@ def test_main_decomposition():
     assert not ok
     assert info["reason"] == "phi_subalgebra_not_ideal"
     assert info["witness"].rows == ((0, 0, 1, 0, 0, 1),)
+
+
+# -- the ideal queries, one dimension at a time ------------------------------
+
+
+def assert_ideal_queries_match_ideal_list_oracles(L):
+    """radical, is_simple, minimal_ideals, first_non_ideal_inside with every
+    subalgebra as the space, and check_main_decomposition, which reads one
+    dimension of the quotient's ideals, against the oracles over the whole
+    ideal list of EagerLattice."""
+    lat, eager = build_lattice(L), EagerLattice(L)
+    assert radical(L, lat) == radical_by_ideal_list(L, eager)
+    assert is_simple(L, lat) == is_simple_by_ideal_list(L, eager)
+    assert minimal_ideals(L, lat) == minimal_ideals_by_ideal_list(eager)
+    for space in eager.subalgebras:
+        got = lat.first_non_ideal_inside(space)
+        assert got == first_non_ideal_inside_by_ideal_list(eager, space)
+    az = Analyzer()
+    assert check_main_decomposition(L, az) == main_decomposition_by_all_ideals(L, az)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ideal_queries_match_ideal_list_oracles_on_census(p):
+    algebras = [entry.algebra for entry in generate(CensusSpec(p, 3))]
+    simple = [is_simple_by_ideal_list(L, EagerLattice(L)) for L in algebras]
+    assert any(simple) and not all(simple)
+    for L in algebras:
+        assert_ideal_queries_match_ideal_list_oracles(L)
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_ideal_queries_match_ideal_list_oracles_dim56(p, left, right):
+    L = catalog(left, p)
+    if right is not None:
+        L = L.direct_sum(catalog(right, p))
+    for M in (L, random_conjugate(L, np.random.default_rng(20071230))):
+        assert_ideal_queries_match_ideal_list_oracles(M)
 
 
 def test_classification_report():
@@ -772,7 +820,7 @@ def assert_phis_match_oracles(L):
     phi_l = frattini(L, lat)
     first = next((b for b, phi_b in pairs if not phi_l.contains(phi_b)), None)
     assert is_E_algebra(L, lat) == (first is None, first)
-    assert first_non_ideal_inside(lat, phi_l) == phi_subalgebra_not_ideal_by_sublattice(L, phi_l)
+    assert lat.first_non_ideal_inside(phi_l) == phi_subalgebra_not_ideal_by_sublattice(L, phi_l)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -90,7 +90,7 @@ def test_heisenberg_lattice_counts_vs_oracle():
     members = [s for subs in lattice_members(lat).values() for s in subs]
     assert sorted(s.rows for s in members) == sorted(s.rows for s in naive)
     assert len(members) == lat.stats()["subalgebras"] == 12
-    assert len(lat.ideals) == 6
+    assert sum(len(lat.ideals(k)) for k in range(h.dim + 1)) == lat.stats()["ideals"] == 6
     assert len(lat.maximals) == 3
 
 
@@ -230,13 +230,15 @@ def test_closure_prefilter_leaves_few_subspaces_to_the_all_pairs_stage(monkeypat
 
 
 def _assert_lattice_order(lat):
-    """The rows of each dimension, the ideals and the maximal subalgebras
-    come in Subspace.sort_key order, and row k of the lattice holds
-    subalgebras of dimension k."""
+    """The rows of each dimension, the ideals of each dimension and the
+    maximal subalgebras come in Subspace.sort_key order, and row k of the
+    lattice and ideals(k) hold subalgebras of dimension k."""
     members = lattice_members(lat)
-    for subs in (lat.ideals, lat.maximals, *members.values()):
+    ideals = {k: lat.ideals(k) for k in range(lat.algebra.dim + 1)}
+    for subs in (lat.maximals, *members.values(), *ideals.values()):
         assert subs == sorted(subs, key=Subspace.sort_key)
-    assert all(s.dim == d for d, subs in members.items() for s in subs)
+    for d, subs in (*members.items(), *ideals.items()):
+        assert all(s.dim == d for s in subs)
 
 
 def test_lattice_lists_in_sort_key_order():
@@ -372,13 +374,13 @@ LAZY_ORACLE_AZ = Analyzer()
 def _assert_lazy_matches_eager(L, rng):
     """Every query of a fresh lattice, in an order shuffled by rng, against
     EagerLattice: the rows of each dimension, made one at a time by member,
-    the first complements of every dimension, the lists, stats() and
-    subalgebra_phis()."""
+    the first complements and the ideals of every dimension, the maximal
+    subalgebras, stats() and subalgebra_phis()."""
     eager = EagerLattice(L)
     lat = build_lattice(L)
     n = L.dim
     queries = [("rows", k) for k in range(n + 1)] + [("first", k) for k in range(n + 1)]
-    queries += [("list", name) for name in ("ideals", "maximals")]
+    queries += [("ideals", k) for k in range(n + 1)] + [("maximals", None)]
     queries += [("stats", None), ("phis", None)]
     for q in rng.permutation(len(queries)):
         kind, arg = queries[q]
@@ -388,8 +390,10 @@ def _assert_lazy_matches_eager(L, rng):
         elif kind == "first":
             got = lat.first_complements(arg).tolist()
             assert got == eager.first_complements(arg).tolist()
-        elif kind == "list":
-            assert getattr(lat, arg) == getattr(eager, arg)
+        elif kind == "ideals":
+            assert lat.ideals(arg) == [i for i in eager.ideals if i.dim == arg]
+        elif kind == "maximals":
+            assert lat.maximals == eager.maximals
         elif kind == "stats":
             assert lat.stats() == eager.stats()
         else:
@@ -531,12 +535,15 @@ def _spy_rows_made(patch):
 
 
 def _assert_no_whole_dimension_made(lat, made):
-    """In no dimension of lat were all the rows that are neither ideals nor
-    maximal subalgebras (the lists that ideals and maximals return whole)
-    made into Subspaces; the rows are those of EagerLattice."""
+    """In no dimension 0 < k < n of lat were all the rows that are not
+    maximal subalgebras (the list that maximals returns whole) made into
+    Subspaces; the rows are those of EagerLattice.  Dimensions 0 and n
+    hold one row each, 0 and L."""
     eager = EagerLattice(lat.algebra)
-    listed = set(eager.ideals) | set(eager.maximals)
+    listed = set(eager.maximals)
     for k, subs in eager.by_dim.items():
+        if k in (0, lat.algebra.dim):
+            continue
         others = {row for row, s in enumerate(subs) if s not in listed}
         assert not others or not others <= made.get(lat._dim(k), set()), (lat.algebra, k)
 
@@ -770,9 +777,8 @@ def test_supersolvable_chain_matches_flag_oracle():
         algebras += [L, random_conjugate(L, rng)]
     verdicts = set()
     for L in algebras:
-        lat = build_lattice(L)
-        got = is_supersolvable(L, lat)
-        assert got == flag_search_supersolvable(L, lat)
+        got = is_supersolvable(L, build_lattice(L))
+        assert got == flag_search_supersolvable(L, EagerLattice(L))
         if got:
             assert L.is_solvable()
         verdicts.add(got)
@@ -782,8 +788,11 @@ def test_supersolvable_chain_matches_flag_oracle():
 def test_supersolvable_memory_is_one_ideal_per_dimension():
     """In abelian(7) over GF(2) every one of the 29,212 subspaces is an
     ideal.  With the dimensions built, the walk keeps one reached ideal per
-    dimension, so its containment test has one row per dimension: it peaks
-    under 16 MB (keeping every reached ideal, it took 146 MB)."""
+    dimension, so its containment test has one row per dimension, and it
+    tests the ideal rows in blocks of about _MAXIMAL_BLOCK parity-check
+    values, up to the first hit: it peaks under 2 MB (testing every ideal
+    of a dimension at once, it took 4.8 MB; keeping every reached ideal,
+    146 MB)."""
     L = abelian(2, 7)
     lat = build_lattice(L)
     for k in range(L.dim + 1):
@@ -794,7 +803,63 @@ def test_supersolvable_memory_is_one_ideal_per_dimension():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 10**6
+    assert peak < 2 * 10**6
+
+
+def test_table_groups_memory_is_bounded_by_its_block():
+    """In abelian(7) over GF(2), with the dimensions built, table_groups(k)
+    builds the induced tables in row blocks whose [b_s, e_j] arrays hold
+    about _CLOSURE_BLOCK values, and the pairs gathered from them up to
+    (k - 1) / 2 times as many: each k peaks under six blocks and some bytes
+    per row.  In one batch over a whole dimension, k = 3, 4 and 5 took 34,
+    57 and 20 MB."""
+    L = abelian(2, 7)
+    lat = build_lattice(L)
+    for k in range(L.dim + 1):
+        lat._dim(k)
+    for k in range(1, L.dim):
+        rows = len(lat._dim(k).idx)
+        tracemalloc.start()
+        try:
+            groups = lat.table_groups(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(groups.values()) == [list(range(rows))]  # one zero table
+        assert peak < 6 * 8 * lattice_mod._CLOSURE_BLOCK + 64 * rows, k
+
+
+def test_table_groups_in_small_blocks_match_one_batch(monkeypatch):
+    """table_groups in row blocks of one row against the grouping of
+    _induced_tables over each whole dimension at once."""
+    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", 1)
+    for L in (sl2(3).direct_sum(nonabelian2(3)), heisenberg(2).direct_sum(heisenberg(2))):
+        lat = build_lattice(L)
+        for k in range(L.dim + 1):
+            dim = lat._dim(k)
+            expected = {}
+            for a, table in enumerate(lattice_mod._induced_tables(L, dim.bases, dim.piv)):
+                expected.setdefault(table.tobytes(), []).append(a)
+            got = lat.table_groups(k)
+            assert list(got.items()) == list(expected.items())
+
+
+def test_classify_makes_no_whole_dimension_of_ideals(monkeypatch):
+    """In abelian(7) over GF(2) every subalgebra is an ideal.  classify_algebra
+    reads the radical, simplicity, phi(L) and the R + S split one dimension
+    at a time, so of dims 1 .. 5 it makes no row into a Subspace; dim 6
+    holds the 127 hyperplanes, the maximal subalgebras, which it lists.
+    Listing every ideal of the lattice made all 29,212 rows."""
+    L = abelian(2, 7)
+    az = Analyzer()
+    made = _spy_rows_made(monkeypatch)
+    report = classify_algebra(L, analyzer=az)
+    lat = az.lattice(L)
+    assert report.predicates["supersolvable"] and not report.predicates["simple"]
+    for k in range(1, L.dim - 1):
+        dim = lat._dim(k)
+        assert dim.ideal.all() and not made.get(dim), k
+    assert made[lat._dim(L.dim - 1)] == set(range(127))
 
 
 def test_analyzer_supersolvable_builds_no_quotient(monkeypatch):

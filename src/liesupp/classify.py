@@ -56,7 +56,7 @@ def complement_subalgebra(
     Such a C necessarily has dimension exactly codim(b); the first one in
     lattice order is returned.  b must be a subalgebra of the lattice
     (ValueError otherwise)."""
-    first = lattice.first_complements(b.dim)[lattice.row(b)]
+    first = lattice.first_complements(b.dim, [lattice.row(b)])[0]
     return lattice.member(L.dim - b.dim, first) if first >= 0 else None
 
 

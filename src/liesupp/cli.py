@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Dict, Optional
 
 from . import census as census_mod
@@ -236,7 +237,10 @@ def _add_census_flags(sp):
     sp.add_argument("--table-cap", type=int, default=census_mod.DEFAULT_TABLE_CAP)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    as it was, so main reuses it."""
     ap = argparse.ArgumentParser(
         prog="liesupp",
         description="Exact structure analysis of Lie algebras over prime fields.",

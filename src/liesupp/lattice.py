@@ -8,7 +8,9 @@ subspace first and the other pairs only for the few that pass
 (_closed_and_ideal_masks); an abelian algebra (a zero table) makes every
 subspace an ideal without a bracket.  A computed dimension is kept as an
 index vector into the shared, read-only echelon_arrays and _parity_checks
-arrays, and no whole dimension is made into Subspaces: the queries
+arrays, whose entries are in the smallest unsigned dtype (_entry_dtype;
+the kernels that multiply them cast one row block at a time to int64 or
+to a float), and no whole dimension is made into Subspaces: the queries
 (member(k, row), ideals(k), maximals, inside, the witnesses) make
 Subspaces of the rows they return alone, and stats counts from the arrays.
 The maximal subalgebras are found on first access, by a top-down scan
@@ -19,16 +21,17 @@ ideal work from exact linear algebra; radical, minimal ideals and
 simplicity read the ideals one dimension at a time; supersolvability walks
 a chain of ideals up the ideal masks, one containment test per dimension,
 and builds no quotient.
-Complements are found per dimension:
-LatticeCache.first_complements(k) pairs the Plücker coordinates of every
-dim-k subalgebra with those of every dim-(n-k) one in blocked matrix
-products and keeps, for each subalgebra, its first complement, so a
-complement query is a row lookup; it computes only dimensions k and n - k.
-The coordinates of an echelon row depend on its shape (n, p, k) alone, not
-on the algebra, so they are computed once per shape, in row blocks, into a
-read-only table (_plucker_table) that the echelon bounds govern like the
-echelon arrays (ECHELON_CACHE_ROWS, ECHELON_CACHE_SLOTS); a dimension of a
-larger shape takes plucker of its subalgebra rows alone.
+Complements are found per dimension, for the rows asked for alone:
+LatticeCache.first_complements(k, rows) pairs the Plücker coordinates of
+those dim-k subalgebras with column blocks of the dim-(n-k) ones, in
+lattice order, and drops each row at the first block where it has a
+complement, so a row's first complement ends its search; it computes only
+dimensions k and n - k.  The coordinates of an echelon row depend on its
+shape (n, p, k) alone, not on the algebra, so they are computed once per
+shape, in row blocks, into a read-only table (_plucker_table) that the
+shape caches keep like the echelon arrays (ECHELON_CACHE_BYTES a shape,
+ECHELON_CACHE_TOTAL in all); a dimension of a larger shape takes plucker
+of the subalgebra rows it pairs alone.
 LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
 subalgebra at once: ideals are supplemented, so a dimension of ideals alone
 needs no pairing; for the other rows it reads the cores from the ideal
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -59,13 +62,14 @@ import numpy as np
 from .gfp import InternalError
 from .liealg import LieAlgebra
 from .subspace import (
-    ECHELON_CACHE_SLOTS,
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
+    _entry_dtype,
     _parity_check,
     _parity_checks,
     _read_only,
+    _shape_cache,
     _shape_kept,
     count_subspaces,
     echelon_arrays,
@@ -133,16 +137,17 @@ class _Dim:
     def checks(self) -> np.ndarray:
         return self._checks[self.idx]
 
-    @property
-    def pluckers(self) -> np.ndarray:
-        """The Plücker coordinates of the rows in idx: rows of the shape's
-        _plucker_table where the shape caches keep the arrays, else plucker
-        of the subalgebra rows held, so that no whole-Grassmannian table is
-        built past ECHELON_CACHE_ROWS."""
+    def pluckers(self, rows) -> np.ndarray:
+        """The Plücker coordinates of the given rows (an index array or a
+        slice): rows of the shape's _plucker_table where the shape caches
+        keep the arrays, else plucker of those subalgebra rows alone, so
+        that no whole-Grassmannian table is built past
+        ECHELON_CACHE_BYTES."""
+        at = self.idx[rows]
         if self._kept:
             _, k, n = self._bases.shape
-            return _plucker_table(n, self._p, k)[self.idx]
-        return plucker(self.bases, self._p)
+            return _plucker_table(n, self._p, k)[at]
+        return plucker(self._bases[at], self._p)
 
 
 class LatticeCache:
@@ -157,8 +162,6 @@ class LatticeCache:
         self.algebra = algebra
         self.subspace_count = subspace_count
         self._dims: Dict[int, _Dim] = {}
-        # first_complements(d) per dimension d, built on first use
-        self._first: Dict[int, np.ndarray] = {}
         # subalgebra_phis(), built on first use
         self._phis: Optional[Dict[int, List[Subspace]]] = None
 
@@ -215,21 +218,17 @@ class LatticeCache:
                 return int(hit[0])
         raise ValueError(f"{b} is not a subalgebra of this lattice")
 
-    def first_complements(self, k: int) -> np.ndarray:
-        """For each row of dimension k, the row in dimension n - k of its
-        first complement C (b + C = L, so b meets C in 0), or -1 when it has
-        none.  Computes dimensions k and n - k only, and answers both by
-        one blocked Plücker product (see _first_complements)."""
-        got = self._first.get(k)
-        if got is None:
-            n = self.algebra.dim
-            if k > n:  # no dim-k subspace, and no dimension n - k
-                return np.empty(0, dtype=np.intp)
-            got, self._first[n - k] = _first_complements(
-                self._dim(k).pluckers, self._dim(n - k).pluckers, n, k, self.algebra.p
-            )
-            self._first[k] = got
-        return got
+    def first_complements(self, k: int, rows=None) -> np.ndarray:
+        """For each of the given rows of dimension k (an index array, every
+        row by default), the row in dimension n - k of its first complement
+        C (b + C = L, so b meets C in 0), or -1 when it has none.  Computes
+        dimensions k and n - k only, and pairs only the rows asked for (see
+        _first_complements)."""
+        if k > self.algebra.dim:  # no dim-k subspace, and no dimension n - k
+            return np.empty(0, dtype=np.intp)
+        if rows is None:
+            rows = np.arange(len(self._dim(k).idx))
+        return _first_complements(self, k, np.asarray(rows, dtype=np.intp))
 
     def unsupplemented(self, k: int) -> np.ndarray:
         """The rows of dimension k, ascending, of the subalgebras B without
@@ -328,6 +327,10 @@ _CLOSURE_BLOCK = 2**18
 _MAXIMAL_BLOCK = 2**15
 # upper bound on the float values of one block of Plücker pairings
 _PAIRING_BLOCK = 2**18
+# candidates in one column block of the first-complement search, the side of
+# a square pairing block (a chunk of as many rows fills _PAIRING_BLOCK): a
+# row that has a complement there leaves the search after one block
+_COMPLEMENT_COLUMNS = isqrt(_PAIRING_BLOCK)
 
 
 # algebras whose _vector_table is kept: every dimension of a lattice and
@@ -378,12 +381,13 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
     abelian) reach the dearer stages; for k = 2 that first stage is the
     whole test.  Only a subalgebra can be an ideal, so the ideal test runs
-    on the closed ones.  For k = 0, and for an abelian L (a zero table),
-    every subspace is an ideal, and nothing is bracketed.  The [v, e_j]
-    table of _ad_rows is L's cached _vector_table."""
+    on the closed ones.  For k = 0 and k = n (0 and L), and for an abelian
+    L (a zero table), every subspace is an ideal, and nothing is
+    bracketed.  The [v, e_j] table of _ad_rows is L's cached
+    _vector_table."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
-    if k == 0 or not L.table.any():
+    if k in (0, n) or not L.table.any():
         ones = np.ones(m, dtype=bool)
         return ones, ones
     closed = np.zeros(m, dtype=bool)
@@ -392,7 +396,8 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     step = max(1, _CLOSURE_BLOCK // (k * n * n))
     for lo in range(0, m, step):
         rows = np.arange(lo, min(lo + step, m))
-        block, held = bases[lo : lo + step], checks[lo : lo + step]
+        block = bases[lo : lo + step].astype(np.int64)
+        held = checks[lo : lo + step].astype(np.int64)
         ads = []  # ads[s][a, j] = [b_s, e_j] mod p, for the rows still in
         for t in range(1, k):
             ads.append(_ad_rows(L, block[:, t - 1], table))
@@ -529,7 +534,7 @@ def _exact_float(bound: int, p: int = 0) -> type:
     whole number of absolute value at most bound, then reduced by _reduce
     mod p (p = 0 when it is not): float32 when bound + p <= 2^24, where
     both steps are exact in it, else float64, exact up to 2^53, which the
-    callers keep below.  Like plucker's np.min_scalar_type(p - 1), the
+    callers keep below.  Like the _entry_dtype of the shape arrays, the
     choice depends on the input alone."""
     return np.float32 if bound + p <= 2**24 else np.float64
 
@@ -550,6 +555,7 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
     bases: (m, C(k, 2) * k), row a holding the coordinates of [b_s, b_t],
     its entries at the pivot columns, for the pairs s < t of _pairs(k)."""
     m, k, n = bases.shape
+    bases = bases.astype(np.int64)
     ad = _ad_rows(L, bases.reshape(m * k, n)).reshape(m, k, n, n)
     # [b_s, b_t] = sum_j b_t[j] [b_s, e_j]
     s, t = _pairs(k)
@@ -562,10 +568,12 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     subalgebra B of dimension k <= 2 has phi(B) = 0 (for k = 2 the p + 1
     lines of B are its maximal subalgebras, and meet in 0).  For
     3 <= k < n, the subalgebras are grouped by their induced tables; a zero
-    table (abelian B) has phi = 0.  The first subalgebras B with each other
-    table are the tops of one _maximal_masks scan per dimension, which
-    gives F(B).  Where F(B) is an ideal of B, tested in one batch per
-    dim F (_ideal_of), phi(B) = F(B); elsewhere phi(B) = core(L, F(B), B).
+    table (abelian B) has phi = 0, so an abelian L, all of whose tables are
+    zero, is answered without a table: phi = 0 everywhere, phi(L) included.
+    The first subalgebras B with each other table are the tops of one
+    _maximal_masks scan per dimension, which gives F(B).  Where F(B) is an
+    ideal of B, tested in one batch per dim F (_ideal_of), phi(B) = F(B);
+    elsewhere phi(B) = core(L, F(B), B).
     The RREF rows of phi(B) read at B's pivot columns are its RREF
     coordinates Phi; a subalgebra B' with the same table has
     phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
@@ -574,8 +582,10 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     n, p = L.dim, L.p
     zero = Subspace.zero(n, p)
     dims = lattice._computed()
-    arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
     out = {k: [zero] * len(dim.idx) for k, dim in dims.items()}
+    if not L.table.any():
+        return out
+    arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
     out[n] = [frattini(L, lattice)]
     for k in range(3, n):
         if k not in dims:
@@ -600,7 +610,7 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
                 members = alike[t]
                 coords = np.array(phi.rows, dtype=np.int64)[:, piv[rep]]
                 lead = (coords != 0).argmax(axis=1)
-                images = coords @ bases[members] % p
+                images = coords @ bases[members].astype(np.int64) % p
                 pivots = piv[members][:, lead]
                 for a, r, q in zip(members, images.tolist(), pivots.tolist()):
                     out[k][a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
@@ -612,6 +622,7 @@ def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.n
     subalgebras B_a (bases within): F_a is an ideal of B_a, that is every
     [f_s, w_u] lies in F_a."""
     m, d, n = bases.shape
+    bases, checks, within = (a.astype(np.int64) for a in (bases, checks, within))
     ad = _ad_rows(L, bases.reshape(m * d, n)).reshape(m, d, n, n)
     # [f_s, w_u] = sum_j w_u[j] [f_s, e_j]
     brackets = within[:, None] @ ad
@@ -633,30 +644,31 @@ def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.n
 def plucker(bases: np.ndarray, p: int) -> np.ndarray:
     """Plücker coordinates of a batch of subspaces: for bases of shape
     (m, d, n), the (m, C(n, d)) array of d x d minors mod p, columns in
-    combinations(range(n), d) order, in the smallest unsigned dtype that
-    holds p - 1.  Laplace expansion one row at a time: the minors of the
-    first r rows come from those of the first r - 1 rows."""
+    combinations(range(n), d) order, in _entry_dtype(p).  Laplace expansion
+    one row at a time: the minors of the first r rows come from those of
+    the first r - 1 rows, in int64 (minors[:, smaller] is int64, so each
+    product with a basis entry is too)."""
     m, d, n = bases.shape
     minors = np.ones((m, 1), dtype=np.int64)
     for r in range(1, d + 1):
         cols, smaller, signs = _laplace_step(n, r)
         terms = bases[:, r - 1, cols] * minors[:, smaller]
         minors = (terms * signs).sum(axis=2) % p
-    return minors.astype(np.min_scalar_type(p - 1))
+    return minors.astype(_entry_dtype(p))
 
 
-@lru_cache(maxsize=ECHELON_CACHE_SLOTS)
+@_shape_cache
 def _plucker_table(n: int, p: int, k: int) -> np.ndarray:
     """plucker of every row of echelon_arrays(n, p, k), in that order.  The
     coordinates of a RREF basis depend on the shape alone, not on the
-    algebra, so the table is cached and read-only like echelon_arrays, for
-    the shapes _shape_kept admits: _Dim.pluckers asks for no other.  Built
-    in row blocks: each Laplace step of plucker holds about four int64
-    arrays (gathered entries, gathered minors, their products, the signed
-    products) of C(n, r) r <= C(n, n // 2) k values a row, so a block keeps
-    them at about _PAIRING_BLOCK values together."""
+    algebra, so the table is kept in the shape caches and read-only like
+    echelon_arrays, for the shapes _shape_kept admits; _Dim.pluckers asks
+    for no other.  Built in row blocks: each Laplace step of plucker holds
+    about four int64 arrays (gathered entries, gathered minors, their
+    products, the signed products) of C(n, r) r <= C(n, n // 2) k values a
+    row, so a block keeps them at about _PAIRING_BLOCK values together."""
     bases = echelon_arrays(n, p, k)[0]
-    table = np.empty((len(bases), comb(n, k)), dtype=np.min_scalar_type(p - 1))
+    table = np.empty((len(bases), comb(n, k)), dtype=_entry_dtype(p))
     step = max(1, _PAIRING_BLOCK // (4 * comb(n, n // 2) * max(k, 1)))
     for lo in range(0, len(bases), step):
         table[lo : lo + step] = plucker(bases[lo : lo + step], p)
@@ -701,29 +713,34 @@ def plucker_pairing(
     return _reduce(np.multiply(pu[:, dual], signs, dtype=dtype) @ pw.T.astype(dtype), p)
 
 
-def _first_complements(
-    pu: np.ndarray, pw: np.ndarray, n: int, k: int, p: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(first_u, first_w) for the Plücker coordinates (plucker) of dim-k
-    subspaces U_i and dim-(n-k) subspaces W_j of GF(p)^n: first_u[i] is the
-    least j with U_i + W_j = GF(p)^n, or -1, and first_w[j] the least such
-    i.  A lattice passes the rows of its dimensions' _Dim.pluckers: rows of
-    the per-shape _plucker_table, computed once for every algebra of that
-    shape, or, past ECHELON_CACHE_ROWS, plucker of its subalgebras alone.
-    The pairings are taken in row blocks of at most _PAIRING_BLOCK values;
-    det[W; U] = +-det[U; W], so one product answers both dimensions."""
-    first_u = np.full(len(pu), -1, dtype=np.intp)
-    first_w = np.full(len(pw), -1, dtype=np.intp)
-    if not len(pu) or not len(pw):
-        return first_u, first_w
-    step = max(1, _PAIRING_BLOCK // len(pw))
-    for lo in range(0, len(pu), step):
-        hit = plucker_pairing(pu[lo : lo + step], pw, n, k, p) != 0
-        found = hit.any(axis=1)
-        first_u[lo : lo + step][found] = hit[found].argmax(axis=1)
-        new = hit.any(axis=0) & (first_w < 0)
-        first_w[new] = lo + hit[:, new].argmax(axis=0)
-    return first_u, first_w
+def _first_complements(lattice: LatticeCache, k: int, rows: np.ndarray) -> np.ndarray:
+    """See LatticeCache.first_complements: for each of the given rows U_i of
+    dimension k, the least row j of dimension n - k with U_i + W_j = L, or
+    -1.  The rows are paired (plucker_pairing) with column blocks of
+    _COMPLEMENT_COLUMNS candidates W_j, in ascending order and in row
+    chunks of at most _PAIRING_BLOCK pairings; a row leaves the search at
+    the first block where it has a hit, which holds its least j, so the
+    search ends once every row has one.  The Plücker rows are those of
+    _Dim.pluckers: rows of the per-shape _plucker_table, computed once for
+    every algebra of that shape, or, past ECHELON_CACHE_BYTES, plucker of
+    the rows paired alone."""
+    n, p = lattice.algebra.dim, lattice.algebra.p
+    candidates = lattice._dim(n - k)
+    first = np.full(len(rows), -1, dtype=np.intp)
+    left = np.arange(len(rows))  # positions in rows still without a hit
+    pu = lattice._dim(k).pluckers(rows)
+    for lo in range(0, len(candidates.idx), _COMPLEMENT_COLUMNS):
+        if not len(left):
+            break
+        pw = candidates.pluckers(slice(lo, lo + _COMPLEMENT_COLUMNS))
+        step = max(1, _PAIRING_BLOCK // len(pw))
+        for at in range(0, len(left), step):
+            chunk = left[at : at + step]
+            hit = plucker_pairing(pu[chunk], pw, n, k, p) != 0
+            found = hit.any(axis=1)
+            first[chunk[found]] = lo + hit[found].argmax(axis=1)
+        left = left[first[left] < 0]
+    return first
 
 
 def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
@@ -731,13 +748,14 @@ def _unsupplemented(lattice: LatticeCache, k: int) -> np.ndarray:
     (B meet L = B is its own core), so the ideal masks come first: a
     dimension of ideals alone (always k = 0 and k = n, every k for an
     abelian L) is answered without first_complements.  A complement is a
-    supplement, so only the other rows without a first complement are
-    tested, by _core_supplements."""
+    supplement, so first_complements is asked for the other rows alone,
+    and only those without a complement are tested, by
+    _core_supplements."""
     dim = lattice._dim(k)
     rows = np.flatnonzero(~dim.ideal)
     if not len(rows):
         return rows
-    rows = rows[lattice.first_complements(k)[rows] < 0]
+    rows = rows[lattice.first_complements(k, rows) < 0]
     if not len(rows):
         return rows
     return rows[_core_supplements(lattice, k, rows)[1] < 0]
@@ -791,6 +809,7 @@ def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     onto GF(p)^w with kernel B_g, so B_g + C is everything exactly when
     bases[c] @ H_g has rank w, that is when one of its w x w minors is
     nonzero: the Plücker coordinates of its transpose, reduced mod p first.
+    The product runs in int64: in the arrays' unsigned dtype it wraps.
     The pairs (g, c) go g by g, c ascending, in blocks whose products and
     minors hold about _PAIRING_BLOCK values at most, and stop once every
     B_g has one."""
@@ -801,7 +820,7 @@ def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     step = max(1, _PAIRING_BLOCK // (comb(d, d // 2) * w))
     for lo in range(0, count * m, step):
         at, c = np.divmod(np.arange(lo, min(lo + step, count * m)), m)
-        images = bases[c] @ checks[at]
+        images = np.matmul(bases[c], checks[at], dtype=np.int64)
         images %= p
         hit = plucker(images.transpose(0, 2, 1), p).any(axis=1)
         # the first hit of each g in the block is its least c there
@@ -844,7 +863,7 @@ def core(L: LieAlgebra, b: Subspace, within: Optional[Subspace] = None) -> Subsp
         if within is not None:
             # [b_s, w] = sum_j w[j] [b_s, e_j]
             ad = np.array(within.rows, dtype=np.int64) @ ad % p
-        cond = (ad @ _parity_check(cur)).reshape(cur.dim, -1) % p
+        cond = (ad @ _parity_check(cur).astype(np.int64)).reshape(cur.dim, -1) % p
         cond = cond.T[cond.any(axis=0)]  # one equation in the a_s per row
         kernel = _nullspace(cond.tolist(), cur.dim, p)
         if len(kernel) == cur.dim:

@@ -10,19 +10,22 @@ Gaussian binomials by construction rather than by filtering.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, product
+from collections import OrderedDict
+from functools import wraps
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
-# echelon_arrays, _parity_checks and lattice._plucker_table each keep the
-# arrays of the last ECHELON_CACHE_SLOTS (n, p, k) (every 1 <= k <= n <= 6
-# over three fields fits) that have at most ECHELON_CACHE_ROWS subspaces (all
-# of GF(3)^6 fits), so one large lattice cannot pin its arrays
-ECHELON_CACHE_SLOTS = 64
-ECHELON_CACHE_ROWS = 2**16
+# echelon_arrays, _parity_checks and lattice._plucker_table keep the arrays
+# of a shape (n, p, k) whose arrays together take at most ECHELON_CACHE_BYTES
+# (_shape_bytes: every shape of GF(2)^8 fits, its dim 4 with 28 MB), so one
+# large lattice cannot pin its arrays; all they keep takes at most
+# ECHELON_CACHE_TOTAL bytes, the least recently used shape dropped first
+ECHELON_CACHE_BYTES = 2**25
+ECHELON_CACHE_TOTAL = 2**27
 
 Vector = tuple
 
@@ -183,48 +186,115 @@ def _free_positions(pivots: Sequence[int], n: int):
     ]
 
 
+def _entry_dtype(p: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the residues 0 .. p - 1: the
+    entries of the shape arrays (echelon_arrays, _parity_checks, plucker).
+    It also holds p itself, as no prime is one more than a dtype's maximum.
+    Kernels that multiply the arrays cast them to int64 or a float first,
+    one row block at a time: two uint8 arrays multiply in uint8, and a
+    Python int meeting a uint8 array stays uint8 (numpy 2)."""
+    return np.min_scalar_type(p - 1)
+
+
+def _pivot_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the pivot columns 0 .. n - 1
+    of echelon_arrays."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def echelon_arrays(n: int, p: int, k: int):
     """All dim-k subspaces of GF(p)^n as numpy arrays, for batch computations.
 
     Returns (bases, pivots): bases has shape (m, k, n) with each slice a RREF
-    basis, pivots has shape (m, k).  m = gaussian_binomial(n, k, p), which is
-    0 when k > n.  The arrays may be shared between calls, so they are
-    read-only.
+    basis, in _entry_dtype(p), pivots has shape (m, k), in _pivot_dtype(n).
+    m = gaussian_binomial(n, k, p), which is 0 when k > n.  The arrays may
+    be shared between calls, so they are read-only.
     """
-    return _shape_cached(_cached_echelon_arrays, n, p, k)
+    return _cached_echelon_arrays(n, p, k)
 
 
 def _parity_checks(n: int, p: int, k: int) -> np.ndarray:
     """Parity checks of the dim-k subspaces of GF(p)^n, in echelon_arrays
-    order: an (m, n, n - k) array H with v in the span of bases[a] iff
-    v @ H[a] == 0 mod p.  Column j of H[a] belongs to the j-th non-pivot
-    column q of bases[a]: 1 at row q and -bases[a, r, q] mod p at row
-    pivots[a, r], so v @ H[a][:, j] is v[q] minus the q-th entry of the
+    order: an (m, n, n - k) array H in _entry_dtype(p) with v in the span of
+    bases[a] iff v @ H[a] == 0 mod p.  Column j of H[a] belongs to the j-th
+    non-pivot column q of bases[a]: 1 at row q and -bases[a, r, q] mod p at
+    row pivots[a, r], so v @ H[a][:, j] is v[q] minus the q-th entry of the
     combination of basis rows that agrees with v at the pivots.  Cached and
     read-only like echelon_arrays."""
-    return _shape_cached(_cached_parity_checks, n, p, k)
+    return _cached_parity_checks(n, p, k)
+
+
+def _shape_bytes(n: int, p: int, k: int) -> int:
+    """The bytes of the arrays the shape caches hold for (n, p, k): per
+    subspace, k n basis entries and n (n - k) parity-check entries in
+    _entry_dtype(p), k pivots in _pivot_dtype(n), and C(n, k) Plücker
+    coordinates in _entry_dtype(p) (lattice._plucker_table)."""
+    entries = _entry_dtype(p).itemsize * (n * n + comb(n, k))
+    pivots = _pivot_dtype(n).itemsize * k
+    return gaussian_binomial(n, k, p) * (entries + pivots)
 
 
 def _shape_kept(n: int, p: int, k: int) -> bool:
-    """The shape caches keep the arrays of (n, p, k): it has at most
-    ECHELON_CACHE_ROWS subspaces."""
-    return gaussian_binomial(n, k, p) <= ECHELON_CACHE_ROWS
+    """The shape caches keep the arrays of (n, p, k): together they take at
+    most ECHELON_CACHE_BYTES."""
+    return _shape_bytes(n, p, k) <= ECHELON_CACHE_BYTES
 
 
-def _shape_cached(cached, n: int, p: int, k: int):
-    """cached(n, p, k) for the shapes _shape_kept admits; past that the
-    uncached builder, so one large lattice cannot pin its arrays."""
-    if not _shape_kept(n, p, k):
-        return cached.__wrapped__(n, p, k)
-    return cached(n, p, k)
+class _ShapeStore:
+    """The arrays the shape caches keep, oldest use first, under one bound
+    for all of them: past ECHELON_CACHE_TOTAL bytes the least recently used
+    are dropped."""
+
+    def __init__(self):
+        self.kept: "OrderedDict[tuple, object]" = OrderedDict()
+        self.bytes = 0
+
+    def get(self, build, n: int, p: int, k: int):
+        key = (build, n, p, k)
+        got = self.kept.pop(key, None)
+        if got is None:
+            got = build(n, p, k)
+            if not _shape_kept(n, p, k):
+                return got
+            self.bytes += _nbytes(got)
+        self.kept[key] = got
+        while self.bytes > ECHELON_CACHE_TOTAL:
+            self.bytes -= _nbytes(self.kept.popitem(last=False)[1])
+        return got
+
+    def clear(self, build):
+        for key in [key for key in self.kept if key[0] is build]:
+            self.bytes -= _nbytes(self.kept.pop(key))
 
 
-def _build_echelon_arrays(n: int, p: int, k: int):
+def _nbytes(arrays) -> int:
+    return sum(a.nbytes for a in (arrays if isinstance(arrays, tuple) else (arrays,)))
+
+
+_SHAPES = _ShapeStore()
+
+
+def _shape_cache(build):
+    """build(n, p, k), kept in the shared store of the shape caches for the
+    shapes _shape_kept admits and built afresh past that; the builder is
+    __wrapped__, and cache_clear drops what the store keeps of it."""
+
+    @wraps(build)
+    def cached(n: int, p: int, k: int):
+        return _SHAPES.get(build, n, p, k)
+
+    cached.cache_clear = lambda: _SHAPES.clear(build)
+    return cached
+
+
+@_shape_cache
+def _cached_echelon_arrays(n: int, p: int, k: int):
+    entries, pivot_dtype = _entry_dtype(p), _pivot_dtype(n)
     if k == 0 or k > n:
         # one zero subspace, or no subspace at all past the ambient dimension
         m = int(k == 0)
         return _read_only(
-            np.zeros((m, k, n), dtype=np.int64), np.zeros((m, k), dtype=np.int64)
+            np.zeros((m, k, n), dtype=entries), np.zeros((m, k), dtype=pivot_dtype)
         )
     blocks = []
     pivs = []
@@ -232,51 +302,49 @@ def _build_echelon_arrays(n: int, p: int, k: int):
         free = _free_positions(pivots, n)
         f = len(free)
         m = p**f
-        fill = np.array(
-            list(product(range(p), repeat=f)), dtype=np.int64
-        ).reshape(m, f)
-        rows = np.zeros((m, k, n), dtype=np.int64)
+        # every filling of the free positions, in product(range(p), repeat=f)
+        # order: row a holds the base-p digits of a
+        fill = np.indices((p,) * f, dtype=entries).reshape(f, m)
+        rows = np.zeros((m, k, n), dtype=entries)
         for i, c in enumerate(pivots):
             rows[:, i, c] = 1
         for t, (i, j) in enumerate(free):
-            rows[:, i, j] = fill[:, t]
+            rows[:, i, j] = fill[t]
         blocks.append(rows)
-        pivs.append(np.tile(np.array(pivots, dtype=np.int64), (m, 1)))
+        pivs.append(np.tile(np.array(pivots, dtype=pivot_dtype), (m, 1)))
     return _read_only(np.concatenate(blocks), np.concatenate(pivs))
 
 
-def _build_parity_checks(n: int, p: int, k: int) -> np.ndarray:
+@_shape_cache
+def _cached_parity_checks(n: int, p: int, k: int) -> np.ndarray:
     if k > n:
-        return _read_only(np.zeros((0, n, 0), dtype=np.int64))[0]
-    return _read_only(_checks(*_shape_cached(_cached_echelon_arrays, n, p, k), p))[0]
+        return _read_only(np.zeros((0, n, 0), dtype=_entry_dtype(p)))[0]
+    return _read_only(_checks(*_cached_echelon_arrays(n, p, k), p))[0]
 
 
 def _parity_check(space: Subspace) -> np.ndarray:
     """The (n, n - dim) parity check of one subspace, as _parity_checks
     builds it."""
-    n, d = space.n, space.dim
-    bases = np.array(space.rows, dtype=np.int64).reshape(1, d, n)
-    pivots = np.array(space.pivots, dtype=np.int64).reshape(1, d)
-    return _checks(bases, pivots, space.p)[0]
+    n, d, p = space.n, space.dim, space.p
+    bases = np.array(space.rows, dtype=_entry_dtype(p)).reshape(1, d, n)
+    pivots = np.array(space.pivots, dtype=np.intp).reshape(1, d)
+    return _checks(bases, pivots, p)[0]
 
 
 def _checks(bases: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
     """Parity checks (see _parity_checks) of a batch of RREF bases of shape
-    (m, k, n) with their pivot columns, shape (m, k)."""
+    (m, k, n), in _entry_dtype(p), with their pivot columns, shape (m, k)."""
     m, k, n = bases.shape
     rows, cols = np.arange(m)[:, None], np.arange(n - k)
     free = np.ones((m, n), dtype=bool)
     free[rows, piv] = False
     nonpiv = np.nonzero(free)[1].reshape(m, n - k)  # ascending in each row
-    checks = np.zeros((m, n, n - k), dtype=np.int64)
+    checks = np.zeros((m, n, n - k), dtype=_entry_dtype(p))
     checks[rows, nonpiv, cols] = 1
     at_free = np.take_along_axis(bases, nonpiv[:, None, :], axis=2)
-    checks[rows[:, :, None], piv[:, :, None], cols] = -at_free % p
+    # -x mod p as (p - x) mod p: -x would wrap in the unsigned dtype
+    checks[rows[:, :, None], piv[:, :, None], cols] = (p - at_free) % p
     return checks
-
-
-_cached_echelon_arrays = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_echelon_arrays)
-_cached_parity_checks = lru_cache(maxsize=ECHELON_CACHE_SLOTS)(_build_parity_checks)
 
 
 def _read_only(*arrays):

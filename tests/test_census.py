@@ -643,3 +643,22 @@ def test_dim4_gf2_campaigns():
         assert after.predicates == before.predicates
         assert after.lattice_stats == before.lattice_stats
         assert after.witnesses["phi"].dim == before.witnesses["phi"].dim
+
+
+@pytest.mark.skipif(
+    os.environ.get("LIESUPP_DIM4") != "1", reason="the dim-4 sweep takes minutes"
+)
+def test_dim4_gf2_pair_campaigns():
+    """ldsum and csupp_dsum over GF(2) dims <= 4, whose sums reach dim 8,
+    after the class sweep: 11 members for ldsum, all 121 ordered sums
+    completely factorisable; 19 for csupp_dsum, with 48 of the 361 ordered
+    sums not c-supplemented.  csupp_dsum took 12.8 s on 2 shared vCPUs."""
+    census_mod.classes(2, 4)
+    start = time.monotonic()
+    ldsum = verify("ldsum", CensusSpec(2, 4))
+    assert ldsum.confirmed and ldsum.examined == 121
+    csupp = verify("csupp_dsum", CensusSpec(2, 4))
+    assert csupp.examined == 361 and len(csupp.counterexamples) == 48
+    elapsed = time.monotonic() - start
+    print(f"dim-4 GF(2) pair campaigns in {elapsed:.1f}s")
+    assert elapsed < 60

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import liesupp
 import liesupp.classify as classify_mod
 import liesupp.lattice as lattice_mod
+import liesupp.subspace as subspace_mod
 from liesupp.census import CHECKERS, CensusSpec, generate, verify
 from liesupp.classify import (
     Analyzer,
@@ -706,6 +708,64 @@ def test_first_complements_match_sums(universe, block, monkeypatch):
         first = missing[0] if missing else None
         assert is_completely_factorisable(L, lat) == (first is None, first)
 
+
+@pytest.mark.parametrize("columns,block", [(1, None), (3, 6)])
+@pytest.mark.parametrize("universe", ["census_gf2", "census_gf3", "gf2_pair_sums"])
+def test_first_complements_in_small_column_blocks(universe, columns, block, monkeypatch):
+    """The complement search with column blocks of one and of three
+    candidates (and, with 6 pairings a chunk, two rows a chunk) answers
+    every dimension as complement_by_sums does, for all its rows and for
+    every other row, taken in descending order: each row's least complement
+    is its first hit in the first block where it has one."""
+    monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", columns)
+    if block is not None:
+        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
+    for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
+        lat = build_lattice(L)
+        for k, want in first_complements_by_sums(L).items():
+            assert lat.first_complements(k).tolist() == want
+            rows = np.arange(len(want))[::-2]
+            assert lat.first_complements(k, rows).tolist() == [want[r] for r in rows]
+
+
+# the shape arrays of these algebras sit at the dtype edges of
+# test_lattice.DTYPE_EDGES: uint8 over GF(11) and GF(251), uint16 over GF(257)
+DTYPE_EDGE_ALGEBRAS = {
+    "sl2/GF(11)": lambda: sl2(11),
+    "heisenberg/GF(11)": lambda: heisenberg(11),
+    "nonabelian2/GF(251)": lambda: catalog("nonabelian2", 251),
+    "nonabelian2/GF(257)": lambda: catalog("nonabelian2", 257),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_EDGE_ALGEBRAS))
+def test_supplements_match_oracles_at_the_dtype_edges(name):
+    L = DTYPE_EDGE_ALGEBRAS[name]()
+    assert_supplements_match_oracles(L)
+    lat = build_lattice(L)
+    expected = first_complements_by_sums(L)
+    assert {k: lat.first_complements(k).tolist() for k in expected} == expected
+
+
+def test_dim8_gf2_sum_c_supplemented_in_bounded_memory(monkeypatch):
+    """abelian(4) + heisenberg + abelian(1) over GF(2), of dim 8 with
+    417,199 subspaces, is c-supplemented.  From empty shape caches, so that
+    every shape array it reads is built inside the trace, the verdict
+    peaks at about 63 MB traced: the arrays are uint8, every shape of
+    GF(2)^8 is kept, and the complement search pairs the non-ideal rows
+    alone, each until its first hit.  With int64 arrays rebuilt per
+    lattice and every row paired with every candidate it peaked at 419
+    MB."""
+    monkeypatch.setattr(subspace_mod, "_SHAPES", subspace_mod._ShapeStore())
+    L = abelian(2, 4).direct_sum(heisenberg(2)).direct_sum(abelian(2, 1))
+    tracemalloc.start()
+    try:
+        verdict = is_c_supplemented_algebra(L, build_lattice(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, None)
+    assert peak < 96 * 2**20
 
 # -- c-supplementation by core, one dimension at a time -----------------------
 

@@ -1052,16 +1052,31 @@ def _first_complement_algebras():
 
 
 def test_first_complements_past_the_cache_rows_build_no_table(monkeypatch):
-    """With ECHELON_CACHE_ROWS at 0 no shape is kept: the first complements
-    still match the oracle by sums, plucker runs on the subalgebra rows of
-    each dimension alone, and no Plücker table is asked for, so none is
-    built or cached."""
+    """With ECHELON_CACHE_BYTES at 0 no shape is kept: the first complements
+    still match the oracle by sums, no Plücker table is asked for, so none
+    is built or kept, and plucker runs on the subalgebra rows paired alone:
+    once on the dim-k rows asked for, then on the dim-(n - k) candidates in
+    column blocks of min(_COMPLEMENT_COLUMNS, candidates left), in order,
+    up to the block that holds the last least complement (every block when
+    a row has none)."""
+    _check_plucker_calls_past_the_cache_rows(monkeypatch)
+
+
+def test_first_complements_past_the_cache_rows_in_small_column_blocks(monkeypatch):
+    """As above, with column blocks of three candidates, so that most
+    searches take several blocks and many end before the last."""
+    monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", 3)
+    _check_plucker_calls_past_the_cache_rows(monkeypatch)
+
+
+def _check_plucker_calls_past_the_cache_rows(monkeypatch):
     algebras = _first_complement_algebras()
     expected = [first_complements_by_sums(L) for L in algebras]
-    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_ROWS", 0)
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", 0)
+    width = lattice_mod._COMPLEMENT_COLUMNS
 
     def refuse(*args):
-        raise AssertionError("a Plücker table built past ECHELON_CACHE_ROWS")
+        raise AssertionError("a Plücker table built past ECHELON_CACHE_BYTES")
 
     monkeypatch.setattr(lattice_mod, "_plucker_table", refuse)
     calls = []
@@ -1074,10 +1089,13 @@ def test_first_complements_past_the_cache_rows_build_no_table(monkeypatch):
     monkeypatch.setattr(lattice_mod, "plucker", spy)
     for L, want in zip(algebras, expected):
         lat = build_lattice(L)
-        del calls[:]
-        got = {k: lat.first_complements(k).tolist() for k in want}
-        assert got == want
-        assert calls and all(m == len(lat._dim(d).idx) for m, d in calls)
+        for k, first in want.items():
+            del calls[:]
+            assert lat.first_complements(k).tolist() == first
+            m = len(lat._dim(L.dim - k).idx)
+            end = m if -1 in first else max(first, default=-1) + 1
+            blocks = [(min(width, m - lo), L.dim - k) for lo in range(0, end, width)]
+            assert calls == [(len(first), k)] + blocks
 
 
 def test_warm_shape_makes_no_plucker_call(monkeypatch):
@@ -1155,6 +1173,90 @@ def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
                 assert got.tolist() == [0 if hits[i] else -1 for hits in spans]
             got = lattice_mod._spanning(bases, checks, p)
             assert got.tolist() == [hits.index(True) if any(hits) else -1 for hits in spans]
+
+
+# (p, n, entry dtype): _entry_dtype is uint8 up to p = 251 and uint16 from
+# p = 257; at p = 11 and n = 3 an entry of the product of two such arrays
+# reaches n (p - 1)^2 = 300, past uint8
+DTYPE_EDGES = [(11, 3, np.uint8), (251, 3, np.uint8), (257, 3, np.uint16)]
+
+
+def _sample(n, p, k, rng, size):
+    """(bases, pivots, checks, Subspaces) of up to `size` random rows of the
+    dim-k shape arrays of GF(p)^n."""
+    bases, piv = echelon_arrays(n, p, k)
+    at = np.sort(rng.choice(len(bases), size=min(size, len(bases)), replace=False))
+    subs = [
+        Subspace(n, p, tuple(map(tuple, b)), tuple(q))
+        for b, q in zip(bases[at].tolist(), piv[at].tolist())
+    ]
+    return bases[at], piv[at], _parity_checks(n, p, k)[at], subs
+
+
+@pytest.mark.parametrize("p,n,dtype", DTYPE_EDGES)
+def test_shape_array_kernels_exact_at_the_dtype_edges(p, n, dtype):
+    """The shape arrays and Plücker coordinates are held in the smallest
+    unsigned dtype, and every kernel that multiplies them is exact there,
+    on random rows of each dimension against Python arithmetic: the parity
+    checks (as _parity_check builds them) vanish exactly on the members,
+    _contained agrees with Subspace.contains, the Plücker pairing with
+    B + W = GF(p)^n, and _spanning, one candidate C at a time, with the
+    row reduction of B + C, on candidates that meet the B they are built
+    from and on random ones."""
+    rng = np.random.default_rng(p)
+    sample = {k: _sample(n, p, k, rng, 24) for k in range(n + 1)}
+    for k, (bases, piv, checks, subs) in sample.items():
+        assert bases.dtype == checks.dtype == plucker(bases, p).dtype == dtype
+        for b, h, s in zip(bases, checks, subs):
+            assert np.array_equal(_parity_check(s), h) and _parity_check(s).dtype == dtype
+            member = rng.integers(0, p, size=k) @ b.astype(np.int64) % p
+            for v in (member, rng.integers(0, p, size=n)):
+                zero = not (v @ h.astype(np.int64) % p).any()
+                assert zero == s.member(v.tolist())
+    for d in range(n + 1):
+        for k in range(n + 1):
+            bases_d, _, _, subs_d = sample[d]
+            _, _, checks_k, subs_k = sample[k]
+            got = _contained(bases_d, checks_k, p)
+            assert got.tolist() == [[t.contains(u) for t in subs_k] for u in subs_d]
+            if d + k == n:
+                det = plucker_pairing(plucker(sample[k][0], p), plucker(bases_d, p), n, k, p)
+                assert (det != 0).tolist() == [[b.sum(c).dim == n for c in subs_d] for b in subs_k]
+            if d + k < n or k == n or d == n:
+                continue
+            # _spanning (B of dim k < n): C spanned by a vector of the first
+            # B and d - 1 random ones, then the random C of dim d
+            meeting = [
+                Subspace.span([subs_k[0].rows[0]] + rng.integers(0, p, (d - 1, n)).tolist(), n, p)
+                for _ in range(8)
+            ]
+            cs = [c for c in meeting if c.dim == d] + subs_d
+            cands = np.array([c.rows for c in cs], dtype=dtype).reshape(len(cs), d, n)
+            for c, cand in zip(cs, cands):
+                got = lattice_mod._spanning(cand[None], checks_k, p)
+                assert got.tolist() == [0 if b.sum(c).dim == n else -1 for b in subs_k]
+
+
+def test_shape_caches_keep_a_bounded_total(monkeypatch):
+    """The shape caches share one store: a shape past ECHELON_CACHE_BYTES is
+    built afresh each time, and once what the store keeps passes
+    ECHELON_CACHE_TOTAL the least recently used arrays are dropped."""
+    store = subspace_mod._ShapeStore()
+    monkeypatch.setattr(subspace_mod, "_SHAPES", store)
+    planes, lines = echelon_arrays(4, 3, 2), echelon_arrays(4, 3, 1)
+    kept = subspace_mod._shape_bytes(4, 3, 2)
+    assert store.bytes == sum(a.nbytes for a in planes + lines) <= kept
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", kept - 1)
+    assert echelon_arrays(4, 3, 2)[0] is planes[0]  # kept before the bound moved
+    assert echelon_arrays(4, 3, 3)[0] is echelon_arrays(4, 3, 3)[0]
+    assert echelon_arrays(5, 3, 2)[0] is not echelon_arrays(5, 3, 2)[0]
+    # room for the lines and one more small shape: the planes, used least
+    # recently, go
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", store.bytes - 1)
+    checks = _parity_checks(4, 3, 1)
+    assert store.bytes <= subspace_mod.ECHELON_CACHE_TOTAL
+    assert echelon_arrays(4, 3, 2)[0] is not planes[0]
+    assert _parity_checks(4, 3, 1) is checks
 
 
 def test_complements_refuses_a_subspace_outside_the_lattice():

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp.subspace as subspace_mod
-from liesupp.lattice import build_lattice
+from liesupp.lattice import _plucker_table, build_lattice
 from liesupp.liealg import abelian
 from liesupp.subspace import (
-    ECHELON_CACHE_ROWS,
     CapExceededError,
     Subspace,
     _parity_checks,
+    _shape_bytes,
+    _shape_kept,
     count_subspaces,
     echelon_arrays,
     gaussian_binomial,
@@ -124,10 +125,16 @@ def test_no_subspace_past_the_ambient_dimension(n, k):
     assert len(_parity_checks(n, 2, k)) == 0
 
 
-def test_echelon_arrays_shared_and_read_only():
-    import inspect
+def _bound_below(monkeypatch, n, p, k):
+    """An empty shape store, and ECHELON_CACHE_BYTES just below the arrays
+    of (n, p, k): that shape is built on every call and not kept."""
+    monkeypatch.setattr(subspace_mod, "_SHAPES", subspace_mod._ShapeStore())
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", _shape_bytes(n, p, k) - 1)
+    assert not _shape_kept(n, p, k)
 
-    import liesupp.subspace as subspace_mod
+
+def test_echelon_arrays_shared_and_read_only(monkeypatch):
+    import inspect
 
     # a plain function, so that a wrapper installed around it sees every call
     assert inspect.isfunction(subspace_mod.echelon_arrays)
@@ -137,8 +144,8 @@ def test_echelon_arrays_shared_and_read_only():
     for a in (bases, piv):
         with pytest.raises(ValueError):
             a[0, 0] = 2
+    _bound_below(monkeypatch, 4, 17, 2)
     big = echelon_arrays(4, 17, 2)  # 89,030 planes: built, not kept
-    assert len(big[0]) > subspace_mod.ECHELON_CACHE_ROWS
     assert echelon_arrays(4, 17, 2)[0] is not big[0]
     assert not big[0].flags.writeable
 
@@ -149,8 +156,16 @@ PARITY_SHAPES = [
     for p in (2, 3, 5)
     for n in range(1, 7)
     for k in range(n + 1)
-    if gaussian_binomial(n, k, p) <= ECHELON_CACHE_ROWS
+    if _shape_kept(n, p, k)
 ]
+
+
+@pytest.mark.parametrize("p,n,k", PARITY_SHAPES + [(257, 3, 1), (257, 3, 2)])
+def test_shape_bytes_are_the_arrays_kept(p, n, k):
+    """_shape_bytes, the size by which _shape_kept decides, is the size of
+    the arrays the three shape caches build for the shape."""
+    arrays = echelon_arrays(n, p, k) + (_parity_checks(n, p, k), _plucker_table(n, p, k))
+    assert _shape_bytes(n, p, k) == sum(a.nbytes for a in arrays)
 
 
 @st.composite
@@ -179,13 +194,13 @@ def test_parity_check_annihilates_exactly_the_members(case):
     assert zero == s.member(v)
 
 
-def test_parity_checks_shared_and_read_only():
+def test_parity_checks_shared_and_read_only(monkeypatch):
     checks = _parity_checks(4, 3, 2)
     assert _parity_checks(4, 3, 2) is checks
     with pytest.raises(ValueError):
         checks[0, 0, 0] = 2
+    _bound_below(monkeypatch, 4, 17, 2)
     big = _parity_checks(4, 17, 2)  # 89,030 planes: built, not kept
-    assert len(big) > subspace_mod.ECHELON_CACHE_ROWS
     assert _parity_checks(4, 17, 2) is not big
     assert not big.flags.writeable
 

@@ -264,7 +264,7 @@ class LatticeCache:
         dim, n = self._dim(k), self.algebra.dim
         groups: Dict[bytes, List[int]] = {}
         # the [b_s, e_j] array of _induced_tables holds k n^2 values a row
-        step = max(1, _CLOSURE_BLOCK // max(1, k * n * n))
+        step = _block_rows(k * n * n)
         for lo in range(0, len(dim.idx), step):
             at = dim.idx[lo : lo + step]
             tables = _induced_tables(self.algebra, dim._bases[at], dim._piv[at])
@@ -319,18 +319,24 @@ class LatticeCache:
 # bound (plus p, for _reduce) is at most 2^24, else in float64, exact up to
 # 2^53 (_exact_float).
 
-# upper bound on the int64 values of one row block of [b_s, e_j] in the
-# closure and ideal test
-_CLOSURE_BLOCK = 2**18
-# upper bound on the float values of one block of containment residues in
-# the maximal scan
-_MAXIMAL_BLOCK = 2**15
-# upper bound on the float values of one block of Plücker pairings
-_PAIRING_BLOCK = 2**18
+# Every kernel here goes over its rows in blocks, so that what it holds at
+# once is bounded by one number, whatever the size of the lattice: _BLOCK,
+# the values (int64 or float; a bool or a uint8 counts as one too) that the
+# intermediate arrays of one block may hold together.  A kernel states how
+# many values one of its rows holds, and _block_rows turns that into its row
+# step.
+_BLOCK = 2**18
 # candidates in one column block of the first-complement search, the side of
-# a square pairing block (a chunk of as many rows fills _PAIRING_BLOCK): a
-# row that has a complement there leaves the search after one block
-_COMPLEMENT_COLUMNS = isqrt(_PAIRING_BLOCK)
+# a square pairing block (a chunk of as many rows fills _BLOCK): a row that
+# has a complement there leaves the search after one block
+_COMPLEMENT_COLUMNS = isqrt(_BLOCK)
+
+
+def _block_rows(per_row: int) -> int:
+    """The rows of one block of a kernel whose intermediate arrays hold
+    per_row values a row: as many as keep the block within _BLOCK values,
+    and at least one."""
+    return max(1, _BLOCK // max(1, per_row))
 
 
 # algebras whose _vector_table is kept: every dimension of a lattice and
@@ -375,7 +381,7 @@ def _pairs(k: int):
 
 def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
     """Batch closure/ideal tests for all dim-k subspaces U at once, in row
-    blocks whose [b_s, e_j] arrays hold at most _CLOSURE_BLOCK values.  The
+    blocks whose [b_s, e_j] arrays hold at most _BLOCK values.  The
     closure test goes one basis row at a time: stage t brackets b_t with
     b_0 .. b_{t-1} and keeps the rows whose brackets lie in U, so that only
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
@@ -393,7 +399,7 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     closed = np.zeros(m, dtype=bool)
     ideal = np.zeros(m, dtype=bool)
     table = _vector_table(L) if p**n < m else None
-    step = max(1, _CLOSURE_BLOCK // (k * n * n))
+    step = _block_rows(k * n * n)
     for lo in range(0, m, step):
         rows = np.arange(lo, min(lo + step, m))
         block = bases[lo : lo + step].astype(np.int64)
@@ -443,8 +449,10 @@ def _maximal_masks(
     subalgebras of L of each dim d, 0 included.  From dim k - 1 down, a
     member inside B_t is maximal in B_t iff its cover count, the number of
     maximal subalgebras of B_t kept so far that contain it, is 0.  Tops go
-    in chunks and containment tests (_contained) in row blocks, each of
-    about _MAXIMAL_BLOCK residues at most.
+    in chunks, and containment tests (_contained) and cover counts in row
+    blocks, each sized by _block_rows: a top holds a column of the chunk's
+    arrays, and a member row its containment masks and the float copies
+    that the cover-count products make of them.
 
     Returns (masks, meets): masks[d] (d < k) is the (len(arrays[d][0]), T)
     mask of the members maximal in each top, and F(B_t), the intersection of
@@ -460,9 +468,12 @@ def _maximal_masks(
     if k:  # the zero member lies in everything: maximal only in a line
         masks[0] = np.full((1, count), k == 1)
     meets = np.zeros((count, 2), dtype=np.intp)
-    # a cover count is at most the number of members below k
-    counts = _exact_float(sum(len(arrays[d][0]) for d in below))
-    per = max(1, _MAXIMAL_BLOCK // max(1, n * n))
+    members = sum(len(arrays[d][0]) for d in below)
+    counts = _exact_float(members)  # a cover count is at most members
+    # a top holds n width values of _contained's float copy of its parity
+    # check and, for each member, its entries of inside, covers, maximal
+    # and the kept masks
+    per = _block_rows(n * width + 4 * members)
     for lo in range(0, count, per):
         chunk = tops[lo : lo + per]
         found = np.zeros(len(chunk))  # maximal subalgebras of each top so far
@@ -477,7 +488,13 @@ def _maximal_masks(
             else:  # the top is L: every member is inside
                 inside = np.ones((len(bases), len(chunk)), dtype=bool)
                 rows = np.arange(len(bases))
-            covers = sum(_contained(bases, held, p) @ mask for held, mask in kept)
+            covers = np.zeros(inside.shape, dtype=counts)
+            for held, mask in kept:
+                # a row holds its mask over held, the float copy the
+                # product makes of it, and its product with mask
+                step = _block_rows(2 * len(held) + len(chunk))
+                for at in range(0, len(rows), step):
+                    covers[at : at + step] += _contained(bases[at : at + step], held, p) @ mask
             maximal = inside & (covers == 0)
             masks[d][rows, lo : lo + per] = maximal
             at, top = np.nonzero(inside & (covers == found) & (found > 0))
@@ -498,8 +515,7 @@ def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     with parity check checks[t].  The residues are BLAS products below
     n (p - 1)^2, exact in the float type _exact_float picks for that bound
     (float32 up to 2^24, else float64: below 2^42 under gfp.int64_safe),
-    reduced by _reduce; row blocks of about _MAXIMAL_BLOCK residues at
-    most."""
+    reduced by _reduce, in row blocks sized by _block_rows."""
     m, d, n = bases.shape
     count, width = checks.shape[0], checks.shape[2]
     dtype = _exact_float(n * (p - 1) ** 2, p)
@@ -507,7 +523,9 @@ def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     flat = np.ascontiguousarray(checks.transpose(1, 2, 0), dtype=dtype)
     flat = flat.reshape(n, width * count)
     out = np.empty((m, count), dtype=bool)
-    step = max(1, _MAXIMAL_BLOCK // max(1, d * width * count))
+    # a row holds the float copy of its basis, its residues and the
+    # quotient of _reduce
+    step = _block_rows(d * (n + 2 * width * count))
     for lo in range(0, m, step):
         block = bases[lo : lo + step]
         resid = _reduce(block.reshape(len(block) * d, n).astype(dtype) @ flat, p)
@@ -666,10 +684,10 @@ def _plucker_table(n: int, p: int, k: int) -> np.ndarray:
     for no other.  Built in row blocks: each Laplace step of plucker holds
     about four int64 arrays (gathered entries, gathered minors, their
     products, the signed products) of C(n, r) r <= C(n, n // 2) k values a
-    row, so a block keeps them at about _PAIRING_BLOCK values together."""
+    row, so a block keeps them at about _BLOCK values together."""
     bases = echelon_arrays(n, p, k)[0]
     table = np.empty((len(bases), comb(n, k)), dtype=_entry_dtype(p))
-    step = max(1, _PAIRING_BLOCK // (4 * comb(n, n // 2) * max(k, 1)))
+    step = _block_rows(4 * comb(n, n // 2) * k)
     for lo in range(0, len(bases), step):
         table[lo : lo + step] = plucker(bases[lo : lo + step], p)
     return _read_only(table)[0]
@@ -718,7 +736,7 @@ def _first_complements(lattice: LatticeCache, k: int, rows: np.ndarray) -> np.nd
     dimension k, the least row j of dimension n - k with U_i + W_j = L, or
     -1.  The rows are paired (plucker_pairing) with column blocks of
     _COMPLEMENT_COLUMNS candidates W_j, in ascending order and in row
-    chunks of at most _PAIRING_BLOCK pairings; a row leaves the search at
+    chunks of at most _BLOCK pairings; a row leaves the search at
     the first block where it has a hit, which holds its least j, so the
     search ends once every row has one.  The Plücker rows are those of
     _Dim.pluckers: rows of the per-shape _plucker_table, computed once for
@@ -733,7 +751,7 @@ def _first_complements(lattice: LatticeCache, k: int, rows: np.ndarray) -> np.nd
         if not len(left):
             break
         pw = candidates.pluckers(slice(lo, lo + _COMPLEMENT_COLUMNS))
-        step = max(1, _PAIRING_BLOCK // len(pw))
+        step = _block_rows(len(pw))
         for at in range(0, len(left), step):
             chunk = left[at : at + step]
             hit = plucker_pairing(pu[chunk], pw, n, k, p) != 0
@@ -811,13 +829,13 @@ def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     nonzero: the Plücker coordinates of its transpose, reduced mod p first.
     The product runs in int64: in the arrays' unsigned dtype it wraps.
     The pairs (g, c) go g by g, c ascending, in blocks whose products and
-    minors hold about _PAIRING_BLOCK values at most, and stop once every
-    B_g has one."""
+    minors hold about _BLOCK values at most, and stop once every B_g has
+    one."""
     count, m = len(checks), len(bases)
     out = np.full(count, -1, dtype=np.intp)
     d, w = bases.shape[1], checks.shape[2]
     # plucker's arrays for r rows hold C(d, r) r <= C(d, d // 2) w values
-    step = max(1, _PAIRING_BLOCK // (comb(d, d // 2) * w))
+    step = _block_rows(comb(d, d // 2) * w)
     for lo in range(0, count * m, step):
         at, c = np.divmod(np.arange(lo, min(lo + step, count * m)), m)
         images = np.matmul(bases[c], checks[at], dtype=np.int64)
@@ -943,18 +961,21 @@ def is_supersolvable(L: LieAlgebra, lattice: LatticeCache) -> bool:
     """L has ideals 0 = I_0 < I_1 < ... < I_n = L with dim I_d = d.  The
     walk goes d = 1 .. n over the ideal masks of the lattice and keeps one
     reached ideal per dimension: I_d is the first dim-d ideal that contains
-    I_{d - 1}, found by _contained tests of the dim-d ideals in blocks of
-    about _MAXIMAL_BLOCK parity-check values, up to the first hit; the walk
-    stops at the first dimension where there is none.  One ideal is
-    enough: a quotient of a supersolvable algebra is supersolvable, so if L
-    is, L/I_d has a 1-dim ideal for d < n, and its preimage extends any
-    chain I_0 < ... < I_d with dim I_j = j.  No quotient is built."""
+    I_{d - 1}, found by _contained tests of the dim-d ideals in row blocks
+    sized by _block_rows, up to the first hit; the walk stops at the first
+    dimension where there is none.  One ideal is enough: a quotient of a
+    supersolvable algebra is supersolvable, so if L is, L/I_d has a 1-dim
+    ideal for d < n, and its preimage extends any chain I_0 < ... < I_d
+    with dim I_j = j.  No quotient is built."""
     n = L.dim
     reached = lattice._dim(0).bases  # the zero ideal
     for d in range(1, n + 1):
         dim = lattice._dim(d)
         rows = dim.idx[dim.ideal]
-        step = max(1, _MAXIMAL_BLOCK // max(1, n * (n - d)))
+        # an ideal row holds its gathered parity check and _contained's
+        # float copy of it (n (n - d) values each), and its residues and
+        # the quotient of _reduce (d (n - d) each)
+        step = _block_rows(2 * (n - d) * (n + d))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             hit = _contained(reached, dim._checks[block], L.p)[0]

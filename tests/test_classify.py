@@ -690,23 +690,35 @@ FIRST_COMPLEMENT_UNIVERSES = {
 }
 
 
+def _built(L):
+    """A lattice of L with every dimension computed, in blocks of the
+    default size: a test that shrinks _BLOCK afterwards runs only the
+    searches it checks in the small blocks, not the closure test."""
+    lat = build_lattice(L)
+    lat._computed()
+    return lat
+
+
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("universe", sorted(FIRST_COMPLEMENT_UNIVERSES))
 def test_first_complements_match_sums(universe, block, monkeypatch):
     """The first-complement table of every dimension equals
     complement_by_sums on every subalgebra, also with pairing blocks of
     one row, and is_completely_factorisable reports its first -1."""
-    if block is not None:
-        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
     for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
-        lat = build_lattice(L)
+        lat = _built(L)
         expected = first_complements_by_sums(L)
         dims = range(L.dim + 1)
-        got = [lat.first_complements(k).tolist() for k in dims]
-        assert got == [expected.get(k, []) for k in dims]
-        missing = [lat.member(k, r) for k, c in expected.items() for r, j in enumerate(c) if j < 0]
-        first = missing[0] if missing else None
-        assert is_completely_factorisable(L, lat) == (first is None, first)
+        with monkeypatch.context() as patch:
+            if block is not None:
+                patch.setattr(lattice_mod, "_BLOCK", block)
+            got = [lat.first_complements(k).tolist() for k in dims]
+            assert got == [expected.get(k, []) for k in dims]
+            missing = [
+                lat.member(k, r) for k, c in expected.items() for r, j in enumerate(c) if j < 0
+            ]
+            first = missing[0] if missing else None
+            assert is_completely_factorisable(L, lat) == (first is None, first)
 
 
 @pytest.mark.parametrize("columns,block", [(1, None), (3, 6)])
@@ -718,14 +730,16 @@ def test_first_complements_in_small_column_blocks(universe, columns, block, monk
     every other row, taken in descending order: each row's least complement
     is its first hit in the first block where it has one."""
     monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", columns)
-    if block is not None:
-        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
     for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
-        lat = build_lattice(L)
-        for k, want in first_complements_by_sums(L).items():
-            assert lat.first_complements(k).tolist() == want
-            rows = np.arange(len(want))[::-2]
-            assert lat.first_complements(k, rows).tolist() == [want[r] for r in rows]
+        lat = _built(L)
+        expected = first_complements_by_sums(L)
+        with monkeypatch.context() as patch:
+            if block is not None:
+                patch.setattr(lattice_mod, "_BLOCK", block)
+            for k, want in expected.items():
+                assert lat.first_complements(k).tolist() == want
+                rows = np.arange(len(want))[::-2]
+                assert lat.first_complements(k, rows).tolist() == [want[r] for r in rows]
 
 
 # the shape arrays of these algebras sit at the dtype edges of
@@ -783,19 +797,23 @@ UNSUPPLEMENTED_UNIVERSES = {
 }
 
 
-def assert_unsupplemented_rows_match(L, oracle=True):
+def assert_unsupplemented_rows_match(L, oracle=True, block=None):
     """LatticeCache.unsupplemented(k) lists exactly the rows of dimension k
     for which c_supplement finds nothing, and (with oracle) for which the
-    per-candidate row-reduction oracle finds nothing either."""
-    lat = build_lattice(L)
+    per-candidate row-reduction oracle finds nothing either.  With block,
+    both run with _BLOCK at that value."""
+    lat = _built(L)
     eager = EagerLattice(L)
-    for k, subs in eager.by_dim.items():
-        missing = [r for r, b in enumerate(subs) if c_supplement(L, lat, b) is None]
-        assert lat.unsupplemented(k).tolist() == missing
-        if oracle:
-            assert missing == [
-                r for r, b in enumerate(subs) if c_supplement_by_sums(L, eager, b) is None
-            ]
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(lattice_mod, "_BLOCK", block)
+        for k, subs in eager.by_dim.items():
+            missing = [r for r, b in enumerate(subs) if c_supplement(L, lat, b) is None]
+            assert lat.unsupplemented(k).tolist() == missing
+            if oracle:
+                assert missing == [
+                    r for r, b in enumerate(subs) if c_supplement_by_sums(L, eager, b) is None
+                ]
 
 
 @pytest.mark.parametrize("universe", sorted(UNSUPPLEMENTED_UNIVERSES))
@@ -804,15 +822,14 @@ def test_unsupplemented_rows_match_oracles(universe):
         assert_unsupplemented_rows_match(L)
 
 
-def test_unsupplemented_rows_in_small_blocks(monkeypatch):
+def test_unsupplemented_rows_in_small_blocks():
     """Pairing blocks of one (subalgebra, candidate) pair and of a few
     pairs: with 200 values the candidates of 22 of the 26 core groups of
     these algebras span several blocks, and in 14 some block holds pairs
     of two subalgebras."""
     for block in (1, 200):
-        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
         for L in _dim56_both_bases():
-            assert_unsupplemented_rows_match(L, oracle=False)
+            assert_unsupplemented_rows_match(L, oracle=False, block=block)
 
 
 def test_unsupplemented_takes_all_three_branches(monkeypatch):
@@ -905,7 +922,7 @@ def test_subalgebra_phis_match_sublattice_oracle_heisenberg_sum():
 
 def test_subalgebra_phis_match_sublattice_oracle_in_blocks_of_one(monkeypatch):
     """One top and one member row per block of the maximal scan."""
-    monkeypatch.setattr(lattice_mod, "_MAXIMAL_BLOCK", 1)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 1)
     L = catalog("L1_gamma", 2).direct_sum(catalog("L1_gamma", 2))
     assert_phis_match_oracles(random_conjugate(L, np.random.default_rng(20071227)))
 

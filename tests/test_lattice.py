@@ -165,7 +165,7 @@ def test_masks_match_naive_in_small_blocks(monkeypatch, block, algebras):
     """Blocks of a few rows, so that the rows that pass the one-bracket
     stage of a block, and the closed ones of the ideal test, sit at every
     offset of a block and on either side of its boundaries."""
-    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", block)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", block)
     for L in algebras():
         _assert_masks_match_naive(L)
 
@@ -176,7 +176,7 @@ def test_masks_match_naive_abelian_gf3(monkeypatch, n):
     with the closure test in whole blocks and in blocks of a few rows."""
     L = abelian(3, n)
     _assert_masks_match_naive(L)
-    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", 3 * n * n)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 3 * n * n)
     for k in range(n + 1):
         bases, _ = echelon_arrays(n, 3, k)
         closed, ideal = _closed_and_ideal_masks(L, bases, _parity_checks(n, 3, k))
@@ -252,13 +252,40 @@ def test_lattice_lists_in_sort_key_order():
 
 
 def test_maximals_in_blocks_of_one_match_all_pairs_oracle(monkeypatch):
-    monkeypatch.setattr(lattice_mod, "_MAXIMAL_BLOCK", 1)
+    """The maximal scan with _BLOCK = 1, one row a block in every kernel,
+    and with blocks of three rows, so that the cover counts of every layer
+    of more than three members go in blocks of several rows whose
+    boundaries fall inside the layer."""
     algebras = _census(2) + _census(3) + [abelian(3, 4), abelian(2, 5)]
     algebras += [_dim56(*case) for case in DIM56_SUMS if case[0] == 2]
     for L in algebras:
-        lat = build_lattice(L)
-        subalgebras = EagerLattice(L).subalgebras
-        assert lat.maximals == maximal_subalgebras_all_pairs(subalgebras, L.dim)
+        expected = maximal_subalgebras_all_pairs(EagerLattice(L).subalgebras, L.dim)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod, "_BLOCK", 1)
+            assert build_lattice(L).maximals == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod, "_block_rows", lambda per_row: 3)
+            assert build_lattice(L).maximals == expected
+
+
+def test_maximals_memory_is_bounded_by_its_blocks():
+    """In abelian(8) over GF(2) the 255 hyperplanes are the maximal
+    subalgebras, and every other member of dims 1 .. 6 is tested against
+    them for its cover count.  With the dimensions built, the scan holds
+    copies of the bases and parity checks of the members (about 27 MB) and
+    blocks of _BLOCK values: it peaks under 64 MB (with the cover counts of
+    a whole dimension in one product, 273 MB)."""
+    L = abelian(2, 8)
+    lat = build_lattice(L)
+    for k in range(L.dim + 1):
+        lat._dim(k)
+    tracemalloc.start()
+    try:
+        assert len(lat.maximals) == 255
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10**6
 
 
 def _assert_scan_matches_one_top_oracle(L):
@@ -460,7 +487,7 @@ def test_vector_table_built_once_per_algebra(monkeypatch):
 
 def _assert_closure_memory_bounded(L):
     """The closure and ideal test of the 3-dimensional subspaces of L,
-    through _Dim, peaks at a few row blocks of _CLOSURE_BLOCK values and
+    through _Dim, peaks at a few row blocks of _BLOCK values and
     some bytes per subspace, while an unblocked [b_s, e_j] array would take
     29 MB."""
     n, p, k = L.dim, L.p, 3
@@ -473,7 +500,7 @@ def _assert_closure_memory_bounded(L):
     finally:
         tracemalloc.stop()
     assert len(dim.idx) and m * k * n * n * 8 > 29 * 10**6
-    assert peak < 4 * 8 * lattice_mod._CLOSURE_BLOCK + 32 * m
+    assert peak < 4 * 8 * lattice_mod._BLOCK + 32 * m
 
 
 def test_closure_test_memory_is_bounded_by_its_block():
@@ -789,10 +816,9 @@ def test_supersolvable_memory_is_one_ideal_per_dimension():
     """In abelian(7) over GF(2) every one of the 29,212 subspaces is an
     ideal.  With the dimensions built, the walk keeps one reached ideal per
     dimension, so its containment test has one row per dimension, and it
-    tests the ideal rows in blocks of about _MAXIMAL_BLOCK parity-check
-    values, up to the first hit: it peaks under 2 MB (testing every ideal
-    of a dimension at once, it took 4.8 MB; keeping every reached ideal,
-    146 MB)."""
+    tests the ideal rows in row blocks sized by _block_rows, up to the
+    first hit: it peaks under 2 MB (testing every ideal of a dimension at
+    once, it took 4.8 MB; keeping every reached ideal, 146 MB)."""
     L = abelian(2, 7)
     lat = build_lattice(L)
     for k in range(L.dim + 1):
@@ -809,7 +835,7 @@ def test_supersolvable_memory_is_one_ideal_per_dimension():
 def test_table_groups_memory_is_bounded_by_its_block():
     """In abelian(7) over GF(2), with the dimensions built, table_groups(k)
     builds the induced tables in row blocks whose [b_s, e_j] arrays hold
-    about _CLOSURE_BLOCK values, and the pairs gathered from them up to
+    about _BLOCK values, and the pairs gathered from them up to
     (k - 1) / 2 times as many: each k peaks under six blocks and some bytes
     per row.  In one batch over a whole dimension, k = 3, 4 and 5 took 34,
     57 and 20 MB."""
@@ -826,13 +852,13 @@ def test_table_groups_memory_is_bounded_by_its_block():
         finally:
             tracemalloc.stop()
         assert list(groups.values()) == [list(range(rows))]  # one zero table
-        assert peak < 6 * 8 * lattice_mod._CLOSURE_BLOCK + 64 * rows, k
+        assert peak < 6 * 8 * lattice_mod._BLOCK + 64 * rows, k
 
 
 def test_table_groups_in_small_blocks_match_one_batch(monkeypatch):
     """table_groups in row blocks of one row against the grouping of
     _induced_tables over each whole dimension at once."""
-    monkeypatch.setattr(lattice_mod, "_CLOSURE_BLOCK", 1)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 1)
     for L in (sl2(3).direct_sum(nonabelian2(3)), heisenberg(2).direct_sum(heisenberg(2))):
         lat = build_lattice(L)
         for k in range(L.dim + 1):
@@ -1030,8 +1056,8 @@ def test_plucker_table_is_plucker_of_the_echelon_rows():
 
 def test_plucker_table_built_in_blocks(monkeypatch):
     """The table of the 33,880 3-dimensional subspaces of GF(3)^6 is built
-    in row blocks whose four Laplace arrays hold at most _PAIRING_BLOCK
-    values together, not in one plucker call."""
+    in row blocks whose four Laplace arrays hold at most _BLOCK values
+    together, not in one plucker call."""
     sizes = []
     real = lattice_mod.plucker
 
@@ -1042,7 +1068,7 @@ def test_plucker_table_built_in_blocks(monkeypatch):
     monkeypatch.setattr(lattice_mod, "plucker", spy)
     table = lattice_mod._plucker_table.__wrapped__(6, 3, 3)
     assert sum(sizes) == len(table) == 33880
-    assert 4 * max(sizes) * comb(6, 3) * 3 <= lattice_mod._PAIRING_BLOCK
+    assert 4 * max(sizes) * comb(6, 3) * 3 <= lattice_mod._BLOCK
     assert np.array_equal(table, real(echelon_arrays(6, 3, 3)[0], 3))
 
 
@@ -1159,7 +1185,7 @@ def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
     is the index of the first such C.  Also with blocks of one pair and of
     a few pairs."""
     if block is not None:
-        monkeypatch.setattr(lattice_mod, "_PAIRING_BLOCK", block)
+        monkeypatch.setattr(lattice_mod, "_BLOCK", block)
     n, p = 4, 3
     for k in range(1, n):
         bs = list(enumerate_subspaces(n, p, dim_filter=k))

@@ -343,26 +343,22 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
     phi_l = az.frattini(L)
-    phis = lat.subalgebra_phis()
     # LatticeCache.unsupplemented(k), for each k on first use
     unsupplemented: Dict[int, np.ndarray] = {}
-    for k, phis_k in phis.items():
-        for row, phi_d in enumerate(phis_k):
-            if phi_d.dim == 0:
+    for (k, row), phi_d in lat.subalgebra_phis().items():
+        for b in lat.inside(phi_d):
+            if b.dim == 0:
                 continue
-            for b in lat.inside(phi_d):
-                if b.dim == 0:
-                    continue
-                if b.dim not in unsupplemented:
-                    unsupplemented[b.dim] = lat.unsupplemented(b.dim)
-                if lat.row(b) in unsupplemented[b.dim]:
-                    continue
-                if not (L.is_ideal(b) and phi_l.contains(b)):
-                    return {
-                        "kind": "frattini_subalgebra_not_promoted",
-                        "D": _rows(lat.member(k, row)),
-                        "B": _rows(b),
-                    }
+            if b.dim not in unsupplemented:
+                unsupplemented[b.dim] = lat.unsupplemented(b.dim)
+            if lat.row(b) in unsupplemented[b.dim]:
+                continue
+            if not (L.is_ideal(b) and phi_l.contains(b)):
+                return {
+                    "kind": "frattini_subalgebra_not_promoted",
+                    "D": _rows(lat.member(k, row)),
+                    "B": _rows(b),
+                }
     return None
 
 
@@ -586,12 +582,8 @@ def _verify_pairs(
             spec, " for the dedup of a random universe (--no-dedup skips it)"
         )
     az = analyzer or Analyzer()
-    if theorem_id == "ldsum":
-        hypothesis = lambda a: az.completely_factorisable(a)[0]
-        conclusion = lambda d: az.completely_factorisable(d)[0]
-    else:  # csupp_dsum
-        hypothesis = lambda a: az.c_supplemented(a)[0]
-        conclusion = lambda d: az.c_supplemented(d)[0]
+    # the hypothesis of each summand and the conclusion of each sum
+    holds = az.completely_factorisable if theorem_id == "ldsum" else az.c_supplemented
     log = VerdictLog(theorem_id, spec.describe(), 0)
     members: List[Tuple[Tuple, LieAlgebra]] = []
     if dedup and not random_dedup:
@@ -599,13 +591,13 @@ def _verify_pairs(
         for n in spec.dims():
             for t, rep, _size in _timed_classes(spec, n, log):
                 log.classes += 1
-                if hypothesis(rep):
+                if holds(rep)[0]:
                     members.append((("e", n, t), rep))
     else:
         bits = {n: _new_bitset(spec.p, n) for n in spec.dims()} if dedup else None
         for entry in generate(spec):
             alg = entry.algebra
-            if not hypothesis(alg):
+            if not holds(alg)[0]:
                 continue
             if dedup:
                 alg = _representative_if_new(alg, bits[alg.dim])
@@ -620,7 +612,7 @@ def _verify_pairs(
             if i <= j:
                 log.sums_tested += 1
                 d = a.direct_sum(b)
-                if conclusion(d):
+                if holds(d)[0]:
                     continue
                 failed.add((i, j))
             elif (j, i) in failed:

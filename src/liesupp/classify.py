@@ -94,12 +94,10 @@ def is_elementary(
     L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) = 0 for every subalgebra B (phi computed inside B's own
-    algebra, see LatticeCache.subalgebra_phis).  Returns the first
-    offending subalgebra otherwise."""
-    for k, phis in lattice.subalgebra_phis().items():
-        for row, phi_b in enumerate(phis):
-            if phi_b.dim:
-                return False, lattice.member(k, row)
+    algebra): LatticeCache.subalgebra_phis, which holds the nonzero ones
+    alone, is empty.  Returns the subalgebra of its first key otherwise."""
+    for k, row in lattice.subalgebra_phis():
+        return False, lattice.member(k, row)
     return True, None
 
 
@@ -107,13 +105,14 @@ def is_E_algebra(
     L: LieAlgebra, lattice: LatticeCache
 ) -> Tuple[bool, Optional[Subspace]]:
     """phi(B) <= phi(L) for every subalgebra B, phi(B) taken in the ambient
-    coordinates.  Returns the first offending subalgebra otherwise."""
+    coordinates.  A zero phi(B) always is, so only the entries of
+    LatticeCache.subalgebra_phis are read; with phi(L) = 0 (no entry
+    (n, 0)) each fails.  Returns the first offending subalgebra otherwise."""
     phis = lattice.subalgebra_phis()
-    phi_l = phis[L.dim][0]  # L is the one subalgebra of dimension n
-    for k, phis_k in phis.items():
-        for row, phi_b in enumerate(phis_k):
-            if phi_b.dim and not phi_l.contains(phi_b):
-                return False, lattice.member(k, row)
+    phi_l = phis.get((L.dim, 0))  # L is the one subalgebra of dimension n
+    for (k, row), phi_b in phis.items():
+        if phi_l is None or not phi_l.contains(phi_b):
+            return False, lattice.member(k, row)
     return True, None
 
 

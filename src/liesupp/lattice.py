@@ -39,13 +39,13 @@ masks and tests the candidates that contain each core by the rank of one
 product.  LatticeCache.core_supplement(k, row) runs the same core test on
 one row and returns its first such candidate, the witness of
 classify.c_supplement where no complement exists.
-LatticeCache.subalgebra_phis() gives the Frattini ideal of every subalgebra
-B from the members of the lattice that lie in B, once per distinct induced
-table, without a lattice of B: one maximal scan per dimension, with one B
-per table as its tops, finds their maximal subalgebras and F(B), the
-intersection of those, and one batched test per dimension of F(B) finds
-where F(B) is already an ideal of B, and so phi(B); the core fixpoint runs
-only where it is not.
+LatticeCache.subalgebra_phis() gives the nonzero Frattini ideals of the
+subalgebras B, from the members of the lattice that lie in B, once per
+distinct induced table, without a lattice of B: one maximal scan per
+dimension, with one B per table as its tops, finds their maximal
+subalgebras and F(B), the intersection of those, and one batched test per
+dimension of F(B) finds where F(B) is an ideal of B, and so phi(B); the
+core fixpoint runs only where it is not.  No zero phi(B) is made.
 
 All lists are sorted by (dim, lexicographic RREF rows) so reports are
 byte-stable across runs, whatever order the dimensions were computed in.
@@ -163,7 +163,7 @@ class LatticeCache:
         self.subspace_count = subspace_count
         self._dims: Dict[int, _Dim] = {}
         # subalgebra_phis(), built on first use
-        self._phis: Optional[Dict[int, List[Subspace]]] = None
+        self._phis: Optional[Dict[Tuple[int, int], Subspace]] = None
 
     def _dim(self, k: int) -> _Dim:
         got = self._dims.get(k)
@@ -247,12 +247,12 @@ class LatticeCache:
             return None
         return self.member(self.algebra.dim - k + int(core_dims[0]), int(firsts[0]))
 
-    def subalgebra_phis(self) -> Dict[int, List[Subspace]]:
-        """phi(B), the Frattini ideal of B's own algebra, for every
-        subalgebra B, in ambient coordinates: a list per dimension k that
-        holds a subalgebra, one entry per row.  Built on first use, once
-        per distinct induced table (see _subalgebra_phis); no lattice of a
-        subalgebra is built."""
+    def subalgebra_phis(self) -> Dict[Tuple[int, int], Subspace]:
+        """phi(B), the Frattini ideal of B's own algebra, in ambient
+        coordinates, for every subalgebra B where it is nonzero: keyed by
+        B's (k, row), in lattice order; phi(L) is the entry (n, 0) when it
+        is nonzero.  Built on first use, once per distinct induced table
+        (see _subalgebra_phis); no lattice of a subalgebra is built."""
         if self._phis is None:
             self._phis = _subalgebra_phis(self)
         return self._phis
@@ -324,7 +324,9 @@ class LatticeCache:
 # the values (int64 or float; a bool or a uint8 counts as one too) that the
 # intermediate arrays of one block may hold together.  A kernel states how
 # many values one of its rows holds, and _block_rows turns that into its row
-# step.
+# step.  The BLAS products of _contained, the cover counts and the
+# supersolvable walk take at most _BLOCK multiply-adds too: OpenBLAS runs a
+# larger one on several threads, which stall when other processes hold CPUs.
 _BLOCK = 2**18
 # candidates in one column block of the first-complement search, the side of
 # a square pairing block (a chunk of as many rows fills _BLOCK): a row that
@@ -490,11 +492,16 @@ def _maximal_masks(
                 rows = np.arange(len(bases))
             covers = np.zeros(inside.shape, dtype=counts)
             for held, mask in kept:
-                # a row holds its mask over held, the float copy the
-                # product makes of it, and its product with mask
+                # a row holds its mask over held, the float copy the product
+                # with mask makes of it, and the product, which goes in
+                # sub-blocks of len(held) len(chunk) multiply-adds a row
                 step = _block_rows(2 * len(held) + len(chunk))
+                sub = _block_rows(len(held) * len(chunk))
                 for at in range(0, len(rows), step):
-                    covers[at : at + step] += _contained(bases[at : at + step], held, p) @ mask
+                    within = _contained(bases[at : at + step], held, p)
+                    out = covers[at : at + step]  # a view: += writes to covers
+                    for s in range(0, len(within), sub):
+                        out[s : s + sub] += within[s : s + sub] @ mask
             maximal = inside & (covers == 0)
             masks[d][rows, lo : lo + per] = maximal
             at, top = np.nonzero(inside & (covers == found) & (found > 0))
@@ -524,8 +531,8 @@ def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     flat = flat.reshape(n, width * count)
     out = np.empty((m, count), dtype=bool)
     # a row holds the float copy of its basis, its residues and the
-    # quotient of _reduce
-    step = _block_rows(d * (n + 2 * width * count))
+    # quotient of _reduce, and takes d n width count multiply-adds
+    step = _block_rows(d * max(n + 2 * width * count, n * width * count))
     for lo in range(0, m, step):
         block = bases[lo : lo + step]
         resid = _reduce(block.reshape(len(block) * d, n).astype(dtype) @ flat, p)
@@ -581,13 +588,13 @@ def _induced_tables(L: LieAlgebra, bases: np.ndarray, piv: np.ndarray) -> np.nda
     return np.take_along_axis(brackets, piv[:, None, :], axis=2).reshape(m, -1)
 
 
-def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
+def _subalgebra_phis(lattice: LatticeCache) -> Dict[Tuple[int, int], Subspace]:
     """See LatticeCache.subalgebra_phis.  phi(L) is frattini's, and a
     subalgebra B of dimension k <= 2 has phi(B) = 0 (for k = 2 the p + 1
     lines of B are its maximal subalgebras, and meet in 0).  For
     3 <= k < n, the subalgebras are grouped by their induced tables; a zero
     table (abelian B) has phi = 0, so an abelian L, all of whose tables are
-    zero, is answered without a table: phi = 0 everywhere, phi(L) included.
+    zero, gives the empty map before any dimension is computed.
     The first subalgebras B with each other table are the tops of one
     _maximal_masks scan per dimension, which gives F(B).  Where F(B) is an
     ideal of B, tested in one batch per dim F (_ideal_of), phi(B) = F(B);
@@ -595,16 +602,16 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
     The RREF rows of phi(B) read at B's pivot columns are its RREF
     coordinates Phi; a subalgebra B' with the same table has
     phi(B') = Phi . rows(B'), again in RREF, with pivots those of B' at the
-    leading columns of Phi."""
+    leading columns of Phi.  The table groups of a dimension interleave, so
+    the entries are sorted by key at the end."""
     L = lattice.algebra
     n, p = L.dim, L.p
-    zero = Subspace.zero(n, p)
-    dims = lattice._computed()
-    out = {k: [zero] * len(dim.idx) for k, dim in dims.items()}
     if not L.table.any():
-        return out
+        return {}
+    dims = lattice._computed()
     arrays = {d: (dim.bases, dim.checks) for d, dim in dims.items()}
-    out[n] = [frattini(L, lattice)]
+    phi_l = frattini(L, lattice)
+    out = {(n, 0): phi_l} if phi_l.dim else {}
     for k in range(3, n):
         if k not in dims:
             continue
@@ -631,8 +638,8 @@ def _subalgebra_phis(lattice: LatticeCache) -> Dict[int, List[Subspace]]:
                 images = coords @ bases[members].astype(np.int64) % p
                 pivots = piv[members][:, lead]
                 for a, r, q in zip(members, images.tolist(), pivots.tolist()):
-                    out[k][a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
-    return out
+                    out[k, a] = Subspace(n, p, tuple(map(tuple, r)), tuple(q))
+    return {key: out[key] for key in sorted(out)}
 
 
 def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.ndarray):
@@ -974,8 +981,8 @@ def is_supersolvable(L: LieAlgebra, lattice: LatticeCache) -> bool:
         rows = dim.idx[dim.ideal]
         # an ideal row holds its gathered parity check and _contained's
         # float copy of it (n (n - d) values each), and its residues and
-        # the quotient of _reduce (d (n - d) each)
-        step = _block_rows(2 * (n - d) * (n + d))
+        # the quotient of _reduce (d (n - d) each), and d n (n - d) multiply-adds
+        step = _block_rows(max(2 * (n - d) * (n + d), d * n * (n - d)))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             hit = _contained(reached, dim._checks[block], L.p)[0]

@@ -213,6 +213,14 @@ def subalgebra_phis_by_sublattices(L, lattice, analyzer):
     return out
 
 
+def nonzero_phis(phis):
+    """The items of LatticeCache.subalgebra_phis() that a list-format map
+    {k: [phi(B) for each row]} (subalgebra_phis_by_sublattices) stands for:
+    its nonzero entries keyed by (k, row), in lattice order.  Compared as a
+    list with subalgebra_phis().items(), so that the key order counts."""
+    return [((k, row), phi) for k in sorted(phis) for row, phi in enumerate(phis[k]) if phi.dim]
+
+
 def phi_subalgebra_not_ideal_by_sublattice(L, phi):
     """The first subalgebra of phi's own algebra, in its lattice order
     (EagerLattice) and lifted to L, that is not an ideal of L (tested

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp
+import liesupp.census as census_mod
 import liesupp.classify as classify_mod
 import liesupp.lattice as lattice_mod
 import liesupp.subspace as subspace_mod
@@ -63,6 +64,7 @@ from oracles import (
     main_decomposition_by_all_ideals,
     maximal_subalgebras_all_pairs,
     minimal_ideals_by_ideal_list,
+    nonzero_phis,
     phi_subalgebra_not_ideal_by_sublattice,
     radical_by_ideal_list,
     random_conjugate,
@@ -890,7 +892,7 @@ def assert_phis_match_oracles(L):
     lat = build_lattice(L)
     eager = EagerLattice(L)
     expected = subalgebra_phis_by_sublattices(L, eager, PHI_ORACLE_AZ)
-    assert lat.subalgebra_phis() == expected
+    assert list(lat.subalgebra_phis().items()) == nonzero_phis(expected)
     pairs = [(b, phi_b) for k, subs in eager.by_dim.items() for b, phi_b in zip(subs, expected[k])]
     first = next((b for b, phi_b in pairs if phi_b.dim), None)
     assert is_elementary(L, lat) == (first is None, first)
@@ -972,8 +974,7 @@ def test_subalgebra_phis_scan_once_per_dimension(monkeypatch):
     monkeypatch.setattr(lattice_mod, "_maximal_masks", scan)
     monkeypatch.setattr(lattice_mod, "core", spy_core)
     phis = lat.subalgebra_phis()
-    assert phis[n] == [frattini(L, lat)]
-    assert lat.maximals and frattini(L, lat) == phis[n][0]
+    assert lat.maximals and phis[n, 0] == frattini(L, lat)  # phi(L) != 0 here
     assert sorted(scans) == sorted(expected_scans)
     assert cores == expected_cores
 
@@ -1010,6 +1011,27 @@ def test_abelian_gf2_7_is_elementary_and_E():
     assert is_E_algebra(L, lat) == (True, None)
 
 
+def test_subalgebra_phis_of_an_abelian_algebra_compute_no_dimension():
+    """Every phi(B) of an abelian algebra is 0, so the map is empty and is
+    answered before any dimension of the lattice is computed."""
+    lat = build_lattice(abelian(2, 6))
+    assert lat.subalgebra_phis() == {}
+    assert not lat._dims
+
+
+def test_E_algebra_with_zero_phi_fails_at_the_first_entry():
+    """GF(2) dim-4 class t = 8728 has phi(L) = 0, so the map has no entry
+    (n, 0) and its first entry, a 3-dimensional B with phi(B) != 0, is the
+    witness of is_E_algebra, as the loop over the oracle's answers finds."""
+    table = census_mod._tables_from_indices(np.array([8728]), 4, 2)[0]
+    L = LieAlgebra(PrimeField(2), 4, table=table)
+    lat = build_lattice(L)
+    assert frattini(L, lat).dim == 0 and (4, 0) not in lat.subalgebra_phis()
+    witness = Subspace.span([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4, 2)
+    assert is_E_algebra(L, lat) == (False, witness)
+    assert_phis_match_oracles(L)
+
+
 def test_subalgebra_phis_build_no_subalgebra_lattice(monkeypatch):
     L = counterexample_double(3)
     lat = build_lattice(L)
@@ -1022,7 +1044,7 @@ def test_subalgebra_phis_build_no_subalgebra_lattice(monkeypatch):
     monkeypatch.setattr(classify_mod, "build_lattice", refuse)
     monkeypatch.setattr(LieAlgebra, "as_algebra", refuse)
     phis = lat.subalgebra_phis()
-    assert phis == expected
+    assert list(phis.items()) == nonzero_phis(expected)
     assert lat.subalgebra_phis() is phis  # memoised on the lattice
     assert not is_elementary(L, lat)[0]
     assert is_E_algebra(L, lat)[0]

@@ -58,6 +58,7 @@ from oracles import (
     is_supersolvable_by_lines,
     maximal_masks_one_top,
     maximal_subalgebras_all_pairs,
+    nonzero_phis,
     random_conjugate,
 )
 
@@ -288,6 +289,61 @@ def test_maximals_memory_is_bounded_by_its_blocks():
     assert peak < 64 * 10**6
 
 
+class _Recorded(np.ndarray):
+    """A _contained mask that records the (M, N, K) shape of its products
+    with another array, the cover counts of the maximal scan."""
+
+    shapes: list = []
+
+    def __matmul__(self, other):
+        self.shapes.append((self.shape[0], other.shape[1], self.shape[1]))
+        return np.asarray(self) @ other
+
+
+def test_block_products_stay_under_the_block(monkeypatch):
+    """The float products of the maximal scan and the supersolvable walk
+    over abelian(8), dimensions built, and of the many-top scans of
+    subalgebra_phis over counterexample_double(3): the containment
+    products of _contained ((rows d) x n by n x (width count), the residues
+    _reduce receives) and the cover counts (a mask of rows x len(held) by a
+    len(held) x tops one).  Each product whose block holds more than one
+    row (a pair of a basis row and a parity check, or a member row) has
+    M N K <= _BLOCK multiply-adds, the size below which OpenBLAS runs a
+    product on one thread (with values alone, the scan of abelian(8)
+    multiplied 504 x 8 by 8 x 255, and a cover count of
+    counterexample_double(3) 391 x 129 by 129 x 18)."""
+    L = abelian(2, 8)
+    lat = build_lattice(L)
+    for k in range(L.dim + 1):
+        lat._dim(k)
+    products = []  # (rows of the block, M N K)
+    monkeypatch.setattr(_Recorded, "shapes", [])
+    real_contained, real_reduce = lattice_mod._contained, lattice_mod._reduce
+
+    def contained(bases, checks, p):
+        d, n = bases.shape[1:]
+
+        def reduce(x, p):
+            products.append((len(x) // max(d, 1) * len(checks), len(x) * n * x.shape[1]))
+            return real_reduce(x, p)
+
+        monkeypatch.setattr(lattice_mod, "_reduce", reduce)
+        try:
+            return real_contained(bases, checks, p).view(_Recorded)
+        finally:
+            monkeypatch.setattr(lattice_mod, "_reduce", real_reduce)
+
+    monkeypatch.setattr(lattice_mod, "_contained", contained)
+    assert len(lat.maximals) == 255
+    assert is_supersolvable(L, lat)
+    assert build_lattice(counterexample_double(3)).subalgebra_phis()
+    covers = _Recorded.shapes
+    products += [(m, m * n * k) for m, n, k in covers]
+    assert covers and len(products) > len(covers)
+    assert max(mnk for _, mnk in products) > lattice_mod._BLOCK // 4
+    assert all(mnk <= lattice_mod._BLOCK for rows, mnk in products if rows > 1)
+
+
 def _assert_scan_matches_one_top_oracle(L):
     """_maximal_masks with all subalgebras of one dimension k as its tops,
     for every k, against maximal_masks_one_top on the members inside each
@@ -424,7 +480,8 @@ def _assert_lazy_matches_eager(L, rng):
         elif kind == "stats":
             assert lat.stats() == eager.stats()
         else:
-            assert lat.subalgebra_phis() == eager.subalgebra_phis(LAZY_ORACLE_AZ)
+            expected = nonzero_phis(eager.subalgebra_phis(LAZY_ORACLE_AZ))
+            assert list(lat.subalgebra_phis().items()) == expected
     assert lattice_members(lat) == eager.by_dim
 
 

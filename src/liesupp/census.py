@@ -56,8 +56,13 @@ class CensusSpec:
     table_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
-        # refuse a bad modulus before any cap is consulted
+        # refuse a bad modulus before any cap is consulted, and an empty
+        # universe, over which a campaign would confirm having examined nothing
         PrimeField(self.p)
+        if self.max_dim < 1:
+            raise ValueError(f"max_dim must be at least 1, got {self.max_dim}")
+        if self.mode == "random" and self.count < 1:
+            raise ValueError(f"a random universe needs count >= 1, got {self.count}")
         require_int64_safe(self.p, self.max_dim)
 
     def dims(self) -> range:

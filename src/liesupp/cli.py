@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds / statement confirmed; 1 property
-false or counterexamples found (report still emitted); 2 invalid input;
-3 cap exceeded, or out of memory (MemoryError: the input is under the caps
-but its arrays do not fit); 4 internal error (a fault in liesupp, not in
-the input).
+false or counterexamples found (report still emitted); 2 invalid input, or
+an --out file that cannot be written; 3 cap exceeded, or out of memory
+(MemoryError: the input is under the caps but its arrays do not fit);
+4 internal error (a fault in liesupp, not in the input).
 Diagnostics go to stderr, reports to stdout or --out.
 """
 from __future__ import annotations
@@ -41,11 +41,18 @@ PROPERTY_NAMES = {n.lower().replace("_", "-"): n for n in ALL_PREDICATES}
 SUBSPACE_PROPERTIES = ("subalgebra", "ideal", "c-supplemented", "core")
 
 
+class OutputError(Exception):
+    """The --out file could not be written."""
+
+
 def _emit(doc: Dict, out: Optional[str]):
     blob = json.dumps(doc, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(blob)
+        try:
+            with open(out, "w") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(blob)
 
@@ -308,6 +315,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (DocumentError, InvalidAlgebraError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INVALID
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -21,23 +21,24 @@ ideal work from exact linear algebra; radical, minimal ideals and
 simplicity read the ideals one dimension at a time; supersolvability walks
 a chain of ideals up the ideal masks, one containment test per dimension,
 and builds no quotient.
-Complements are found per dimension, for the rows asked for alone:
-LatticeCache.first_complements(k, rows) pairs the Plücker coordinates of
-those dim-k subalgebras with column blocks of the dim-(n-k) ones, in
-lattice order, and drops each row at the first block where it has a
-complement, so a row's first complement ends its search; it computes only
-dimensions k and n - k.  The coordinates of an echelon row depend on its
-shape (n, p, k) alone, not on the algebra, so they are computed once per
-shape, in row blocks, into a read-only table (_plucker_table) that the
-shape caches keep like the echelon arrays (ECHELON_CACHE_BYTES a shape,
-ECHELON_CACHE_TOTAL in all); a dimension of a larger shape takes plucker
-of the subalgebra rows it pairs alone.
+One search decides B + C = L for complements and supplements alike
+(_first_hits): it pairs Plücker coordinates with column blocks of
+candidates, in lattice order, and drops each row at its first hit.
+LatticeCache.first_complements(k, rows) runs it on those dim-k subalgebras
+against the dim-(n-k) ones, and computes only dimensions k and n - k.  The
+coordinates of an echelon row depend on its shape (n, p, k) alone, not on
+the algebra, so they are computed once per shape, in row blocks, into a
+read-only table (_plucker_table) that the shape caches keep like the
+echelon arrays (ECHELON_CACHE_BYTES a shape, ECHELON_CACHE_TOTAL in all);
+a dimension of a larger shape takes plucker of the subalgebra rows it
+pairs alone.
 LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
 subalgebra at once: ideals are supplemented, so a dimension of ideals alone
-needs no pairing; for the other rows it reads the cores from the ideal
-masks and tests the candidates that contain each core by the rank of one
-product.  LatticeCache.core_supplement(k, row) runs the same core test on
-one row and returns its first such candidate, the witness of
+needs no pairing; for the other rows it reads the cores K from the ideal
+masks and runs the search on B', the rows of B at pivots outside K's,
+against the candidates that contain K (B + C = L exactly when B' + C = L
+for K <= C).  LatticeCache.core_supplement(k, row) runs the same core test
+on one row and returns its first such candidate, the witness of
 classify.c_supplement where no complement exists.
 LatticeCache.subalgebra_phis() gives the nonzero Frattini ideals of the
 subalgebras B, from the members of the lattice that lie in B, once per
@@ -140,14 +141,14 @@ class _Dim:
     def pluckers(self, rows) -> np.ndarray:
         """The Plücker coordinates of the given rows (an index array or a
         slice): rows of the shape's _plucker_table where the shape caches
-        keep the arrays, else plucker of those subalgebra rows alone, so
-        that no whole-Grassmannian table is built past
+        keep the arrays, else plucker of those subalgebra rows alone, in
+        row blocks, so that no whole-Grassmannian table is built past
         ECHELON_CACHE_BYTES."""
         at = self.idx[rows]
         if self._kept:
             _, k, n = self._bases.shape
             return _plucker_table(n, self._p, k)[at]
-        return plucker(self._bases[at], self._p)
+        return _plucker_blocks(self._bases[at], self._p)
 
 
 class LatticeCache:
@@ -222,13 +223,15 @@ class LatticeCache:
         """For each of the given rows of dimension k (an index array, every
         row by default), the row in dimension n - k of its first complement
         C (b + C = L, so b meets C in 0), or -1 when it has none.  Computes
-        dimensions k and n - k only, and pairs only the rows asked for (see
-        _first_complements)."""
-        if k > self.algebra.dim:  # no dim-k subspace, and no dimension n - k
+        dimensions k and n - k only, and pairs only the rows asked for, with
+        every row of dimension n - k (see _first_hits)."""
+        n = self.algebra.dim
+        if k > n:  # no dim-k subspace, and no dimension n - k
             return np.empty(0, dtype=np.intp)
         if rows is None:
             rows = np.arange(len(self._dim(k).idx))
-        return _first_complements(self, k, np.asarray(rows, dtype=np.intp))
+        pu = self._dim(k).pluckers(np.asarray(rows, dtype=np.intp))
+        return _first_hits(self, pu, n - k, np.arange(len(self._dim(n - k).idx)))
 
     def unsupplemented(self, k: int) -> np.ndarray:
         """The rows of dimension k, ascending, of the subalgebras B without
@@ -241,7 +244,7 @@ class LatticeCache:
         """For the subalgebra B in row `row` of dimension k, which has no
         complement: the first C of _core_supplements, which meets B in
         exactly its core and exists exactly when B has a c-supplement, or
-        None.  For an ideal B it is L."""
+        None.  For a nonzero ideal B it is L."""
         core_dims, firsts = _core_supplements(self, k, np.array([row]))
         if firsts[0] < 0:
             return None
@@ -669,10 +672,11 @@ def _ideal_of(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, within: np.n
 def plucker(bases: np.ndarray, p: int) -> np.ndarray:
     """Plücker coordinates of a batch of subspaces: for bases of shape
     (m, d, n), the (m, C(n, d)) array of d x d minors mod p, columns in
-    combinations(range(n), d) order, in _entry_dtype(p).  Laplace expansion
-    one row at a time: the minors of the first r rows come from those of
-    the first r - 1 rows, in int64 (minors[:, smaller] is int64, so each
-    product with a basis entry is too)."""
+    combinations(range(n), d) order, in _entry_dtype(p); d = 0 gives the
+    one empty minor, 1.  Laplace expansion one row at a time: the minors of
+    the first r rows come from those of the first r - 1 rows, in int64
+    (minors[:, smaller] is int64, so each product with a basis entry of
+    any dtype is too).  Its callers go through _plucker_blocks."""
     m, d, n = bases.shape
     minors = np.ones((m, 1), dtype=np.int64)
     for r in range(1, d + 1):
@@ -682,22 +686,29 @@ def plucker(bases: np.ndarray, p: int) -> np.ndarray:
     return minors.astype(_entry_dtype(p))
 
 
+def _plucker_blocks(bases: np.ndarray, p: int) -> np.ndarray:
+    """plucker of bases in row blocks, for the shape tables, the rows of
+    _Dim.pluckers past ECHELON_CACHE_BYTES and the B' of _core_supplements:
+    each Laplace step of plucker holds about four int64 arrays (gathered
+    entries, gathered minors, their products, the signed products) of
+    C(n, r) r <= C(n, n // 2) d values a row, so a block keeps them at about
+    _BLOCK values together."""
+    m, d, n = bases.shape
+    out = np.empty((m, comb(n, d)), dtype=_entry_dtype(p))
+    step = _block_rows(4 * comb(n, n // 2) * d)
+    for lo in range(0, m, step):
+        out[lo : lo + step] = plucker(bases[lo : lo + step], p)
+    return out
+
+
 @_shape_cache
 def _plucker_table(n: int, p: int, k: int) -> np.ndarray:
-    """plucker of every row of echelon_arrays(n, p, k), in that order.  The
-    coordinates of a RREF basis depend on the shape alone, not on the
-    algebra, so the table is kept in the shape caches and read-only like
-    echelon_arrays, for the shapes _shape_kept admits; _Dim.pluckers asks
-    for no other.  Built in row blocks: each Laplace step of plucker holds
-    about four int64 arrays (gathered entries, gathered minors, their
-    products, the signed products) of C(n, r) r <= C(n, n // 2) k values a
-    row, so a block keeps them at about _BLOCK values together."""
-    bases = echelon_arrays(n, p, k)[0]
-    table = np.empty((len(bases), comb(n, k)), dtype=_entry_dtype(p))
-    step = _block_rows(4 * comb(n, n // 2) * k)
-    for lo in range(0, len(bases), step):
-        table[lo : lo + step] = plucker(bases[lo : lo + step], p)
-    return _read_only(table)[0]
+    """plucker of every row of echelon_arrays(n, p, k), in that order, built
+    in row blocks (_plucker_blocks).  The coordinates of a RREF basis depend
+    on the shape alone, not on the algebra, so the table is kept in the
+    shape caches and read-only like echelon_arrays, for the shapes
+    _shape_kept admits; _Dim.pluckers asks for no other."""
+    return _read_only(_plucker_blocks(echelon_arrays(n, p, k)[0], p))[0]
 
 
 @lru_cache(maxsize=256)
@@ -738,32 +749,31 @@ def plucker_pairing(
     return _reduce(np.multiply(pu[:, dual], signs, dtype=dtype) @ pw.T.astype(dtype), p)
 
 
-def _first_complements(lattice: LatticeCache, k: int, rows: np.ndarray) -> np.ndarray:
-    """See LatticeCache.first_complements: for each of the given rows U_i of
-    dimension k, the least row j of dimension n - k with U_i + W_j = L, or
-    -1.  The rows are paired (plucker_pairing) with column blocks of
-    _COMPLEMENT_COLUMNS candidates W_j, in ascending order and in row
-    chunks of at most _BLOCK pairings; a row leaves the search at
-    the first block where it has a hit, which holds its least j, so the
-    search ends once every row has one.  The Plücker rows are those of
-    _Dim.pluckers: rows of the per-shape _plucker_table, computed once for
-    every algebra of that shape, or, past ECHELON_CACHE_BYTES, plucker of
-    the rows paired alone."""
+def _first_hits(
+    lattice: LatticeCache, pu: np.ndarray, d: int, columns: np.ndarray
+) -> np.ndarray:
+    """For each dim-(n - d) subspace U, one row of Plücker coordinates in
+    pu: the first W among the rows `columns` (ascending) of dimension d
+    with U + W = L, or -1.  The rows are paired (plucker_pairing) with
+    column blocks of _COMPLEMENT_COLUMNS candidates, whose Plücker rows
+    come from _Dim.pluckers, in row chunks of at most _BLOCK pairings; a
+    row leaves the search at the first block where it has a hit, which
+    holds its least one, so the search ends once every row has one."""
     n, p = lattice.algebra.dim, lattice.algebra.p
-    candidates = lattice._dim(n - k)
-    first = np.full(len(rows), -1, dtype=np.intp)
-    left = np.arange(len(rows))  # positions in rows still without a hit
-    pu = lattice._dim(k).pluckers(rows)
-    for lo in range(0, len(candidates.idx), _COMPLEMENT_COLUMNS):
+    candidates = lattice._dim(d)
+    first = np.full(len(pu), -1, dtype=np.intp)
+    left = np.arange(len(pu))  # rows of pu still without a hit
+    for lo in range(0, len(columns), _COMPLEMENT_COLUMNS):
         if not len(left):
             break
-        pw = candidates.pluckers(slice(lo, lo + _COMPLEMENT_COLUMNS))
+        block = columns[lo : lo + _COMPLEMENT_COLUMNS]
+        pw = candidates.pluckers(block)
         step = _block_rows(len(pw))
         for at in range(0, len(left), step):
             chunk = left[at : at + step]
-            hit = plucker_pairing(pu[chunk], pw, n, k, p) != 0
+            hit = plucker_pairing(pu[chunk], pw, n, n - d, p) != 0
             found = hit.any(axis=1)
-            first[chunk[found]] = lo + hit[found].argmax(axis=1)
+            first[chunk[found]] = block[hit[found].argmax(axis=1)]
         left = left[first[left] < 0]
     return first
 
@@ -799,9 +809,11 @@ def _core_supplements(
     subalgebra C + K, of dimension n - k + c, and B meet (C + K) =
     (B meet C) + K = K (modular law); so such a C exists exactly when B has
     a supplement, and meets B in exactly K.  For K = 0 it would be a
-    complement, so none is sought.  The rows are grouped by core, the
-    candidates of a group found by one _contained test of its core, and
-    _spanning finds each row's first."""
+    complement, so none is sought.  The rows are grouped by core, and the
+    candidates of a group found by one _contained test of its core.  B =
+    K + B', B' the RREF rows of B at pivots outside K's, so for K <= C,
+    B + C = L exactly when B' + C = L: _first_hits pairs the B' of a group
+    (dim k - c; 0 for an ideal B, whose one candidate is L) with them."""
     L = lattice.algebra
     n, p = L.dim, L.p
     dim = lattice._dim(k)
@@ -813,48 +825,18 @@ def _core_supplements(
     if not len(sizes):
         return core_dims, firsts
     padded = np.concatenate(padded)
-    checks = dim._checks[dim.idx[rows]]
-    inside = _contained(padded, checks, p) * sizes[:, None]
+    at = dim.idx[rows]
+    inside = _contained(padded, dim._checks[at], p) * sizes[:, None]
     cores, core_dims = inside.argmax(axis=0), inside.max(axis=0)
     for j in np.unique(cores[core_dims > 0]).tolist():
         group = np.flatnonzero((cores == j) & (core_dims > 0))
         c = int(sizes[j])
         candidates = lattice._dim(n - k + c)
         containing = np.flatnonzero(_contained(padded[j : j + 1, :c], candidates.checks, p)[0])
-        found = _spanning(candidates.bases[containing], checks[group], p)
-        hit = found >= 0
-        firsts[group[hit]] = containing[found[hit]]
+        outside = ~np.isin(dim._piv[at[group]], (padded[j, :c] != 0).argmax(axis=1))
+        rest = dim._bases[at[group]][outside].reshape(len(group), k - c, n)
+        firsts[group] = _first_hits(lattice, _plucker_blocks(rest, p), n - k + c, containing)
     return core_dims, firsts
-
-
-def _spanning(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
-    """For each of a batch of subspaces B_g of GF(p)^n (parity checks of
-    shape (g, n, w)), the least c with B_g + span(bases[c]) = GF(p)^n
-    (bases of shape (m, d, n), d >= w), or -1.  v -> v @ H_g maps GF(p)^n
-    onto GF(p)^w with kernel B_g, so B_g + C is everything exactly when
-    bases[c] @ H_g has rank w, that is when one of its w x w minors is
-    nonzero: the Plücker coordinates of its transpose, reduced mod p first.
-    The product runs in int64: in the arrays' unsigned dtype it wraps.
-    The pairs (g, c) go g by g, c ascending, in blocks whose products and
-    minors hold about _BLOCK values at most, and stop once every B_g has
-    one."""
-    count, m = len(checks), len(bases)
-    out = np.full(count, -1, dtype=np.intp)
-    d, w = bases.shape[1], checks.shape[2]
-    # plucker's arrays for r rows hold C(d, r) r <= C(d, d // 2) w values
-    step = _block_rows(comb(d, d // 2) * w)
-    for lo in range(0, count * m, step):
-        at, c = np.divmod(np.arange(lo, min(lo + step, count * m)), m)
-        images = np.matmul(bases[c], checks[at], dtype=np.int64)
-        images %= p
-        hit = plucker(images.transpose(0, 2, 1), p).any(axis=1)
-        # the first hit of each g in the block is its least c there
-        g, first = np.unique(at[hit], return_index=True)
-        new = out[g] < 0
-        out[g[new]] = c[hit][first[new]]
-        if (out >= 0).all():
-            break
-    return out
 
 
 @lru_cache(maxsize=256)

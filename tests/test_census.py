@@ -128,6 +128,22 @@ def test_caps_refused():
         list(generate(CensusSpec(3, 3, table_cap=100)))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(max_dim=0),
+        dict(max_dim=-2),
+        dict(max_dim=3, mode="random", count=-4),
+        dict(max_dim=2, mode="random", count=0),
+    ],
+)
+def test_empty_universes_refused(kwargs):
+    """A spec with no dimension, or a random one with no sample, is refused
+    when it is made: its campaigns would examine nothing and confirm."""
+    with pytest.raises(ValueError):
+        CensusSpec(2, **kwargs)
+
+
 def test_campaigns_refused_before_any_class_is_built(monkeypatch):
     def refuse(p, n):
         raise AssertionError("classes built before the table cap check")

@@ -606,9 +606,16 @@ def assert_supplements_match_oracles(L):
     against the per-candidate row-reduction oracles: the witness against
     core_supplement_by_sums, its existence against c_supplement_by_sums,
     which tries every candidate of every dimension.  A witness that is not
-    a complement meets b in exactly the core of b."""
+    a complement meets b in exactly the core of b.  The core test on a
+    nonzero ideal row, with or without a complement, gives L: the ideal is
+    its own core, so the B' it pairs is 0 and the one candidate is L."""
     lat = build_lattice(L)
     eager = EagerLattice(L)
+    whole = Subspace.full(L.dim, L.p)
+    for k, subs in eager.by_dim.items():
+        for row, b in enumerate(subs):
+            if k and L.is_ideal(b):
+                assert lat.core_supplement(k, row) == whole
     unsupplemented, uncomplemented = [], []
     for b in eager.subalgebras:
         c = c_supplement(L, lat, b)
@@ -836,20 +843,30 @@ def test_unsupplemented_rows_in_small_blocks():
 
 def test_unsupplemented_takes_all_three_branches(monkeypatch):
     """Over DIM56_SUMS and the GF(2) pair sums, some non-ideal subalgebras
-    without a complement have core 0 (no supplement, no rank test), and of
-    those with a nonzero core the rank test finds a supplement for some and
-    none for others."""
+    without a complement have core 0 (no supplement, no pairing), and of
+    those with a nonzero core the B' pairing of a core group finds a
+    supplement for some and none for others."""
     taken = Counter()
-    real = lattice_mod._spanning
+    in_core = []
+    real_core, real_hits = lattice_mod._core_supplements, lattice_mod._first_hits
 
-    def spy(bases, checks, p):
-        out = real(bases, checks, p)
-        assert ((-1 <= out) & (out < len(bases))).all()
-        taken["supplemented"] += int((out >= 0).sum())
-        taken["unsupplemented"] += int((out < 0).sum())
+    def core_spy(*args):
+        in_core.append(True)
+        try:
+            return real_core(*args)
+        finally:
+            in_core.pop()
+
+    def spy(lattice, pu, d, columns):
+        out = real_hits(lattice, pu, d, columns)
+        if in_core:
+            assert np.isin(out, np.append(columns, -1)).all()
+            taken["supplemented"] += int((out >= 0).sum())
+            taken["unsupplemented"] += int((out < 0).sum())
         return out
 
-    monkeypatch.setattr(lattice_mod, "_spanning", spy)
+    monkeypatch.setattr(lattice_mod, "_core_supplements", core_spy)
+    monkeypatch.setattr(lattice_mod, "_first_hits", spy)
     tested = 0
     for L in _dim56_both_bases() + list(gf2_pair_sums()):
         lat = build_lattice(L)

@@ -241,6 +241,43 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
     assert code == 3 and "cap exceeded" in err
 
 
+@pytest.mark.parametrize("command", ["catalog", "classify", "check", "census", "verify"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    """An --out path that cannot be opened for writing (here in a directory
+    that does not exist) exits 2 with one stderr line and no traceback, not
+    1, the code of a false verdict, and writes no report."""
+    path = write_doc(tmp_path, algebra_to_doc(heisenberg(2)))
+    argv = {
+        "catalog": ["catalog", "sl2", "--field", "3"],
+        "classify": ["classify", path],
+        "check": ["check", path, "--property", "c-supplemented"],
+        "census": ["census", "-p", "2", "-n", "2"],
+        "verify": ["verify", "cE", "-p", "2", "-n", "2"],
+    }[command]
+    out = tmp_path / "no" / "such" / "x.json"
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cE", "--field", "2", "--dim", "0"],
+        ["verify", "cE", "--field", "2", "--dim", "-2"],
+        ["verify", "cE", "--field", "2", "--dim", "3", "--samples", "-4"],
+        ["verify", "csupp_dsum", "--field", "2", "--dim", "2", "--samples", "0"],
+        ["census", "--field", "2", "--dim", "0"],
+        ["census", "--field", "2", "--dim", "2", "--samples", "0"],
+    ],
+)
+def test_empty_universe_exit_2(capsys, argv):
+    """A universe with no dimension or no sample is refused with exit 2,
+    not reported as examined 0 and confirmed."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("invalid input: ")
+
+
 def test_census_counts(capsys):
     code, out, _ = run(capsys, ["census", "-p", "2", "-n", "3"])
     assert code == 0

@@ -1211,9 +1211,9 @@ def test_abelian_c_supplementation_pairs_nothing(monkeypatch):
     dimension is decided by its ideal mask without a Plücker pairing."""
 
     def refuse(*args):
-        raise AssertionError("_first_complements called")
+        raise AssertionError("_first_hits called")
 
-    monkeypatch.setattr(lattice_mod, "_first_complements", refuse)
+    monkeypatch.setattr(lattice_mod, "_first_hits", refuse)
     L = abelian(2, 6)
     assert is_c_supplemented_algebra(L, build_lattice(L)) == (True, None)
 
@@ -1235,27 +1235,40 @@ def test_dim_rows_made_alone_match_the_whole_list():
 
 @pytest.mark.parametrize("block", [None, 1, 200])
 def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
-    """_spanning with one candidate C, against every dim-k subspace B of
-    GF(3)^4 at once, is 0 where B + C = GF(3)^4 by row reduction and -1
-    elsewhere, for every dim C >= 4 - k (some C larger than codim B, as for
-    a nonzero core); with all those candidates of one dimension at once it
-    is the index of the first such C.  Also with blocks of one pair and of
-    a few pairs."""
+    """The first-hit search _first_hits as _core_supplements runs it, on
+    abelian GF(3)^4, whose subalgebras are all subspaces: for every dim-k
+    subspace B and every candidate dimension d >= 4 - k, with c = d - 4 + k,
+    K the span of B's first c RREF rows and B' that of the others, the B'
+    of the B with one K are paired with the dim-d subspaces C that contain
+    K (for c = 0 every dim-k B against every C, as for a complement).  One
+    candidate at a time the answer is C where B + C = GF(3)^4 by row
+    reduction and -1 elsewhere; with all of them at once it is the first
+    such C.  Also with blocks of one pair and of a few pairs, and with
+    column blocks of one candidate."""
     if block is not None:
         monkeypatch.setattr(lattice_mod, "_BLOCK", block)
     n, p = 4, 3
-    for k in range(1, n):
-        bs = list(enumerate_subspaces(n, p, dim_filter=k))
-        checks = np.array([_parity_check(b) for b in bs])
-        for d in range(n - k, n + 1):
-            cs = list(enumerate_subspaces(n, p, dim_filter=d))[::7]
-            bases = np.array([c.rows for c in cs], dtype=np.int64).reshape(len(cs), d, n)
-            spans = [[b.sum(c).dim == n for c in cs] for b in bs]
-            for i in range(len(cs)):
-                got = lattice_mod._spanning(bases[i : i + 1], checks, p)
-                assert got.tolist() == [0 if hits[i] else -1 for hits in spans]
-            got = lattice_mod._spanning(bases, checks, p)
-            assert got.tolist() == [hits.index(True) if any(hits) else -1 for hits in spans]
+    lat = build_lattice(abelian(p, n))
+    subs = {k: [lat.member(k, r) for r in range(len(lat._dim(k).idx))] for k in range(n + 1)}
+    for columns in (lattice_mod._COMPLEMENT_COLUMNS, 1):
+        monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", columns)
+        for k in range(1, n):
+            for d in range(n - k, n + 1):
+                c = d - (n - k)
+                groups = {}
+                for b in subs[k]:
+                    groups.setdefault(Subspace.span(b.rows[:c], n, p), []).append(b)
+                for core_, group in groups.items():
+                    cols = [j for j, cand in enumerate(subs[d]) if cand.contains(core_)]
+                    rest = np.array([b.rows[c:] for b in group], dtype=np.int64)
+                    pu = plucker(rest.reshape(len(group), k - c, n), p)
+                    spans = [[b.sum(subs[d][j]).dim == n for j in cols] for b in group]
+                    for i, j in enumerate(cols):
+                        got = lattice_mod._first_hits(lat, pu, d, np.array([j]))
+                        assert got.tolist() == [j if hits[i] else -1 for hits in spans]
+                    got = lattice_mod._first_hits(lat, pu, d, np.array(cols, dtype=np.intp))
+                    first = [cols[hits.index(True)] if any(hits) else -1 for hits in spans]
+                    assert got.tolist() == first
 
 
 # (p, n, entry dtype): _entry_dtype is uint8 up to p = 251 and uint16 from
@@ -1283,9 +1296,9 @@ def test_shape_array_kernels_exact_at_the_dtype_edges(p, n, dtype):
     on random rows of each dimension against Python arithmetic: the parity
     checks (as _parity_check builds them) vanish exactly on the members,
     _contained agrees with Subspace.contains, the Plücker pairing with
-    B + W = GF(p)^n, and _spanning, one candidate C at a time, with the
-    row reduction of B + C, on candidates that meet the B they are built
-    from and on random ones."""
+    B + W = GF(p)^n, and the B' pairing of _core_supplements (K the span
+    of B's first c rows, B' of the others) with the row reduction of B + C,
+    on candidates C that contain K and meet B' or are random beyond K."""
     rng = np.random.default_rng(p)
     sample = {k: _sample(n, p, k, rng, 24) for k in range(n + 1)}
     for k, (bases, piv, checks, subs) in sample.items():
@@ -1305,19 +1318,23 @@ def test_shape_array_kernels_exact_at_the_dtype_edges(p, n, dtype):
             if d + k == n:
                 det = plucker_pairing(plucker(sample[k][0], p), plucker(bases_d, p), n, k, p)
                 assert (det != 0).tolist() == [[b.sum(c).dim == n for c in subs_d] for b in subs_k]
-            if d + k < n or k == n or d == n:
+            if d + k < n:
                 continue
-            # _spanning (B of dim k < n): C spanned by a vector of the first
-            # B and d - 1 random ones, then the random C of dim d
-            meeting = [
-                Subspace.span([subs_k[0].rows[0]] + rng.integers(0, p, (d - 1, n)).tolist(), n, p)
-                for _ in range(8)
-            ]
-            cs = [c for c in meeting if c.dim == d] + subs_d
-            cands = np.array([c.rows for c in cs], dtype=dtype).reshape(len(cs), d, n)
-            for c, cand in zip(cs, cands):
-                got = lattice_mod._spanning(cand[None], checks_k, p)
-                assert got.tolist() == [0 if b.sum(c).dim == n else -1 for b in subs_k]
+            # B' (plucker of the entry-dtype rows) against C of dim d
+            # containing K, of dim c = d + k - n, with d - c random vectors,
+            # or with a vector of B' and d - c - 1 random ones
+            c = d + k - n
+            for b, basis in zip(subs_k, sample[k][0]):
+                spans = [list(b.rows[:c]) + rng.integers(0, p, (d - c, n)).tolist() for _ in range(8)]
+                if c < k < n:
+                    spans += [
+                        list(b.rows[: c + 1]) + rng.integers(0, p, (d - c - 1, n)).tolist()
+                        for _ in range(4)
+                    ]
+                cs = [cand for cand in (Subspace.span(s, n, p) for s in spans) if cand.dim == d]
+                cands = np.array([cand.rows for cand in cs], dtype=dtype).reshape(len(cs), d, n)
+                det = plucker_pairing(plucker(basis[None, c:], p), plucker(cands, p), n, k - c, p)
+                assert (det[0] != 0).tolist() == [b.sum(cand).dim == n for cand in cs]
 
 
 def test_shape_caches_keep_a_bounded_total(monkeypatch):

@@ -24,11 +24,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import Analyzer, _LRU
+from .classify import Analyzer
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
-from .subspace import CapExceededError, Subspace
+from .subspace import CapExceededError, Subspace, _LRU
 
 DEFAULT_TABLE_CAP = 2**25
 # tables decoded and Jacobi-filtered together: the int64 residuals of one
@@ -63,6 +63,9 @@ class CensusSpec:
             raise ValueError(f"max_dim must be at least 1, got {self.max_dim}")
         if self.mode == "random" and self.count < 1:
             raise ValueError(f"a random universe needs count >= 1, got {self.count}")
+        # the first of the two uint64 words of a sample's Philox key
+        if self.mode == "random" and not 0 <= self.seed < 2**64:
+            raise ValueError(f"a random universe needs 0 <= seed < 2^64, got {self.seed}")
         require_int64_safe(self.p, self.max_dim)
 
     def dims(self) -> range:
@@ -136,28 +139,15 @@ def _index_weights(n: int, p: int) -> np.ndarray:
     return w
 
 
-def _jacobi_batches(
-    p: int, n: int, start: int, stop: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(indices, tables) of the Jacobi-passing tables among the indices
-    [start, stop), in order, decoded and filtered JACOBI_BATCH at a time."""
-    for lo in range(start, stop, JACOBI_BATCH):
+def _jacobi_batches(p: int, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(indices, tables) of the Jacobi-passing tables of dimension n, in
+    index order, decoded and filtered JACOBI_BATCH at a time."""
+    stop = p ** table_digit_count(n)
+    for lo in range(0, stop, JACOBI_BATCH):
         idx = np.arange(lo, min(lo + JACOBI_BATCH, stop), dtype=np.int64)
         tables = _tables_from_indices(idx, n, p)
         ok = ~jacobi_residuals(tables, p).reshape(len(idx), -1).any(axis=1)
         yield idx[ok], tables[ok]
-
-
-def _exhaustive_algebras(
-    p: int, n: int, start: int, stop: int
-) -> Iterator[Tuple[int, LieAlgebra]]:
-    """(t, algebra) for every Jacobi-passing table index t in [start, stop),
-    in order; only the passing tables are built (and validated again) as
-    algebras."""
-    field_ = PrimeField(p)
-    for idx, tables in _jacobi_batches(p, n, start, stop):
-        for t, table in zip(idx, tables):
-            yield int(t), LieAlgebra(field_, n, table=table)
 
 
 # -- isomorphism classes ----------------------------------------------------
@@ -227,7 +217,7 @@ def _new_bitset(p: int, n: int) -> np.ndarray:
 def _sweep_classes(p: int, n: int) -> Iterator[Tuple[int, LieAlgebra, int]]:
     field_ = PrimeField(p)
     bits = _new_bitset(p, n)
-    for idx, tables in _jacobi_batches(p, n, 0, p ** table_digit_count(n)):
+    for idx, tables in _jacobi_batches(p, n):
         for t, table in zip(idx, tables):
             if not _is_marked(bits, t):
                 size = len(_orbit(table, p, bits))
@@ -283,22 +273,26 @@ def generate(spec: CensusSpec) -> Iterator[CensusEntry]:
     exhaustive mode, or a seeded counter-based random sample with
     count // max_dim algebras of each dimension (the remainder going to the
     lowest dimensions); at most spec.table_cap tables are drawn."""
+    field_ = PrimeField(spec.p)
     if spec.mode == "exhaustive":
         _check_exhaustive_caps(spec)
+        # only the Jacobi-passing tables are built (and validated again)
         for n in spec.dims():
-            total = spec.p ** table_digit_count(n)
-            for t, alg in _exhaustive_algebras(spec.p, n, 0, total):
-                yield CensusEntry(("e", n, t), alg)
+            for idx, tables in _jacobi_batches(spec.p, n):
+                for t, table in zip(idx, tables):
+                    yield CensusEntry(("e", n, int(t)), LieAlgebra(field_, n, table=table))
     elif spec.mode == "random":
-        field_ = PrimeField(spec.p)
         accepted = 0
         counter = 0
         dims = list(spec.dims())
         while accepted < spec.count:
             if counter >= spec.table_cap:
                 raise CapExceededError(counter + 1, spec.table_cap, "random tables")
-            # counter-based generator: a sample is reproducible from (seed, counter)
-            gen = np.random.Generator(np.random.Philox(key=[spec.seed, counter]))
+            # counter-based generator: a sample is reproducible from (seed,
+            # counter), given as uint64 words (numpy rounds a list holding a
+            # seed past 2^63 through float64, and those near 2^64 to 0)
+            key = np.array([spec.seed, counter], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
             n = dims[accepted % len(dims)]
             digits = gen.integers(0, spec.p, size=table_digit_count(n))
             table = _tables_from_digits(digits[None], n, spec.p)[0]

@@ -8,7 +8,6 @@ and return the first witness, so reports are reproducible across runs.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -24,7 +23,7 @@ from .lattice import (
     minimal_ideals,
     radical,
 )
-from .subspace import DEFAULT_SUBSPACE_CAP, Subspace
+from .subspace import DEFAULT_SUBSPACE_CAP, Subspace, _LRU
 
 # entries in an Analyzer's verdict memo, supersolvability included: with one
 # check per isomorphism class the benchmark campaigns peak at 59 (tsupp over
@@ -262,27 +261,6 @@ def classify_algebra(
     return rep
 
 
-class _LRU(OrderedDict):
-    """A dict of at most `slots` entries: get and assignment make a key the
-    newest, and an assignment past the bound drops the oldest."""
-
-    def __init__(self, slots: int):
-        super().__init__()
-        self.slots = slots
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > self.slots:
-            self.popitem(last=False)
-
-
 _MISSING = object()
 
 
@@ -291,10 +269,10 @@ class Analyzer:
 
     Census campaigns hit the same subalgebra/quotient tables over and over;
     caching verdicts per table collapses that cost.  It keeps two stores,
-    each a bounded LRU: the lattices (LATTICE_SLOTS) and the verdicts of
-    every predicate (MEMO_SLOTS), so a long campaign cannot grow without
-    limit.  Every verdict is computed from the lattice of its own algebra,
-    under the Analyzer's cap.
+    each a subspace._LRU of a bounded count of entries: the lattices
+    (LATTICE_SLOTS) and the verdicts of every predicate (MEMO_SLOTS), so a
+    long campaign cannot grow without limit.  Every verdict is computed
+    from the lattice of its own algebra, under the Analyzer's cap.
     """
 
     def __init__(self, cap: int = DEFAULT_SUBSPACE_CAP):

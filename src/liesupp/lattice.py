@@ -29,9 +29,9 @@ against the dim-(n-k) ones, and computes only dimensions k and n - k.  The
 coordinates of an echelon row depend on its shape (n, p, k) alone, not on
 the algebra, so they are computed once per shape, in row blocks, into a
 read-only table (_plucker_table) that the shape caches keep like the
-echelon arrays (ECHELON_CACHE_BYTES a shape, ECHELON_CACHE_TOTAL in all);
-a dimension of a larger shape takes plucker of the subalgebra rows it
-pairs alone.
+echelon arrays (ECHELON_CACHE_TOTAL in all, a quarter of it a shape); a
+dimension of a larger shape takes plucker of the subalgebra rows it pairs
+alone.
 LatticeCache.unsupplemented(k) decides c-supplementation for every dim-k
 subalgebra at once: ideals are supplemented, so a dimension of ideals alone
 needs no pairing; for the other rows it reads the cores K from the ideal
@@ -143,7 +143,7 @@ class _Dim:
         slice): rows of the shape's _plucker_table where the shape caches
         keep the arrays, else plucker of those subalgebra rows alone, in
         row blocks, so that no whole-Grassmannian table is built past
-        ECHELON_CACHE_BYTES."""
+        _shape_kept."""
         at = self.idx[rows]
         if self._kept:
             _, k, n = self._bases.shape
@@ -331,10 +331,6 @@ class LatticeCache:
 # supersolvable walk take at most _BLOCK multiply-adds too: OpenBLAS runs a
 # larger one on several threads, which stall when other processes hold CPUs.
 _BLOCK = 2**18
-# candidates in one column block of the first-complement search, the side of
-# a square pairing block (a chunk of as many rows fills _BLOCK): a row that
-# has a complement there leaves the search after one block
-_COMPLEMENT_COLUMNS = isqrt(_BLOCK)
 
 
 def _block_rows(per_row: int) -> int:
@@ -688,11 +684,11 @@ def plucker(bases: np.ndarray, p: int) -> np.ndarray:
 
 def _plucker_blocks(bases: np.ndarray, p: int) -> np.ndarray:
     """plucker of bases in row blocks, for the shape tables, the rows of
-    _Dim.pluckers past ECHELON_CACHE_BYTES and the B' of _core_supplements:
-    each Laplace step of plucker holds about four int64 arrays (gathered
-    entries, gathered minors, their products, the signed products) of
-    C(n, r) r <= C(n, n // 2) d values a row, so a block keeps them at about
-    _BLOCK values together."""
+    _Dim.pluckers on shapes the shape caches do not keep and the B' of
+    _core_supplements: each Laplace step of plucker holds about four int64
+    arrays (gathered entries, gathered minors, their products, the signed
+    products) of C(n, r) r <= C(n, n // 2) d values a row, so a block keeps
+    them at about _BLOCK values together."""
     m, d, n = bases.shape
     out = np.empty((m, comb(n, d)), dtype=_entry_dtype(p))
     step = _block_rows(4 * comb(n, n // 2) * d)
@@ -755,18 +751,20 @@ def _first_hits(
     """For each dim-(n - d) subspace U, one row of Plücker coordinates in
     pu: the first W among the rows `columns` (ascending) of dimension d
     with U + W = L, or -1.  The rows are paired (plucker_pairing) with
-    column blocks of _COMPLEMENT_COLUMNS candidates, whose Plücker rows
-    come from _Dim.pluckers, in row chunks of at most _BLOCK pairings; a
-    row leaves the search at the first block where it has a hit, which
-    holds its least one, so the search ends once every row has one."""
+    column blocks of isqrt(_BLOCK) candidates, the side of a square pairing
+    block, whose Plücker rows come from _Dim.pluckers, in row chunks of at
+    most _BLOCK pairings; a row leaves the search at the first block where
+    it has a hit, which holds its least one, so the search ends once every
+    row has one."""
     n, p = lattice.algebra.dim, lattice.algebra.p
     candidates = lattice._dim(d)
     first = np.full(len(pu), -1, dtype=np.intp)
     left = np.arange(len(pu))  # rows of pu still without a hit
-    for lo in range(0, len(columns), _COMPLEMENT_COLUMNS):
+    width = isqrt(_BLOCK)
+    for lo in range(0, len(columns), width):
         if not len(left):
             break
-        block = columns[lo : lo + _COMPLEMENT_COLUMNS]
+        block = columns[lo : lo + width]
         pw = candidates.pluckers(block)
         step = _block_rows(len(pw))
         for at in range(0, len(left), step):

@@ -19,12 +19,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
-# echelon_arrays, _parity_checks and lattice._plucker_table keep the arrays
-# of a shape (n, p, k) whose arrays together take at most ECHELON_CACHE_BYTES
-# (_shape_bytes: every shape of GF(2)^8 fits, its dim 4 with 28 MB), so one
-# large lattice cannot pin its arrays; all they keep takes at most
-# ECHELON_CACHE_TOTAL bytes, the least recently used shape dropped first
-ECHELON_CACHE_BYTES = 2**25
+# echelon_arrays, _parity_checks and lattice._plucker_table keep, in one
+# store, at most ECHELON_CACHE_TOTAL bytes of arrays, the least recently used
+# shape dropped first; they keep a shape (n, p, k) whose arrays together take
+# at most a quarter of that (_shape_bytes: every shape of GF(2)^8 fits, its
+# dim 4 with 28 MB), so one large lattice cannot pin its arrays
 ECHELON_CACHE_TOTAL = 2**27
 
 Vector = tuple
@@ -236,54 +235,67 @@ def _shape_bytes(n: int, p: int, k: int) -> int:
 
 def _shape_kept(n: int, p: int, k: int) -> bool:
     """The shape caches keep the arrays of (n, p, k): together they take at
-    most ECHELON_CACHE_BYTES."""
-    return _shape_bytes(n, p, k) <= ECHELON_CACHE_BYTES
+    most a quarter of ECHELON_CACHE_TOTAL, so the store holds at least four
+    of the largest shapes it admits."""
+    return _shape_bytes(n, p, k) <= ECHELON_CACHE_TOTAL // 4
 
 
-class _ShapeStore:
-    """The arrays the shape caches keep, oldest use first, under one bound
-    for all of them: past ECHELON_CACHE_TOTAL bytes the least recently used
-    are dropped."""
+class _LRU(OrderedDict):
+    """A dict whose entries take at most `bound` together, each counting
+    size(value) (1 by default) in `total`: get and assignment make a key the
+    newest, and an assignment that takes the total past the bound drops the
+    oldest entries.  Entries leave through del alone, which keeps the total."""
 
-    def __init__(self):
-        self.kept: "OrderedDict[tuple, object]" = OrderedDict()
-        self.bytes = 0
+    def __init__(self, bound: int, size=lambda value: 1):
+        super().__init__()
+        self.bound, self.size, self.total = bound, size, 0
 
-    def get(self, build, n: int, p: int, k: int):
-        key = (build, n, p, k)
-        got = self.kept.pop(key, None)
-        if got is None:
-            got = build(n, p, k)
-            if not _shape_kept(n, p, k):
-                return got
-            self.bytes += _nbytes(got)
-        self.kept[key] = got
-        while self.bytes > ECHELON_CACHE_TOTAL:
-            self.bytes -= _nbytes(self.kept.popitem(last=False)[1])
-        return got
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
 
-    def clear(self, build):
-        for key in [key for key in self.kept if key[0] is build]:
-            self.bytes -= _nbytes(self.kept.pop(key))
+    def __setitem__(self, key, value):
+        if key in self:
+            del self[key]
+        super().__setitem__(key, value)
+        self.total += self.size(value)
+        while self.total > self.bound:
+            del self[next(iter(self))]
+
+    def __delitem__(self, key):
+        self.total -= self.size(self[key])
+        super().__delitem__(key)
 
 
 def _nbytes(arrays) -> int:
     return sum(a.nbytes for a in (arrays if isinstance(arrays, tuple) else (arrays,)))
 
 
-_SHAPES = _ShapeStore()
+_SHAPES = _LRU(ECHELON_CACHE_TOTAL, _nbytes)
 
 
 def _shape_cache(build):
-    """build(n, p, k), kept in the shared store of the shape caches for the
-    shapes _shape_kept admits and built afresh past that; the builder is
+    """build(n, p, k), kept in _SHAPES, the store of the shape caches, for
+    the shapes _shape_kept admits and built afresh past that; the builder is
     __wrapped__, and cache_clear drops what the store keeps of it."""
 
     @wraps(build)
     def cached(n: int, p: int, k: int):
-        return _SHAPES.get(build, n, p, k)
+        key = (build, n, p, k)
+        got = _SHAPES.get(key)
+        if got is None:
+            got = build(n, p, k)
+            if _shape_kept(n, p, k):
+                _SHAPES[key] = got
+        return got
 
-    cached.cache_clear = lambda: _SHAPES.clear(build)
+    def cache_clear():
+        for key in [key for key in _SHAPES if key[0] is build]:
+            del _SHAPES[key]
+
+    cached.cache_clear = cache_clear
     return cached
 
 

@@ -22,7 +22,7 @@ from liesupp.census import (
     table_digit_count,
     verify,
 )
-from liesupp.classify import Analyzer, _LRU, classify_algebra
+from liesupp.classify import Analyzer, classify_algebra
 from liesupp.formats import algebra_to_doc
 from liesupp.gfp import ModulusTooLargeError, PrimeField
 from liesupp.lattice import LatticeCache
@@ -35,7 +35,7 @@ from liesupp.liealg import (
     heisenberg,
     nonabelian2,
 )
-from liesupp.subspace import CapExceededError
+from liesupp.subspace import CapExceededError, _LRU
 from oracles import (
     EagerLattice,
     canonical_form_small,
@@ -142,6 +142,38 @@ def test_empty_universes_refused(kwargs):
     when it is made: its campaigns would examine nothing and confirm."""
     with pytest.raises(ValueError):
         CensusSpec(2, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+def test_random_seeds_outside_64_bits_refused(seed):
+    """A random sample is keyed by (seed, counter), two 64-bit words, so a
+    random spec refuses a seed outside [0, 2^64) when it is made, and takes
+    2^64 - 1; an exhaustive universe, which no seed selects, takes any."""
+    with pytest.raises(ValueError, match="seed"):
+        CensusSpec(2, 2, mode="random", count=2, seed=seed)
+    CensusSpec(2, 2, seed=seed)
+    assert len(list(generate(CensusSpec(2, 2, mode="random", count=2, seed=2**64 - 1)))) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 12, 2**63 + 1, 2**64 - 1025, 2**64 - 1])
+def test_random_samples_keyed_by_the_exact_seed(seed):
+    """Each random sample ("r", n, counter) is the table of the digits that
+    Philox keyed by the uint64 words (seed, counter) draws, for every seed
+    in [0, 2^64): none past 2^63 is rounded, and 2^64 - 1 does not draw
+    the samples of seed 0."""
+    p = 2
+    entries = list(generate(CensusSpec(p, 3, mode="random", count=12, seed=seed)))
+    for entry in entries:
+        _, n, counter = entry.index
+        key = np.array([seed, counter], dtype=np.uint64)
+        digits = np.random.Generator(np.random.Philox(key=key)).integers(
+            0, p, size=census_mod.table_digit_count(n)
+        )
+        want = census_mod._tables_from_digits(digits[None], n, p)[0]
+        assert np.array_equal(np.array(entry.algebra.table), want)
+    if seed:
+        seed_0 = generate(CensusSpec(p, 3, mode="random", count=12, seed=0))
+        assert [e.index for e in entries] != [e.index for e in seed_0]
 
 
 def test_campaigns_refused_before_any_class_is_built(monkeypatch):

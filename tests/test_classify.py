@@ -48,7 +48,7 @@ from liesupp.liealg import (
     L1_gamma,
     sl2,
 )
-from liesupp.subspace import CapExceededError, Subspace
+from liesupp.subspace import ECHELON_CACHE_TOTAL, CapExceededError, Subspace, _LRU, _nbytes
 from oracles import (
     DIM56_SUMS,
     EagerLattice,
@@ -372,7 +372,7 @@ def test_classify_evaluates_through_the_analyzer_memo(L, monkeypatch):
 
 
 def test_lru_keeps_the_newest_entries():
-    lru = classify_mod._LRU(2)
+    lru = _LRU(2)
     lru["a"], lru["b"] = 1, 2
     assert lru.get("a") == 1  # now the newest
     lru["c"] = 3
@@ -392,14 +392,14 @@ def _verify_docs(make_analyzer):
 def test_memo_bound_keeps_verdicts(monkeypatch):
     default = _verify_docs(Analyzer)
     monkeypatch.setattr(classify_mod, "MEMO_SLOTS", 4)
-    real_set = classify_mod._LRU.__setitem__
+    real_set = _LRU.__setitem__
     sizes = []
 
     def recording(lru, key, value):
         real_set(lru, key, value)
-        sizes.append((len(lru), lru.slots))
+        sizes.append((lru.total, lru.bound))
 
-    monkeypatch.setattr(classify_mod._LRU, "__setitem__", recording)
+    monkeypatch.setattr(_LRU, "__setitem__", recording)
     analyzers = []
 
     def small():
@@ -407,9 +407,9 @@ def test_memo_bound_keeps_verdicts(monkeypatch):
         return analyzers[-1]
 
     assert _verify_docs(small) == default
-    assert all(size <= slots for size, slots in sizes)
+    assert all(total <= bound for total, bound in sizes)
     for az in analyzers:
-        assert az._memo.slots == 4
+        assert az._memo.bound == 4
     # the bound was reached, so entries really were dropped
     assert max(len(az._memo) for az in analyzers) == 4
 
@@ -734,17 +734,18 @@ def test_first_complements_match_sums(universe, block, monkeypatch):
 @pytest.mark.parametrize("universe", ["census_gf2", "census_gf3", "gf2_pair_sums"])
 def test_first_complements_in_small_column_blocks(universe, columns, block, monkeypatch):
     """The complement search with column blocks of one and of three
-    candidates (and, with 6 pairings a chunk, two rows a chunk) answers
-    every dimension as complement_by_sums does, for all its rows and for
-    every other row, taken in descending order: each row's least complement
-    is its first hit in the first block where it has one."""
-    monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", columns)
+    candidates (_BLOCK at 1 and at 9, whose isqrt is the width; and, with 6
+    pairings a row chunk, two rows a chunk) answers every dimension as
+    complement_by_sums does, for all its rows and for every other row,
+    taken in descending order: each row's least complement is its first hit
+    in the first block where it has one."""
     for L in FIRST_COMPLEMENT_UNIVERSES[universe]():
         lat = _built(L)
         expected = first_complements_by_sums(L)
         with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod, "_BLOCK", columns**2)
             if block is not None:
-                patch.setattr(lattice_mod, "_BLOCK", block)
+                patch.setattr(lattice_mod, "_block_rows", lambda per_row: max(1, block // per_row))
             for k, want in expected.items():
                 assert lat.first_complements(k).tolist() == want
                 rows = np.arange(len(want))[::-2]
@@ -779,7 +780,7 @@ def test_dim8_gf2_sum_c_supplemented_in_bounded_memory(monkeypatch):
     alone, each until its first hit.  With int64 arrays rebuilt per
     lattice and every row paired with every candidate it peaked at 419
     MB."""
-    monkeypatch.setattr(subspace_mod, "_SHAPES", subspace_mod._ShapeStore())
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
     L = abelian(2, 4).direct_sum(heisenberg(2)).direct_sum(abelian(2, 1))
     tracemalloc.start()
     try:

@@ -278,6 +278,22 @@ def test_empty_universe_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("invalid input: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "-p", "2", "-n", "2", "--samples", "2", "--seed", "99999999999999999999999"],
+        ["verify", "pfrat", "-p", "2", "-n", "2", "--samples", "2", "--seed", str(2**64)],
+        ["verify", "pfrat", "-p", "2", "-n", "2", "--samples", "2", "--seed", "-1"],
+    ],
+)
+def test_seed_outside_64_bits_exit_2(capsys, argv):
+    """A random universe's seed outside [0, 2^64), which its (seed, counter)
+    sample keys cannot hold, is refused with exit 2 and one line."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("invalid input: ")
+    assert err.count("\n") == 1
+
+
 def test_census_counts(capsys):
     code, out, _ = run(capsys, ["census", "-p", "2", "-n", "3"])
     assert code == 0

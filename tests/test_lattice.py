@@ -2,7 +2,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -1135,31 +1135,37 @@ def _first_complement_algebras():
 
 
 def test_first_complements_past_the_cache_rows_build_no_table(monkeypatch):
-    """With ECHELON_CACHE_BYTES at 0 no shape is kept: the first complements
+    """With ECHELON_CACHE_TOTAL at 0 no shape is kept: the first complements
     still match the oracle by sums, no Plücker table is asked for, so none
-    is built or kept, and plucker runs on the subalgebra rows paired alone:
-    once on the dim-k rows asked for, then on the dim-(n - k) candidates in
-    column blocks of min(_COMPLEMENT_COLUMNS, candidates left), in order,
-    up to the block that holds the last least complement (every block when
-    a row has none)."""
+    is built or kept, and plucker runs on the subalgebra rows paired alone,
+    in the row blocks of _plucker_blocks: on the dim-k rows asked for, then
+    on the dim-(n - k) candidates in column blocks of min(isqrt(_BLOCK),
+    candidates left), in order, up to the block that holds the last least
+    complement (every block when a row has none)."""
     _check_plucker_calls_past_the_cache_rows(monkeypatch)
 
 
 def test_first_complements_past_the_cache_rows_in_small_column_blocks(monkeypatch):
-    """As above, with column blocks of three candidates, so that most
-    searches take several blocks and many end before the last."""
-    monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", 3)
+    """As above, with _BLOCK = 9: column blocks of three candidates, so that
+    most searches take several blocks and many end before the last, and
+    plucker on one row at a time."""
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 9)
     _check_plucker_calls_past_the_cache_rows(monkeypatch)
 
 
 def _check_plucker_calls_past_the_cache_rows(monkeypatch):
     algebras = _first_complement_algebras()
     expected = [first_complements_by_sums(L) for L in algebras]
-    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", 0)
-    width = lattice_mod._COMPLEMENT_COLUMNS
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", 0)
+    width = isqrt(lattice_mod._BLOCK)
+
+    def blocks(rows, d, n):
+        """The plucker calls of _plucker_blocks on `rows` rows of dim d."""
+        step = lattice_mod._block_rows(4 * comb(n, n // 2) * d)
+        return [(min(step, rows - lo), d) for lo in range(0, rows, step)]
 
     def refuse(*args):
-        raise AssertionError("a Plücker table built past ECHELON_CACHE_BYTES")
+        raise AssertionError("a Plücker table built for a shape past _shape_kept")
 
     monkeypatch.setattr(lattice_mod, "_plucker_table", refuse)
     calls = []
@@ -1175,10 +1181,12 @@ def _check_plucker_calls_past_the_cache_rows(monkeypatch):
         for k, first in want.items():
             del calls[:]
             assert lat.first_complements(k).tolist() == first
-            m = len(lat._dim(L.dim - k).idx)
+            n, m = L.dim, len(lat._dim(L.dim - k).idx)
             end = m if -1 in first else max(first, default=-1) + 1
-            blocks = [(min(width, m - lo), L.dim - k) for lo in range(0, end, width)]
-            assert calls == [(len(first), k)] + blocks
+            want_calls = blocks(len(first), k, n)
+            for lo in range(0, end, width):
+                want_calls += blocks(min(width, m - lo), n - k, n)
+            assert calls == want_calls
 
 
 def test_warm_shape_makes_no_plucker_call(monkeypatch):
@@ -1243,15 +1251,15 @@ def test_spanning_matches_sums_pair_by_pair(block, monkeypatch):
     K (for c = 0 every dim-k B against every C, as for a complement).  One
     candidate at a time the answer is C where B + C = GF(3)^4 by row
     reduction and -1 elsewhere; with all of them at once it is the first
-    such C.  Also with blocks of one pair and of a few pairs, and with
-    column blocks of one candidate."""
+    such C.  Also with _BLOCK at 1 (blocks of one pair, column blocks of one
+    candidate) and at 200 (chunks and column blocks of 14)."""
     if block is not None:
         monkeypatch.setattr(lattice_mod, "_BLOCK", block)
     n, p = 4, 3
     lat = build_lattice(abelian(p, n))
     subs = {k: [lat.member(k, r) for r in range(len(lat._dim(k).idx))] for k in range(n + 1)}
-    for columns in (lattice_mod._COMPLEMENT_COLUMNS, 1):
-        monkeypatch.setattr(lattice_mod, "_COMPLEMENT_COLUMNS", columns)
+    for pairings in (lattice_mod._BLOCK, 1):
+        monkeypatch.setattr(lattice_mod, "_BLOCK", pairings)
         for k in range(1, n):
             for d in range(n - k, n + 1):
                 c = d - (n - k)
@@ -1338,23 +1346,24 @@ def test_shape_array_kernels_exact_at_the_dtype_edges(p, n, dtype):
 
 
 def test_shape_caches_keep_a_bounded_total(monkeypatch):
-    """The shape caches share one store: a shape past ECHELON_CACHE_BYTES is
-    built afresh each time, and once what the store keeps passes
-    ECHELON_CACHE_TOTAL the least recently used arrays are dropped."""
-    store = subspace_mod._ShapeStore()
+    """The shape caches share one store, bounded by ECHELON_CACHE_TOTAL: a
+    shape past a quarter of it is built afresh each time, and once what the
+    store keeps passes its bound the least recently used arrays are
+    dropped and the newest stay."""
+    store = subspace_mod._LRU(subspace_mod.ECHELON_CACHE_TOTAL, subspace_mod._nbytes)
     monkeypatch.setattr(subspace_mod, "_SHAPES", store)
     planes, lines = echelon_arrays(4, 3, 2), echelon_arrays(4, 3, 1)
     kept = subspace_mod._shape_bytes(4, 3, 2)
-    assert store.bytes == sum(a.nbytes for a in planes + lines) <= kept
-    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", kept - 1)
+    assert store.total == sum(a.nbytes for a in planes + lines) <= kept
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", 4 * (kept - 1))
     assert echelon_arrays(4, 3, 2)[0] is planes[0]  # kept before the bound moved
     assert echelon_arrays(4, 3, 3)[0] is echelon_arrays(4, 3, 3)[0]
     assert echelon_arrays(5, 3, 2)[0] is not echelon_arrays(5, 3, 2)[0]
     # room for the lines and one more small shape: the planes, used least
     # recently, go
-    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", store.bytes - 1)
+    store.bound = store.total - 1
     checks = _parity_checks(4, 3, 1)
-    assert store.bytes <= subspace_mod.ECHELON_CACHE_TOTAL
+    assert store.total <= store.bound
     assert echelon_arrays(4, 3, 2)[0] is not planes[0]
     assert _parity_checks(4, 3, 1) is checks
 

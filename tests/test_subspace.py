@@ -7,8 +7,11 @@ import liesupp.subspace as subspace_mod
 from liesupp.lattice import _plucker_table, build_lattice
 from liesupp.liealg import abelian
 from liesupp.subspace import (
+    ECHELON_CACHE_TOTAL,
     CapExceededError,
     Subspace,
+    _LRU,
+    _nbytes,
     _parity_checks,
     _shape_bytes,
     _shape_kept,
@@ -118,6 +121,60 @@ def test_echelon_arrays_counts(n, p):
                 assert (bases[idx, r, piv[:, r]] == 1).all()
 
 
+# keys as the shape caches make them: a builder, then the shape
+LRU_KEYS = st.tuples(st.sampled_from("ab"), st.integers(0, 3))
+
+
+@st.composite
+def lru_case(draw):
+    """A bound, a size function (None for the default, 1 an entry, over
+    ints; or _nbytes over uint8 arrays) and operations on an _LRU: gets,
+    assignments and the deletions of one builder's keys, as cache_clear
+    makes them.  No entry is larger than the bound."""
+    if draw(st.booleans()):
+        bound, size, values = draw(st.integers(1, 5)), None, st.integers()
+    else:
+        bound, size = draw(st.integers(1, 64)), _nbytes
+        values = st.integers(0, bound).map(lambda m: np.zeros(m, dtype=np.uint8))
+    ops = st.one_of(
+        st.tuples(st.just("get"), LRU_KEYS),
+        st.tuples(st.just("set"), LRU_KEYS, values),
+        st.tuples(st.just("clear"), st.sampled_from("ab")),
+    )
+    return bound, size, draw(st.lists(ops, max_size=40))
+
+
+@given(lru_case())
+@settings(max_examples=300, deadline=None)
+def test_lru_holds_its_newest_entries_within_the_bound(case):
+    """After every operation an _LRU holds what a list in order of last use
+    holds, when an assignment drops the oldest entries past the bound: its
+    total is the sum of the sizes of its entries and at most the bound, and
+    the newest entry is kept."""
+    bound, size, ops = case
+    lru = _LRU(bound) if size is None else _LRU(bound, size)
+    measure = size or (lambda value: 1)
+    model = []  # (key, value), oldest use first
+    for op in ops:
+        if op[0] == "get":
+            hit = [kv for kv in model if kv[0] == op[1]]
+            assert lru.get(op[1], "missing") is (hit[0][1] if hit else "missing")
+            model = [kv for kv in model if kv[0] != op[1]] + hit
+        elif op[0] == "set":
+            lru[op[1]] = op[2]
+            model = [kv for kv in model if kv[0] != op[1]] + [op[1:]]
+            while sum(measure(value) for _, value in model) > bound:
+                model.pop(0)
+            assert list(lru)[-1] == op[1]
+        else:
+            for key in [key for key in lru if key[0] == op[1]]:
+                del lru[key]
+            model = [kv for kv in model if kv[0][0] != op[1]]
+        assert list(lru) == [key for key, _ in model]
+        assert all(lru[key] is value for key, value in model)
+        assert lru.total == sum(measure(value) for value in lru.values()) <= bound
+
+
 @pytest.mark.parametrize("n,k", [(0, 1), (2, 3)])
 def test_no_subspace_past_the_ambient_dimension(n, k):
     bases, piv = echelon_arrays(n, 2, k)
@@ -126,10 +183,11 @@ def test_no_subspace_past_the_ambient_dimension(n, k):
 
 
 def _bound_below(monkeypatch, n, p, k):
-    """An empty shape store, and ECHELON_CACHE_BYTES just below the arrays
-    of (n, p, k): that shape is built on every call and not kept."""
-    monkeypatch.setattr(subspace_mod, "_SHAPES", subspace_mod._ShapeStore())
-    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_BYTES", _shape_bytes(n, p, k) - 1)
+    """An empty shape store, and a quarter of ECHELON_CACHE_TOTAL just below
+    the arrays of (n, p, k): that shape is built on every call and not
+    kept."""
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", 4 * (_shape_bytes(n, p, k) - 1))
     assert not _shape_kept(n, p, k)
 
 

@@ -3,14 +3,21 @@
 build_lattice returns a LatticeCache that computes the subalgebras of GF(p)^n
 one dimension at a time, the first time anything asks for that dimension:
 a batched closure (and ideal) test with numpy over every dim-k subspace of
-echelon generation, which brackets one pair of basis rows of every
-subspace first and the other pairs only for the few that pass
+echelon generation, which tests one pair of basis rows of every subspace
+first and the other pairs only for the few that pass
 (_closed_and_ideal_masks); an abelian algebra (a zero table) makes every
-subspace an ideal without a bracket.  A computed dimension is kept as an
-index vector into the shared, read-only echelon_arrays and _parity_checks
-arrays, whose entries are in the smallest unsigned dtype (_entry_dtype;
-the kernels that multiply them cast one row block at a time to int64 or
-to a float), and no whole dimension is made into Subspaces: the queries
+subspace an ideal without a bracket.  Where GF(p)^n has at most
+isqrt(_BLOCK) = 512 vectors, and fewer than m (k - 1) for the m subspaces
+of dimension k, the test goes by table lookup (_lookup_masks) in the index
+of every bracket [x, y] (_bracket_table, per algebra), whether
+<x, h> != 0 mod p (_pairings, per (n, p)) and the indices of the basis
+rows and parity-check columns of each subspace (_index_table, per shape);
+elsewhere by staged int64 matrix products (_staged_masks).  A computed
+dimension is kept as an index vector into the shared, read-only
+echelon_arrays and _parity_checks arrays, whose entries are in the
+smallest unsigned dtype (_entry_dtype; the kernels that multiply them cast
+one row block at a time to int64 or to a float), and no whole dimension is
+made into Subspaces: the queries
 (member(k, row), ideals(k), maximals, inside, the witnesses) make
 Subspaces of the rows they return alone, and stats counts from the arrays.
 The maximal subalgebras are found on first access, by a top-down scan
@@ -66,7 +73,10 @@ from .subspace import (
     CapExceededError,
     DEFAULT_SUBSPACE_CAP,
     Subspace,
+    _BLOCK,
     _entry_dtype,
+    _index_dtype,
+    _lookup_space,
     _parity_check,
     _parity_checks,
     _read_only,
@@ -313,24 +323,29 @@ class LatticeCache:
 # (subspace._parity_checks): v lies in it iff v @ checks[a] == 0 mod p.  The
 # products below multiply residues below p, sum n terms and are reduced mod p
 # before they enter the next product; the one exception, the unreduced
-# brackets that _inside tests in the closure test and in _ideal_of, leaves
-# sums below n^2 (p - 1)^3, the bound LieAlgebra enforces (gfp.int64_safe).
-# So all of it is int64-exact.  The containment products (_contained), below
-# n (p - 1)^2 < 2^42, the cover counts of the maximal scan, below the number
-# of members, and the Plücker pairings (plucker_pairing), below
-# C(n, k) (p - 1)^2, run through BLAS in floats instead: in float32 when the
-# bound (plus p, for _reduce) is at most 2^24, else in float64, exact up to
-# 2^53 (_exact_float).
+# brackets that _inside tests in the staged closure test and in _ideal_of,
+# leaves sums below n^2 (p - 1)^3, the bound LieAlgebra enforces
+# (gfp.int64_safe).  So all of it is int64-exact.  The containment products
+# (_contained), below n (p - 1)^2 < 2^42, the cover counts of the maximal
+# scan, below the number of members, and the Plücker pairings
+# (plucker_pairing), below C(n, k) (p - 1)^2, run through BLAS in floats
+# instead: in float32 when the bound (plus p, for _reduce) is at most 2^24,
+# else in float64, exact up to 2^53 (_exact_float).  The closure test by
+# lookup does no arithmetic mod p: it gathers from tables whose products,
+# [x, y] = sum_j y[j] [x, e_j] and <x, h>, below n (p - 1)^2, are float
+# products exact by _exact_float too, reduced by _reduce; the base-p
+# indices it adds and multiplies are below p^(2n) <= _BLOCK.
 
 # Every kernel here goes over its rows in blocks, so that what it holds at
-# once is bounded by one number, whatever the size of the lattice: _BLOCK,
-# the values (int64 or float; a bool or a uint8 counts as one too) that the
-# intermediate arrays of one block may hold together.  A kernel states how
-# many values one of its rows holds, and _block_rows turns that into its row
-# step.  The BLAS products of _contained, the cover counts and the
-# supersolvable walk take at most _BLOCK multiply-adds too: OpenBLAS runs a
-# larger one on several threads, which stall when other processes hold CPUs.
-_BLOCK = 2**18
+# once is bounded by one number, whatever the size of the lattice: _BLOCK
+# (2^18, from subspace, whose shape store counts the lookup's index arrays
+# by it), the values (int64 or float; a bool or a uint8 counts as one too)
+# that the intermediate arrays of one block may hold together.  A kernel
+# states how many values one of its rows holds, and _block_rows turns that
+# into its row step.  The BLAS products of _contained, the cover counts and
+# the supersolvable walk take at most _BLOCK multiply-adds too: OpenBLAS
+# runs a larger one on several threads, which stall when other processes
+# hold CPUs.
 
 
 def _block_rows(per_row: int) -> int:
@@ -340,9 +355,11 @@ def _block_rows(per_row: int) -> int:
     return max(1, _BLOCK // max(1, per_row))
 
 
-# algebras whose _vector_table is kept: every dimension of a lattice and
-# _induced_tables share one table, and no lattice holds one (GF(5)^6 alone
-# takes 4.5 MB)
+# algebras whose _vector_table and _bracket_table are kept: every dimension
+# of a lattice and _induced_tables share one [v, e_j] table, and every
+# dimension tested by lookup one bracket table; no lattice holds one
+# (GF(5)^6's [v, e_j] table alone takes 4.5 MB, a bracket table at most
+# _BLOCK two-byte indices, 512 KB)
 _VECTOR_TABLE_SLOTS = 4
 
 
@@ -381,22 +398,41 @@ def _pairs(k: int):
 
 
 def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
-    """Batch closure/ideal tests for all dim-k subspaces U at once, in row
+    """Batch closure/ideal tests for all dim-k subspaces U at once (bases
+    and checks: echelon_arrays and _parity_checks of the shape): masks of
+    the subalgebras and of the ideals.  For k = 0 and k = n (0 and L), and
+    for an abelian L (a zero table), every subspace is an ideal, and
+    nothing is bracketed.  Otherwise _lookup_masks decides where GF(p)^n is
+    small (_lookup_space) and has fewer than m (k - 1) vectors, m the
+    number of subspaces, and _staged_masks everywhere else: the lookup
+    does not pay on the lines (k = 1), nor on dimensions of a few rows,
+    such as those of GF(2)^3 and GF(3)^3 (7 to 13 rows), where building
+    its tables costs more than the products they replace.  The choice
+    depends on (n, p, k, m) alone."""
+    p, n = L.p, L.dim
+    m, k = bases.shape[:2]
+    if k in (0, n) or not L.table.any():
+        ones = np.ones(m, dtype=bool)
+        return ones, ones
+    if _lookup_space(n, p) and p**n < m * (k - 1):
+        indices = _index_table(n, p, k) if _shape_kept(n, p, k) else None
+        return _lookup_masks(L, bases, checks, indices)
+    return _staged_masks(L, bases, checks)
+
+
+def _staged_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
+    """_closed_and_ideal_masks by matrix products, for 0 < k < n, in row
     blocks whose [b_s, e_j] arrays hold at most _BLOCK values.  The
     closure test goes one basis row at a time: stage t brackets b_t with
     b_0 .. b_{t-1} and keeps the rows whose brackets lie in U, so that only
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
     abelian) reach the dearer stages; for k = 2 that first stage is the
     whole test.  Only a subalgebra can be an ideal, so the ideal test runs
-    on the closed ones.  For k = 0 and k = n (0 and L), and for an abelian
-    L (a zero table), every subspace is an ideal, and nothing is
-    bracketed.  The [v, e_j] table of _ad_rows is L's cached
-    _vector_table."""
+    on the closed ones.  The [v, e_j] table of _ad_rows is L's cached
+    _vector_table where GF(p)^n has fewer vectors than there are
+    subspaces."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
-    if k in (0, n) or not L.table.any():
-        ones = np.ones(m, dtype=bool)
-        return ones, ones
     closed = np.zeros(m, dtype=bool)
     ideal = np.zeros(m, dtype=bool)
     table = _vector_table(L) if p**n < m else None
@@ -422,6 +458,139 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
         ads.append(_ad_rows(L, block[:, k - 1], table))
         ideal[rows] = _inside(np.concatenate(ads, axis=1), held, p)
     return closed, ideal
+
+
+def _lookup_masks(
+    L: LieAlgebra, bases: np.ndarray, checks: np.ndarray, indices: Optional[Tuple] = None
+):
+    """_closed_and_ideal_masks by table lookup, for 0 < k < n on a
+    _lookup_space.  With b_s the basis rows and h_c the parity-check
+    columns of U, U is closed iff <[b_s, b_t], h_c> = 0 mod p for all
+    s < t and all c, and an ideal iff also <[b_s, e_j], h_c> = 0 for all
+    s, j and c.  Every vector goes by its index (_vector_indices), every
+    bracket is read from L's _bracket_table and every pairing from
+    _pairings, so a test is two gathers and a count, with no arithmetic
+    mod p.  As in _staged_masks, the pair (b_0, b_1) goes first, over a
+    block of rows, and the other pairs and the ideal test only over the
+    rows of the block that pass it, in sub-blocks, whose rows hold the
+    larger gathers; for k = 2 that first pair is the whole closure test.
+    The indices are read from `indices`, the _index_table of the shape
+    whose arrays bases and checks are, or, without it (past _shape_kept),
+    computed from the rows of each block.  A block and a sub-block each
+    hold at most _BLOCK values."""
+    p, n = L.p, L.dim
+    m, k = bases.shape[:2]
+    size = p**n
+    brackets, nonzero = _bracket_table(L), _pairings(n, p)
+    kept = indices is not None
+
+    def outside(vectors, cols):
+        """Mask: some of a row's vectors (indices, shape (r, q)) pairs to
+        nonzero with one of its parity-check columns (cols, (r, n - k)).
+        The pairings of a row are counted by a product with ones in a
+        dtype that holds their number, faster than `any` on short rows."""
+        at = vectors.astype(np.intp)[:, :, None] * size + cols[:, None, :]
+        width = at.shape[1] * at.shape[2]
+        off = nonzero.take(at).reshape(len(at), width).view(np.uint8)
+        return (off @ np.ones(width, dtype=np.min_scalar_type(width))) != 0
+
+    s, t = _pairs(k)
+    units = p ** np.arange(n - 1, -1, -1)  # the indices of e_0 .. e_{n-1}
+    closed = np.zeros(m, dtype=bool)
+    ideal = np.zeros(m, dtype=bool)
+    # a row of a block holds its n indices and n - k pairings, and where
+    # the indices come from its rows, int64 copies of its n^2 entries too;
+    # a row of a sub-block the indices and pairings of its k n brackets
+    # [b_s, e_j]
+    step = _block_rows(3 * n if kept else n * (n + 2))
+    sub = _block_rows(2 * k * n * (n - k + 1))
+    for lo in range(0, m, step):
+        if kept:
+            rows = indices[0][lo : lo + step].astype(np.intp)
+            cols = indices[1][lo : lo + step].astype(np.intp)
+        else:
+            rows, cols = _vector_indices(bases[lo : lo + step], checks[lo : lo + step], p)
+        first = brackets.take(rows[:, s[:1]] * size + rows[:, t[:1]])
+        passed = np.flatnonzero(~outside(first, cols))
+        for a in range(0, len(passed), sub):
+            at = passed[a : a + sub]
+            got, cols_at = rows[at], cols[at]
+            if k > 2:
+                others = brackets.take(got[:, s[1:]] * size + got[:, t[1:]])
+                keep = ~outside(others, cols_at)
+                at, got, cols_at = at[keep], got[keep], cols_at[keep]
+            closed[lo + at] = True
+            ad = brackets.take(got[:, :, None] * size + units)
+            ideal[lo + at] = ~outside(ad.reshape(len(at), k * n), cols_at)
+    return closed, ideal
+
+
+@lru_cache(maxsize=_VECTOR_TABLE_SLOTS)
+def _bracket_table(L: LieAlgebra) -> np.ndarray:
+    """The index of [x, y] for every pair of vectors x, y of GF(p)^n, shape
+    (p^n, p^n), in _index_dtype, vectors by index as in _vector_table.
+    From that table, [x, y] = sum_j y[j] [x, e_j]: one float product per
+    block of rows x, exact by _exact_float and reduced by _reduce, whose
+    residues are then weighed by the base-p place values.  Cached like
+    _vector_table, and read-only."""
+    p, n = L.p, L.dim
+    size = p**n
+    ad = _vector_table(L)
+    dtype = _exact_float(n * (p - 1) ** 2, p)
+    vectors = np.indices((p,) * n, dtype=dtype).reshape(n, size).T
+    places = p ** np.arange(n - 1, -1, -1, dtype=dtype)
+    out = np.empty((size, size), dtype=_index_dtype(n, p))
+    # a row x holds the float copy of its [x, e_j], and n residues and n
+    # quotients of _reduce for every y
+    step = _block_rows(2 * n * size + n * n)
+    for lo in range(0, size, step):
+        block = ad[lo : lo + step]
+        flat = block.transpose(1, 0, 2).reshape(n, len(block) * n).astype(dtype)
+        resid = _reduce(vectors @ flat, p)  # [x, y]_i at (y, (x, i))
+        out[lo : lo + step] = (resid.reshape(size, len(block), n) @ places).T
+    return _read_only(out)[0]
+
+
+@lru_cache(maxsize=64)
+def _pairings(n: int, p: int) -> np.ndarray:
+    """(p^n, p^n) bool: <x, h> != 0 mod p, for every pair of vectors of
+    GF(p)^n by index, as _vector_table numbers them: one float product per
+    row block, exact by _exact_float.  Read-only."""
+    size = p**n
+    dtype = _exact_float(n * (p - 1) ** 2, p)
+    vectors = np.indices((p,) * n, dtype=dtype).reshape(n, size)
+    out = np.empty((size, size), dtype=bool)
+    step = _block_rows(2 * size + n)  # residues and quotients of _reduce
+    for lo in range(0, size, step):
+        out[lo : lo + step] = _reduce(vectors.T[lo : lo + step] @ vectors, p) != 0
+    return _read_only(out)[0]
+
+
+def _vector_indices(bases: np.ndarray, checks: np.ndarray, p: int):
+    """The indices (base-p digits, as _vector_table numbers vectors) of the
+    basis rows and of the parity-check columns of a batch of subspaces:
+    (m, k) and (m, n - k) int64 arrays."""
+    places = p ** np.arange(bases.shape[2] - 1, -1, -1)
+    return bases @ places, places @ checks
+
+
+@_shape_cache
+def _index_table(n: int, p: int, k: int):
+    """_vector_indices of every row of echelon_arrays(n, p, k) and
+    _parity_checks(n, p, k), in that order and in _index_dtype(n, p),
+    built in row blocks, each row holding int64 copies of its n^2 entries
+    and its n indices.  They depend on the shape alone, so they are kept in
+    the shape caches and read-only, for the shapes _shape_kept admits;
+    _closed_and_ideal_masks asks for no other."""
+    bases, checks = echelon_arrays(n, p, k)[0], _parity_checks(n, p, k)
+    dtype = _index_dtype(n, p)
+    rows = np.empty((len(bases), k), dtype=dtype)
+    cols = np.empty((len(bases), n - k), dtype=dtype)
+    step = _block_rows(n * (n + 1))
+    for lo in range(0, len(bases), step):
+        at = slice(lo, lo + step)
+        rows[at], cols[at] = _vector_indices(bases[at], checks[at], p)
+    return _read_only(rows, cols)
 
 
 def _inside(vectors: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:

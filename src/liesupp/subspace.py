@@ -11,7 +11,7 @@ Gaussian binomials by construction rather than by filtering.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -23,8 +23,14 @@ DEFAULT_SUBSPACE_CAP = 10**7
 # store, at most ECHELON_CACHE_TOTAL bytes of arrays, the least recently used
 # shape dropped first; they keep a shape (n, p, k) whose arrays together take
 # at most a quarter of that (_shape_bytes: every shape of GF(2)^8 fits, its
-# dim 4 with 28 MB), so one large lattice cannot pin its arrays
+# dim 4 with 29 MB), so one large lattice cannot pin its arrays
 ECHELON_CACHE_TOTAL = 2**27
+# the values (int64 or float; a bool or a uint8 counts as one too) that the
+# intermediate arrays of one row block of a lattice kernel may hold together
+# (see lattice.py, whose kernels all go in such blocks); it also says which
+# spaces are small enough for the closure and ideal test by lookup
+# (_lookup_space), whose per-shape index arrays _shape_bytes counts
+_BLOCK = 2**18
 
 Vector = tuple
 
@@ -223,14 +229,33 @@ def _parity_checks(n: int, p: int, k: int) -> np.ndarray:
     return _cached_parity_checks(n, p, k)
 
 
+def _lookup_space(n: int, p: int) -> bool:
+    """GF(p)^n has at most isqrt(_BLOCK) vectors, so a table over every
+    pair of them holds at most _BLOCK values: there the lattice may test
+    closure and ideals by lookup (lattice._lookup_masks)."""
+    return p ** (2 * n) <= _BLOCK
+
+
+def _index_dtype(n: int, p: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the indices 0 .. p^n - 1 of
+    the vectors of GF(p)^n, their base-p digits (lattice._vector_table)."""
+    return np.min_scalar_type(p**n - 1)
+
+
+@lru_cache(maxsize=256)
 def _shape_bytes(n: int, p: int, k: int) -> int:
     """The bytes of the arrays the shape caches hold for (n, p, k): per
     subspace, k n basis entries and n (n - k) parity-check entries in
-    _entry_dtype(p), k pivots in _pivot_dtype(n), and C(n, k) Plücker
-    coordinates in _entry_dtype(p) (lattice._plucker_table)."""
+    _entry_dtype(p), k pivots in _pivot_dtype(n), C(n, k) Plücker
+    coordinates in _entry_dtype(p) (lattice._plucker_table) and, where
+    _lookup_space(n, p), the indices of its k basis rows and n - k
+    parity-check columns in _index_dtype(n, p) (lattice._index_table).
+    Cached, as every dimension a lattice computes asks for it
+    (_shape_kept)."""
     entries = _entry_dtype(p).itemsize * (n * n + comb(n, k))
     pivots = _pivot_dtype(n).itemsize * k
-    return gaussian_binomial(n, k, p) * (entries + pivots)
+    indices = _index_dtype(n, p).itemsize * n if _lookup_space(n, p) else 0
+    return gaussian_binomial(n, k, p) * (entries + pivots + indices)
 
 
 def _shape_kept(n: int, p: int, k: int) -> bool:

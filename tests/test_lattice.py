@@ -1,7 +1,8 @@
 """Lattice-level computations checked against independent brute-force oracles."""
+import os
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, isqrt
 
 import numpy as np
@@ -45,7 +46,17 @@ from liesupp.liealg import (
     nonabelian2,
     sl2,
 )
-from liesupp.subspace import Subspace, _parity_check, _parity_checks, echelon_arrays
+from liesupp.subspace import (
+    ECHELON_CACHE_TOTAL,
+    Subspace,
+    _LRU,
+    _index_dtype,
+    _lookup_space,
+    _nbytes,
+    _parity_check,
+    _parity_checks,
+    echelon_arrays,
+)
 from oracles import (
     DIM56_SUMS,
     EagerLattice,
@@ -228,6 +239,172 @@ def test_closure_prefilter_leaves_few_subspaces_to_the_all_pairs_stage(monkeypat
     assert tested[1] == m
     assert closed.sum() <= tested[2] < m / 10
     assert tested[k * n] == closed.sum()
+
+
+def _class_sums(p):
+    """The GF(p) census classes of dims 1 to 3 and their sums, each
+    unordered pair once, on a _lookup_space (dims <= 6 over GF(2), <= 5
+    over GF(3))."""
+    found = [L for d in (1, 2, 3) for _, L, _ in classes(p, d)]
+    sums = [
+        a.direct_sum(b)
+        for i, a in enumerate(found)
+        for b in found[i:]
+        if _lookup_space(a.dim + b.dim, p)
+    ]
+    return found + sums
+
+
+LOOKUP_UNIVERSES = {
+    "classes_gf2": lambda: _class_sums(2),
+    "classes_gf3": lambda: _class_sums(3),
+    "dim56_gf2": lambda: [
+        random_conjugate(_dim56(p, left, right), np.random.default_rng(20071219))
+        for p, left, right in DIM56_SUMS
+        if p == 2
+    ],
+}
+
+
+def _assert_kernels_match(L, staged=None):
+    """On every dimension 0 < k < n, the lookup masks equal the staged
+    ones (the staged masks given, or computed here), with the shape's
+    index table and with indices computed block by block; returns the
+    staged masks."""
+    n, p = L.dim, L.p
+    staged = staged or {}
+    for k in range(1, n):
+        bases, checks = echelon_arrays(n, p, k)[0], _parity_checks(n, p, k)
+        want = staged.setdefault(k, lattice_mod._staged_masks(L, bases, checks))
+        for indices in (lattice_mod._index_table(n, p, k), None):
+            got = lattice_mod._lookup_masks(L, bases, checks, indices)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want], k
+    return staged
+
+
+@pytest.mark.parametrize("universe", sorted(LOOKUP_UNIVERSES))
+def test_lookup_matches_staged_and_naive(universe, monkeypatch):
+    """The closure and ideal test by lookup against the staged products,
+    its oracle, on every dimension, and both, through
+    _closed_and_ideal_masks, against naive_subalgebras and L.is_ideal.
+    Then again with _BLOCK at 200, its tables built afresh: the lookup's
+    blocks take 1 to 22 rows, so that the rows that pass the first pair,
+    and the closed rows of the ideal test, sit on both sides of block
+    edges; the staged masks of the full block are the oracle there."""
+    algebras = LOOKUP_UNIVERSES[universe]()
+    staged = []
+    for L in algebras:
+        _assert_masks_match_naive(L)
+        staged.append(_assert_kernels_match(L))
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 200)
+    for cached in (lattice_mod._bracket_table, lattice_mod._pairings, lattice_mod._index_table):
+        cached.cache_clear()
+    for L, masks in zip(algebras, staged):
+        _assert_kernels_match(L, masks)
+
+
+def test_lookup_dimensions_make_no_product(monkeypatch):
+    """heisenberg + heisenberg over GF(2): GF(2)^6 has 64 vectors, fewer
+    than m (k - 1) for k = 2 .. 5, so those dimensions go by lookup and
+    make no _inside call; the lines (k - 1 = 0) take the staged products,
+    and 0 and L no test at all."""
+    L = _dim56(2, "heisenberg", "heisenberg")
+    calls = []
+    for name in ("_inside", "_lookup_masks"):
+        real = getattr(lattice_mod, name)
+        monkeypatch.setattr(
+            lattice_mod, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    tested = {}
+    for k in range(L.dim + 1):
+        calls.clear()
+        _Dim(L, k)
+        tested[k] = sorted(set(calls))
+    assert tested == {
+        0: [], 1: ["_inside"], 2: ["_lookup_masks"], 3: ["_lookup_masks"],
+        4: ["_lookup_masks"], 5: ["_lookup_masks"], 6: [],
+    }
+
+
+def _index(v, p):
+    """The index of a vector, as _vector_table numbers them."""
+    return sum(int(x) * p**e for e, x in enumerate(reversed(v)))
+
+
+def test_bracket_table_built_once_per_algebra(monkeypatch):
+    """Every dimension of the lattice of heisenberg + heisenberg over
+    GF(2) that goes by lookup, and subalgebra_phis, share one read-only
+    bracket table, which holds the index of L.bracket(x, y) for every pair
+    of vectors; the read-only pairing table of GF(2)^6 holds whether
+    <x, h> != 0 mod 2."""
+    L = _dim56(2, "heisenberg", "heisenberg")
+    built = []
+    build = lattice_mod._bracket_table.__wrapped__
+
+    def counting(M):
+        built.append(M.key)
+        return build(M)
+
+    monkeypatch.setattr(
+        lattice_mod,
+        "_bracket_table",
+        lattice_mod.lru_cache(maxsize=lattice_mod._VECTOR_TABLE_SLOTS)(counting),
+    )
+    lat = build_lattice(L)
+    lat._computed()
+    lat.subalgebra_phis()
+    assert built == [L.key]
+    table, pairings = lattice_mod._bracket_table(L), lattice_mod._pairings(6, 2)
+    assert not table.flags.writeable and not pairings.flags.writeable
+    assert table.dtype == _index_dtype(6, 2) == np.uint8 and pairings.dtype == bool
+    vectors = list(product(range(2), repeat=6))  # in index order
+    assert [_index(v, 2) for v in vectors] == list(range(64))
+    assert table.tolist() == [[_index(L.bracket(x, y), 2) for y in vectors] for x in vectors]
+    dots = [[sum(a * b for a, b in zip(x, h)) % 2 != 0 for h in vectors] for x in vectors]
+    assert pairings.tolist() == dots
+
+
+def test_lookup_memory_is_bounded_by_its_block(monkeypatch):
+    """The table builds and the lookup test of the 200,787 4-dimensional
+    subspaces of GF(2)^8 in heisenberg + heisenberg + nonabelian2, through
+    _Dim, from empty tables and an empty shape store (the shape's bases
+    and parity checks built outside the trace): they peak at a few row
+    blocks of _BLOCK values, the 8 bytes of uint8 indices a subspace that
+    the shape store keeps, and a few bytes more a subspace for the masks."""
+    L = heisenberg(2).direct_sum(heisenberg(2)).direct_sum(nonabelian2(2))
+    n, p, k = L.dim, L.p, 4
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
+    m = len(echelon_arrays(n, p, k)[0])
+    _parity_checks(n, p, k)
+    for cached in (lattice_mod._vector_table, lattice_mod._bracket_table, lattice_mod._pairings):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        dim = _Dim(L, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dim.idx) and m == 200787
+    assert lattice_mod._index_table(n, p, k)[0].dtype == np.uint8
+    assert peak < 4 * 8 * lattice_mod._BLOCK + (n + 8) * m
+
+
+@pytest.mark.skipif(
+    os.environ.get("LIESUPP_DIM4") != "1", reason="the dim-8 checks run with the dim-4 sweep"
+)
+@pytest.mark.parametrize(
+    "parts", [("heisenberg", "heisenberg", "nonabelian2"), ("L1_gamma", "L1_gamma", "nonabelian2")]
+)
+def test_lookup_matches_staged_on_dim8_gf2_sums(parts):
+    """Two non-abelian dim-8 sums over GF(2), the dimension of the pair
+    campaigns over GF(2) dims <= 4: the lookup masks equal the staged ones
+    on every dimension, from the index tables the shape store keeps and
+    from indices computed block by block."""
+    L = catalog(parts[0], 2)
+    for part in parts[1:]:
+        L = L.direct_sum(catalog(part, 2))
+    assert L.dim == 8 and L.table.any()
+    _assert_kernels_match(L)
 
 
 def _assert_lattice_order(lat):

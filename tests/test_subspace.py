@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesupp.subspace as subspace_mod
-from liesupp.lattice import _plucker_table, build_lattice
+from liesupp.lattice import _index_table, _plucker_table, build_lattice
 from liesupp.liealg import abelian
 from liesupp.subspace import (
     ECHELON_CACHE_TOTAL,
@@ -13,6 +13,8 @@ from liesupp.subspace import (
     _LRU,
     _nbytes,
     _parity_checks,
+    _index_dtype,
+    _lookup_space,
     _shape_bytes,
     _shape_kept,
     count_subspaces,
@@ -221,9 +223,28 @@ PARITY_SHAPES = [
 @pytest.mark.parametrize("p,n,k", PARITY_SHAPES + [(257, 3, 1), (257, 3, 2)])
 def test_shape_bytes_are_the_arrays_kept(p, n, k):
     """_shape_bytes, the size by which _shape_kept decides, is the size of
-    the arrays the three shape caches build for the shape."""
+    the arrays the shape caches build for the shape: the index arrays of
+    the closure and ideal test by lookup only on a _lookup_space, where
+    that test runs (GF(2)^n for n <= 9, GF(3)^n for n <= 5, GF(5)^n for
+    n <= 3 of these)."""
     arrays = echelon_arrays(n, p, k) + (_parity_checks(n, p, k), _plucker_table(n, p, k))
+    if _lookup_space(n, p):
+        indices = _index_table(n, p, k)
+        assert [a.shape for a in indices] == [(len(arrays[0]), k), (len(arrays[0]), n - k)]
+        assert all(a.dtype == _index_dtype(n, p) for a in indices)
+        arrays += indices
+    assert _lookup_space(n, p) == (p**n <= 512)
     assert _shape_bytes(n, p, k) == sum(a.nbytes for a in arrays)
+
+
+def test_every_gf2_dim8_shape_is_kept():
+    """The shape store keeps every shape of GF(2)^8, its index arrays
+    included, so that the dim-8 sums of a pair campaign share them: the
+    largest, k = 4, takes 29.3 MB (27.7 MB without the uint8 indices),
+    under the quarter of ECHELON_CACHE_TOTAL."""
+    assert all(_shape_kept(8, 2, k) for k in range(9))
+    assert _index_dtype(8, 2) == np.uint8
+    assert 29.2e6 < _shape_bytes(8, 2, 4) < 29.4e6 < ECHELON_CACHE_TOTAL // 4
 
 
 @st.composite

@@ -27,16 +27,11 @@ import numpy as np
 from .classify import Analyzer
 from .formats import algebra_to_doc, jsonable
 from .gfp import PrimeField, primitive_root, require_int64_safe
+from .lattice import _block_rows
 from .liealg import InvalidAlgebraError, LieAlgebra, jacobi_residuals
 from .subspace import CapExceededError, Subspace, _LRU
 
 DEFAULT_TABLE_CAP = 2**25
-# tables decoded and Jacobi-filtered together: the int64 residuals of one
-# batch take 2 MB in dimension 3 and 8 MB in dimension 4
-JACOBI_BATCH = 1024
-# tables whose generator images are formed together in an orbit closure:
-# the 13 images of 256 dim-4 tables take 1.7 MB
-ORBIT_BATCH = 256
 # (p, n) class lists kept by classes(); the dim-4 GF(2) list alone takes
 # minutes to build again
 CLASS_CACHE_SLOTS = 8
@@ -141,10 +136,14 @@ def _index_weights(n: int, p: int) -> np.ndarray:
 
 def _jacobi_batches(p: int, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(indices, tables) of the Jacobi-passing tables of dimension n, in
-    index order, decoded and filtered JACOBI_BATCH at a time."""
-    stop = p ** table_digit_count(n)
-    for lo in range(0, stop, JACOBI_BATCH):
-        idx = np.arange(lo, min(lo + JACOBI_BATCH, stop), dtype=np.int64)
+    index order, decoded and filtered in lattice._block_rows batches: a
+    table holds its digits and n^3 entries, the 3 C(n, 3) n (n + 1) values
+    jacobi_residuals gathers, 3 C(n, 3) n products and C(n, 3) n residuals."""
+    e, triples = table_digit_count(n), n * (n - 1) * (n - 2) // 6
+    stop = p**e
+    step = _block_rows(e + n**3 + 3 * triples * n * (n + 2) + triples * n)
+    for lo in range(0, stop, step):
+        idx = np.arange(lo, min(lo + step, stop), dtype=np.int64)
         tables = _tables_from_indices(idx, n, p)
         ok = ~jacobi_residuals(tables, p).reshape(len(idx), -1).any(axis=1)
         yield idx[ok], tables[ok]
@@ -185,17 +184,19 @@ def _orbit(table: np.ndarray, p: int, bits: np.ndarray) -> np.ndarray:
     so the work grows with the orbit and not with |GL(n, p)|.  Every index
     found is marked in the bitset `bits` (one bit per table index), and a
     marked index counts as already found, so `bits` must hold no index of
-    this orbit on entry."""
+    this orbit on entry.  The frontier goes in _block_rows batches, a table
+    holding the n^3 values of w and of its image under each generator."""
     n = table.shape[0]
     gens, invs = _generators(n, p)
     weights = _index_weights(n, p)
     frontier = table[None]
     found = [np.tensordot(frontier, weights, axes=3)]
     _mark(bits, found[0])
+    step = _block_rows(2 * len(gens) * n**3)
     while len(frontier):
         grown = []
-        for lo in range(0, len(frontier), ORBIT_BATCH):
-            part = frontier[lo : lo + ORBIT_BATCH]
+        for lo in range(0, len(frontier), step):
+            part = frontier[lo : lo + step]
             # [f_i, f_j] in the old basis, then its coordinates in the new
             w = np.einsum("gia,gjb,fabm->fgijm", gens, gens, part) % p
             images = (np.einsum("fgijm,gmk->fgijk", w, invs) % p).reshape(-1, n, n, n)
@@ -248,11 +249,13 @@ def classes(p: int, n: int) -> Tuple[Tuple[int, LieAlgebra, int], ...]:
 def class_members(L: LieAlgebra) -> Iterator[Tuple[int, LieAlgebra]]:
     """(t, algebra) for every table of the GL(n, p)-orbit of L's table, that
     is every census table isomorphic to L, in increasing index t.  Like
-    classes, it takes a bitset of one bit per census table of dimension n."""
+    classes, it takes a bitset of one bit per census table of dimension n;
+    members are decoded in _block_rows batches of digits and n^3 entries."""
     n, p = L.dim, L.p
     members = _orbit(np.array(L.table), p, _new_bitset(p, n))
-    for lo in range(0, len(members), JACOBI_BATCH):
-        idx = members[lo : lo + JACOBI_BATCH]
+    step = _block_rows(table_digit_count(n) + n**3)
+    for lo in range(0, len(members), step):
+        idx = members[lo : lo + step]
         for t, table in zip(idx, _tables_from_indices(idx, n, p)):
             yield int(t), LieAlgebra(L.field, n, table=table)
 

@@ -25,13 +25,7 @@ from .lattice import (
 )
 from .subspace import DEFAULT_SUBSPACE_CAP, Subspace, _LRU
 
-# entries in an Analyzer's verdict memo, supersolvability included: with one
-# check per isomorphism class the benchmark campaigns peak at 59 (tsupp over
-# GF(3) dims <= 3); checked table by table, tsupp peaks at 1,996 on a random
-# universe of 1,441 GF(3) tables of dims <= 3 (seed 0) and at 6,737 on all
-# 1,441 exhaustive ones (--no-dedup), so none of them evicts
-MEMO_SLOTS = 8192
-# lattices kept by an Analyzer
+# lattices kept by an Analyzer, each with the verdicts of its algebra
 LATTICE_SLOTS = 256
 
 
@@ -261,24 +255,19 @@ def classify_algebra(
     return rep
 
 
-_MISSING = object()
-
-
 class Analyzer:
     """Memoized predicate evaluation keyed by structure-constant tables.
 
     Census campaigns hit the same subalgebra/quotient tables over and over;
-    caching verdicts per table collapses that cost.  It keeps two stores,
-    each a subspace._LRU of a bounded count of entries: the lattices
-    (LATTICE_SLOTS) and the verdicts of every predicate (MEMO_SLOTS), so a
-    long campaign cannot grow without limit.  Every verdict is computed
-    from the lattice of its own algebra, under the Analyzer's cap.
-    """
+    caching verdicts per table collapses that cost.  One store, a
+    subspace._LRU of at most LATTICE_SLOTS lattices, bounds it: each
+    algebra's verdicts live on its lattice (LatticeCache.verdicts) and are
+    dropped with it.  Every verdict is computed from the lattice of its own
+    algebra, under the Analyzer's cap."""
 
     def __init__(self, cap: int = DEFAULT_SUBSPACE_CAP):
         self.cap = cap
         self._lattices = _LRU(LATTICE_SLOTS)
-        self._memo = _LRU(MEMO_SLOTS)
 
     def lattice(self, L: LieAlgebra) -> LatticeCache:
         got = self._lattices.get(L.key)
@@ -287,45 +276,39 @@ class Analyzer:
         return got
 
     def _cached(self, name, L, fn):
-        key = (name, L.key)
-        got = self._memo.get(key, _MISSING)
-        if got is _MISSING:
-            got = self._memo[key] = fn()
-        return got
+        """The verdict `name` of L, fn(L's lattice) the first time."""
+        verdicts = (lattice := self.lattice(L)).verdicts
+        if name not in verdicts:
+            verdicts[name] = fn(lattice)
+        return verdicts[name]
 
     def frattini(self, L):
         """phi(L)."""
-        return self._cached("frattini", L, lambda: frattini(L, self.lattice(L)))
+        return self._cached("frattini", L, lambda lat: frattini(L, lat))
 
     def c_supplemented(self, L):
-        return self._cached(
-            "csupp", L, lambda: is_c_supplemented_algebra(L, self.lattice(L))
-        )
+        return self._cached("csupp", L, lambda lat: is_c_supplemented_algebra(L, lat))
 
     def completely_factorisable(self, L):
-        return self._cached(
-            "cf", L, lambda: is_completely_factorisable(L, self.lattice(L))
-        )
+        return self._cached("cf", L, lambda lat: is_completely_factorisable(L, lat))
 
     def supersolvable(self, L):
-        return self._cached("ss", L, lambda: is_supersolvable(L, self.lattice(L)))
+        return self._cached("ss", L, lambda lat: is_supersolvable(L, lat))
 
     def elementary(self, L):
-        return self._cached("elem", L, lambda: is_elementary(L, self.lattice(L)))
+        return self._cached("elem", L, lambda lat: is_elementary(L, lat))
 
     def e_algebra(self, L):
-        return self._cached("ealg", L, lambda: is_E_algebra(L, self.lattice(L)))
+        return self._cached("ealg", L, lambda lat: is_E_algebra(L, lat))
 
     def radical(self, L):
-        return self._cached("radical", L, lambda: radical(L, self.lattice(L)))
+        return self._cached("radical", L, lambda lat: radical(L, lat))
 
     def simple(self, L):
-        return self._cached("simple", L, lambda: is_simple(L, self.lattice(L)))
+        return self._cached("simple", L, lambda lat: is_simple(L, lat))
 
     def semisimple_shape(self, L):
-        return self._cached(
-            "ss_shape", L, lambda: check_semisimple_shape(L, self.lattice(L))
-        )
+        return self._cached("ss_shape", L, lambda lat: check_semisimple_shape(L, lat))
 
     def main_decomposition(self, L):
-        return self._cached("main", L, lambda: check_main_decomposition(L, self))
+        return self._cached("main", L, lambda lat: check_main_decomposition(L, self))

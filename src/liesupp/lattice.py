@@ -11,9 +11,9 @@ isqrt(_BLOCK) = 512 vectors, and fewer than m (k - 1) for the m subspaces
 of dimension k, the test goes by table lookup (_lookup_masks) in the index
 of every bracket [x, y] (_bracket_table, per algebra), whether
 <x, h> != 0 mod p (_pairings, per (n, p)) and the indices of the basis
-rows and parity-check columns of each subspace (_index_table, per shape);
-elsewhere by staged int64 matrix products (_staged_masks).  A computed
-dimension is kept as an index vector into the shared, read-only
+rows and parity-check columns of each subspace (_index_table, per shape),
+all in the shape store (subspace._stored); elsewhere by staged int64
+matrix products (_staged_masks).  A computed dimension is kept as an index vector into the shared, read-only
 echelon_arrays and _parity_checks arrays, whose entries are in the
 smallest unsigned dtype (_entry_dtype; the kernels that multiply them cast
 one row block at a time to int64 or to a float), and no whole dimension is
@@ -82,6 +82,7 @@ from .subspace import (
     _read_only,
     _shape_cache,
     _shape_kept,
+    _stored,
     count_subspaces,
     echelon_arrays,
     rref,
@@ -167,11 +168,12 @@ class LatticeCache:
     for.  The subalgebras of dimension k are numbered by row,
     0, 1, ... in Subspace.sort_key order; member(k, row) makes one of them.
     subspace_count is the number of subspaces of GF(p)^n, all of which the
-    dimensions together test."""
+    dimensions together test.  verdicts: classify.Analyzer's, by name."""
 
     def __init__(self, algebra: LieAlgebra, subspace_count: int):
         self.algebra = algebra
         self.subspace_count = subspace_count
+        self.verdicts: Dict[str, object] = {}
         self._dims: Dict[int, _Dim] = {}
         # subalgebra_phis(), built on first use
         self._phis: Optional[Dict[Tuple[int, int], Subspace]] = None
@@ -336,16 +338,13 @@ class LatticeCache:
 # products exact by _exact_float too, reduced by _reduce; the base-p
 # indices it adds and multiplies are below p^(2n) <= _BLOCK.
 
-# Every kernel here goes over its rows in blocks, so that what it holds at
-# once is bounded by one number, whatever the size of the lattice: _BLOCK
-# (2^18, from subspace, whose shape store counts the lookup's index arrays
-# by it), the values (int64 or float; a bool or a uint8 counts as one too)
-# that the intermediate arrays of one block may hold together.  A kernel
-# states how many values one of its rows holds, and _block_rows turns that
-# into its row step.  The BLAS products of _contained, the cover counts and
-# the supersolvable walk take at most _BLOCK multiply-adds too: OpenBLAS
-# runs a larger one on several threads, which stall when other processes
-# hold CPUs.
+# Every kernel here (and census's batches) goes in blocks of at most _BLOCK
+# (2^18, from subspace) values, int64 or float (a bool or a uint8 counts as
+# one too), whatever the size of the lattice: a kernel states how many values
+# one of its rows holds, and _block_rows turns that into its row step.  The
+# BLAS products of _contained, the cover counts and the supersolvable walk
+# take at most _BLOCK multiply-adds too: OpenBLAS runs a larger one on
+# several threads, which stall when other processes hold CPUs.
 
 
 def _block_rows(per_row: int) -> int:
@@ -355,24 +354,22 @@ def _block_rows(per_row: int) -> int:
     return max(1, _BLOCK // max(1, per_row))
 
 
-# algebras whose _vector_table and _bracket_table are kept: every dimension
-# of a lattice and _induced_tables share one [v, e_j] table, and every
-# dimension tested by lookup one bracket table; no lattice holds one
-# (GF(5)^6's [v, e_j] table alone takes 4.5 MB, a bracket table at most
-# _BLOCK two-byte indices, 512 KB)
-_VECTOR_TABLE_SLOTS = 4
+def _vector_table(L: LieAlgebra) -> Optional[np.ndarray]:
+    """[v, e_j] mod p for every vector v of GF(p)^n, shape (p^n, n, n), in
+    _entry_dtype(p), row index the base-p digits of v (see _ad_rows), kept
+    in the shape store by L's table, read-only; built in row blocks of
+    int64 digits and n^2 products (at most p^n rows: multiplied, not looked
+    up).  None, unbuilt, past _stored's rule (GF(53)^4's takes 126 MB)."""
+    p, n, size = L.p, L.dim, L.p**L.dim
 
+    def build():
+        places, table = p ** np.arange(n - 1, -1, -1), np.empty((size, n, n), _entry_dtype(p))
+        step = _block_rows(n * (n + 1))
+        for lo in range(0, size, step):
+            table[lo : lo + step] = _ad_rows(L, np.arange(lo, min(lo + step, size))[:, None] // places % p)
+        return _read_only(table)[0]
 
-@lru_cache(maxsize=_VECTOR_TABLE_SLOTS)
-def _vector_table(L: LieAlgebra) -> np.ndarray:
-    """[v, e_j] mod p for every vector v of GF(p)^n, shape (p^n, n, n), row
-    index the base-p digits of v (see _ad_rows).  Cached by L's table for
-    the last _VECTOR_TABLE_SLOTS algebras, and read-only."""
-    p, n = L.p, L.dim
-    vectors = np.indices((p,) * n).reshape(n, p**n).T  # index = digits
-    table = vectors @ L.table.reshape(n, n * n)
-    table %= p
-    return _read_only(table.reshape(p**n, n, n))[0]
+    return _stored((_vector_table, L.key), size * n * n * _entry_dtype(p).itemsize, build)
 
 
 def _ad_rows(
@@ -380,7 +377,8 @@ def _ad_rows(
 ) -> np.ndarray:
     """[r, e_j] mod p, shape (len(rows), n, n), for each row r of rows.  With
     a _vector_table, or when GF(p)^n has fewer vectors than there are rows
-    (then it takes L's), the rows are looked up by their base-p digits."""
+    and the store keeps L's, the rows are looked up by their base-p digits
+    (in _entry_dtype(p)); otherwise multiplied, in int64."""
     p, n = L.p, L.dim
     if table is None and p**n < len(rows):
         table = _vector_table(L)
@@ -404,17 +402,17 @@ def _closed_and_ideal_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray
     for an abelian L (a zero table), every subspace is an ideal, and
     nothing is bracketed.  Otherwise _lookup_masks decides where GF(p)^n is
     small (_lookup_space) and has fewer than m (k - 1) vectors, m the
-    number of subspaces, and _staged_masks everywhere else: the lookup
-    does not pay on the lines (k = 1), nor on dimensions of a few rows,
+    number of subspaces, and the store keeps L's _bracket_table (and so
+    _pairings, no larger), and _staged_masks elsewhere: the lookup does not pay on the lines (k = 1), nor on dimensions of a few rows,
     such as those of GF(2)^3 and GF(3)^3 (7 to 13 rows), where building
     its tables costs more than the products they replace.  The choice
-    depends on (n, p, k, m) alone."""
+    depends on (n, p, k, m) and ECHELON_CACHE_TOTAL alone."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
     if k in (0, n) or not L.table.any():
         ones = np.ones(m, dtype=bool)
         return ones, ones
-    if _lookup_space(n, p) and p**n < m * (k - 1):
+    if _lookup_space(n, p) and p**n < m * (k - 1) and _bracket_table(L) is not None:
         indices = _index_table(n, p, k) if _shape_kept(n, p, k) else None
         return _lookup_masks(L, bases, checks, indices)
     return _staged_masks(L, bases, checks)
@@ -428,9 +426,9 @@ def _staged_masks(L: LieAlgebra, bases: np.ndarray, checks: np.ndarray):
     the subspaces with [b_0, b_1] in U (a few percent, unless L is nearly
     abelian) reach the dearer stages; for k = 2 that first stage is the
     whole test.  Only a subalgebra can be an ideal, so the ideal test runs
-    on the closed ones.  The [v, e_j] table of _ad_rows is L's cached
+    on the closed ones.  The [v, e_j] table of _ad_rows is L's
     _vector_table where GF(p)^n has fewer vectors than there are
-    subspaces."""
+    subspaces and the shape store keeps it."""
     p, n = L.p, L.dim
     m, k = bases.shape[:2]
     closed = np.zeros(m, dtype=bool)
@@ -525,45 +523,46 @@ def _lookup_masks(
     return closed, ideal
 
 
-@lru_cache(maxsize=_VECTOR_TABLE_SLOTS)
-def _bracket_table(L: LieAlgebra) -> np.ndarray:
+def _bracket_table(L: LieAlgebra) -> Optional[np.ndarray]:
     """The index of [x, y] for every pair of vectors x, y of GF(p)^n, shape
     (p^n, p^n), in _index_dtype, vectors by index as in _vector_table.
-    From that table, [x, y] = sum_j y[j] [x, e_j]: one float product per
-    block of rows x, exact by _exact_float and reduced by _reduce, whose
-    residues are then weighed by the base-p place values.  Cached like
-    _vector_table, and read-only."""
-    p, n = L.p, L.dim
-    size = p**n
-    ad = _vector_table(L)
-    dtype = _exact_float(n * (p - 1) ** 2, p)
-    vectors = np.indices((p,) * n, dtype=dtype).reshape(n, size).T
-    places = p ** np.arange(n - 1, -1, -1, dtype=dtype)
-    out = np.empty((size, size), dtype=_index_dtype(n, p))
-    # a row x holds the float copy of its [x, e_j], and n residues and n
-    # quotients of _reduce for every y
-    step = _block_rows(2 * n * size + n * n)
-    for lo in range(0, size, step):
-        block = ad[lo : lo + step]
-        flat = block.transpose(1, 0, 2).reshape(n, len(block) * n).astype(dtype)
-        resid = _reduce(vectors @ flat, p)  # [x, y]_i at (y, (x, i))
-        out[lo : lo + step] = (resid.reshape(size, len(block), n) @ places).T
-    return _read_only(out)[0]
+    From [x, e_j] (_ad_rows), [x, y] = sum_j y[j] [x, e_j]: one float
+    product per block of rows x, exact by _exact_float, reduced by _reduce
+    and weighed by the base-p place values.  Kept like _vector_table."""
+    p, n, size = L.p, L.dim, L.p**L.dim
+
+    def build():
+        dtype = _exact_float(n * (p - 1) ** 2, p)
+        digits = np.indices((p,) * n).reshape(n, size).T
+        vectors, places = digits.astype(dtype), p ** np.arange(n - 1, -1, -1, dtype=dtype)
+        out = np.empty((size, size), dtype=_index_dtype(n, p))
+        # a row x: [x, e_j], its float copy, n residues and quotients a y
+        step = _block_rows(2 * n * size + 2 * n * n)
+        for lo in range(0, size, step):
+            block = _ad_rows(L, digits[lo : lo + step])
+            flat = block.transpose(1, 0, 2).reshape(n, len(block) * n).astype(dtype)
+            resid = _reduce(vectors @ flat, p)  # [x, y]_i at (y, (x, i))
+            out[lo : lo + step] = (resid.reshape(size, len(block), n) @ places).T
+        return _read_only(out)[0]
+
+    return _stored((_bracket_table, L.key), size * size * _index_dtype(n, p).itemsize, build)
 
 
-@lru_cache(maxsize=64)
-def _pairings(n: int, p: int) -> np.ndarray:
+def _pairings(n: int, p: int) -> Optional[np.ndarray]:
     """(p^n, p^n) bool: <x, h> != 0 mod p, for every pair of vectors of
     GF(p)^n by index, as _vector_table numbers them: one float product per
-    row block, exact by _exact_float.  Read-only."""
+    row block, exact by _exact_float.  Kept like _vector_table, by (n, p)."""
     size = p**n
-    dtype = _exact_float(n * (p - 1) ** 2, p)
-    vectors = np.indices((p,) * n, dtype=dtype).reshape(n, size)
-    out = np.empty((size, size), dtype=bool)
-    step = _block_rows(2 * size + n)  # residues and quotients of _reduce
-    for lo in range(0, size, step):
-        out[lo : lo + step] = _reduce(vectors.T[lo : lo + step] @ vectors, p) != 0
-    return _read_only(out)[0]
+
+    def build():
+        vectors = np.indices((p,) * n, dtype=_exact_float(n * (p - 1) ** 2, p))
+        vectors, out = vectors.reshape(n, size), np.empty((size, size), dtype=bool)
+        step = _block_rows(2 * size + n)  # residues and quotients of _reduce
+        for lo in range(0, size, step):
+            out[lo : lo + step] = _reduce(vectors.T[lo : lo + step] @ vectors, p) != 0
+        return _read_only(out)[0]
+
+    return _stored((_pairings, n, p), size * size, build)
 
 
 def _vector_indices(bases: np.ndarray, checks: np.ndarray, p: int):
@@ -690,21 +689,26 @@ def _contained(bases: np.ndarray, checks: np.ndarray, p: int) -> np.ndarray:
     with parity check checks[t].  The residues are BLAS products below
     n (p - 1)^2, exact in the float type _exact_float picks for that bound
     (float32 up to 2^24, else float64: below 2^42 under gfp.int64_safe),
-    reduced by _reduce, in row blocks sized by _block_rows."""
+    reduced by _reduce, in blocks of checks and of rows sized by
+    _block_rows."""
     m, d, n = bases.shape
     count, width = checks.shape[0], checks.shape[2]
     dtype = _exact_float(n * (p - 1) ** 2, p)
-    # columns (j, t): the residues of (r, t) are the middle axis
-    flat = np.ascontiguousarray(checks.transpose(1, 2, 0), dtype=dtype)
-    flat = flat.reshape(n, width * count)
     out = np.empty((m, count), dtype=bool)
-    # a row holds the float copy of its basis, its residues and the
-    # quotient of _reduce, and takes d n width count multiply-adds
-    step = _block_rows(d * max(n + 2 * width * count, n * width * count))
-    for lo in range(0, m, step):
-        block = bases[lo : lo + step]
-        resid = _reduce(block.reshape(len(block) * d, n).astype(dtype) @ flat, p)
-        out[lo : lo + step] = ~resid.reshape(len(block), d * width, count).any(axis=1)
+    # a check holds its n width float values, and takes d n width multiply-adds a row
+    per = _block_rows(max(d, 1) * n * width)
+    for c in range(0, count, per):
+        part = checks[c : c + per]
+        # columns (j, t): the residues of (r, t) are the middle axis
+        cols = width * len(part)
+        flat = np.ascontiguousarray(part.transpose(1, 2, 0), dtype=dtype).reshape(n, cols)
+        # a row holds its float basis, residues and quotients, d n cols multiply-adds
+        step = _block_rows(d * max(n + 2 * cols, n * cols))
+        for lo in range(0, m, step):
+            block = bases[lo : lo + step]
+            resid = _reduce(block.reshape(len(block) * d, n).astype(dtype) @ flat, p)
+            resid = resid.reshape(len(block), d * width, len(part))
+            out[lo : lo + step, c : c + per] = ~resid.any(axis=1)
     return out
 
 

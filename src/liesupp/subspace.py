@@ -19,11 +19,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_SUBSPACE_CAP = 10**7
-# echelon_arrays, _parity_checks and lattice._plucker_table keep, in one
-# store, at most ECHELON_CACHE_TOTAL bytes of arrays, the least recently used
-# shape dropped first; they keep a shape (n, p, k) whose arrays together take
-# at most a quarter of that (_shape_bytes: every shape of GF(2)^8 fits, its
-# dim 4 with 29 MB), so one large lattice cannot pin its arrays
+# the arrays built from a shape (echelon_arrays, _parity_checks, the
+# lattice's _plucker_table and _index_table), from (n, p) or from an algebra
+# (lattice._vector_table, _bracket_table, _pairings) share one store of at
+# most ECHELON_CACHE_TOTAL bytes, least recently used dropped first; it keeps
+# an entry of at most a quarter of that (_kept: GF(2)^8 dim 4 with 29 MB,
+# GF(31)^4's [v, e_j] table with 14.8 MB), so no lattice pins its arrays
 ECHELON_CACHE_TOTAL = 2**27
 # the values (int64 or float; a bool or a uint8 counts as one too) that the
 # intermediate arrays of one row block of a lattice kernel may hold together
@@ -258,11 +259,14 @@ def _shape_bytes(n: int, p: int, k: int) -> int:
     return gaussian_binomial(n, k, p) * (entries + pivots + indices)
 
 
+def _kept(nbytes: int) -> bool:
+    """_SHAPES keeps an entry of nbytes: at most a quarter of its total, so
+    it holds at least four of the largest entries it admits."""
+    return nbytes <= ECHELON_CACHE_TOTAL // 4
+
+
 def _shape_kept(n: int, p: int, k: int) -> bool:
-    """The shape caches keep the arrays of (n, p, k): together they take at
-    most a quarter of ECHELON_CACHE_TOTAL, so the store holds at least four
-    of the largest shapes it admits."""
-    return _shape_bytes(n, p, k) <= ECHELON_CACHE_TOTAL // 4
+    return _kept(_shape_bytes(n, p, k))
 
 
 class _LRU(OrderedDict):
@@ -301,20 +305,24 @@ def _nbytes(arrays) -> int:
 _SHAPES = _LRU(ECHELON_CACHE_TOTAL, _nbytes)
 
 
+def _stored(key, nbytes: int, build):
+    """The entry `key` of _SHAPES, or one built by build() and kept there
+    where _kept(nbytes), nbytes its size; None, unbuilt, past that."""
+    got = _SHAPES.get(key)
+    if got is None and _kept(nbytes):
+        got = _SHAPES[key] = build()
+    return got
+
+
 def _shape_cache(build):
-    """build(n, p, k), kept in _SHAPES, the store of the shape caches, for
-    the shapes _shape_kept admits and built afresh past that; the builder is
-    __wrapped__, and cache_clear drops what the store keeps of it."""
+    """build(n, p, k), kept in _SHAPES (_stored) for the shapes _shape_kept
+    admits and built afresh past that; the builder is __wrapped__, and
+    cache_clear drops what the store keeps of it."""
 
     @wraps(build)
     def cached(n: int, p: int, k: int):
-        key = (build, n, p, k)
-        got = _SHAPES.get(key)
-        if got is None:
-            got = build(n, p, k)
-            if _shape_kept(n, p, k):
-                _SHAPES[key] = got
-        return got
+        got = _stored((build, n, p, k), _shape_bytes(n, p, k), lambda: build(n, p, k))
+        return build(n, p, k) if got is None else got
 
     def cache_clear():
         for key in [key for key in _SHAPES if key[0] is build]:

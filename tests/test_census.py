@@ -375,6 +375,38 @@ def test_classes_cover_the_census(p, per_dim, tables):
     assert sorted(covered) == sorted(census_keys)
 
 
+# (p, n, _BLOCK): a block of 30 values decodes three dim-2 tables a batch and
+# one dim-3 table, 200 two dim-3 tables, 2^14 195 of them
+SMALL_BLOCKS = [(2, 1, 30), (2, 2, 30), (2, 3, 30), (2, 3, 200), (3, 3, 200), (5, 3, 2**14)]
+
+
+@pytest.mark.parametrize("p,n,block", SMALL_BLOCKS)
+def test_census_batches_at_a_small_block(p, n, block, monkeypatch):
+    """At a _BLOCK that cuts the census into batches of a few tables,
+    _jacobi_batches gives the same indices and tables in more batches, and
+    classes (orbit closures and member lists in batches too) the same class
+    lists, computed afresh, with the same members (class_members, decoded
+    in batches too) below GF(5)."""
+
+    def batches():
+        got = list(census_mod._jacobi_batches(p, n))
+        return [np.concatenate(part).tolist() for part in zip(*got)], len(got)
+
+    def members(found):
+        return [[t for t, _ in census_mod.class_members(rep)] for _, rep, _ in found if p < 5]
+
+    (want, count), found = batches(), census_mod.classes(p, n)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", block)
+    monkeypatch.setattr(census_mod, "_CLASSES", _LRU(census_mod.CLASS_CACHE_SLOTS))
+    got, small = batches()
+    assert got == want and (small > count or p ** table_digit_count(n) <= 3)
+    again = census_mod.classes(p, n)
+    assert [(t, rep.key, size) for t, rep, size in again] == [
+        (t, rep.key, size) for t, rep, size in found
+    ]
+    assert members(again) == members(found)
+
+
 DIM4_GF2 = {
     "abelian": abelian(2, 4),
     "nonabelian2+nonabelian2": nonabelian2(2).direct_sum(nonabelian2(2)),

@@ -46,6 +46,7 @@ from liesupp.liealg import (
     counterexample_double,
     heisenberg,
     L1_gamma,
+    nonabelian2,
     sl2,
 )
 from liesupp.subspace import ECHELON_CACHE_TOTAL, CapExceededError, Subspace, _LRU, _nbytes
@@ -390,8 +391,12 @@ def _verify_docs(make_analyzer):
 
 
 def test_memo_bound_keeps_verdicts(monkeypatch):
+    """With LATTICE_SLOTS at 4 every campaign's documents equal the default
+    ones, the store never passes its bound and reaches it, and a verdict is
+    dropped with its lattice: computed again once four other lattices were
+    stored after it."""
     default = _verify_docs(Analyzer)
-    monkeypatch.setattr(classify_mod, "MEMO_SLOTS", 4)
+    monkeypatch.setattr(classify_mod, "LATTICE_SLOTS", 4)
     real_set = _LRU.__setitem__
     sizes = []
 
@@ -409,9 +414,22 @@ def test_memo_bound_keeps_verdicts(monkeypatch):
     assert _verify_docs(small) == default
     assert all(total <= bound for total, bound in sizes)
     for az in analyzers:
-        assert az._memo.bound == 4
-    # the bound was reached, so entries really were dropped
-    assert max(len(az._memo) for az in analyzers) == 4
+        assert az._lattices.bound == 4
+    # the bound was reached, so lattices, and their verdicts, were dropped
+    assert max(len(az._lattices) for az in analyzers) == 4
+    az, L = Analyzer(), heisenberg(3)
+    calls = []
+    real = classify_mod.is_c_supplemented_algebra
+    monkeypatch.setattr(
+        classify_mod, "is_c_supplemented_algebra", lambda *a: calls.append(1) or real(*a)
+    )
+    verdict = az.c_supplemented(L)
+    assert az.lattice(L).verdicts == {"csupp": verdict}
+    assert az.c_supplemented(L) == verdict and len(calls) == 1
+    for other in (abelian(3, 1), abelian(3, 2), nonabelian2(3), sl2(3)):
+        az.lattice(other)
+    assert L.key not in az._lattices
+    assert az.c_supplemented(L) == verdict and len(calls) == 2
 
 
 @lru_cache(maxsize=2)

@@ -50,6 +50,7 @@ from liesupp.subspace import (
     ECHELON_CACHE_TOTAL,
     Subspace,
     _LRU,
+    _entry_dtype,
     _index_dtype,
     _lookup_space,
     _nbytes,
@@ -297,8 +298,7 @@ def test_lookup_matches_staged_and_naive(universe, monkeypatch):
         _assert_masks_match_naive(L)
         staged.append(_assert_kernels_match(L))
     monkeypatch.setattr(lattice_mod, "_BLOCK", 200)
-    for cached in (lattice_mod._bracket_table, lattice_mod._pairings, lattice_mod._index_table):
-        cached.cache_clear()
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
     for L, masks in zip(algebras, staged):
         _assert_kernels_match(L, masks)
 
@@ -331,29 +331,34 @@ def _index(v, p):
     return sum(int(x) * p**e for e, x in enumerate(reversed(v)))
 
 
+def _count_builds(monkeypatch):
+    """An empty shape store, and the list of the keys of the tables that
+    _stored builds into it from now on."""
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
+    built, real = [], lattice_mod._stored
+
+    def stored(key, nbytes, build):
+        return real(key, nbytes, lambda: built.append(key) or build())
+
+    monkeypatch.setattr(lattice_mod, "_stored", stored)
+    return built
+
+
 def test_bracket_table_built_once_per_algebra(monkeypatch):
     """Every dimension of the lattice of heisenberg + heisenberg over
     GF(2) that goes by lookup, and subalgebra_phis, share one read-only
-    bracket table, which holds the index of L.bracket(x, y) for every pair
-    of vectors; the read-only pairing table of GF(2)^6 holds whether
-    <x, h> != 0 mod 2."""
+    bracket table, built once into the shape store, which holds the index
+    of L.bracket(x, y) for every pair of vectors; the read-only pairing
+    table of GF(2)^6 holds whether <x, h> != 0 mod 2."""
     L = _dim56(2, "heisenberg", "heisenberg")
-    built = []
-    build = lattice_mod._bracket_table.__wrapped__
-
-    def counting(M):
-        built.append(M.key)
-        return build(M)
-
-    monkeypatch.setattr(
-        lattice_mod,
-        "_bracket_table",
-        lattice_mod.lru_cache(maxsize=lattice_mod._VECTOR_TABLE_SLOTS)(counting),
-    )
+    built = _count_builds(monkeypatch)
     lat = build_lattice(L)
     lat._computed()
     lat.subalgebra_phis()
-    assert built == [L.key]
+    assert [key for key in built if key[0] is lattice_mod._bracket_table] == [
+        (lattice_mod._bracket_table, L.key)
+    ]
+    assert (lattice_mod._bracket_table, L.key) in subspace_mod._SHAPES
     table, pairings = lattice_mod._bracket_table(L), lattice_mod._pairings(6, 2)
     assert not table.flags.writeable and not pairings.flags.writeable
     assert table.dtype == _index_dtype(6, 2) == np.uint8 and pairings.dtype == bool
@@ -376,8 +381,6 @@ def test_lookup_memory_is_bounded_by_its_block(monkeypatch):
     monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
     m = len(echelon_arrays(n, p, k)[0])
     _parity_checks(n, p, k)
-    for cached in (lattice_mod._vector_table, lattice_mod._bracket_table, lattice_mod._pairings):
-        cached.cache_clear()
     tracemalloc.start()
     try:
         dim = _Dim(L, k)
@@ -488,7 +491,9 @@ def test_block_products_stay_under_the_block(monkeypatch):
     M N K <= _BLOCK multiply-adds, the size below which OpenBLAS runs a
     product on one thread (with values alone, the scan of abelian(8)
     multiplied 504 x 8 by 8 x 255, and a cover count of
-    counterexample_double(3) 391 x 129 by 129 x 18)."""
+    counterexample_double(3) 391 x 129 by 129 x 18).  Then one row
+    against more checks than a block holds, at _BLOCK = 2^10, as the core
+    test of _core_supplements takes one core against every candidate."""
     L = abelian(2, 8)
     lat = build_lattice(L)
     for k in range(L.dim + 1):
@@ -519,6 +524,16 @@ def test_block_products_stay_under_the_block(monkeypatch):
     assert covers and len(products) > len(covers)
     assert max(mnk for _, mnk in products) > lattice_mod._BLOCK // 4
     assert all(mnk <= lattice_mod._BLOCK for rows, mnk in products if rows > 1)
+    # one plane against the 10,795 parity checks of dimension 6, more than
+    # a block of 2^10 values holds (32 multiply-adds each): the checks go in
+    # blocks too
+    plane, checks = lat._dim(2).bases[:1], lat._dim(6).checks
+    want = real_contained(plane, checks, 2)
+    monkeypatch.setattr(lattice_mod, "_BLOCK", 2**10)
+    products.clear()
+    assert np.array_equal(lattice_mod._contained(plane, checks, 2), want)
+    assert want.sum() == 651 and len(products) > 1
+    assert all(mnk <= lattice_mod._BLOCK for rows, mnk in products)
 
 
 def _assert_scan_matches_one_top_oracle(L):
@@ -699,24 +714,93 @@ def test_lattice_computes_only_what_is_asked(monkeypatch):
 def test_vector_table_built_once_per_algebra(monkeypatch):
     """Every dimension of the lattice of sl2 + sl2 over GF(3) with more
     subspaces than GF(3)^6 has vectors, and the induced tables of
-    subalgebra_phis, share one read-only [v, e_j] table."""
+    subalgebra_phis, share one read-only [v, e_j] table, built once into
+    the shape store."""
     L = sl2(3).direct_sum(sl2(3))
-    built = []
-    build = lattice_mod._vector_table.__wrapped__
-
-    def counting(M):
-        built.append(M.key)
-        return build(M)
-
-    monkeypatch.setattr(
-        lattice_mod,
-        "_vector_table",
-        lattice_mod.lru_cache(maxsize=lattice_mod._VECTOR_TABLE_SLOTS)(counting),
-    )
+    built = _count_builds(monkeypatch)
     lat = build_lattice(L)
     lat.subalgebra_phis()
-    assert built == [L.key]
+    assert [key for key in built if key[0] is lattice_mod._vector_table] == [
+        (lattice_mod._vector_table, L.key)
+    ]
     assert not lattice_mod._vector_table(L).flags.writeable
+
+
+VECTOR_TABLE_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 5)] + [(31, 3)]
+
+
+@pytest.mark.parametrize("p,n", VECTOR_TABLE_SPACES)
+def test_vector_table_is_the_int64_product(p, n, monkeypatch):
+    """The compact _vector_table, in _entry_dtype(p), holds the int64
+    product [v, e_j] mod p of every vector v (digits in index order) with
+    L's table, for an algebra with a nonzero table where n > 1, also when
+    built in blocks of a few rows (_BLOCK at 100)."""
+    L = {
+        1: lambda: abelian(p, 1),
+        2: lambda: nonabelian2(p),
+        3: lambda: sl2(p) if p > 2 else heisenberg(p),
+        4: lambda: nonabelian2(p).direct_sum(nonabelian2(p)),
+    }[n]()
+    vectors = np.array(list(product(range(p), repeat=n)), dtype=np.int64)
+    want = (vectors @ L.table.reshape(n, n * n) % p).reshape(p**n, n, n)
+    for block in (lattice_mod._BLOCK, 100):
+        monkeypatch.setattr(lattice_mod, "_BLOCK", block)
+        monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
+        table = lattice_mod._vector_table(L)
+        assert table.dtype == _entry_dtype(p) and not table.flags.writeable
+        assert np.array_equal(table, want)
+
+
+def test_vector_table_past_the_store_is_not_built(monkeypatch):
+    """With ECHELON_CACHE_TOTAL four times one byte short of the [v, e_j]
+    table of heisenberg + nonabelian2 over GF(3) (243 vectors, 6,075
+    bytes), the store keeps no such table and none is built: the staged
+    closure and ideal masks, _induced_tables, _ideal_of and core, which read
+    the table where there are more rows than vectors, answer by products as
+    they did with it."""
+    L = _dim56(3, "heisenberg", "nonabelian2")
+    n, p = L.dim, L.p
+
+    def answers():
+        out = []
+        for k in range(1, n):
+            bases, piv = echelon_arrays(n, p, k)
+            closed, ideal = lattice_mod._staged_masks(L, bases, _parity_checks(n, p, k))
+            at = np.flatnonzero(closed)
+            tables = lattice_mod._induced_tables(L, bases[at], piv[at])
+            out += [closed.tolist(), ideal.tolist(), tables.tolist()]
+        # the planes F of GF(3)^5 that are ideals of L
+        planes = echelon_arrays(n, p, 2)[0]
+        whole = np.broadcast_to(np.eye(n, dtype=np.int64), (len(planes), n, n))
+        out.append(lattice_mod._ideal_of(L, planes, _parity_checks(n, p, 2), whole).tolist())
+        out.append([core(L, b) for b in build_lattice(L).ideals(3) + build_lattice(L).maximals])
+        return out
+
+    built = _count_builds(monkeypatch)
+    want = answers()
+    assert (lattice_mod._vector_table, L.key) in built
+    monkeypatch.setattr(subspace_mod, "ECHELON_CACHE_TOTAL", 4 * (p**n * n * n - 1))
+    built = _count_builds(monkeypatch)
+    assert answers() == want
+    assert lattice_mod._vector_table(L) is None
+    assert not [key for key in built if key[0] is lattice_mod._vector_table]
+
+
+def test_vector_table_memory_is_its_entries(monkeypatch):
+    """The [v, e_j] table of nonabelian2 + nonabelian2 over GF(31), 923,521
+    vectors of 16 uint8 entries (14.1 MiB), built from an empty store in
+    row blocks, peaks below 1.5 times its size (an int64 table of the
+    whole product took 140.9 MB)."""
+    L = nonabelian2(31).direct_sum(nonabelian2(31))
+    monkeypatch.setattr(subspace_mod, "_SHAPES", _LRU(ECHELON_CACHE_TOTAL, _nbytes))
+    tracemalloc.start()
+    try:
+        table = lattice_mod._vector_table(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 31**4 * 16
+    assert peak < 1.5 * table.nbytes
 
 
 def _assert_closure_memory_bounded(L):

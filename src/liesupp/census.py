@@ -345,21 +345,24 @@ def _check_lsupp_closure(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
 def _check_pfrat(L: LieAlgebra, az: Analyzer) -> Optional[Dict]:
     lat = az.lattice(L)
     phi_l = az.frattini(L)
-    # LatticeCache.unsupplemented(k), for each k on first use
+    in_phi_l = {d: lat.rows_inside(d, phi_l) for d in range(1, phi_l.dim + 1)}
+    # LatticeCache.unsupplemented(d), for each d on first use
     unsupplemented: Dict[int, np.ndarray] = {}
     for (k, row), phi_d in lat.subalgebra_phis().items():
-        for b in lat.inside(phi_d):
-            if b.dim == 0:
+        for d in range(1, phi_d.dim + 1):
+            rows = lat.rows_inside(d, phi_d)
+            if not len(rows):
                 continue
-            if b.dim not in unsupplemented:
-                unsupplemented[b.dim] = lat.unsupplemented(b.dim)
-            if lat.row(b) in unsupplemented[b.dim]:
-                continue
-            if not (L.is_ideal(b) and phi_l.contains(b)):
+            if d not in unsupplemented:
+                unsupplemented[d] = lat.unsupplemented(d)
+            # a row with a c-supplement must be an ideal of L inside phi(L)
+            promoted = lat._dim(d).ideal[rows] & np.isin(rows, in_phi_l.get(d, []))
+            rows = rows[~promoted & ~np.isin(rows, unsupplemented[d])]
+            if len(rows):
                 return {
                     "kind": "frattini_subalgebra_not_promoted",
                     "D": _rows(lat.member(k, row)),
-                    "B": _rows(b),
+                    "B": _rows(lat.member(d, rows[0])),
                 }
     return None
 

@@ -134,12 +134,9 @@ def check_semisimple_shape(
     mins = minimal_ideals(L, lattice)
     if sum(m.dim for m in mins) != n:
         return False, {"reason": "minimal ideals do not sum directly to L"}
-    # with dimensions adding up to n, no overlap means the sum is L
-    s = Subspace.zero(n, p)
-    for m in mins:
-        if s.intersect(m).dim:
-            return False, {"reason": "minimal ideals overlap"}
-        s = s.sum(m)
+    # with dimensions adding up to n, the sum is direct iff the rows span L
+    if Subspace.span([r for m in mins for r in m.rows], n, p).dim != n:
+        return False, {"reason": "minimal ideals overlap"}
     for m in mins:
         if m.dim != 3:
             return False, {"reason": f"summand of dimension {m.dim}"}
@@ -151,8 +148,10 @@ def check_semisimple_shape(
 def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]:
     """The full structural criterion: every bracket-closed subspace of phi(L)
     is an ideal of L, and L/phi(L) splits as R + S with R the (supersolvable,
-    phi-free) radical and S zero or an sl2 direct sum.  Every lattice, and
-    so the cap, comes from `az`."""
+    phi-free) radical and S zero or an sl2 direct sum.  S is forced: with
+    [R, S] = 0, R solvable and S perfect (as a sum of sl2's is), the
+    derived series of L/phi(L) is R^(i) + S and ends at S, the one
+    candidate.  Every lattice, and so the cap, comes from `az`."""
     phi = az.frattini(L)
     out: Dict = {"phi": phi}
     witness = az.lattice(L).first_non_ideal_inside(phi)
@@ -162,7 +161,6 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
         return False, out
     q = L.quotient(phi)
     out["quotient_dim"] = q.dim
-    lat_q = az.lattice(q)
     r = az.radical(q)
     out["R"] = r
     if r.dim:
@@ -173,16 +171,13 @@ def check_main_decomposition(L: LieAlgebra, az: "Analyzer") -> Tuple[bool, Dict]
         if az.frattini(r_alg).dim:
             out["reason"] = "radical_not_phi_free"
             return False, out
+    if r.dim == q.dim:  # S = 0, with no bracket product
+        out["S"] = Subspace.zero(q.dim, q.p)
+        return True, out
+    s = q.derived_series()[-1]
     # R meet S = 0 and R + S = q iff dim S = dim q - dim R and R meet S = 0
-    for s in lat_q.ideals(q.dim - r.dim):
-        if r.intersect(s).dim or q.product_space(r, s).dim:
-            continue
-        if s.dim == 0:
-            out["S"] = s
-            return True, out
-        s_alg = q.as_algebra(s)
-        ok, _info = az.semisimple_shape(s_alg)
-        if ok:
+    if s.dim == q.dim - r.dim and not (r.intersect(s).dim or q.product_space(r, s).dim):
+        if az.semisimple_shape(q.as_algebra(s))[0]:
             out["S"] = s
             return True, out
     out["reason"] = "no_semisimple_complement"

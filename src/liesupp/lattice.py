@@ -17,9 +17,9 @@ matrix products (_staged_masks).  A computed dimension is kept as an index vecto
 echelon_arrays and _parity_checks arrays, whose entries are in the
 smallest unsigned dtype (_entry_dtype; the kernels that multiply them cast
 one row block at a time to int64 or to a float), and no whole dimension is
-made into Subspaces: the queries
-(member(k, row), ideals(k), maximals, inside, the witnesses) make
-Subspaces of the rows they return alone, and stats counts from the arrays.
+made into Subspaces: member(k, row), ideals(k), maximals and the witnesses
+make Subspaces of the rows they return alone, rows_inside and row give
+rows, and stats counts from the arrays.
 The maximal subalgebras are found on first access, by a top-down scan
 (_maximal_masks) whose containment tests and cover counts are float
 matrix products, in float32 where the integer bound of the product is
@@ -63,7 +63,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, isqrt
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,16 +220,21 @@ class LatticeCache:
         return self._dim(k).sub(row)
 
     def row(self, b: Subspace) -> int:
-        """The row of b in dimension dim b, found in the arrays of that
-        dimension.  ValueError when b is not a subalgebra of this
+        """The row of b in dimension dim b: the one row of
+        rows_inside(dim b, b), as a subalgebra of the same dimension that
+        lies in b is b.  ValueError when b is not a subalgebra of this
         lattice."""
-        n, p = self.algebra.dim, self.algebra.p
-        if (b.n, b.p) == (n, p) and b.dim <= n:
-            target = np.array(b.rows, dtype=np.int64).reshape(b.dim, n)
-            hit = np.flatnonzero((self._dim(b.dim).bases == target).all(axis=(1, 2)))
+        if (b.n, b.p) == (self.algebra.dim, self.algebra.p):
+            hit = self.rows_inside(b.dim, b)
             if len(hit):
                 return int(hit[0])
         raise ValueError(f"{b} is not a subalgebra of this lattice")
+
+    def rows_inside(self, d: int, space: Subspace) -> np.ndarray:
+        """The rows of dimension d, ascending, of the subalgebras that lie in
+        `space`, from one _contained test; computes dimension d only."""
+        dim = self._dim(d)
+        return np.flatnonzero(_contained(dim.bases, _parity_check(space)[None], space.p)[:, 0])
 
     def first_complements(self, k: int, rows=None) -> np.ndarray:
         """For each of the given rows of dimension k (an index array, every
@@ -287,26 +292,18 @@ class LatticeCache:
                 groups.setdefault(table.tobytes(), []).append(a)
         return groups
 
-    def inside(self, space: Subspace) -> Iterator[Subspace]:
-        """The subalgebras of this lattice contained in `space`, in lattice
-        order; computes the dimensions up to dim space only."""
-        check = _parity_check(space)[None]
-        for d in range(space.dim + 1):
-            dim = self._dim(d)
-            yield from dim.subs_at(_contained(dim.bases, check, space.p)[:, 0])
-
     def first_non_ideal_inside(self, space: Subspace) -> Optional[Subspace]:
         """The first subalgebra in lattice order that lies in `space` and is
-        not an ideal, or None, from one containment test per dimension.  For
-        space = phi(L) it is the first subalgebra of phi's own algebra whose
-        image is not an ideal: RREF rows read at phi's pivot columns are the
-        RREF in phi's coordinates, in the same order."""
-        check = _parity_check(space)[None]
+        not an ideal, or None: rows_inside read with the ideal mask, one
+        dimension at a time.  For space = phi(L) it is the first subalgebra
+        of phi's own algebra whose image is not an ideal: RREF rows read at
+        phi's pivot columns are the RREF in phi's coordinates, in the same
+        order."""
         for d in range(space.dim + 1):
-            dim = self._dim(d)
-            hit = np.flatnonzero(_contained(dim.bases, check, space.p)[:, 0] & ~dim.ideal)
-            if len(hit):
-                return dim.sub(hit[0])
+            dim, rows = self._dim(d), self.rows_inside(d, space)
+            rows = rows[~dim.ideal[rows]]
+            if len(rows):
+                return dim.sub(rows[0])
         return None
 
     def stats(self) -> Dict[str, int]:
@@ -984,7 +981,10 @@ def _core_supplements(
     candidates of a group found by one _contained test of its core.  B =
     K + B', B' the RREF rows of B at pivots outside K's, so for K <= C,
     B + C = L exactly when B' + C = L: _first_hits pairs the B' of a group
-    (dim k - c; 0 for an ideal B, whose one candidate is L) with them."""
+    (dim k - c; 0 for an ideal B, whose one candidate is L) with them.
+    The ideals x rows mask stays small as _unsupplemented passes only the
+    rows without a complement (given every non-ideal row, it ran the
+    dim-8 sums out of memory)."""
     L = lattice.algebra
     n, p = L.dim, L.p
     dim = lattice._dim(k)

@@ -35,7 +35,7 @@ from liesupp.liealg import (
     heisenberg,
     nonabelian2,
 )
-from liesupp.subspace import CapExceededError, _LRU
+from liesupp.subspace import CapExceededError, Subspace, _LRU
 from oracles import (
     EagerLattice,
     canonical_form_small,
@@ -532,30 +532,45 @@ def test_lsupp_closure_makes_one_algebra_per_induced_table(monkeypatch):
 )
 def test_pfrat_examines_each_subalgebra_of_each_phi(L, monkeypatch):
     """pfrat tests c-supplementation on the nonzero subalgebras inside
-    phi(D), for every subalgebra D in lattice order, each by looking its
-    row up in LatticeCache.unsupplemented, with no c_supplement call; with
-    no violation it reaches every such pair."""
+    phi(D), for every subalgebra D in lattice order, by rows: each B is a
+    row of LatticeCache.rows_inside(d, phi(D)), looked up in
+    LatticeCache.unsupplemented, with no c_supplement call, and no call of
+    LatticeCache.row, LieAlgebra.is_ideal or Subspace.contains; with no
+    violation it reaches every such pair (phi(D), B).  Its first calls of
+    rows_inside, one per dimension of phi(L), read the rows inside
+    phi(L)."""
+    phi_l = Analyzer().frattini(L)
     seen = []
-    real = LatticeCache.row
+    real = LatticeCache.rows_inside
 
-    def recording(self, b):
-        seen.append(b)
-        return real(self, b)
+    def recording(self, d, space):
+        rows = real(self, d, space)
+        seen.append((space, d, [self.member(d, r) for r in rows]))
+        return rows
 
-    monkeypatch.setattr(LatticeCache, "row", recording)
+    def forbidden(*args):
+        raise AssertionError("called by pfrat")
+
     _forbid_c_supplement(monkeypatch)
     az = Analyzer()
-    assert CHECKERS["pfrat"](L, az) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticeCache, "rows_inside", recording)
+        patch.setattr(LatticeCache, "row", forbidden)
+        patch.setattr(LieAlgebra, "is_ideal", forbidden)
+        patch.setattr(Subspace, "contains", forbidden)
+        assert CHECKERS["pfrat"](L, az) is None
+    prefix, seen = seen[: phi_l.dim], seen[phi_l.dim :]
+    assert [(space, d) for space, d, _ in prefix] == [(phi_l, d) for d in range(1, phi_l.dim + 1)]
     eager = EagerLattice(L)
     phis = subalgebra_phis_by_sublattices(L, eager, Analyzer())
-    expected = [
-        b
+    reached = [
+        (phi_d, b)
         for k in eager.by_dim
         for phi_d in phis[k]
         for b in eager.subalgebras
         if b.dim and phi_d.contains(b)
     ]
-    assert expected and seen == expected
+    assert reached and [(space, b) for space, _, members in seen for b in members] == reached
 
 
 @pytest.mark.parametrize("theorem", PAIR_THEOREMS)

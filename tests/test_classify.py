@@ -14,7 +14,7 @@ import liesupp.census as census_mod
 import liesupp.classify as classify_mod
 import liesupp.lattice as lattice_mod
 import liesupp.subspace as subspace_mod
-from liesupp.census import CHECKERS, CensusSpec, generate, verify
+from liesupp.census import CHECKERS, CensusSpec, classes, generate, verify
 from liesupp.classify import (
     Analyzer,
     c_supplement,
@@ -249,9 +249,9 @@ def test_main_decomposition():
 
 def assert_ideal_queries_match_ideal_list_oracles(L):
     """radical, is_simple, minimal_ideals, first_non_ideal_inside with every
-    subalgebra as the space, and check_main_decomposition, which reads one
-    dimension of the quotient's ideals, against the oracles over the whole
-    ideal list of EagerLattice."""
+    subalgebra as the space, and check_main_decomposition, which takes S
+    from the derived series of the quotient, against the oracles over the
+    whole ideal list of EagerLattice."""
     lat, eager = build_lattice(L), EagerLattice(L)
     assert radical(L, lat) == radical_by_ideal_list(L, eager)
     assert is_simple(L, lat) == is_simple_by_ideal_list(L, eager)
@@ -270,6 +270,25 @@ def test_ideal_queries_match_ideal_list_oracles_on_census(p):
     assert any(simple) and not all(simple)
     for L in algebras:
         assert_ideal_queries_match_ideal_list_oracles(L)
+
+
+def test_ideal_queries_match_ideal_list_oracles_on_gf5_classes():
+    """The class representatives of dims 1..3 over GF(5); sl2 is one, and
+    its S is the whole quotient."""
+    algebras = [rep for n in (1, 2, 3) for _, rep, _ in classes(5, n)]
+    for L in algebras:
+        assert_ideal_queries_match_ideal_list_oracles(L)
+    az = Analyzer()
+    details = [check_main_decomposition(L, az)[1] for L in algebras]
+    assert any("S" in info and info["S"].dim for info in details)
+
+
+def test_ideal_queries_match_ideal_list_oracles_on_gf3_class_sums():
+    """The sums of two class representatives of dims 1..2 over GF(3)."""
+    reps = [rep for n in (1, 2) for _, rep, _ in classes(3, n)]
+    for i, left in enumerate(reps):
+        for right in reps[i:]:
+            assert_ideal_queries_match_ideal_list_oracles(left.direct_sum(right))
 
 
 @pytest.mark.parametrize("p,left,right", DIM56_SUMS)
@@ -969,7 +988,8 @@ def _meet_of_maximals(lat, b):
     """Oracle F(B): the intersection of the maximal subalgebras of b, found
     by comparing all pairs of the members of lat inside b."""
     f = b
-    for m in maximal_subalgebras_all_pairs(list(lat.inside(b)), b.dim):
+    inside = [lat.member(d, r) for d in range(b.dim + 1) for r in lat.rows_inside(d, b)]
+    for m in maximal_subalgebras_all_pairs(inside, b.dim):
         f = f.intersect(m)
     return f
 

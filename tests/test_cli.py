@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import liesupp.lattice as lattice_mod
 from liesupp.classify import ALL_PREDICATES, classify_algebra
 from liesupp.cli import EXIT_INTERNAL, PROPERTY_NAMES, main
 from liesupp.formats import algebra_to_doc
-from liesupp.liealg import abelian, catalog, counterexample_double, heisenberg
+from liesupp.liealg import abelian, catalog, counterexample_double, heisenberg, nonabelian2
 
 
 def write_doc(tmp_path, doc, name="alg.json"):
@@ -200,6 +203,58 @@ def test_check_subspace_supplement_witness(tmp_path, capsys):
     assert code == 0 and doc["holds"] is True
     assert doc["supplement"]["rows"] == [[int(i == j) for j in range(4)] for i in range(4)]
     assert doc["meets_in"] == doc["core"] == doc["subspace"]
+    # span(e0, e4) of nonabelian2 + heisenberg over GF(2) has no complement,
+    # so its witness comes from the core test: the supplement
+    # span(e1, e2, e3, e4), meeting it in its core span(e4)
+    L = catalog("nonabelian2", 2).direct_sum(heisenberg(2))
+    path = write_doc(tmp_path, algebra_to_doc(L), "n2h.json")
+    code, out, _ = run(
+        capsys, ["check", path, "--property", "c-supplemented", "--subspace", "1 0 0 0 0; 0 0 0 0 1"]
+    )
+    doc = json.loads(out)
+    e = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert code == 0 and doc["holds"] and doc["supplement"]["rows"] == e[1:]
+    assert doc["meets_in"] == doc["core"] == {"dim": 1, "rows": [e[4]]}
+
+
+# classify in a fresh interpreter, reporting its exit code and its peak
+# resident set in KB: VmHWM of Linux, the ru_maxrss of the interpreter's own
+# memory.  ru_maxrss itself would count the pages of the pytest process
+# that started it, which exec carries over into the child's high-water mark.
+PEAK_RSS_SCRIPT = """
+import sys
+from liesupp.cli import main
+code = main(['classify', sys.argv[1], '--out', sys.argv[2]])
+with open('/proc/self/status') as status:
+    print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))
+"""
+
+
+@pytest.mark.parametrize(
+    "algebra,bound_kb",
+    [
+        # every shape of GF(2)^8 is kept, in uint8; until the lattice stopped
+        # building whole dimensions this crashed with an 18.2 GiB allocation
+        (lambda: abelian(2, 8), 200_000),
+        # the [v, e_j] table of GF(31)^4 is kept in uint8, built in row blocks
+        (lambda: nonabelian2(31).direct_sum(nonabelian2(31)), 150_000),
+    ],
+    ids=["abelian(8)/GF(2)", "nonabelian2+nonabelian2/GF(31)"],
+)
+def test_classify_peak_rss(tmp_path, algebra, bound_kb):
+    """classify exits 0 and its interpreter's peak resident set stays under
+    the bound."""
+    path = write_doc(tmp_path, algebra_to_doc(algebra()))
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    got = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, path, str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, rss = map(int, got.stdout.split())
+    assert code == 0 and rss < bound_kb
 
 
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):

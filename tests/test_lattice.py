@@ -626,18 +626,48 @@ def test_float_containment_exact_near_the_int64_limit():
                 assert got.tolist() == [w.contains(Subspace.span(b.tolist(), n, p)) for b in bases]
 
 
+def _assert_rows_inside_match_eager(L, spaces):
+    """LatticeCache.rows_inside(d, space), for every space given and every
+    d <= dim space, against the rows of EagerLattice's dimension d whose
+    bases reduce to zero against the RREF rows of space: an int64 route
+    that reads no parity check."""
+    lat, eager = build_lattice(L), EagerLattice(L)
+    n, p = L.dim, L.p
+    bases = {
+        d: np.array([s.rows for s in subs], dtype=np.int64).reshape(len(subs), d, n)
+        for d, subs in eager.by_dim.items()
+    }
+    for space in spaces:
+        rows = np.array(space.rows, dtype=np.int64).reshape(space.dim, n)
+        for d in range(space.dim + 1):
+            got = lat.rows_inside(d, space)
+            b = bases.get(d, np.zeros((0, d, n), dtype=np.int64))
+            resid = (b - b[:, :, list(space.pivots)] @ rows) % p
+            assert got.tolist() == np.flatnonzero(~resid.any(axis=(1, 2))).tolist()
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_inside_matches_contains(p):
-    """LatticeCache.inside(space) lists the subalgebras contained in space,
-    in lattice order, for every subspace of every class representative of
-    dims 1..3."""
+def test_rows_inside_matches_eager_on_census(p):
+    """Every subspace of GF(p)^n, subalgebra or not, as the space, for every
+    class representative of dims 1..3."""
     for n in (1, 2, 3):
         for _, L, _ in classes(p, n):
-            lat = build_lattice(L)
-            subalgebras = EagerLattice(L).subalgebras
-            for space in enumerate_subspaces(n, p):
-                expected = [s for s in subalgebras if space.contains(s)]
-                assert list(lat.inside(space)) == expected
+            _assert_rows_inside_match_eager(L, enumerate_subspaces(n, p))
+
+
+@pytest.mark.parametrize("p,left,right", DIM56_SUMS)
+def test_rows_inside_matches_eager_dim56(p, left, right):
+    """Every member as the space, and spans of random rows that are not
+    subalgebras, in the catalog basis and in a random one."""
+    L = _dim56(p, left, right)
+    rng = np.random.default_rng(20071231)
+    for M in (L, random_conjugate(L, rng)):
+        n = M.dim
+        spaces = EagerLattice(M).subalgebras
+        spans = [Subspace.span(rng.integers(0, p, (d, n)).tolist(), n, p) for d in (2, 3, 4) * 4]
+        others = [s for s in spans if not M.is_subalgebra(s)]
+        assert others
+        _assert_rows_inside_match_eager(M, spaces + others)
 
 
 # -- the lazy lattice ---------------------------------------------------------
@@ -994,7 +1024,7 @@ def test_core_within_a_subalgebra_matches_enumeration_oracle(p):
         lat = build_lattice(L)
         eager = EagerLattice(L)
         for c in eager.subalgebras:
-            for b in lat.inside(c):
+            for b in (lat.member(d, r) for d in range(c.dim + 1) for r in lat.rows_inside(d, c)):
                 assert core(L, b, c) == core_within_by_enumeration(L, b, c, eager)
 
 
